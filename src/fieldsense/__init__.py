@@ -19,7 +19,7 @@ from .aloha import (
     simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,
-    upload_probability_from_error,
+    upload_probabilities,
 )
 from .apps import (
     LinearApplication,

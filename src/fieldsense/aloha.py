@@ -115,19 +115,14 @@ def per_sensor_success_probability(p_vec, channels: int) -> np.ndarray:
     return out
 
 
-def upload_probability_from_error(e_sq: float, psi: float) -> float:
-    """Per-sensor upload probability from its squared prediction error.
+def upload_probabilities(err_sq, psi: float) -> np.ndarray:
+    """Per-sensor upload probabilities from squared prediction errors.
 
     p = clamp(e * (ln(e_sq) - psi), 0, 1); a zero error never transmits.
     """
-    if e_sq < 0:
-        raise ValueError(f"squared error must be nonnegative, got {e_sq}")
-    if e_sq == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, math.e * (math.log(e_sq) - psi)))
-
-
-def _upload_probabilities(err_sq: np.ndarray, psi: float) -> np.ndarray:
+    err_sq = np.asarray(err_sq, dtype=float)
+    if err_sq.size and err_sq.min() < 0:
+        raise ValueError(f"squared errors must be nonnegative, got {err_sq.min()}")
     with np.errstate(divide="ignore"):
         raw = math.e * (np.log(err_sq) - psi)  # -inf at zero error, clipped below
     return np.clip(raw, 0.0, 1.0)
@@ -198,7 +193,7 @@ def simulate_round(
     if cfg.mode == "conventional":
         probabilities = np.full(n, equal_upload_probability(cfg))
     else:
-        probabilities = _upload_probabilities(errors**2, dual.psi)
+        probabilities = upload_probabilities(errors**2, dual.psi)
 
     dormant = rng.random(n) < cfg.p_sleep
     active, channel, success = contend(np.where(dormant, 0.0, probabilities), cfg.channels, rng)

@@ -11,11 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState, FieldEstimate, _remaining_variances, quantize
+from .das import (
+    DasState,
+    FieldEstimate,
+    _app_rows,
+    _conditioner,
+    _min_residual_pick,
+    quantize,
+)
 from .fields import SensorField
-from .gp import KernelParams, posterior
-
-_MSE_CLAMP = -1e-10
+from .gp import VARIANCE_CLAMP, KernelParams, posterior
 
 
 @dataclass
@@ -75,63 +80,35 @@ def application_mse(app: LinearApplication, cov: np.ndarray) -> float:
             f"covariance shape {cov.shape} does not match {app.weights.shape[0]} weights"
         )
     value = float(app.weights @ cov @ app.weights)
-    if value < _MSE_CLAMP:
+    if value < VARIANCE_CLAMP:
         raise ValueError(f"application MSE {value:g} below round-off tolerance")
     return max(value, 0.0)
-
-
-def _hypothetical_mses(
-    apps, field: SensorField, state: DasState, params: KernelParams
-) -> np.ndarray:
-    """MSE of each application after each candidate's hypothetical upload.
-
-    Returns an array of shape (n_remaining, n_apps), rows ordered like
-    ``state.remaining``.  The hypothetical covariance conditions on the
-    candidate's location only; no measurement value is needed.
-    """
-    obs = field.locations[list(state.uploaded)]
-    out = np.empty((len(state.remaining), len(apps)))
-    for j, cand in enumerate(state.remaining):
-        rest = [i for i in state.remaining if i != cand]
-        if not rest:
-            out[j] = 0.0
-            continue
-        locs = np.vstack([obs, field.locations[cand : cand + 1]])
-        post = posterior(
-            locs, np.zeros(locs.shape[0]), field.locations[rest], params,
-            field.noise_variance,
-        )
-        for q, app in enumerate(apps):
-            w = app.weights[rest]
-            out[j, q] = w @ post.covariance @ w
-    return out
 
 
 def select_for_application(
     app: LinearApplication, field: SensorField, state: DasState, params: KernelParams
 ) -> int:
     """Candidate whose upload minimizes this application's next-round MSE."""
-    state.check_against(field)
-    if not state.remaining:
-        raise ValueError("no sensors remaining")
-    mses = _hypothetical_mses([app], field, state, params)[:, 0]
-    return int(state.remaining[int(np.argmin(quantize(mses)))])
+    return select_weighted_sum([app], [1.0], field, state, params)
 
 
 def select_weighted_sum(
     apps, betas, field: SensorField, state: DasState, params: KernelParams
 ) -> int:
-    """Candidate minimizing the beta-weighted sum of application MSEs."""
+    """Candidate minimizing the beta-weighted sum of application MSEs.
+
+    Each application's MSE after a candidate's upload is w'Sigma'w over the
+    sensors still missing, scored for all candidates at once by
+    :meth:`IncrementalConditioner.residual_variance`.
+    """
     state.check_against(field)
-    betas = np.asarray(betas, dtype=float).ravel()
-    if len(apps) != betas.shape[0]:
-        raise ValueError(f"{len(apps)} applications but {betas.shape[0]} betas")
-    if not np.all(betas > 0):
-        raise ValueError("betas must be positive")
+    weights, betas = _app_rows([app.weights for app in apps], betas, field.n_sensors)
     if not state.remaining:
         raise ValueError("no sensors remaining")
-    totals = _hypothetical_mses(apps, field, state, params) @ betas
-    return int(state.remaining[int(np.argmin(quantize(totals)))])
+    weights[:, list(state.uploaded)] = 0.0  # uploaded entries carry no error
+    return _min_residual_pick(
+        _conditioner(field, state, params), np.asarray(state.remaining), weights, betas
+    )
 
 
 def select_max_value_app(
@@ -151,15 +128,14 @@ def select_max_value_app(
 
 def build_candidate_set(
     selections, field: SensorField, state: DasState, params: KernelParams,
-    Q: int, rng: np.random.Generator | None = None,
+    Q: int,
 ) -> list[int]:
     """Merge per-application picks into an ordered candidate set of size Q.
 
     Deduplicates the picks (None entries contribute nothing), then pads with
-    not-yet-chosen sensors in descending posterior-variance order; any slots
-    somehow still open are filled uniformly at random.  The result is capped
-    at min(Q, #remaining) and is always a duplicate-free subset of the
-    remaining sensors.
+    not-yet-chosen sensors in descending posterior-variance order (ties toward
+    the lowest index).  The result is capped at min(Q, #remaining) and is
+    always a duplicate-free subset of the remaining sensors.
     """
     if Q < 1:
         raise ValueError(f"Q must be at least 1, got {Q}")
@@ -176,20 +152,8 @@ def build_candidate_set(
             chosen.append(sel)
     limit = min(Q, len(remaining))
     if len(chosen) < limit:
-        var = _remaining_variance_order(field, state, params)
-        for cand in var:
-            if len(chosen) >= limit:
-                break
-            if cand not in chosen:
-                chosen.append(cand)
-    if len(chosen) < limit:  # unreachable with the variance ranking, kept as a guard
-        pool = sorted(remaining - set(chosen))
-        picks = (rng or np.random.default_rng()).permutation(len(pool))
-        chosen.extend(pool[i] for i in picks[: limit - len(chosen)])
+        rem = np.asarray(state.remaining)
+        var = quantize(_conditioner(field, state, params).variance[rem])
+        order = rem[np.argsort(-var, kind="stable")].tolist()
+        chosen += [c for c in order if c not in chosen]
     return chosen[:limit]
-
-
-def _remaining_variance_order(field, state, params) -> list[int]:
-    var = quantize(_remaining_variances(field, state, params))
-    order = sorted(range(len(var)), key=lambda j: (-var[j], state.remaining[j]))
-    return [int(state.remaining[j]) for j in order]

@@ -4,9 +4,13 @@ the reconstruction of the whole field improves as fast as possible.
 The round state tracks which sensors have uploaded.  The field estimate
 copies uploaded measurements verbatim and fills the rest with GP posterior
 means; its MSE is the sum of the posterior variances of the sensors still
-missing.  Selection policies score candidates by those variances (the
-max-variance pick provably minimizes next-round MSE), by uniform chance, or
-by the variance they would remove at a set of virtual target locations.
+missing.  Selection policies pick the largest current variance (which
+minimizes next-round MSE in Lemma 1's sense: the current variances minus the
+picked sensor's own term), pick by uniform chance, or minimize the variance
+left at virtual target locations or in application outputs.  All of them
+score every candidate at once from one incremental conditioner, by the
+rank-one update the candidate's upload would make to the posterior
+covariance.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from .gp import (
 # selection traces do not flip on platform-dependent last-bit noise.
 _QUANTUM = 1e-12
 
-POLICIES = ("max-variance", "random", "virtual")
+POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 
 
 def quantize(values):
@@ -116,28 +120,49 @@ def estimate(field: SensorField, state: DasState, params: KernelParams) -> Field
     return FieldEstimate(values, variance, float(np.sum(variance)))
 
 
-def _remaining_variances(field, state, params) -> np.ndarray:
-    _, var = posterior_mean_and_variance(
-        _uploaded_locs(field, state),
-        np.asarray(state.uploaded_values),
-        field.locations[list(state.remaining)],
-        params,
-        field.noise_variance,
-    )
-    return var
+def _conditioner(field: SensorField, state: DasState, params: KernelParams,
+                 extra_locs=None) -> IncrementalConditioner:
+    """Conditioner over the sensors (then ``extra_locs``) holding ``state``'s uploads."""
+    targets = field.locations if extra_locs is None else np.vstack([field.locations, extra_locs])
+    cond = IncrementalConditioner(targets, params, field.noise_variance)
+    for idx, value in zip(state.uploaded, state.uploaded_values):
+        cond.observe(idx, value)
+    return cond
+
+
+def _max_variance_pick(cond: IncrementalConditioner, rem: np.ndarray) -> int:
+    return int(rem[int(np.argmax(quantize(cond.variance[rem])))])
+
+
+def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights, betas) -> int:
+    """Candidate minimizing the beta-weighted residual variance of the weight rows."""
+    scores = betas @ cond.residual_variance(weights, rem)
+    return int(rem[int(np.argmin(quantize(scores)))])
+
+
+def _app_rows(weights, betas, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated application weight rows (a fresh copy) and their betas."""
+    betas = np.asarray(betas, dtype=float).ravel()
+    if len(weights) != betas.shape[0]:
+        raise ValueError(f"{len(weights)} applications but {betas.shape[0]} betas")
+    if not np.all(betas > 0):
+        raise ValueError("betas must be positive")
+    return np.array(weights, dtype=float).reshape(len(betas), n_sensors), betas
 
 
 def select_max_variance(field: SensorField, state: DasState, params: KernelParams) -> int:
     """Sensor with the largest posterior variance among those not yet uploaded.
 
-    This choice minimizes the next-round MSE; it depends only on locations,
-    never on measured values.  Ties break toward the lowest sensor index.
+    This choice minimizes the next-round MSE in Lemma 1's sense: the current
+    per-sensor variances summed, minus the uploaded sensor's own term.  (It
+    need not minimize the variance sum after re-conditioning on the upload.)
+    It depends only on locations, never on measured values.  Ties break
+    toward the lowest sensor index.
     """
     state.check_against(field)
     if not state.remaining:
         raise ValueError("no sensors remaining")
-    var = quantize(_remaining_variances(field, state, params))
-    return int(state.remaining[int(np.argmax(var))])
+    return _max_variance_pick(_conditioner(field, state, params), np.asarray(state.remaining))
 
 
 def select_random(state: DasState, rng: np.random.Generator) -> int:
@@ -145,6 +170,15 @@ def select_random(state: DasState, rng: np.random.Generator) -> int:
     if not state.remaining:
         raise ValueError("no sensors remaining")
     return int(state.remaining[int(rng.integers(len(state.remaining)))])
+
+
+def _virtual_rows(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual points, and unit weight rows on them as targets after the sensors."""
+    virtual = as_points(virtual_locs, dim=field.dim)
+    if virtual.shape[0] == 0:
+        raise ValueError("virtual location set is empty")
+    k = virtual.shape[0]
+    return virtual, np.hstack([np.zeros((k, field.n_sensors)), np.eye(k)])
 
 
 def select_virtual_target(
@@ -162,18 +196,9 @@ def select_virtual_target(
     state.check_against(field)
     if not state.remaining:
         raise ValueError("no sensors remaining")
-    virtual = as_points(virtual_locs, dim=field.dim)
-    if virtual.shape[0] == 0:
-        raise ValueError("virtual location set is empty")
-    obs = _uploaded_locs(field, state)
-    traces = np.empty(len(state.remaining))
-    for j, cand in enumerate(state.remaining):
-        locs = np.vstack([obs, field.locations[cand : cand + 1]])
-        _, var = posterior_mean_and_variance(
-            locs, np.zeros(locs.shape[0]), virtual, params, field.noise_variance
-        )
-        traces[j] = var.sum()
-    return int(state.remaining[int(np.argmin(quantize(traces)))])
+    virtual, rows = _virtual_rows(field, virtual_locs)
+    cond = _conditioner(field, state, params, virtual)
+    return _min_residual_pick(cond, np.asarray(state.remaining), rows, np.ones(len(rows)))
 
 
 @dataclass
@@ -203,15 +228,16 @@ def run_das(
     rng: np.random.Generator | None = None,
     virtual_locs=None,
     log_estimates: bool = False,
-    incremental: bool = True,
+    apps=None,
 ) -> list[DasRound]:
     """Run the collection loop for ``rounds`` rounds and log each round.
 
     ``policy`` is one of ``POLICIES`` or a callable
-    ``(field, state, params, rng) -> sensor index``.  The default fast path
-    conditions incrementally; ``incremental=False`` recomputes the posterior
-    from scratch every round (the reference behavior, equal to within
-    round-off).
+    ``(field, state, params, rng) -> sensor index``.  ``apps`` is the pair
+    ``(weights, betas)`` the app-weighted policy needs: one weight row per
+    application over the sensors, and the positive betas that sum their
+    output MSEs.  One incremental conditioner carries the posterior and
+    scores every policy.
     """
     n = field.n_sensors
     if not 1 <= rounds <= n:
@@ -224,20 +250,15 @@ def run_das(
     if policy == "virtual":
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
-        virtual = as_points(virtual_locs, dim=field.dim)
-        if virtual.shape[0] == 0:
-            raise ValueError("virtual location set is empty")
-
-    cond = None
-    virtual_cols = None
-    if incremental:
-        target_locs = field.locations
-        if virtual is not None:
-            target_locs = np.vstack([field.locations, virtual])
-            virtual_cols = np.arange(n, n + virtual.shape[0])
-        cond = IncrementalConditioner(target_locs, params, field.noise_variance)
+        virtual, rows = _virtual_rows(field, virtual_locs)
+        betas = np.ones(len(rows))
+    elif policy == "app-weighted":
+        if apps is None:
+            raise ValueError("app-weighted policy needs apps")
+        rows, betas = _app_rows(*apps, n)
 
     state = DasState.fresh(n)
+    cond = _conditioner(field, state, params, virtual)
     logs: list[DasRound] = []
     for _ in range(rounds):
         rem = np.asarray(state.remaining)
@@ -246,29 +267,15 @@ def run_das(
         elif policy == "random":
             idx = select_random(state, rng)
         elif policy == "max-variance":
-            if cond is not None:
-                idx = int(rem[int(np.argmax(quantize(cond.variance[rem])))])
-            else:
-                idx = select_max_variance(field, state, params)
-        elif policy == "virtual":
-            if cond is not None:
-                total = cond.variance[virtual_cols].sum()
-                scores = np.empty(len(rem))
-                for j, cand in enumerate(rem):
-                    scores[j] = total - cond.hypothetical_reduction(int(cand), virtual_cols).sum()
-                idx = int(rem[int(np.argmin(quantize(scores)))])
-            else:
-                idx = select_virtual_target(field, state, virtual, params)
+            idx = _max_variance_pick(cond, rem)
+        else:
+            idx = _min_residual_pick(cond, rem, rows, betas)
         value = float(field.measurements[idx])
         state = state.with_uploads([idx], [value])
-        if cond is not None:
-            cond.observe(idx, value)
-            rem_after = list(state.remaining)
-            mse = float(np.sum(cond.variance[rem_after]))
-            est = _estimate_from_conditioner(field, state, cond, n) if log_estimates else None
-        else:
-            est_full = estimate(field, state, params)
-            mse = est_full.mse
-            est = est_full if log_estimates else None
+        cond.observe(idx, value)
+        if policy == "app-weighted":
+            rows[:, idx] = 0.0  # an uploaded entry carries no error
+        mse = float(np.sum(cond.variance[list(state.remaining)]))
+        est = _estimate_from_conditioner(field, state, cond, n) if log_estimates else None
         logs.append(DasRound(state.round, idx, mse, est))
     return logs

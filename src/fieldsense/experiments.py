@@ -20,12 +20,11 @@ import numpy as np
 
 from . import aloha as aloha_mod
 from . import das as das_mod
-from .apps import LinearApplication, select_weighted_sum, uniform_mean_application
+from .apps import LinearApplication, uniform_mean_application
 from .fields import FieldSpec, load_csv
 from .gp import KernelParams
 
 EXPERIMENTS = ("das-1d", "das-2d", "das-csv", "das-virtual", "aloha")
-DAS_POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 
 # Every figure-style experiment ships as a preset config; values use the
 # same flat key=value vocabulary as config files.
@@ -116,8 +115,8 @@ class ExperimentConfig:
         if self.experiment == "aloha":
             return
         for p in self.policies:
-            if p not in DAS_POLICIES:
-                raise ConfigError(f"unknown policy {p!r}; expected one of {DAS_POLICIES}")
+            if p not in das_mod.POLICIES:
+                raise ConfigError(f"unknown policy {p!r}; expected one of {das_mod.POLICIES}")
         if self.experiment == "das-csv" and not self.csv_path:
             raise ConfigError("das-csv needs a csv path")
         if "virtual" in self.policies and self.virtual is None:
@@ -312,17 +311,14 @@ def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
                 rng = np.random.default_rng(seed)
                 field = csv_field if csv_field is not None else spec.build(rng)
                 rounds = min(config.rounds, field.n_sensors)
-                run_policy = policy
+                apps = None
                 if policy == "app-weighted":
-                    apps = _build_apps(config, field.n_sensors)
-                    betas = config.betas
-
-                    def run_policy(f, s, p, r, _apps=apps, _betas=betas):
-                        return select_weighted_sum(_apps, _betas, f, s, p)
-
+                    weights = [app.weights for app in _build_apps(config, field.n_sensors)]
+                    apps = (weights, config.betas)
                 logs = das_mod.run_das(
-                    field, run_policy, rounds, params, rng=rng,
+                    field, policy, rounds, params, rng=rng,
                     virtual_locs=config.virtual, log_estimates=want_holdout,
+                    apps=apps,
                 )
                 for log in logs:
                     records.append(RunRecord(

@@ -257,9 +257,9 @@ class IncrementalConditioner:
     and variances stay current at O(n_obs * n_targets) cost per round
     instead of a fresh factorization.
 
-    This is the optional fast path; results agree with the from-scratch
-    :func:`posterior_mean_and_variance` to within accumulated round-off
-    (tested at 1e-8).
+    The collection loop and every selection policy run on it; results agree
+    with the from-scratch :func:`posterior_mean_and_variance` to within
+    accumulated round-off (tested at 1e-8).
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float):
@@ -282,13 +282,6 @@ class IncrementalConditioner:
     def n_observations(self) -> int:
         return self._n_obs
 
-    def _next_row(self, index: int, cols) -> tuple[np.ndarray, np.ndarray, float]:
-        t = self._n_obs
-        lvec = self._a[:t, index]
-        d = math.sqrt(self.variance[index] + self.noise_variance)
-        row = (self._prior[index, cols] - lvec @ self._a[:t, cols]) / d
-        return row, lvec, d
-
     def observe(self, index: int, value: float):
         """Condition on a (noisy) measurement at target ``index``."""
         if not 0 <= index < self.target_locations.shape[0]:
@@ -296,7 +289,9 @@ class IncrementalConditioner:
         if not math.isfinite(value):
             raise ValueError("observed value is not finite")
         t = self._n_obs
-        row, lvec, d = self._next_row(index, slice(None))
+        lvec = self._a[:t, index]
+        d = math.sqrt(self.variance[index] + self.noise_variance)
+        row = (self._prior[index] - lvec @ self._a[:t]) / d
         c_new = (value - lvec @ self._c[:t]) / d
         self._a[t] = row
         self._c[t] = c_new
@@ -304,12 +299,23 @@ class IncrementalConditioner:
         self.mean += row * c_new
         self.variance = np.maximum(self.variance - row * row, 0.0)
 
-    def hypothetical_reduction(self, index: int, cols=slice(None)) -> np.ndarray:
-        """Variance removed at targets ``cols`` if ``index`` were observed next.
+    def residual_variance(self, weights, candidates) -> np.ndarray:
+        """Error variance of weighted sums of the targets after each candidate uploads.
 
-        Value-free: the posterior covariance of a Gaussian does not depend
-        on the measurement, so candidate uploads can be scored without
-        knowing what they would report.
+        Entry (r, j) is w'S w for weight row r once target ``candidates[j]``
+        (c) is observed, where S = Sigma - Sigma[:, c] Sigma[c, :] /
+        (Sigma[c, c] + noise) is the rank-one Schur update of the current
+        posterior covariance Sigma, and w has c's own entry zeroed because
+        an uploaded entry is exact.  Every selection policy scores candidates
+        this way: unit rows give the variance left at single targets, an
+        application's weights the error variance of its output.  Value-free:
+        the covariance of a Gaussian does not depend on the measurement.
         """
-        row, _, _ = self._next_row(index, cols)
-        return row * row
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        cand = np.asarray(candidates, dtype=int)
+        a = self._a[: self._n_obs]
+        s = w @ self._prior - (w @ a.T) @ a  # rows of W Sigma
+        wc, sc, dc = w[:, cand], s[:, cand], self.variance[cand]
+        own = np.einsum("ij,ij->i", w, s)[:, None] - wc * (2.0 * sc - wc * dc)
+        cross = sc - wc * dc
+        return own - cross * cross / (dc + self.noise_variance)

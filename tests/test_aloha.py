@@ -19,7 +19,7 @@ from fieldsense.aloha import (
     simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,
-    upload_probability_from_error,
+    upload_probabilities,
 )
 from fieldsense.das import DasState
 from fieldsense.fields import gen_random_sinusoid
@@ -99,16 +99,16 @@ class TestPerSensorSuccessProbability:
 
 class TestUploadProbabilityFromError:
     def test_zero_error_never_uploads(self):
-        assert upload_probability_from_error(0.0, -5.0) == 0.0
+        assert upload_probabilities([0.0], -5.0)[0] == 0.0
 
     def test_lower_clamp_boundary(self):
         psi = 0.7
-        assert upload_probability_from_error(math.exp(psi), psi) == pytest.approx(0.0, abs=1e-14)
+        assert upload_probabilities([math.exp(psi)], psi)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_upper_clamp_boundary(self):
         psi = -0.3
         e_sq = math.exp(psi + 1 / math.e)
-        assert upload_probability_from_error(e_sq, psi) == pytest.approx(1.0, abs=1e-12)
+        assert upload_probabilities([e_sq], psi)[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.floats(min_value=1e-12, max_value=1e6),
@@ -118,13 +118,13 @@ class TestUploadProbabilityFromError:
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_error_and_psi(self, e1, e2, psi):
         lo, hi = sorted([e1, e2])
-        assert upload_probability_from_error(lo, psi) <= upload_probability_from_error(hi, psi)
-        assert upload_probability_from_error(lo, psi) >= upload_probability_from_error(lo, psi + 0.5)
-        assert 0.0 <= upload_probability_from_error(hi, psi) <= 1.0
+        assert upload_probabilities([lo], psi)[0] <= upload_probabilities([hi], psi)[0]
+        assert upload_probabilities([lo], psi)[0] >= upload_probabilities([lo], psi + 0.5)[0]
+        assert 0.0 <= upload_probabilities([hi], psi)[0] <= 1.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            upload_probability_from_error(-0.1, 0.0)
+            upload_probabilities([-0.1], 0.0)
 
 
 class TestDualAscent:

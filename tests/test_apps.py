@@ -287,7 +287,7 @@ class TestBuildCandidateSet:
         if not state.remaining:
             return
         picks = [int(rng.choice(state.remaining)) for _ in range(int(rng.integers(0, 3)))]
-        got = build_candidate_set(picks, field, state, UNIT, Q, rng)
+        got = build_candidate_set(picks, field, state, UNIT, Q)
         assert len(got) == len(set(got)) == min(Q, len(state.remaining))
         assert set(got) <= set(state.remaining)
 

@@ -18,6 +18,7 @@ from fieldsense.das import (
 from fieldsense.fields import SensorField, gen_1d
 from fieldsense.gp import KernelParams, posterior
 
+import oracle
 from test_gp import naive_posterior
 
 UNIT = KernelParams(1.0, 1.0)
@@ -281,8 +282,8 @@ class TestRunDas:
 
     def test_incremental_matches_baseline(self):
         field = gen_1d(22, 0.05, np.random.default_rng(6))
-        fast = run_das(field, "max-variance", 22, UNIT, incremental=True)
-        slow = run_das(field, "max-variance", 22, UNIT, incremental=False)
+        fast = run_das(field, "max-variance", 22, UNIT)
+        slow = oracle.run_das(field, "max-variance", 22, UNIT)
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
             [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
@@ -292,9 +293,32 @@ class TestRunDas:
         field = gen_1d(15, 0.05, np.random.default_rng(7))
         virtual = [(2.5,), (7.5,)]
         fast = run_das(field, "virtual", 10, UNIT, virtual_locs=virtual)
-        slow = run_das(field, "virtual", 10, UNIT, virtual_locs=virtual,
-                       incremental=False)
+        slow = oracle.run_das(field, "virtual", 10, UNIT, virtual_locs=virtual)
         assert [l.selected for l in fast] == [l.selected for l in slow]
+
+    def test_long_run_app_weighted_matches_oracle(self):
+        # mixed applications (field mean, one sensor, random weights) with
+        # random betas, 30 of 60 sensors
+        rng = np.random.default_rng(11)
+        field = gen_1d(60, 0.1, rng)
+        weights = np.vstack([np.full(60, 1.0 / 60), np.eye(60)[17], rng.normal(size=60)])
+        apps = (weights, rng.uniform(0.1, 3.0, size=3))
+        fast = run_das(field, "app-weighted", 30, UNIT, apps=apps)
+        slow = oracle.run_das(field, "app-weighted", 30, UNIT, apps=apps)
+        assert [l.selected for l in fast] == [l.selected for l in slow]
+        np.testing.assert_allclose(
+            [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
+        )
+
+    def test_long_run_virtual_matches_oracle(self):
+        field = gen_1d(120, 0.1, np.random.default_rng(12))
+        virtual = [(0.5,), (2.5,), (5.0,), (7.5,), (9.5,)]
+        fast = run_das(field, "virtual", 60, UNIT, virtual_locs=virtual)
+        slow = oracle.run_das(field, "virtual", 60, UNIT, virtual_locs=virtual)
+        assert [l.selected for l in fast] == [l.selected for l in slow]
+        np.testing.assert_allclose(
+            [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
+        )
 
     def test_active_beats_random_at_round_20(self):
         # 1-D benchmark field, sigma^2 = 0.01: active ordering should hold a

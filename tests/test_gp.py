@@ -17,6 +17,8 @@ from fieldsense.gp import (
     posterior_mean_and_variance,
 )
 
+import oracle
+
 UNIT = KernelParams(1.0, 1.0)
 
 
@@ -243,10 +245,29 @@ class TestIncrementalConditioner:
         pts = rng.uniform(0, 5, size=(12, 2))
         cond = IncrementalConditioner(pts, UNIT, 0.1)
         cond.observe(3, 1.2)
-        predicted = cond.hypothetical_reduction(7)
+        predicted = oracle.hypothetical_reduction(pts, [3], 7, UNIT, 0.1)
         before = cond.variance.copy()
         cond.observe(7, -0.4)
         np.testing.assert_allclose(before - cond.variance, predicted, atol=1e-12)
+
+    def test_residual_variance_matches_commit(self):
+        # w'Sigma'w after each candidate, with the candidate's own weight
+        # zeroed, against a from-scratch posterior that includes it
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0, 5, size=(14, 2))
+        cond = IncrementalConditioner(pts, UNIT, 0.1)
+        for idx in (2, 9, 5):
+            cond.observe(idx, float(rng.normal()))
+        weights = rng.normal(size=(3, 14))
+        cands = [0, 4, 7, 13]
+        got = cond.residual_variance(weights, cands)
+        assert got.shape == (3, 4)
+        for j, c in enumerate(cands):
+            cov = posterior(pts[[2, 9, 5, c]], np.zeros(4), pts, UNIT, 0.1).covariance
+            w = weights.copy()
+            w[:, c] = 0.0
+            np.testing.assert_allclose(got[:, j], np.einsum("ij,jk,ik->i", w, cov, w),
+                                       atol=1e-10)
 
     def test_rejects_bad_input(self):
         cond = IncrementalConditioner([[0.0], [1.0]], UNIT, 0.1)
