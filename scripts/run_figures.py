@@ -3,6 +3,7 @@
 
 The full presets use their paper-scale seed batches (1000 seeds for fig4 and
 the contention figures), which takes a few minutes; pass --seeds to trim.
+Exits 3 if any seed failed (as ``fieldsense`` does), after every preset ran.
 
     python scripts/run_figures.py --out results/ [--seeds 1..100] [--only fig6]
 """
@@ -32,6 +33,7 @@ def main(argv=None):
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = args.only or sorted(PRESETS)
+    failed = 0
     for name in names:
         mapping = dict(PRESETS[name])
         if args.seeds:
@@ -45,7 +47,8 @@ def main(argv=None):
               f"({time.time() - start:.1f}s)")
         for seed, label, message in result.failures:
             print(f"  seed {seed} ({label}) failed: {message}", file=sys.stderr)
-    return 0
+        failed += len(result.failures)
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .das import DasState
 from .fields import SensorField
-from .gp import KernelParams, posterior_mean_and_variance
+from .gp import IncrementalConditioner, KernelParams
 
 MODES = ("conventional", "modified")
 
@@ -159,15 +159,23 @@ def simulate_round(
     state: DasState,
     dual: DualState,
     cfg: AlohaConfig,
-    params: KernelParams,
+    cond: IncrementalConditioner,
     rng: np.random.Generator,
 ) -> tuple[AlohaRound, DasState, DualState]:
     """Play one contention round and fold the successful uploads into ``state``.
 
+    ``cond`` is the run's conditioner over the sensors, in lockstep with
+    ``state`` (holding exactly its uploads, else ``ValueError``): its means are
+    the predictions fed back, and each success is observed on it in place.
     Random draws happen in a fixed order (sleep, activity, channels), each at
     full candidate length, so switching modes does not shift unrelated draws.
     """
     state.check_against(field)
+    if cond.n_observations != len(state.uploaded):
+        raise ValueError(
+            f"conditioner holds {cond.n_observations} observations, "
+            f"state has {len(state.uploaded)} uploads"
+        )
     cand = [int(c) for c in candidates]
     if len(set(cand)) != len(cand):
         raise ValueError(f"duplicate candidates: {cand}")
@@ -176,20 +184,8 @@ def simulate_round(
         if c not in rem:
             raise ValueError(f"candidate {c} is not a remaining sensor")
     n = len(cand)
-
-    if n:
-        predictions, _ = posterior_mean_and_variance(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
-            field.locations[cand],
-            params,
-            field.noise_variance,
-        )
-        errors = predictions - field.measurements[cand]
-    else:
-        predictions = np.zeros(0)
-        errors = np.zeros(0)
-
+    predictions = cond.mean[cand]
+    errors = predictions - field.measurements[cand]
     if cfg.mode == "conventional":
         probabilities = np.full(n, equal_upload_probability(cfg))
     else:
@@ -202,6 +198,8 @@ def simulate_round(
     successes = [int(i) for i in cand_arr[success]]
     collided = [int(i) for i in cand_arr[active & ~success]]
     new_state = state.with_uploads(successes, field.measurements[successes])
+    for i in successes:
+        cond.observe(i, float(field.measurements[i]))
     new_dual = dual
     if cfg.mode == "modified":
         new_dual = dual_ascent_step(dual, int(active.sum()), cfg.channels, cfg.mu)
@@ -256,10 +254,12 @@ def run_aloha(
     that have not uploaded yet (all of them once fewer than Q remain); a
     callable ``(field, state, rng) -> index list`` overrides that.  Once the
     pool is exhausted, rounds proceed with empty candidate sets and zero SSE.
+    One conditioner over the sensors carries the predictions across rounds.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     state = DasState.fresh(field.n_sensors)
+    cond = IncrementalConditioner(field.locations, params, field.noise_variance)
     dual = DualState(cfg.psi0)
     logs: list[AlohaRound] = []
     for _ in range(rounds):
@@ -271,6 +271,6 @@ def run_aloha(
             cand = sorted(int(i) for i in rng.choice(rem, size=k, replace=False))
         else:
             cand = []
-        round_log, state, dual = simulate_round(cand, field, state, dual, cfg, params, rng)
+        round_log, state, dual = simulate_round(cand, field, state, dual, cfg, cond, rng)
         logs.append(round_log)
     return logs

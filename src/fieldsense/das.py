@@ -97,27 +97,29 @@ class FieldEstimate:
     mse: float
 
 
-def _uploaded_locs(field: SensorField, state: DasState) -> np.ndarray:
-    return field.locations[list(state.uploaded)]
+def _pack_estimate(field: SensorField, rem: list[int], mean, var) -> FieldEstimate:
+    """Measurements at the uploaded sensors; ``mean`` and ``var`` at ``rem``."""
+    values = field.measurements.copy()
+    variance = np.zeros(field.n_sensors)
+    values[rem] = mean
+    variance[rem] = var
+    return FieldEstimate(values, variance, float(np.sum(variance)))
 
 
 def estimate(field: SensorField, state: DasState, params: KernelParams) -> FieldEstimate:
     """Reconstruct the full field from the uploads recorded in ``state``."""
     state.check_against(field)
-    values = field.measurements.copy()
-    variance = np.zeros(field.n_sensors)
-    if state.remaining:
-        rem = list(state.remaining)
+    rem = list(state.remaining)
+    mean = var = np.zeros(0)
+    if rem:
         mean, var = posterior_mean_and_variance(
-            _uploaded_locs(field, state),
+            field.locations[list(state.uploaded)],
             np.asarray(state.uploaded_values),
             field.locations[rem],
             params,
             field.noise_variance,
         )
-        values[rem] = mean
-        variance[rem] = var
-    return FieldEstimate(values, variance, float(np.sum(variance)))
+    return _pack_estimate(field, rem, mean, var)
 
 
 def _conditioner(field: SensorField, state: DasState, params: KernelParams,
@@ -211,15 +213,6 @@ class DasRound:
     estimate: FieldEstimate | None = None
 
 
-def _estimate_from_conditioner(field, state, cond, n) -> FieldEstimate:
-    values = field.measurements.copy()
-    variance = np.zeros(n)
-    rem = list(state.remaining)
-    values[rem] = cond.mean[rem]
-    variance[rem] = cond.variance[rem]
-    return FieldEstimate(values, variance, float(np.sum(variance)))
-
-
 def run_das(
     field: SensorField,
     policy,
@@ -275,7 +268,8 @@ def run_das(
         cond.observe(idx, value)
         if policy == "app-weighted":
             rows[:, idx] = 0.0  # an uploaded entry carries no error
-        mse = float(np.sum(cond.variance[list(state.remaining)]))
-        est = _estimate_from_conditioner(field, state, cond, n) if log_estimates else None
-        logs.append(DasRound(state.round, idx, mse, est))
+        left = list(state.remaining)
+        var = cond.variance[left]
+        est = _pack_estimate(field, left, cond.mean[left], var) if log_estimates else None
+        logs.append(DasRound(state.round, idx, float(np.sum(var)), est))
     return logs

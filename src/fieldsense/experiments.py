@@ -12,6 +12,7 @@ key set and can be overridden by a file or command-line flags.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
@@ -80,6 +81,17 @@ class AlohaSettings:
     mu: float = 0.5
     psi0: float = 0.0
     modes: tuple[str, ...] = ("conventional",)
+
+    def __post_init__(self):
+        for b, q, mode in itertools.product(self.b_values, self.q_values, self.modes):
+            self.contention(b, q, mode)  # AlohaConfig rejects any bad value
+
+    def contention(self, b: int, q: int, mode: str) -> aloha_mod.AlohaConfig:
+        """Contention parameters of one (B, Q, mode) cell of the sweep."""
+        return aloha_mod.AlohaConfig(
+            channels=b, candidates=q, p_sleep=self.p_sleep, mu=self.mu,
+            psi0=self.psi0, mode=mode,
+        )
 
 
 @dataclass(frozen=True)
@@ -253,9 +265,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad aloha value: {exc}") from None
-        for mode in settings.modes:
-            if mode not in aloha_mod.MODES:
-                raise ConfigError(f"unknown aloha mode {mode!r}")
         if not settings.b_values or not settings.q_values:
             raise ConfigError("aloha needs at least one B and one Q")
         return ExperimentConfig(aloha=settings, **common)
@@ -263,17 +272,19 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     policies = _split_list(m.get("policy", ""))
     if not policies:
         policies = ("virtual",) if experiment == "das-virtual" else ("max-variance",)
-    virtual = None
-    if "virtual" in m:
-        virtual = _parse_points(m["virtual"])
-    elif experiment == "das-virtual":
-        virtual = DEFAULT_VIRTUAL_1D
+    virtual = DEFAULT_VIRTUAL_1D if experiment == "das-virtual" else None
+    try:
+        if "virtual" in m:
+            virtual = _parse_points(m["virtual"])
+        betas = tuple(float(b) for b in _split_list(m.get("betas", "1")))
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric value: {exc}") from None
     return ExperimentConfig(
         policies=policies,
         csv_path=m.get("csv"),
         virtual=virtual,
         app_specs=_split_list(m.get("apps", "mean")),
-        betas=tuple(float(b) for b in _split_list(m.get("betas", "1"))),
+        betas=betas,
         **common,
     )
 
@@ -364,10 +375,7 @@ def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]
             bound_metric = _aloha_metric("lower-bound", settings, b, q)
             for mode in settings.modes:
                 metric = _aloha_metric(mode, settings, b, q)
-                cfg = aloha_mod.AlohaConfig(
-                    channels=b, candidates=q, p_sleep=settings.p_sleep,
-                    mu=settings.mu, psi0=settings.psi0, mode=mode,
-                )
+                cfg = settings.contention(b, q, mode)
                 for seed in config.seeds:
                     try:
                         rng = np.random.default_rng(seed)

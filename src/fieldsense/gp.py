@@ -86,12 +86,6 @@ def as_single_point(loc) -> np.ndarray:
     return arr.reshape(1, -1)
 
 
-def _obs_points(observed_locs, dim: int) -> np.ndarray:
-    if np.size(observed_locs) == 0:
-        return np.zeros((0, dim))
-    return as_points(observed_locs, dim=dim)
-
-
 def kernel(a, b, params: KernelParams) -> float:
     """Covariance between two locations under the squared-exponential kernel."""
     av = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
@@ -149,7 +143,20 @@ def _clamp_variances(var: np.ndarray) -> np.ndarray:
     return np.maximum(var, 0.0)
 
 
-def _validate_observations(obs: np.ndarray, values: np.ndarray, noise_variance: float):
+def _condition(observed_locs, observed_values, target_locs, params: KernelParams,
+               noise_variance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated targets T, with v = L^-1 K(O, T) and alpha = L^-1 y.
+
+    L is the lower Cholesky factor of K(O, O) + noise I (jittered if need
+    be), so the posterior mean is v' alpha and the covariance K(T, T) - v'v.
+    With no observations v and alpha are empty and both reduce to the prior.
+    """
+    targets = as_points(target_locs)
+    if targets.shape[0] == 0:
+        raise ValueError("target location set is empty")
+    dim = targets.shape[1]
+    obs = as_points(observed_locs, dim=dim) if np.size(observed_locs) else np.zeros((0, dim))
+    values = np.asarray(observed_values, dtype=float).ravel()
     if obs.shape[0] != values.shape[0]:
         raise ValueError(
             f"{obs.shape[0]} observed locations but {values.shape[0]} values"
@@ -158,6 +165,14 @@ def _validate_observations(obs: np.ndarray, values: np.ndarray, noise_variance: 
         raise ValueError(f"noise_variance must be positive, got {noise_variance}")
     if values.size and not np.all(np.isfinite(values)):
         raise ValueError("observed values contain non-finite entries")
+    if obs.shape[0] == 0:
+        return targets, np.zeros((0, targets.shape[0])), values
+
+    k_oo = gram(obs, obs, params)
+    chol = _chol_with_jitter(k_oo + noise_variance * np.eye(obs.shape[0]), params)
+    v = solve_triangular(chol, gram(obs, targets, params), lower=True, check_finite=False)
+    alpha = solve_triangular(chol, values, lower=True, check_finite=False)
+    return targets, v, alpha
 
 
 def posterior(
@@ -176,28 +191,14 @@ def posterior(
     returned covariance is symmetrized and its diagonal clamped at zero
     (round-off negatives only; see VARIANCE_CLAMP).
     """
-    targets = as_points(target_locs)
-    if targets.shape[0] == 0:
-        raise ValueError("target location set is empty")
-    obs = _obs_points(observed_locs, targets.shape[1])
-    values = np.asarray(observed_values, dtype=float).ravel()
-    _validate_observations(obs, values, noise_variance)
-
-    if obs.shape[0] == 0:
-        prior = gram(targets, targets, params)
-        return GprPosterior(np.zeros(targets.shape[0]), prior, targets)
-
-    k_oo = gram(obs, obs, params)
-    k_ot = gram(obs, targets, params)
-    chol = _chol_with_jitter(k_oo + noise_variance * np.eye(obs.shape[0]), params)
-    v = solve_triangular(chol, k_ot, lower=True, check_finite=False)
-    alpha = solve_triangular(chol, values, lower=True, check_finite=False)
-    mean = v.T @ alpha
+    targets, v, alpha = _condition(
+        observed_locs, observed_values, target_locs, params, noise_variance
+    )
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
     diag = _clamp_variances(np.diag(cov).copy())
     np.fill_diagonal(cov, diag)
-    return GprPosterior(mean, cov, targets)
+    return GprPosterior(v.T @ alpha, cov, targets)
 
 
 def posterior_mean_and_variance(
@@ -210,27 +211,13 @@ def posterior_mean_and_variance(
     """Marginal posterior means and variances at ``target_locs``.
 
     Same conditioning as :func:`posterior` but computes only the diagonal of
-    the covariance, which is all the round loop needs.
+    the covariance, which is all the field estimate needs.
     """
-    targets = as_points(target_locs)
-    if targets.shape[0] == 0:
-        raise ValueError("target location set is empty")
-    obs = _obs_points(observed_locs, targets.shape[1])
-    values = np.asarray(observed_values, dtype=float).ravel()
-    _validate_observations(obs, values, noise_variance)
-
+    targets, v, alpha = _condition(
+        observed_locs, observed_values, target_locs, params, noise_variance
+    )
     prior_var = np.full(targets.shape[0], params.signal_variance)
-    if obs.shape[0] == 0:
-        return np.zeros(targets.shape[0]), prior_var
-
-    k_oo = gram(obs, obs, params)
-    k_ot = gram(obs, targets, params)
-    chol = _chol_with_jitter(k_oo + noise_variance * np.eye(obs.shape[0]), params)
-    v = solve_triangular(chol, k_ot, lower=True, check_finite=False)
-    alpha = solve_triangular(chol, values, lower=True, check_finite=False)
-    mean = v.T @ alpha
-    var = _clamp_variances(prior_var - np.sum(v * v, axis=0))
-    return mean, var
+    return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0))
 
 
 def pointwise_conditional(
@@ -257,9 +244,11 @@ class IncrementalConditioner:
     and variances stay current at O(n_obs * n_targets) cost per round
     instead of a fresh factorization.
 
-    The collection loop and every selection policy run on it; results agree
-    with the from-scratch :func:`posterior_mean_and_variance` to within
-    accumulated round-off (tested at 1e-8).
+    The collection loop, every selection policy and the ALOHA rounds run on
+    it; results agree with the from-scratch :func:`posterior_mean_and_variance`
+    to within accumulated round-off (tested at 1e-8).  Variances follow the
+    same numerical policy as the batch path: round-off negatives above
+    ``VARIANCE_CLAMP`` clamp to zero, anything lower raises.
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float):
@@ -283,7 +272,11 @@ class IncrementalConditioner:
         return self._n_obs
 
     def observe(self, index: int, value: float):
-        """Condition on a (noisy) measurement at target ``index``."""
+        """Condition on a (noisy) measurement at target ``index``.
+
+        Raises ``ValueError``, leaving the conditioner unchanged, if the
+        update would push a variance below ``VARIANCE_CLAMP``.
+        """
         if not 0 <= index < self.target_locations.shape[0]:
             raise IndexError(f"target index {index} out of range")
         if not math.isfinite(value):
@@ -293,11 +286,12 @@ class IncrementalConditioner:
         d = math.sqrt(self.variance[index] + self.noise_variance)
         row = (self._prior[index] - lvec @ self._a[:t]) / d
         c_new = (value - lvec @ self._c[:t]) / d
+        variance = _clamp_variances(self.variance - row * row)
         self._a[t] = row
         self._c[t] = c_new
         self._n_obs = t + 1
         self.mean += row * c_new
-        self.variance = np.maximum(self.variance - row * row, 0.0)
+        self.variance = variance
 
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.

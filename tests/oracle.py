@@ -1,15 +1,24 @@
-"""From-scratch reference paths for the collection loop and its selection rules.
+"""From-scratch reference paths for the round loops and the selection rules.
 
 Each scorer here conditions the GP anew, once per candidate, with
 ``fieldsense.gp.posterior`` / ``posterior_mean_and_variance``; ``run_das``
-repeats the whole loop that way, recomputing the estimate every round.  The
-library runs the same loop on one incremental conditioner and scores all
+repeats the whole collection loop that way, recomputing the estimate every
+round, and ``run_aloha`` re-solves each contention round's predictions.  The
+library runs both loops on one incremental conditioner and scores all
 candidates at once by a rank-one update, so these are the oracles its fast
 paths are tested against.
 """
 
 import numpy as np
 
+from fieldsense.aloha import (
+    AlohaRound,
+    DualState,
+    contend,
+    dual_ascent_step,
+    equal_upload_probability,
+    upload_probabilities,
+)
 from fieldsense.das import (
     DasRound,
     DasState,
@@ -112,4 +121,43 @@ def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
         state = state.with_uploads([idx], [float(field.measurements[idx])])
         est = estimate(field, state, params)
         logs.append(DasRound(state.round, int(idx), est.mse, est if log_estimates else None))
+    return logs
+
+
+def run_aloha(field, cfg, rounds, params, rng):
+    """The contention loop of ``fieldsense.aloha.run_aloha``, re-solving predictions every round."""
+    state = DasState.fresh(field.n_sensors)
+    dual = DualState(cfg.psi0)
+    logs = []
+    for _ in range(rounds):
+        cand = []
+        if state.remaining:
+            rem = np.asarray(state.remaining)
+            k = min(cfg.candidates, rem.size)
+            cand = sorted(int(i) for i in rng.choice(rem, size=k, replace=False))
+        predictions = np.zeros(0)
+        if cand:
+            predictions, _ = posterior_mean_and_variance(
+                field.locations[list(state.uploaded)], np.asarray(state.uploaded_values),
+                field.locations[cand], params, field.noise_variance,
+            )
+        errors = predictions - field.measurements[cand]
+        if cfg.mode == "conventional":
+            probabilities = np.full(len(cand), equal_upload_probability(cfg))
+        else:
+            probabilities = upload_probabilities(errors**2, dual.psi)
+        dormant = rng.random(len(cand)) < cfg.p_sleep
+        active, channel, success = contend(
+            np.where(dormant, 0.0, probabilities), cfg.channels, rng
+        )
+        cand_arr = np.asarray(cand, dtype=int)
+        successes = [int(i) for i in cand_arr[success]]
+        collided = [int(i) for i in cand_arr[active & ~success]]
+        psi = dual.psi
+        if cfg.mode == "modified":
+            dual = dual_ascent_step(dual, int(active.sum()), cfg.channels, cfg.mu)
+        state = state.with_uploads(successes, field.measurements[successes])
+        sse = float(np.sum(errors[~success] ** 2))
+        logs.append(AlohaRound(cand, predictions, errors, probabilities, active, channel,
+                               successes, collided, sse, psi))
     return logs

@@ -21,13 +21,19 @@ from fieldsense.aloha import (
     sse_lower_bound,
     upload_probabilities,
 )
-from fieldsense.das import DasState
+from fieldsense.das import DasState, _conditioner
 from fieldsense.fields import gen_random_sinusoid
 from fieldsense.gp import KernelParams
 
+import oracle
 from test_das import make_field
 
 UNIT = KernelParams(1.0, 1.0)
+
+
+def cond_for(field, state):
+    """A fresh conditioner holding ``state``'s uploads, for one simulate_round call."""
+    return _conditioner(field, state, UNIT)
 
 
 class TestClosedForms:
@@ -158,7 +164,9 @@ class TestDualAscent:
             ks = []
             for _ in range(200):
                 cand = sorted(rng.choice(200, size=10, replace=False).tolist())
-                log, _, dual = simulate_round(cand, field, state0, dual, cfg, UNIT, rng)
+                log, _, dual = simulate_round(
+                    cand, field, state0, dual, cfg, cond_for(field, state0), rng
+                )
                 ks.append(int(log.activity.sum()))
             mean_k.append(np.mean(ks[-20:]))
         assert abs(np.mean(mean_k) - 3) < 1.0
@@ -202,7 +210,8 @@ class TestSimulateRound:
         field, state = perfect_prediction_setup()
         cfg = AlohaConfig(channels=2, candidates=2, mode="modified")
         log, new_state, dual = simulate_round(
-            [1], field, state, DualState(0.0), cfg, UNIT, np.random.default_rng(0)
+            [1], field, state, DualState(0.0), cfg, cond_for(field, state),
+            np.random.default_rng(0),
         )
         assert log.errors[0] == pytest.approx(0.0, abs=1e-12)
         assert log.probabilities[0] == 0.0 or log.probabilities[0] < 1e-10
@@ -214,8 +223,8 @@ class TestSimulateRound:
         field = make_field([0.0, 5.0])
         cfg = AlohaConfig(channels=1, candidates=1, mode="conventional")
         log, new_state, _ = simulate_round(
-            [1], field, DasState.fresh(2), DualState(0.0), cfg, UNIT,
-            np.random.default_rng(3),
+            [1], field, DasState.fresh(2), DualState(0.0), cfg,
+            cond_for(field, DasState.fresh(2)), np.random.default_rng(3),
         )
         assert log.successes == [1]
         assert 1 in new_state.uploaded
@@ -230,7 +239,8 @@ class TestSimulateRound:
         state = DasState.fresh(10)
         for _ in range(n):
             log, _, _ = simulate_round(
-                list(range(10)), field, state, DualState(0.0), cfg, UNIT, rng
+                list(range(10)), field, state, DualState(0.0), cfg,
+                cond_for(field, state), rng,
             )
             total += len(log.successes)
         want = expected_throughput(0.3, cfg)
@@ -241,10 +251,11 @@ class TestSimulateRound:
         field = gen_random_sinusoid(40, 10, 0.1, rng)
         cfg = AlohaConfig(channels=3, candidates=10, mode="modified", p_sleep=0.3)
         state = DasState.fresh(40)
+        cond = cond_for(field, state)
         dual = DualState(0.0)
         for _ in range(15):
             cand = sorted(rng.choice(sorted(state.remaining), size=min(10, len(state.remaining)), replace=False).tolist())
-            log, state, dual = simulate_round(cand, field, state, dual, cfg, UNIT, rng)
+            log, state, dual = simulate_round(cand, field, state, dual, cfg, cond, rng)
             active_set = {c for c, a in zip(log.candidates, log.activity) if a}
             assert set(log.successes) | set(log.collided) == active_set
             assert set(log.successes) & set(log.collided) == set()
@@ -259,19 +270,28 @@ class TestSimulateRound:
         state = DasState.fresh(2).with_uploads([0], [0.0])
         cfg = AlohaConfig(channels=1, candidates=2)
         with pytest.raises(ValueError):
-            simulate_round([0], field, state, DualState(0.0), cfg, UNIT,
-                           np.random.default_rng(0))
+            simulate_round([0], field, state, DualState(0.0), cfg,
+                           cond_for(field, state), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            simulate_round([1, 1], field, state, DualState(0.0), cfg, UNIT,
-                           np.random.default_rng(0))
+            simulate_round([1, 1], field, state, DualState(0.0), cfg,
+                           cond_for(field, state), np.random.default_rng(0))
+
+    def test_rejects_conditioner_out_of_lockstep(self):
+        field = make_field([0.0, 1.0, 2.0])
+        state = DasState.fresh(3).with_uploads([0], [0.0])
+        cfg = AlohaConfig(channels=1, candidates=2)
+        for held in (DasState.fresh(3), state.with_uploads([1], [0.0])):
+            with pytest.raises(ValueError, match="conditioner"):
+                simulate_round([2], field, state, DualState(0.0), cfg,
+                               cond_for(field, held), np.random.default_rng(0))
 
     def test_conventional_leaves_dual_untouched(self):
         field = make_field(np.linspace(0, 9, 10), noise=0.1)
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
         dual = DualState(0.7)
         _, _, new_dual = simulate_round(
-            list(range(10)), field, DasState.fresh(10), dual, cfg, UNIT,
-            np.random.default_rng(6),
+            list(range(10)), field, DasState.fresh(10), dual, cfg,
+            cond_for(field, DasState.fresh(10)), np.random.default_rng(6),
         )
         assert new_dual is dual
 
@@ -348,6 +368,46 @@ class TestRunAloha:
             candidate_policy=lambda f, s, r: sorted(s.remaining)[:4],
         )
         assert logs[0].candidates == [0, 1, 2, 3]
+
+
+class TestRunAlohaMatchesOracle:
+    """One conditioner carried across rounds predicts what a from-scratch
+    solve on every upload so far predicts, so the two loops draw alike."""
+
+    @pytest.mark.parametrize(
+        "L,B,Q,mode,p_sleep",
+        [
+            (60, 3, 10, "conventional", 0.0),
+            (60, 3, 10, "modified", 0.0),
+            (60, 3, 10, "modified", 0.3),
+            (60, 4, 3, "modified", 0.0),  # B >= Q
+            (60, 4, 3, "conventional", 0.0),
+            (30, 3, 10, "modified", 0.0),  # the pool runs dry within 40 rounds
+            (30, 3, 10, "conventional", 0.0),
+        ],
+    )
+    def test_matches_from_scratch_loop(self, L, B, Q, mode, p_sleep):
+        cfg = AlohaConfig(channels=B, candidates=Q, mode=mode, p_sleep=p_sleep)
+        empty_rounds = 0
+        for seed in (1, 2, 3):
+            def run(loop):
+                rng = np.random.default_rng(seed)
+                field = gen_random_sinusoid(L, 10, 0.1, rng)
+                return loop(field, cfg, 40, UNIT, rng)
+
+            got, want = run(run_aloha), run(oracle.run_aloha)
+            for g, w in zip(got, want, strict=True):
+                assert g.candidates == w.candidates
+                assert g.successes == w.successes
+                assert g.collided == w.collided
+                np.testing.assert_array_equal(g.activity, w.activity)
+                np.testing.assert_array_equal(g.channel_choice, w.channel_choice)
+                assert g.psi == w.psi
+                np.testing.assert_allclose(g.predictions, w.predictions, rtol=0, atol=1e-10)
+                assert abs(g.sse - w.sse) <= 1e-12
+            empty_rounds += sum(not g.candidates for g in got)
+        if L == 30:
+            assert empty_rounds > 0
 
 
 class TestAlohaConfigValidation:

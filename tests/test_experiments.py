@@ -1,6 +1,8 @@
 """Orchestration: config parsing, determinism, emission, CLI contracts."""
 
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from fieldsense.experiments import (
     PRESETS,
     ConfigError,
     RunRecord,
+    RunResult,
     aggregate,
     config_from_mapping,
     emit_results,
@@ -264,6 +267,26 @@ class TestCli:
         assert main(["das", "--policy", "warp"]) == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("das", "experiment = das-1d\nL = 12\nbetas = x\n"),
+            ("das", "experiment = das-1d\nL = 12\npolicy = virtual\nvirtual = 1,a\n"),
+            ("aloha", "L = 20\nB = 0\n"),
+            ("aloha", "L = 20\nQ = 0\n"),
+            ("aloha", "L = 20\np_sleep = 1\n"),
+            ("aloha", "L = 20\nmu = 0\n"),
+        ],
+        ids=["betas", "virtual", "B", "Q", "p_sleep", "mu"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("fieldsense: config: ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_subcommand_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["das", "--preset", "fig6", "--out", str(tmp_path / "x.csv")]) == 2
         assert "config" in capsys.readouterr().err
@@ -286,3 +309,20 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def load_run_figures():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    spec = importlib.util.spec_from_file_location("run_figures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("failures,code", [([], 0), ([(2, "mse.random", "boom")], 3)])
+def test_run_figures_exits_3_on_failed_seed(tmp_path, monkeypatch, capsys, failures, code):
+    script = load_run_figures()
+    monkeypatch.setattr(script, "run_experiment", lambda config: RunResult([], [], failures))
+    assert script.main(["--out", str(tmp_path), "--only", "fig4", "fig2"]) == code
+    assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig4.csv").exists()
+    assert ("seed 2 (mse.random) failed: boom" in capsys.readouterr().err) == bool(failures)

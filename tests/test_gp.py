@@ -1,13 +1,16 @@
 """GP core: kernel values, posterior against a naive oracle, conditioning laws."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cholesky
 
 from fieldsense.gp import (
+    VARIANCE_CLAMP,
     IncrementalConditioner,
     KernelParams,
     gram,
@@ -157,6 +160,21 @@ class TestPosterior:
         assert np.all(np.isfinite(post.mean))
         assert np.all(np.isfinite(post.covariance))
 
+    def test_jitter_rescues_a_singular_factor(self):
+        # Two coincident sensors and a third 1e-9 away, with noise far below
+        # round-off: K + noise I is not numerically positive definite, so the
+        # plain factor fails and only jitter escalation keeps the solve alive.
+        locs = [0.0, 0.0, 1e-9, 0.5, 0.5]
+        values = [0.3, -0.1, 0.2, 1.0, 0.9]
+        noise = 1e-16
+        with pytest.raises(LinAlgError):
+            cholesky(gram(locs, locs, UNIT) + noise * np.eye(5), lower=True)
+        post = posterior(locs, values, locs, UNIT, noise)
+        mean, var = posterior_mean_and_variance(locs, values, locs, UNIT, noise)
+        for m, v in ((post.mean, post.variance), (mean, var)):
+            assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
+            assert np.all(v >= 0.0)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_variance_never_exceeds_prior(self, seed):
@@ -275,3 +293,30 @@ class TestIncrementalConditioner:
             cond.observe(5, 1.0)
         with pytest.raises(ValueError):
             cond.observe(0, np.nan)
+
+    def test_observe_raises_below_variance_clamp(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0, 5, size=(6, 1))
+        cond = IncrementalConditioner(pts, UNIT, 0.1)
+        cond.observe(1, 0.4)
+        mean, n_obs = cond.mean.copy(), cond.n_observations
+        # an understated variance at the observed target overshoots the update
+        cond.variance[4] = 0.0
+        with pytest.raises(ValueError, match="below round-off"):
+            cond.observe(4, 0.2)
+        assert cond.n_observations == n_obs
+        np.testing.assert_array_equal(cond.mean, mean)
+
+    def test_observe_clamps_round_off_negatives_to_zero(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(0, 5, size=(6, 1))
+        cond = IncrementalConditioner(pts, UNIT, 0.1)
+        cond.observe(1, 0.4)
+        probe = copy.deepcopy(cond)
+        probe.observe(4, 0.2)
+        drop = cond.variance - probe.variance  # row * row of the next update
+        # leave target 2 just inside the round-off band after the update
+        cond.variance[2] = drop[2] + 0.5 * VARIANCE_CLAMP
+        cond.observe(4, 0.2)
+        assert cond.variance[2] == 0.0
+        assert np.all(cond.variance >= 0.0)
