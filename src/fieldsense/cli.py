@@ -12,6 +12,7 @@ import sys
 from .experiments import (
     PRESETS,
     ConfigError,
+    check_app_indices,
     config_from_mapping,
     emit_results,
     load_config_file,
@@ -79,6 +80,7 @@ def main(argv=None) -> int:
                 f"experiment {config.experiment!r} does not belong to "
                 f"the {args.command!r} subcommand"
             )
+        check_app_indices(config)
     except (ConfigError, OSError) as exc:
         return _fail("config", str(exc))
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SensorField
-from .gp import (
-    IncrementalConditioner,
-    KernelParams,
-    as_points,
-    posterior_mean_and_variance,
-)
+from .gp import IncrementalConditioner, KernelParams, as_points
 
 # Variance scores are snapped to this grid before argmax/argmin so that
 # selection traces do not flip on platform-dependent last-bit noise.
@@ -109,17 +104,9 @@ def _pack_estimate(field: SensorField, rem: list[int], mean, var) -> FieldEstima
 def estimate(field: SensorField, state: DasState, params: KernelParams) -> FieldEstimate:
     """Reconstruct the full field from the uploads recorded in ``state``."""
     state.check_against(field)
+    cond = _conditioner(field, state, params)
     rem = list(state.remaining)
-    mean = var = np.zeros(0)
-    if rem:
-        mean, var = posterior_mean_and_variance(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
-            field.locations[rem],
-            params,
-            field.noise_variance,
-        )
-    return _pack_estimate(field, rem, mean, var)
+    return _pack_estimate(field, rem, cond.mean[rem], cond.variance[rem])
 
 
 def _conditioner(field: SensorField, state: DasState, params: KernelParams,

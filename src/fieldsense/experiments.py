@@ -73,6 +73,15 @@ class ConfigError(ValueError):
     """Raised for any malformed or inconsistent run configuration."""
 
 
+def _app_index(spec: str) -> int | None:
+    """Sensor index of an ``e:<index>`` app spec; None for the ``mean`` app."""
+    if spec == "mean":
+        return None
+    if spec.startswith("e:") and spec[2:].isdecimal():
+        return int(spec[2:])
+    raise ConfigError(f"unknown app spec {spec!r} (use 'mean' or 'e:<index>')")
+
+
 @dataclass(frozen=True)
 class AlohaSettings:
     b_values: tuple[int, ...]
@@ -124,6 +133,11 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if (self.aloha is not None) != (self.experiment == "aloha"):
             raise ConfigError("aloha settings go with the aloha experiment only")
+        try:  # building them checks the kernel and field values
+            self.kernel_params
+            self.field_spec
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.experiment == "aloha":
             return
         for p in self.policies:
@@ -137,6 +151,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{len(self.app_specs)} apps but {len(self.betas)} betas"
             )
+        for spec in self.app_specs:
+            _app_index(spec)
 
     @property
     def kernel_params(self) -> KernelParams:
@@ -296,16 +312,23 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 def _build_apps(config: ExperimentConfig, n_sensors: int) -> list[LinearApplication]:
     apps = []
     for spec in config.app_specs:
-        if spec == "mean":
+        idx = _app_index(spec)
+        if idx is None:
             apps.append(uniform_mean_application(n_sensors))
-        elif spec.startswith("e:"):
-            idx = int(spec[2:])
+        elif not 0 <= idx < n_sensors:
+            raise ConfigError(f"app {spec!r} names no sensor of the L = {n_sensors} field")
+        else:
             w = np.zeros(n_sensors)
             w[idx] = 1.0
             apps.append(LinearApplication(w, spec))
-        else:
-            raise ConfigError(f"unknown app spec {spec!r} (use 'mean' or 'e:<index>')")
     return apps
+
+
+def check_app_indices(config: ExperimentConfig):
+    """Reject ``e:<index>`` apps naming no sensor of a synthetic field, before a run
+    (the config accepts them, and a batch run reports each seed's failure)."""
+    if config.experiment not in ("aloha", "das-csv"):
+        _build_apps(config, config.L)
 
 
 def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:

@@ -156,6 +156,10 @@ class FieldSpec:
             raise ValueError(f"kind must be one of {FIELD_KINDS}, got {self.kind!r}")
         if self.L < 1:
             raise ValueError(f"L must be at least 1, got {self.L}")
+        if not (self.noise_variance > 0 and math.isfinite(self.noise_variance)):
+            raise ValueError(f"noise_variance must be positive, got {self.noise_variance}")
+        if self.kind == "sinusoid" and self.T < 1:
+            raise ValueError(f"T must be at least 1, got {self.T}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv fields need a path")
 
@@ -179,7 +183,7 @@ def load_csv(path, noise_variance: float) -> SensorField:
     An optional single header row is skipped automatically.  Ground truth is
     unknown for ingested data, so ``true_means`` is set to the measurements
     and ``noise_variance`` must be supplied by the caller.  Exact duplicate
-    locations produce a warning (the GP solve handles them via jitter).
+    locations produce a warning (the noise ridge keeps the GP solve alive).
     """
     rows = []
     n_cols = None

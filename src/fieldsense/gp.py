@@ -3,9 +3,10 @@
 The model is a zero-mean GP over spatial locations with a squared-exponential
 kernel and iid Gaussian observation noise.  Conditioning on observed
 measurements yields closed-form posterior means and covariances over any
-target location set; all solves go through a Cholesky factorization of the
-noise-augmented kernel matrix (never an explicit inverse), with diagonal
-jitter escalation as a fallback for nearly singular systems.
+target location set.  Every posterior runs on one engine, the
+:class:`IncrementalConditioner`, which extends the Cholesky factor of the
+noise-augmented kernel matrix one observation at a time (never an explicit
+inverse), with pivot jitter as a fallback for nearly singular systems.
 
 Locations are represented as rows of a float array of shape (n, d); 1-D
 inputs (scalars, flat lists) are promoted to shape (n, 1).
@@ -15,14 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 # Negative posterior variances above this floor are treated as round-off and
 # clamped to zero; anything more negative indicates a real defect.
 VARIANCE_CLAMP = -1e-10
 
-_JITTER_START = 1e-10
-_JITTER_MAX = 1e-6
+# Diagonal jitter tried on a pivot, in units of the signal variance: none,
+# then 1e-10, 1e-9, ..., 1e-6 where the update would leave a real negative.
+_PIVOT_JITTER = (0.0,) + tuple(10.0**k for k in range(-10, -5))
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,19 @@ def as_single_point(loc) -> np.ndarray:
     return arr.reshape(1, -1)
 
 
+def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Kernel values for coordinate differences along the last axis of ``diff``."""
+    d2 = np.sum(diff * diff, axis=-1)
+    return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
+
+
 def kernel(a, b, params: KernelParams) -> float:
     """Covariance between two locations under the squared-exponential kernel."""
     av = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
     bv = np.atleast_1d(np.asarray(b, dtype=float)).ravel()
     if av.shape != bv.shape:
         raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    d2 = float(np.sum((av - bv) ** 2))
-    return params.signal_variance * math.exp(-d2 / (2.0 * params.length_scale**2))
+    return float(_sq_exp(av - bv, params))
 
 
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
@@ -109,48 +115,13 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if r.shape[0] == 0 or c.shape[0] == 0:
         return np.zeros((r.shape[0], c.shape[0]))
-    diff = r[:, None, :] - c[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
-
-
-def _chol_with_jitter(mat: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Lower Cholesky factor of ``mat``, escalating diagonal jitter on failure."""
-    try:
-        return cholesky(mat, lower=True, check_finite=False)
-    except LinAlgError:
-        pass
-    jitter = _JITTER_START * params.signal_variance
-    limit = _JITTER_MAX * params.signal_variance
-    eye = np.eye(mat.shape[0])
-    while jitter <= limit * (1 + 1e-12):
-        try:
-            return cholesky(mat + jitter * eye, lower=True, check_finite=False)
-        except LinAlgError:
-            jitter *= 10.0
-    raise LinAlgError(
-        "kernel matrix is not positive definite after jitter escalation "
-        f"(up to {limit:g})"
-    )
-
-
-def _clamp_variances(var: np.ndarray) -> np.ndarray:
-    low = float(var.min()) if var.size else 0.0
-    if low < VARIANCE_CLAMP:
-        raise ValueError(
-            f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
-        )
-    return np.maximum(var, 0.0)
+    return _sq_exp(r[:, None, :] - c[None, :, :], params)
 
 
 def _condition(observed_locs, observed_values, target_locs, params: KernelParams,
-               noise_variance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated targets T, with v = L^-1 K(O, T) and alpha = L^-1 y.
-
-    L is the lower Cholesky factor of K(O, O) + noise I (jittered if need
-    be), so the posterior mean is v' alpha and the covariance K(T, T) - v'v.
-    With no observations v and alpha are empty and both reduce to the prior.
-    """
+               noise_variance: float) -> tuple["IncrementalConditioner", int]:
+    """Conditioner over the observed locations then the targets, holding the
+    observations; and n_obs, the index of the first target."""
     targets = as_points(target_locs)
     if targets.shape[0] == 0:
         raise ValueError("target location set is empty")
@@ -161,18 +132,10 @@ def _condition(observed_locs, observed_values, target_locs, params: KernelParams
         raise ValueError(
             f"{obs.shape[0]} observed locations but {values.shape[0]} values"
         )
-    if not (noise_variance > 0 and math.isfinite(noise_variance)):
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-    if values.size and not np.all(np.isfinite(values)):
-        raise ValueError("observed values contain non-finite entries")
-    if obs.shape[0] == 0:
-        return targets, np.zeros((0, targets.shape[0])), values
-
-    k_oo = gram(obs, obs, params)
-    chol = _chol_with_jitter(k_oo + noise_variance * np.eye(obs.shape[0]), params)
-    v = solve_triangular(chol, gram(obs, targets, params), lower=True, check_finite=False)
-    alpha = solve_triangular(chol, values, lower=True, check_finite=False)
-    return targets, v, alpha
+    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance)
+    for i, value in enumerate(values):
+        cond.observe(i, float(value))
+    return cond, obs.shape[0]
 
 
 def posterior(
@@ -188,17 +151,16 @@ def posterior(
     cov  = K(T, T) - K(T, O) (K(O, O) + noise I)^-1 K(O, T)
 
     With no observations this degenerates to the zero-mean prior.  The
-    returned covariance is symmetrized and its diagonal clamped at zero
-    (round-off negatives only; see VARIANCE_CLAMP).
+    returned covariance is symmetrized and its diagonal is the conditioner's
+    clamped variance (round-off negatives only; see VARIANCE_CLAMP).
     """
-    targets, v, alpha = _condition(
-        observed_locs, observed_values, target_locs, params, noise_variance
-    )
+    cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
+    targets = cond.target_locations[n:]
+    v = cond._a[:n, n:]  # L^-1 K(O, T)
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
-    diag = _clamp_variances(np.diag(cov).copy())
-    np.fill_diagonal(cov, diag)
-    return GprPosterior(v.T @ alpha, cov, targets)
+    np.fill_diagonal(cov, cond.variance[n:])
+    return GprPosterior(cond.mean[n:], cov, targets)
 
 
 def posterior_mean_and_variance(
@@ -213,11 +175,8 @@ def posterior_mean_and_variance(
     Same conditioning as :func:`posterior` but computes only the diagonal of
     the covariance, which is all the field estimate needs.
     """
-    targets, v, alpha = _condition(
-        observed_locs, observed_values, target_locs, params, noise_variance
-    )
-    prior_var = np.full(targets.shape[0], params.signal_variance)
-    return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0))
+    cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
+    return cond.mean[n:], cond.variance[n:]
 
 
 def pointwise_conditional(
@@ -238,17 +197,18 @@ class IncrementalConditioner:
     """Conditions the GP on observations added one at a time.
 
     Targets are fixed up front; observations must be drawn from the target
-    set (which is the case in the round loop, where every sensor is a
-    target).  Appending an observation extends the Cholesky factor of the
-    noise-augmented kernel matrix by one row, so per-target posterior means
-    and variances stay current at O(n_obs * n_targets) cost per round
-    instead of a fresh factorization.
+    set (the round loop observes sensors, the one-off posteriors condition
+    over the observed locations followed by the targets).  Appending an
+    observation extends the Cholesky factor of the noise-augmented kernel
+    matrix by one row, so per-target posterior means and variances stay
+    current at O(n_obs * n_targets) cost and memory per round.  ``observe``
+    computes the one kernel row it needs; the full target kernel matrix is
+    built only when :meth:`residual_variance` first needs it.
 
-    The collection loop, every selection policy and the ALOHA rounds run on
-    it; results agree with the from-scratch :func:`posterior_mean_and_variance`
-    to within accumulated round-off (tested at 1e-8).  Variances follow the
-    same numerical policy as the batch path: round-off negatives above
-    ``VARIANCE_CLAMP`` clamp to zero, anything lower raises.
+    Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
+    Where an update would leave one below, the pivot gets the smallest
+    jitter of 1e-10 up to 1e-6 times the signal variance that avoids it;
+    if none does, ``observe`` raises.
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float):
@@ -259,10 +219,11 @@ class IncrementalConditioner:
         self.noise_variance = noise_variance
         self.target_locations = targets
         n = targets.shape[0]
-        self._prior = gram(targets, targets, params)
+        self._prior = None  # K(targets, targets), built on demand
         # Row t of _a is the t-th row of L^-1 K(obs, targets); _c is L^-1 y.
-        self._a = np.empty((n, n))
-        self._c = np.empty(n)
+        # Both get room for 64 rows at the first observation, then double.
+        self._a = np.empty((0, n))
+        self._c = np.empty(0)
         self._n_obs = 0
         self.mean = np.zeros(n)
         self.variance = np.full(n, params.signal_variance)
@@ -274,24 +235,42 @@ class IncrementalConditioner:
     def observe(self, index: int, value: float):
         """Condition on a (noisy) measurement at target ``index``.
 
-        Raises ``ValueError``, leaving the conditioner unchanged, if the
-        update would push a variance below ``VARIANCE_CLAMP``.
+        Raises ``ValueError``, leaving the conditioner unchanged, if even the
+        largest pivot jitter leaves a variance below ``VARIANCE_CLAMP``.
         """
-        if not 0 <= index < self.target_locations.shape[0]:
+        targets = self.target_locations
+        if not 0 <= index < targets.shape[0]:
             raise IndexError(f"target index {index} out of range")
         if not math.isfinite(value):
             raise ValueError("observed value is not finite")
         t = self._n_obs
+        if t == self._c.shape[0]:
+            extra = max(t, 64)
+            self._a = np.concatenate([self._a, np.empty((extra, targets.shape[0]))])
+            self._c = np.concatenate([self._c, np.empty(extra)])
+        if self._prior is None:  # targets are validated: skip gram's checks
+            k_row = _sq_exp(targets - targets[index], self.params)
+        else:
+            k_row = self._prior[index]
         lvec = self._a[:t, index]
-        d = math.sqrt(self.variance[index] + self.noise_variance)
-        row = (self._prior[index] - lvec @ self._a[:t]) / d
-        c_new = (value - lvec @ self._c[:t]) / d
-        variance = _clamp_variances(self.variance - row * row)
+        resid = k_row - lvec @ self._a[:t]
+        pivot = self.variance[index] + self.noise_variance
+        for jitter in _PIVOT_JITTER:
+            d = math.sqrt(pivot + jitter * self.params.signal_variance)
+            row = resid / d
+            variance = self.variance - row * row
+            low = variance.min()
+            if low >= VARIANCE_CLAMP:
+                break
+        else:
+            raise ValueError(
+                f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
+            )
         self._a[t] = row
-        self._c[t] = c_new
+        self._c[t] = (value - lvec @ self._c[:t]) / d
         self._n_obs = t + 1
-        self.mean += row * c_new
-        self.variance = variance
+        self.mean += row * self._c[t]
+        self.variance = np.maximum(variance, 0.0)
 
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
@@ -307,6 +286,8 @@ class IncrementalConditioner:
         """
         w = np.atleast_2d(np.asarray(weights, dtype=float))
         cand = np.asarray(candidates, dtype=int)
+        if self._prior is None:
+            self._prior = gram(self.target_locations, self.target_locations, self.params)
         a = self._a[: self._n_obs]
         s = w @ self._prior - (w @ a.T) @ a  # rows of W Sigma
         wc, sc, dc = w[:, cand], s[:, cand], self.variance[cand]

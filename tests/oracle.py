@@ -1,15 +1,21 @@
-"""From-scratch reference paths for the round loops and the selection rules.
+"""From-scratch reference paths for the posterior, the round loops and the selection rules.
 
-Each scorer here conditions the GP anew, once per candidate, with
-``fieldsense.gp.posterior`` / ``posterior_mean_and_variance``; ``run_das``
-repeats the whole collection loop that way, recomputing the estimate every
-round, and ``run_aloha`` re-solves each contention round's predictions.  The
-library runs both loops on one incremental conditioner and scores all
-candidates at once by a rank-one update, so these are the oracles its fast
-paths are tested against.
+``posterior`` and ``posterior_mean_and_variance`` here are the batch solve:
+one Cholesky factorization of the noise-augmented kernel matrix (with
+diagonal jitter escalation when it is not numerically positive definite)
+and triangular solves, where the library conditions one observation at a
+time on its incremental conditioner.  Each scorer conditions the GP anew,
+once per candidate; ``run_das`` repeats the whole collection loop that way,
+recomputing the estimate every round, and ``run_aloha`` re-solves each
+contention round's predictions.  The library runs both loops on one
+incremental conditioner and scores all candidates at once by a rank-one
+update, so these are the oracles its fast paths are tested against.
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from fieldsense.aloha import (
     AlohaRound,
@@ -22,11 +28,116 @@ from fieldsense.aloha import (
 from fieldsense.das import (
     DasRound,
     DasState,
-    estimate,
+    FieldEstimate,
     quantize,
     select_random,
 )
-from fieldsense.gp import as_points, posterior, posterior_mean_and_variance
+from fieldsense.gp import VARIANCE_CLAMP, GprPosterior, as_points, gram
+
+_JITTER_START = 1e-10
+_JITTER_MAX = 1e-6
+
+
+def _chol_with_jitter(mat, params):
+    """Lower Cholesky factor of ``mat``, escalating diagonal jitter on failure."""
+    try:
+        return cholesky(mat, lower=True, check_finite=False)
+    except LinAlgError:
+        pass
+    jitter = _JITTER_START * params.signal_variance
+    limit = _JITTER_MAX * params.signal_variance
+    eye = np.eye(mat.shape[0])
+    while jitter <= limit * (1 + 1e-12):
+        try:
+            return cholesky(mat + jitter * eye, lower=True, check_finite=False)
+        except LinAlgError:
+            jitter *= 10.0
+    raise LinAlgError(
+        "kernel matrix is not positive definite after jitter escalation "
+        f"(up to {limit:g})"
+    )
+
+
+def _clamp_variances(var):
+    low = float(var.min()) if var.size else 0.0
+    if low < VARIANCE_CLAMP:
+        raise ValueError(
+            f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
+        )
+    return np.maximum(var, 0.0)
+
+
+def _condition(observed_locs, observed_values, target_locs, params, noise_variance):
+    """Validated targets T, with v = L^-1 K(O, T) and alpha = L^-1 y.
+
+    L is the lower Cholesky factor of K(O, O) + noise I (jittered if need
+    be), so the posterior mean is v' alpha and the covariance K(T, T) - v'v.
+    With no observations v and alpha are empty and both reduce to the prior.
+    """
+    targets = as_points(target_locs)
+    if targets.shape[0] == 0:
+        raise ValueError("target location set is empty")
+    dim = targets.shape[1]
+    obs = as_points(observed_locs, dim=dim) if np.size(observed_locs) else np.zeros((0, dim))
+    values = np.asarray(observed_values, dtype=float).ravel()
+    if obs.shape[0] != values.shape[0]:
+        raise ValueError(
+            f"{obs.shape[0]} observed locations but {values.shape[0]} values"
+        )
+    if not (noise_variance > 0 and math.isfinite(noise_variance)):
+        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+    if values.size and not np.all(np.isfinite(values)):
+        raise ValueError("observed values contain non-finite entries")
+    if obs.shape[0] == 0:
+        return targets, np.zeros((0, targets.shape[0])), values
+
+    k_oo = gram(obs, obs, params)
+    chol = _chol_with_jitter(k_oo + noise_variance * np.eye(obs.shape[0]), params)
+    v = solve_triangular(chol, gram(obs, targets, params), lower=True, check_finite=False)
+    alpha = solve_triangular(chol, values, lower=True, check_finite=False)
+    return targets, v, alpha
+
+
+def posterior(observed_locs, observed_values, target_locs, params, noise_variance):
+    """Posterior mean and covariance at ``target_locs`` by one batch solve.
+
+    The covariance is symmetrized and its diagonal clamped at zero
+    (round-off negatives only; see VARIANCE_CLAMP).
+    """
+    targets, v, alpha = _condition(
+        observed_locs, observed_values, target_locs, params, noise_variance
+    )
+    cov = gram(targets, targets, params) - v.T @ v
+    cov = 0.5 * (cov + cov.T)
+    diag = _clamp_variances(np.diag(cov).copy())
+    np.fill_diagonal(cov, diag)
+    return GprPosterior(v.T @ alpha, cov, targets)
+
+
+def posterior_mean_and_variance(observed_locs, observed_values, target_locs, params,
+                                noise_variance):
+    """Marginal posterior means and variances at ``target_locs`` by one batch solve."""
+    targets, v, alpha = _condition(
+        observed_locs, observed_values, target_locs, params, noise_variance
+    )
+    prior_var = np.full(targets.shape[0], params.signal_variance)
+    return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0))
+
+
+def estimate(field, state, params):
+    """The full-field estimate of ``fieldsense.das.estimate``, by one batch solve."""
+    rem = list(state.remaining)
+    values = field.measurements.copy()
+    variance = np.zeros(field.n_sensors)
+    if rem:
+        values[rem], variance[rem] = posterior_mean_and_variance(
+            field.locations[list(state.uploaded)],
+            np.asarray(state.uploaded_values),
+            field.locations[rem],
+            params,
+            field.noise_variance,
+        )
+    return FieldEstimate(values, variance, float(np.sum(variance)))
 
 
 def remaining_variances(field, state, params):

@@ -25,6 +25,7 @@ from fieldsense.das import DasState, estimate, run_das, select_max_variance
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
+import oracle
 from test_das import brute_force_min_next_mse, random_small_field, upload_some
 from test_gp import naive_posterior, random_instance
 
@@ -131,7 +132,7 @@ def test_criterion_03_mse_identity():
                 state = state.with_uploads([log.selected],
                                            [field.measurements[log.selected]])
                 if state.remaining:
-                    post = posterior(
+                    post = oracle.posterior(
                         field.locations[list(state.uploaded)],
                         np.asarray(state.uploaded_values),
                         field.locations[list(state.remaining)],

@@ -21,6 +21,7 @@ from fieldsense.apps import (
 from fieldsense.das import DasState, estimate, select_max_variance
 from fieldsense.gp import KernelParams, pointwise_conditional
 
+import oracle
 from test_das import make_field, random_small_field, upload_some
 from test_gp import naive_posterior
 
@@ -107,7 +108,7 @@ class TestApplicationMse:
         for l in state.remaining:
             w = np.zeros(6)
             w[l] = 1.0
-            _, var = pointwise_conditional(
+            _, (var,) = oracle.posterior_mean_and_variance(
                 field.locations[list(state.uploaded)],
                 np.asarray(state.uploaded_values),
                 field.locations[l], UNIT, field.noise_variance,

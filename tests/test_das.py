@@ -15,8 +15,8 @@ from fieldsense.das import (
     select_random,
     select_virtual_target,
 )
-from fieldsense.fields import SensorField, gen_1d
-from fieldsense.gp import KernelParams, posterior
+from fieldsense.fields import SensorField, gen_1d, gen_2d
+from fieldsense.gp import KernelParams
 
 import oracle
 from test_gp import naive_posterior
@@ -119,7 +119,7 @@ class TestEstimate:
         state = upload_some(field, DasState.fresh(5), rng, 2)
         est = estimate(field, state, UNIT)
         rest = list(state.remaining)
-        post = posterior(
+        post = oracle.posterior(
             field.locations[list(state.uploaded)],
             np.asarray(state.uploaded_values),
             field.locations[rest], UNIT, field.noise_variance,
@@ -319,6 +319,24 @@ class TestRunDas:
         np.testing.assert_allclose(
             [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
         )
+
+    @pytest.mark.parametrize("make,L,rounds", [(gen_1d, 500, 500), (gen_2d, 2000, 500)],
+                             ids=["1d-L500-full", "2d-L2000-500"])
+    def test_long_run_estimates_match_oracle(self, make, L, rounds):
+        # drift of the incremental estimate against a batch solve of the same
+        # uploads, every 50 rounds of a long max-variance run
+        field = make(L, 0.1, np.random.default_rng(13))
+        logs = run_das(field, "max-variance", rounds, UNIT, log_estimates=True)
+        state = DasState.fresh(L)
+        for log in logs:
+            state = state.with_uploads([log.selected], [field.measurements[log.selected]])
+            if log.round % 50:
+                continue
+            want = oracle.estimate(field, state, UNIT)
+            np.testing.assert_allclose(log.estimate.values, want.values, atol=1e-8)
+            np.testing.assert_allclose(log.estimate.per_sensor_variance,
+                                       want.per_sensor_variance, atol=1e-8)
+            assert log.mse == pytest.approx(want.mse, abs=1e-8)
 
     def test_active_beats_random_at_round_20(self):
         # 1-D benchmark field, sigma^2 = 0.01: active ordering should hold a

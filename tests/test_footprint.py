@@ -1,0 +1,74 @@
+"""Peak memory and import footprint, each measured in a fresh interpreter.
+
+The conditioner computes kernel rows only as observations need them, so a
+max-variance run and the public selection helpers use memory in proportion
+to uploads times sensors, not sensors squared; and the package runs on numpy
+alone, with scipy needed by the tests only.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+
+# Starts the measured interpreter from a bare one: Linux carries a parent's
+# peak RSS across fork and exec into the child's ru_maxrss, so a child of
+# this test process would report the test process's peak.
+LAUNCHER = ("import subprocess, sys; "
+            "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter (one BLAS thread); return its stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+PEAK_MB = """
+    import resource
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.parametrize("body,limit_mb", [
+    ("""
+    import numpy as np
+    from fieldsense.das import run_das
+    from fieldsense.fields import gen_2d
+    from fieldsense.gp import KernelParams
+    field = gen_2d(5000, 0.1, np.random.default_rng(1))
+    run_das(field, "max-variance", 200, KernelParams())
+    """, 200),
+    ("""
+    import numpy as np
+    from fieldsense.apps import build_candidate_set
+    from fieldsense.das import DasState, select_max_variance
+    from fieldsense.fields import gen_2d
+    from fieldsense.gp import KernelParams
+    rng = np.random.default_rng(1)
+    field = gen_2d(3000, 0.1, rng)
+    up = [int(i) for i in rng.choice(3000, size=20, replace=False)]
+    state = DasState.fresh(3000).with_uploads(up, field.measurements[up])
+    select_max_variance(field, state, KernelParams())
+    build_candidate_set([], field, state, KernelParams(), 10)
+    """, 100),
+], ids=["run_das-L5000-200", "select-L3000-20"])
+def test_peak_memory(body, limit_mb):
+    peak = float(run_fresh(textwrap.dedent(body) + textwrap.dedent(PEAK_MB)))
+    assert peak < limit_mb, f"peak RSS {peak:.0f} MB"
+
+
+def test_cli_import_leaves_scipy_out():
+    out = run_fresh("""
+        import sys
+        import fieldsense.cli
+        print("scipy" in sys.modules)
+    """)
+    assert out.strip() == "False"

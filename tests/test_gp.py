@@ -155,15 +155,16 @@ class TestPosterior:
 
     def test_duplicate_locations_survive_via_noise(self):
         # Observations at the same spot make K singular; the sigma^2 ridge
-        # (plus jitter escalation if needed) must keep the solve alive.
+        # (plus pivot jitter if round-off needs it) must keep the solve alive.
         post = posterior([0.5, 0.5, 0.5], [1.0, 1.1, 0.9], [0.5, 2.0], UNIT, 1e-3)
         assert np.all(np.isfinite(post.mean))
         assert np.all(np.isfinite(post.covariance))
 
     def test_jitter_rescues_a_singular_factor(self):
         # Two coincident sensors and a third 1e-9 away, with noise far below
-        # round-off: K + noise I is not numerically positive definite, so the
-        # plain factor fails and only jitter escalation keeps the solve alive.
+        # round-off: K + noise I is not numerically positive definite, so a
+        # plain batch factor fails; the one-row-at-a-time factor must still
+        # give finite means and non-negative variances.
         locs = [0.0, 0.0, 1e-9, 0.5, 0.5]
         values = [0.3, -0.1, 0.2, 1.0, 0.9]
         noise = 1e-16
@@ -174,6 +175,47 @@ class TestPosterior:
         for m, v in ((post.mean, post.variance), (mean, var)):
             assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
             assert np.all(v >= 0.0)
+
+    def test_singular_factor_variances_agree_with_oracle(self):
+        # The case above: the batch oracle needs diagonal jitter and leaves
+        # variances of about 3e-11; the library must agree to 1e-10.  (The
+        # means are not compared: with noise 1e-16 the coincident values
+        # 0.3 and -0.1 pin the latent value only up to round-off.)
+        locs = [0.0, 0.0, 1e-9, 0.5, 0.5]
+        values = [0.3, -0.1, 0.2, 1.0, 0.9]
+        noise = 1e-16
+        _, var = posterior_mean_and_variance(locs, values, locs, UNIT, noise)
+        _, want = oracle.posterior_mean_and_variance(locs, values, locs, UNIT, noise)
+        np.testing.assert_allclose(var, want, rtol=0, atol=1e-10)
+        cov = posterior(locs, values, locs, UNIT, noise).covariance
+        want_cov = oracle.posterior(locs, values, locs, UNIT, noise).covariance
+        np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.floats(-10.0, 0.0))
+    @settings(max_examples=80, deadline=None)
+    def test_near_duplicates_agree_with_oracle(self, seed, log_s2, log_ratio):
+        # Clusters of sensors at offsets 0, 1e-9 and 1e-6 from a common point,
+        # signal variance s2 in [1e-2, 1e2], noise / s2 in [1e-10, 1]: the
+        # library never raises and its variances match the batch solve to
+        # 1e-6 s2.
+        rng = np.random.default_rng(seed)
+        s2 = 10.0**log_s2
+        params = KernelParams(1.0, s2)
+        d = int(rng.integers(1, 3))
+        locs = [
+            center + rng.choice([0.0, 1e-9, 1e-6]) * rng.choice([-1.0, 1.0], size=d)
+            for center in rng.uniform(0, 3, size=(int(rng.integers(1, 6)), d))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        locs = np.array(locs)[rng.permutation(len(locs))]
+        values = rng.normal(size=len(locs)) * math.sqrt(s2)
+        noise = s2 * 10.0**log_ratio
+        targets = np.vstack([locs, rng.uniform(0, 3, size=(3, d))])
+        _, var = posterior_mean_and_variance(locs, values, targets, params, noise)
+        cov = posterior(locs, values, targets, params, noise).covariance
+        _, want = oracle.posterior_mean_and_variance(locs, values, targets, params, noise)
+        np.testing.assert_allclose(var, want, rtol=0, atol=1e-6 * s2)
+        np.testing.assert_array_equal(np.diag(cov), var)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -252,7 +294,7 @@ class TestIncrementalConditioner:
         for step, idx in enumerate(rng.permutation(30)[:20]):
             cond.observe(int(idx), float(values[idx]))
             seen.append(int(idx))
-            mean, var = posterior_mean_and_variance(
+            mean, var = oracle.posterior_mean_and_variance(
                 pts[seen], values[seen], pts, UNIT, 0.05
             )
             np.testing.assert_allclose(cond.mean, mean, atol=1e-8)
@@ -281,7 +323,7 @@ class TestIncrementalConditioner:
         got = cond.residual_variance(weights, cands)
         assert got.shape == (3, 4)
         for j, c in enumerate(cands):
-            cov = posterior(pts[[2, 9, 5, c]], np.zeros(4), pts, UNIT, 0.1).covariance
+            cov = oracle.posterior(pts[[2, 9, 5, c]], np.zeros(4), pts, UNIT, 0.1).covariance
             w = weights.copy()
             w[:, c] = 0.0
             np.testing.assert_allclose(got[:, j], np.einsum("ij,jk,ik->i", w, cov, w),
@@ -306,6 +348,29 @@ class TestIncrementalConditioner:
             cond.observe(4, 0.2)
         assert cond.n_observations == n_obs
         np.testing.assert_array_equal(cond.mean, mean)
+
+    def test_observe_jitters_the_pivot_where_the_plain_update_raises(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(0, 5, size=(6, 1))
+        cond = IncrementalConditioner(pts, UNIT, 0.1)
+        cond.observe(1, 0.4)
+        probe = copy.deepcopy(cond)
+        probe.observe(4, 0.2)
+        drop = cond.variance - probe.variance  # row * row of the plain update
+        # leave target 2 5e-10 short of the plain update, past the clamp
+        cond.variance[2] = drop[2] - 5e-10
+        before, pivot = cond.variance.copy(), cond.variance[4] + 0.1
+        cond.observe(4, 0.2)
+        # the pivot gets the smallest ladder jitter that keeps target 2 in
+        # bounds, which is past the first rung here
+        ladder = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+        jitter = next(j for j in ladder
+                      if before[2] - drop[2] * pivot / (pivot + j) >= VARIANCE_CLAMP)
+        assert jitter > ladder[0]
+        np.testing.assert_allclose(
+            cond.variance, np.maximum(before - drop * pivot / (pivot + jitter), 0.0),
+            rtol=0, atol=1e-14,
+        )
 
     def test_observe_clamps_round_off_negatives_to_zero(self):
         rng = np.random.default_rng(9)
