@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Write the CLI outputs of a fixed run matrix, for a byte-for-byte comparison.
+
+Runs each case through ``python -m fieldsense`` on this checkout's ``src/``
+(one BLAS thread) and writes its records and ``.agg`` file into OUTDIR.
+Two checkouts compare with ``diff -r``:
+
+    python scripts/golden_outputs.py /tmp/before    # in the old checkout
+    python scripts/golden_outputs.py /tmp/after     # in the new checkout
+    diff -r /tmp/before /tmp/after
+
+The matrix covers every selection policy, both ALOHA modes and the das-csv
+holdout records:
+
+- ``das-select.cfg`` at seeds 1..20 and ``das-large.cfg`` at seeds 1..2
+  (the benchmark's DAS workloads);
+- ``das --preset fig2|fig3|fig4`` at seeds 1..5;
+- ``aloha --preset fig6|fig7|fig8`` at seeds 1..30;
+- das-csv on 120 stations from ``make_station_csv.py``, max-variance, random
+  and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3.
+
+Uses the standard library only.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads"
+
+CSV_CONFIG = """\
+experiment = das-csv
+csv = stations.csv
+sigma2 = 0.1
+rounds = 40
+policy = max-variance,random,app-weighted
+apps = mean,e:7
+betas = 1,1
+"""
+
+
+def cases():
+    """(name, fieldsense arguments) for every run of the matrix."""
+    yield "das-select", ["das", "--config", str(WORKLOADS / "das-select.cfg"),
+                         "--seed", "1..20"]
+    yield "das-large", ["das", "--config", str(WORKLOADS / "das-large.cfg"),
+                        "--seed", "1..2"]
+    for fig in ("fig2", "fig3", "fig4"):
+        yield fig, ["das", "--preset", fig, "--seed", "1..5"]
+    for fig in ("fig6", "fig7", "fig8"):
+        yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
+    yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory for the records (created if missing)")
+    args = parser.parse_args(argv)
+    out = Path(args.outdir).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+
+    def run(argv):
+        subprocess.run(argv, cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
+
+    run([sys.executable, str(ROOT / "scripts" / "make_station_csv.py"),
+         "stations.csv", "--n", "120"])
+    (out / "das-csv.cfg").write_text(CSV_CONFIG, encoding="utf-8")
+    for name, fs_args in cases():
+        run([sys.executable, "-m", "fieldsense", *fs_args, "--out", f"{name}.csv"])
+        print(f"{name}: {out / name}.csv", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

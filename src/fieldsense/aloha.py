@@ -171,21 +171,21 @@ def simulate_round(
     full candidate length, so switching modes does not shift unrelated draws.
     """
     state.check_against(field)
-    if cond.n_observations != len(state.uploaded):
+    if cond.n_observations != state.order.size:
         raise ValueError(
             f"conditioner holds {cond.n_observations} observations, "
-            f"state has {len(state.uploaded)} uploads"
+            f"state has {state.order.size} uploads"
         )
     cand = [int(c) for c in candidates]
     if len(set(cand)) != len(cand):
         raise ValueError(f"duplicate candidates: {cand}")
-    rem = set(state.remaining)
+    cand_arr = np.array(cand, dtype=int)
     for c in cand:
-        if c not in rem:
+        if not 0 <= c < state.n_sensors or state.mask[c]:
             raise ValueError(f"candidate {c} is not a remaining sensor")
     n = len(cand)
-    predictions = cond.mean[cand]
-    errors = predictions - field.measurements[cand]
+    predictions = cond.mean[cand_arr]
+    errors = predictions - field.measurements[cand_arr]
     if cfg.mode == "conventional":
         probabilities = np.full(n, equal_upload_probability(cfg))
     else:
@@ -194,7 +194,6 @@ def simulate_round(
     dormant = rng.random(n) < cfg.p_sleep
     active, channel, success = contend(np.where(dormant, 0.0, probabilities), cfg.channels, rng)
 
-    cand_arr = np.asarray(cand, dtype=int)
     successes = [int(i) for i in cand_arr[success]]
     collided = [int(i) for i in cand_arr[active & ~success]]
     new_state = state.with_uploads(successes, field.measurements[successes])
@@ -265,8 +264,8 @@ def run_aloha(
     for _ in range(rounds):
         if candidate_policy is not None:
             cand = list(candidate_policy(field, state, rng))
-        elif state.remaining:
-            rem = np.asarray(state.remaining)
+        elif state.remaining_index.size:
+            rem = state.remaining_index
             k = min(cfg.candidates, rem.size)
             cand = sorted(int(i) for i in rng.choice(rem, size=k, replace=False))
         else:

@@ -50,11 +50,11 @@ def estimate_covariance(field: SensorField, state: DasState, params: KernelParam
     state.check_against(field)
     n = field.n_sensors
     cov = np.zeros((n, n))
-    if state.remaining:
-        rem = list(state.remaining)
+    rem = state.remaining_index
+    if rem.size:
         post = posterior(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
+            field.locations[state.order],
+            state.values,
             field.locations[rem],
             params,
             field.noise_variance,
@@ -103,11 +103,11 @@ def select_weighted_sum(
     """
     state.check_against(field)
     weights, betas = _app_rows([app.weights for app in apps], betas, field.n_sensors)
-    if not state.remaining:
+    if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
-    weights[:, list(state.uploaded)] = 0.0  # uploaded entries carry no error
+    weights[:, state.mask] = 0.0  # uploaded entries carry no error
     return _min_residual_pick(
-        _conditioner(field, state, params), np.asarray(state.remaining), weights, betas
+        _conditioner(field, state, params), state.remaining_index, weights, betas
     )
 
 
@@ -123,7 +123,7 @@ def select_max_value_app(
     if est.values.shape[0] != field.n_sensors:
         raise ValueError("estimate does not match the field")
     idx = int(np.argmax(est.values))
-    return idx if idx in set(state.remaining) else None
+    return None if state.mask[idx] else idx
 
 
 def build_candidate_set(
@@ -140,19 +140,18 @@ def build_candidate_set(
     if Q < 1:
         raise ValueError(f"Q must be at least 1, got {Q}")
     state.check_against(field)
-    remaining = set(state.remaining)
+    rem = state.remaining_index
     chosen: list[int] = []
     for sel in selections:
         if sel is None:
             continue
         sel = int(sel)
-        if sel not in remaining:
+        if not 0 <= sel < state.n_sensors or state.mask[sel]:
             raise ValueError(f"selection {sel} is not a remaining sensor")
         if sel not in chosen:
             chosen.append(sel)
-    limit = min(Q, len(remaining))
+    limit = min(Q, rem.size)
     if len(chosen) < limit:
-        rem = np.asarray(state.remaining)
         var = quantize(_conditioner(field, state, params).variance[rem])
         order = rem[np.argsort(-var, kind="stable")].tolist()
         chosen += [c for c in order if c not in chosen]

@@ -1,7 +1,10 @@
 """Round-by-round data-aided sensing: one sensor uploads per round, chosen so
 the reconstruction of the whole field improves as fast as possible.
 
-The round state tracks which sensors have uploaded.  The field estimate
+The round state is one array record of the uploads (an upload mask, the
+upload order and the measured values), so a round costs one mask copy and
+one append, and the loop indexes the conditioner with the ascending array of
+sensors still missing.  The field estimate
 copies uploaded measurements verbatim and fills the rest with GP posterior
 means; its MSE is the sum of the posterior variances of the sensors still
 missing.  Selection policies pick the largest current variance (which
@@ -32,24 +35,100 @@ def quantize(values):
     return np.round(np.asarray(values, dtype=float) / _QUANTUM) * _QUANTUM
 
 
-@dataclass(frozen=True)
-class DasState:
-    """Upload bookkeeping: which sensors have reported, in what order."""
+def _appended(arr: np.ndarray, items: list) -> np.ndarray:
+    """A new array: ``arr`` followed by ``items``, in ``arr``'s dtype."""
+    out = np.empty(arr.size + len(items), dtype=arr.dtype)
+    out[: arr.size] = arr
+    out[arr.size :] = items
+    return out
 
-    uploaded: tuple[int, ...]
-    remaining: tuple[int, ...]  # sorted ascending
-    uploaded_values: tuple[float, ...]
-    round: int = 0
+
+class DasState:
+    """Upload bookkeeping: which sensors have reported, in what order.
+
+    One array record backs the state: ``mask`` (length n, True once a sensor
+    has uploaded), ``order`` (the uploaded indices in upload order) and
+    ``values`` (their measurements).  ``remaining_index`` is the ascending
+    array of sensors still waiting.  The library reads these arrays; the
+    tuple views ``uploaded``, ``remaining`` and ``uploaded_values`` are built
+    on first access.  All of them are cached and read-only, and a state never
+    changes: :meth:`with_uploads` returns a new one.
+
+    The constructor takes the tuple form and raises ``ValueError`` unless
+    ``uploaded`` and ``remaining`` partition ``range(n)`` and every upload
+    has a value.
+    """
+
+    def __init__(self, uploaded, remaining, uploaded_values, round: int = 0):
+        order = np.array(uploaded, dtype=int).ravel()
+        rest = np.array(remaining, dtype=int).ravel()
+        values = np.array(uploaded_values, dtype=float).ravel()
+        n = order.size + rest.size
+        both = np.concatenate([order, rest])
+        if n and not (0 <= both.min() and both.max() < n):
+            raise ValueError(f"sensor indices must lie in [0, {n})")
+        if np.unique(both).size != n:
+            raise ValueError("uploaded and remaining sensors must partition the field")
+        if values.size != order.size:
+            raise ValueError(f"{order.size} uploads but {values.size} values")
+        mask = np.zeros(n, dtype=bool)
+        mask[order] = True
+        self._set(mask, order, values, round)
+
+    def _set(self, mask, order, values, round):
+        for arr in (mask, order, values):
+            arr.setflags(write=False)
+        self.mask, self.order, self.values, self.round = mask, order, values, round
+        self._remaining = None
+        self._views = {}
 
     @classmethod
     def fresh(cls, n_sensors: int) -> "DasState":
         if n_sensors < 1:
             raise ValueError("need at least one sensor")
-        return cls((), tuple(range(n_sensors)), (), 0)
+        return cls._of(np.zeros(n_sensors, dtype=bool), np.empty(0, dtype=int),
+                       np.empty(0), 0)
+
+    @classmethod
+    def _of(cls, mask, order, values, round) -> "DasState":
+        state = cls.__new__(cls)
+        state._set(mask, order, values, round)
+        return state
 
     @property
     def n_sensors(self) -> int:
-        return len(self.uploaded) + len(self.remaining)
+        return self.mask.size
+
+    @property
+    def remaining_index(self) -> np.ndarray:
+        """Ascending indices of the sensors that have not uploaded."""
+        if self._remaining is None:
+            self._remaining = (~self.mask).nonzero()[0]
+            self._remaining.setflags(write=False)
+        return self._remaining
+
+    @property
+    def uploaded(self) -> tuple[int, ...]:
+        return self._tuple("uploaded", self.order)
+
+    @property
+    def remaining(self) -> tuple[int, ...]:
+        """Sorted ascending."""
+        return self._tuple("remaining", self.remaining_index)
+
+    @property
+    def uploaded_values(self) -> tuple[float, ...]:
+        return self._tuple("uploaded_values", self.values)
+
+    def _tuple(self, name: str, arr: np.ndarray) -> tuple:
+        """The tuple view ``name`` of ``arr``, built on first use."""
+        if name not in self._views:
+            self._views[name] = tuple(arr.tolist())
+        return self._views[name]
+
+    def __repr__(self):
+        return (f"DasState(uploaded={self.uploaded}, remaining={self.remaining}, "
+                f"uploaded_values={self.uploaded_values}, round={self.round})")
 
     def with_uploads(self, indices, values) -> "DasState":
         """New state after the given sensors upload; advances the round counter."""
@@ -59,17 +138,13 @@ class DasState:
             raise ValueError("indices and values disagree in length")
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate upload indices: {indices}")
-        rem = set(self.remaining)
+        mask = self.mask.copy()
         for i in indices:
-            if i not in rem:
+            if not 0 <= i < mask.size or mask[i]:
                 raise ValueError(f"sensor {i} is not awaiting upload")
-            rem.remove(i)
-        return DasState(
-            self.uploaded + tuple(indices),
-            tuple(sorted(rem)),
-            self.uploaded_values + tuple(values),
-            self.round + 1,
-        )
+            mask[i] = True
+        return DasState._of(mask, _appended(self.order, indices),
+                            _appended(self.values, values), self.round + 1)
 
     def check_against(self, field: SensorField):
         if self.n_sensors != field.n_sensors:
@@ -92,7 +167,7 @@ class FieldEstimate:
     mse: float
 
 
-def _pack_estimate(field: SensorField, rem: list[int], mean, var) -> FieldEstimate:
+def _pack_estimate(field: SensorField, rem: np.ndarray, mean, var) -> FieldEstimate:
     """Measurements at the uploaded sensors; ``mean`` and ``var`` at ``rem``."""
     values = field.measurements.copy()
     variance = np.zeros(field.n_sensors)
@@ -105,7 +180,7 @@ def estimate(field: SensorField, state: DasState, params: KernelParams) -> Field
     """Reconstruct the full field from the uploads recorded in ``state``."""
     state.check_against(field)
     cond = _conditioner(field, state, params)
-    rem = list(state.remaining)
+    rem = state.remaining_index
     return _pack_estimate(field, rem, cond.mean[rem], cond.variance[rem])
 
 
@@ -114,7 +189,7 @@ def _conditioner(field: SensorField, state: DasState, params: KernelParams,
     """Conditioner over the sensors (then ``extra_locs``) holding ``state``'s uploads."""
     targets = field.locations if extra_locs is None else np.vstack([field.locations, extra_locs])
     cond = IncrementalConditioner(targets, params, field.noise_variance)
-    for idx, value in zip(state.uploaded, state.uploaded_values):
+    for idx, value in zip(state.order.tolist(), state.values.tolist()):
         cond.observe(idx, value)
     return cond
 
@@ -149,16 +224,17 @@ def select_max_variance(field: SensorField, state: DasState, params: KernelParam
     toward the lowest sensor index.
     """
     state.check_against(field)
-    if not state.remaining:
+    if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
-    return _max_variance_pick(_conditioner(field, state, params), np.asarray(state.remaining))
+    return _max_variance_pick(_conditioner(field, state, params), state.remaining_index)
 
 
 def select_random(state: DasState, rng: np.random.Generator) -> int:
     """Uniform pick among the sensors that have not uploaded yet."""
-    if not state.remaining:
+    rem = state.remaining_index
+    if not rem.size:
         raise ValueError("no sensors remaining")
-    return int(state.remaining[int(rng.integers(len(state.remaining)))])
+    return int(rem[int(rng.integers(rem.size))])
 
 
 def _virtual_rows(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +259,11 @@ def select_virtual_target(
     covariance of a Gaussian is measurement-free, so no value is needed.
     """
     state.check_against(field)
-    if not state.remaining:
+    if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
     virtual, rows = _virtual_rows(field, virtual_locs)
     cond = _conditioner(field, state, params, virtual)
-    return _min_residual_pick(cond, np.asarray(state.remaining), rows, np.ones(len(rows)))
+    return _min_residual_pick(cond, state.remaining_index, rows, np.ones(len(rows)))
 
 
 @dataclass
@@ -241,7 +317,7 @@ def run_das(
     cond = _conditioner(field, state, params, virtual)
     logs: list[DasRound] = []
     for _ in range(rounds):
-        rem = np.asarray(state.remaining)
+        rem = state.remaining_index
         if callable(policy):
             idx = int(policy(field, state, params, rng))
         elif policy == "random":
@@ -255,7 +331,7 @@ def run_das(
         cond.observe(idx, value)
         if policy == "app-weighted":
             rows[:, idx] = 0.0  # an uploaded entry carries no error
-        left = list(state.remaining)
+        left = state.remaining_index
         var = cond.variance[left]
         est = _pack_estimate(field, left, cond.mean[left], var) if log_estimates else None
         logs.append(DasRound(state.round, idx, float(np.sum(var)), est))

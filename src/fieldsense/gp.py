@@ -72,6 +72,8 @@ def as_points(locs, dim: int | None = None) -> np.ndarray:
         arr = arr.reshape(-1, 1) if dim in (None, 1) else arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ValueError(f"locations must be at most 2-dimensional, got shape {arr.shape}")
+    if arr.shape[0] and not arr.shape[1]:
+        raise ValueError("locations need at least one coordinate")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("locations contain non-finite coordinates")
     if dim is not None and arr.shape[1] != dim:
@@ -88,8 +90,15 @@ def as_single_point(loc) -> np.ndarray:
 
 
 def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel values for coordinate differences along the last axis of ``diff``."""
-    d2 = np.sum(diff * diff, axis=-1)
+    """Kernel values for coordinate differences along the first axis of ``diff``.
+
+    The squared distance is summed one coordinate at a time, in order: for
+    the few coordinates a location has this is the left-to-right sum a
+    reduction over them gives, bit for bit, at a fraction of its cost.
+    """
+    d2 = diff[0] * diff[0]
+    for dk in diff[1:]:
+        d2 += dk * dk
     return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
 
 
@@ -97,8 +106,8 @@ def kernel(a, b, params: KernelParams) -> float:
     """Covariance between two locations under the squared-exponential kernel."""
     av = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
     bv = np.atleast_1d(np.asarray(b, dtype=float)).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
+    if av.shape != bv.shape or not av.size:
+        raise ValueError(f"need two points of one dimension, got {av.shape} and {bv.shape}")
     return float(_sq_exp(av - bv, params))
 
 
@@ -115,7 +124,7 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if r.shape[0] == 0 or c.shape[0] == 0:
         return np.zeros((r.shape[0], c.shape[0]))
-    return _sq_exp(r[:, None, :] - c[None, :, :], params)
+    return _sq_exp(r.T[:, :, None] - c.T[:, None, :], params)
 
 
 def _condition(observed_locs, observed_values, target_locs, params: KernelParams,
@@ -202,8 +211,11 @@ class IncrementalConditioner:
     observation extends the Cholesky factor of the noise-augmented kernel
     matrix by one row, so per-target posterior means and variances stay
     current at O(n_obs * n_targets) cost and memory per round.  ``observe``
-    computes the one kernel row it needs; the full target kernel matrix is
-    built only when :meth:`residual_variance` first needs it.
+    computes the one kernel row it needs, from a coordinate-major copy of the
+    targets (one contiguous row per coordinate), so that row is the
+    matrix-vector product's minor cost; the full target kernel matrix is
+    built only when :meth:`residual_variance` first needs it, and ``observe``
+    then reads its rows, which are bit-identical.
 
     Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
@@ -218,6 +230,7 @@ class IncrementalConditioner:
         self.params = params
         self.noise_variance = noise_variance
         self.target_locations = targets
+        self._coords = np.ascontiguousarray(targets.T)  # (d, n): one row per coordinate
         n = targets.shape[0]
         self._prior = None  # K(targets, targets), built on demand
         # Row t of _a is the t-th row of L^-1 K(obs, targets); _c is L^-1 y.
@@ -249,7 +262,7 @@ class IncrementalConditioner:
             self._a = np.concatenate([self._a, np.empty((extra, targets.shape[0]))])
             self._c = np.concatenate([self._c, np.empty(extra)])
         if self._prior is None:  # targets are validated: skip gram's checks
-            k_row = _sq_exp(targets - targets[index], self.params)
+            k_row = _sq_exp(self._coords - self._coords[:, index, None], self.params)
         else:
             k_row = self._prior[index]
         lvec = self._a[:t, index]

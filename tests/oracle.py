@@ -58,6 +58,14 @@ def _chol_with_jitter(mat, params):
     )
 
 
+def sq_exp_reduced(diff, params):
+    """Kernel values for coordinate differences along the last axis of ``diff``,
+    the squared distance taken by one reduction over that axis (the library's
+    former form, which sums the coordinates one at a time instead)."""
+    d2 = np.sum(diff * diff, axis=-1)
+    return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
+
+
 def _clamp_variances(var):
     low = float(var.min()) if var.size else 0.0
     if low < VARIANCE_CLAMP:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldsense.aloha import (
+    MODES,
     AlohaConfig,
     DualState,
     contend,
@@ -408,6 +409,65 @@ class TestRunAlohaMatchesOracle:
             empty_rounds += sum(not g.candidates for g in got)
         if L == 30:
             assert empty_rounds > 0
+
+
+class TestRunAlohaProperties:
+    """Whole runs over random B, Q (B >= Q included), p_sleep, mode and L:
+    the round logs keep the upload record consistent, and match the
+    from-scratch loop with the tolerances of TestRunAlohaMatchesOracle."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        L=st.integers(1, 40),
+        B=st.integers(1, 6),
+        Q=st.integers(1, 12),
+        p_sleep=st.floats(0.0, 0.95),
+        mode=st.sampled_from(MODES),
+        rounds=st.integers(1, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_invariants(self, seed, L, B, Q, p_sleep, mode, rounds):
+        cfg = AlohaConfig(channels=B, candidates=Q, p_sleep=p_sleep, mode=mode)
+
+        def play(loop, **kwargs):
+            rng = np.random.default_rng(seed)
+            field = gen_random_sinusoid(L, 10, 0.1, rng)
+            return loop(field, cfg, rounds, UNIT, rng, **kwargs)
+
+        states = []
+
+        def default_draw(field, state, rng):
+            """run_aloha's own candidate draw, recording the state it is given."""
+            states.append(state)
+            rem = state.remaining_index
+            if not rem.size:
+                return []
+            return sorted(int(i) for i in rng.choice(rem, size=min(Q, rem.size),
+                                                     replace=False))
+
+        logs = play(run_aloha)
+        recorded = play(run_aloha, candidate_policy=default_draw)
+        want = play(oracle.run_aloha)
+        uploaded: list[int] = []
+        for r, (log, again, ref, state) in enumerate(
+                zip(logs, recorded, want, states, strict=True)):
+            assert state.round == r
+            assert state.uploaded == tuple(uploaded)  # the concatenated successes
+            assert set(log.successes) <= set(log.candidates)
+            assert not set(log.successes) & set(uploaded)  # nobody succeeds twice
+            if not state.remaining_index.size:  # pool exhausted
+                assert log.candidates == [] and log.sse == 0.0
+            uploaded += log.successes
+            for other in (again, ref):
+                assert other.candidates == log.candidates
+                assert other.successes == log.successes
+                assert other.collided == log.collided
+                np.testing.assert_array_equal(other.activity, log.activity)
+                np.testing.assert_array_equal(other.channel_choice, log.channel_choice)
+                assert other.psi == log.psi
+            assert again.sse == log.sse
+            np.testing.assert_allclose(log.predictions, ref.predictions, rtol=0, atol=1e-10)
+            assert abs(log.sse - ref.sse) <= 1e-12
 
 
 class TestAlohaConfigValidation:

@@ -96,6 +96,41 @@ class TestDasState:
         s = DasState.fresh(4).with_uploads([], [])
         assert s.round == 1 and s.remaining == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("uploaded,remaining,values", [
+        ((0, 1, 2, 4, 5, 6), (7,), (0.0,) * 6),  # gap at 3, 7 out of range
+        ((0, 1, 2), (2, 3), (0.0,) * 3),  # 2 in both, 4 sensors listed 5 times
+        ((0, 5), (1, 2, 3), (0.0, 0.0)),  # 5 out of range for 5 sensors
+        ((0, 1), (2, 3), (0.0,)),  # one value for two uploads
+        ((0, 1), (1, 2, 3), (0.0, 0.0)),  # overlap and a gap at 4
+        ((-1, 1), (0, 2), (0.0, 0.0)),  # negative index
+    ])
+    def test_rejects_non_partition(self, uploaded, remaining, values):
+        with pytest.raises(ValueError):
+            DasState(uploaded, remaining, values, len(uploaded))
+
+    def test_accepts_a_partition(self):
+        s = DasState((3, 0), (1, 2, 4), (1.5, -2.0), 2)
+        assert s.n_sensors == 5 and s.uploaded == (3, 0) and s.remaining == (1, 2, 4)
+        assert s.uploaded_values == (1.5, -2.0)
+        np.testing.assert_array_equal(s.mask, [True, False, False, True, False])
+        np.testing.assert_array_equal(s.remaining_index, [1, 2, 4])
+
+    def test_array_record_matches_the_views_and_is_read_only(self):
+        s = DasState.fresh(5).with_uploads([3], [0.5]).with_uploads([0, 4], [1.0, 2.0])
+        assert s.uploaded == (3, 0, 4) and s.remaining == (1, 2)
+        assert s.uploaded_values == (0.5, 1.0, 2.0) and s.round == 2
+        np.testing.assert_array_equal(s.order, [3, 0, 4])
+        np.testing.assert_array_equal(s.values, [0.5, 1.0, 2.0])
+        for arr in (s.mask, s.order, s.values, s.remaining_index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_with_uploads_rejects_out_of_range(self):
+        s = DasState.fresh(4)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="not awaiting upload"):
+                s.with_uploads([bad], [0.0])
+
 
 class TestEstimate:
     def test_prior_mse_is_L(self):
@@ -191,7 +226,7 @@ class TestSelectMaxVariance:
 
 class TestSelectRandom:
     def test_singleton(self):
-        state = DasState((0, 1, 2, 4, 5, 6), (7,), (0.0,) * 6, 6)
+        state = DasState((0, 1, 2, 3, 4, 5, 6), (7,), (0.0,) * 7, 7)
         assert select_random(state, np.random.default_rng(0)) == 7
 
     def test_uniform_over_remaining(self):

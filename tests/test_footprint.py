@@ -2,7 +2,8 @@
 
 The conditioner computes kernel rows only as observations need them, so a
 max-variance run and the public selection helpers use memory in proportion
-to uploads times sensors, not sensors squared; and the package runs on numpy
+to uploads times sensors, not sensors squared (at L = 20000 a dense prior
+alone would take 3.2 GB); and the package runs on numpy
 alone, with scipy needed by the tests only.
 """
 
@@ -48,6 +49,14 @@ PEAK_MB = """
     """, 200),
     ("""
     import numpy as np
+    from fieldsense.das import run_das
+    from fieldsense.fields import gen_2d
+    from fieldsense.gp import KernelParams
+    field = gen_2d(20000, 0.1, np.random.default_rng(1))
+    run_das(field, "max-variance", 200, KernelParams())
+    """, 160),
+    ("""
+    import numpy as np
     from fieldsense.apps import build_candidate_set
     from fieldsense.das import DasState, select_max_variance
     from fieldsense.fields import gen_2d
@@ -59,7 +68,7 @@ PEAK_MB = """
     select_max_variance(field, state, KernelParams())
     build_candidate_set([], field, state, KernelParams(), 10)
     """, 100),
-], ids=["run_das-L5000-200", "select-L3000-20"])
+], ids=["run_das-L5000-200", "run_das-L20000-200", "select-L3000-20"])
 def test_peak_memory(body, limit_mb):
     peak = float(run_fresh(textwrap.dedent(body) + textwrap.dedent(PEAK_MB)))
     assert peak < limit_mb, f"peak RSS {peak:.0f} MB"

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky
 
+import fieldsense.das
+import fieldsense.gp
+from fieldsense.das import run_das
+from fieldsense.fields import gen_2d
 from fieldsense.gp import (
     VARIANCE_CLAMP,
     IncrementalConditioner,
     KernelParams,
+    _sq_exp,
     gram,
     kernel,
     pointwise_conditional,
@@ -67,6 +72,12 @@ class TestKernel:
         assert kernel([0.0, 0.0], [3.0, 4.0], UNIT) == pytest.approx(
             math.exp(-12.5), rel=1e-12
         )
+
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(ValueError):
+            kernel([], [], UNIT)
+        with pytest.raises(ValueError):
+            gram(np.zeros((2, 0)), np.zeros((3, 0)), UNIT)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -385,3 +396,73 @@ class TestIncrementalConditioner:
         cond.observe(4, 0.2)
         assert cond.variance[2] == 0.0
         assert np.all(cond.variance >= 0.0)
+
+
+class TestKernelRow:
+    """The kernel sums squared coordinate differences one coordinate at a time;
+    for the few coordinates a location has, that is the left-to-right sum the
+    former reduction over the last axis gave, so every row is bit-identical."""
+
+    PARAMS = KernelParams(0.7, 1.3)
+
+    @staticmethod
+    def points(rng, n, d, near):
+        pts = rng.uniform(-3, 3, size=(n, d))
+        if near:  # clusters of near-duplicates around a few centres
+            pts = pts[rng.integers(0, 4, size=n)] + rng.choice(
+                [0.0, 1e-12, 1e-9, 1e-6], size=(n, d))
+        return pts
+
+    @pytest.mark.parametrize("near", [False, True], ids=["spread", "near-duplicate"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_sq_exp_equals_the_reduction_bitwise(self, d, near):
+        rng = np.random.default_rng(10 + d)
+        rows, cols = self.points(rng, 40, d, near), self.points(rng, 33, d, near)
+        want = oracle.sq_exp_reduced(rows[:, None, :] - cols[None, :, :], self.PARAMS)
+        got = _sq_exp(np.moveaxis(rows[:, None, :] - cols[None, :, :], -1, 0), self.PARAMS)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(gram(rows, cols, self.PARAMS), want)
+        for i, j in ((0, 0), (3, 7), (39, 32)):
+            assert kernel(rows[i], cols[j], self.PARAMS) == want[i, j]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_observe_row_equals_gram_row_bitwise(self, d, monkeypatch):
+        rng = np.random.default_rng(20 + d)
+        pts = self.points(rng, 50, d, near=True)
+        rows = []
+
+        def recording(diff, params):
+            out = _sq_exp(diff, params)
+            rows.append(out)
+            return out
+
+        monkeypatch.setattr(fieldsense.gp, "_sq_exp", recording)
+        cond = IncrementalConditioner(pts, self.PARAMS, 0.05)
+        order = [int(i) for i in rng.permutation(50)[:12]]
+        for idx in order:
+            cond.observe(idx, float(rng.normal()))
+        full = oracle.sq_exp_reduced(pts[:, None, :] - pts[None, :, :], self.PARAMS)
+        assert len(rows) == len(order)
+        for idx, row in zip(order, rows):
+            np.testing.assert_array_equal(row, full[idx])
+
+    def test_cached_prior_midway_leaves_run_das_unchanged(self, monkeypatch):
+        field = gen_2d(300, 0.1, np.random.default_rng(4))
+        params = KernelParams()
+        plain = run_das(field, "max-variance", 40, params)
+
+        pick = fieldsense.das._max_variance_pick
+        calls = []
+
+        def pick_and_score(cond, rem):
+            if len(calls) == 15:  # builds the prior; later rows come from it
+                cond.residual_variance(np.ones((1, field.n_sensors)), rem)
+                assert cond._prior is not None
+            calls.append(len(rem))
+            return pick(cond, rem)
+
+        monkeypatch.setattr(fieldsense.das, "_max_variance_pick", pick_and_score)
+        switched = run_das(field, "max-variance", 40, params)
+        assert len(calls) == 40
+        assert [log.selected for log in switched] == [log.selected for log in plain]
+        assert [log.mse for log in switched] == [log.mse for log in plain]
