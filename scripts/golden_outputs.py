@@ -17,7 +17,10 @@ holdout records:
 - ``das --preset fig2|fig3|fig4`` at seeds 1..5;
 - ``aloha --preset fig6|fig7|fig8`` at seeds 1..30;
 - das-csv on 120 stations from ``make_station_csv.py``, max-variance, random
-  and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3.
+  and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3;
+- ALOHA with sleep and pool exhaustion (L = 30, B = 4, Q = 10,
+  ``p_sleep = 0.3``, both modes, 40 rounds) at seeds 1..40: seeds run dry
+  in different rounds, so one seed batch holds ragged candidate sets.
 
 Uses the standard library only.
 """
@@ -41,6 +44,17 @@ apps = mean,e:7
 betas = 1,1
 """
 
+SLEEP_CONFIG = """\
+experiment = aloha
+L = 30
+sigma2 = 0.1
+rounds = 40
+B = 4
+Q = 10
+p_sleep = 0.3
+mode = conventional,modified
+"""
+
 
 def cases():
     """(name, fieldsense arguments) for every run of the matrix."""
@@ -53,6 +67,7 @@ def cases():
     for fig in ("fig6", "fig7", "fig8"):
         yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
+    yield "aloha-sleep", ["aloha", "--config", "aloha-sleep.cfg", "--seed", "1..40"]
 
 
 def main(argv=None) -> int:
@@ -73,6 +88,7 @@ def main(argv=None) -> int:
     run([sys.executable, str(ROOT / "scripts" / "make_station_csv.py"),
          "stations.csv", "--n", "120"])
     (out / "das-csv.cfg").write_text(CSV_CONFIG, encoding="utf-8")
+    (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
         run([sys.executable, "-m", "fieldsense", *fs_args, "--out", f"{name}.csv"])
         print(f"{name}: {out / name}.csv", flush=True)

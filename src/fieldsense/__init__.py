@@ -16,6 +16,7 @@ from .aloha import (
     expected_throughput,
     per_sensor_success_probability,
     run_aloha,
+    run_aloha_seeds,
     simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,

@@ -22,6 +22,13 @@ from .gp import IncrementalConditioner, KernelParams
 
 MODES = ("conventional", "modified")
 
+# Most seeds run_aloha_seeds plays at once.  Each seed in flight holds its
+# own factor (uploads x L floats: about 0.13 MB in fig7's B = 5 cell, 0.2 MB
+# of peak RSS with its buffers), so this bounds a batch's memory however many
+# seeds a sweep has; batches are split evenly, so none pays a round's shared
+# cost for a few seeds.
+_IN_FLIGHT = 8
+
 
 @dataclass(frozen=True)
 class AlohaConfig:
@@ -147,10 +154,22 @@ def contend(p_vec, channels: int, rng: np.random.Generator):
     n = p.size
     active = rng.random(n) < p
     draws = rng.integers(0, channels, size=n)
-    counts = np.bincount(draws[active], minlength=channels)
-    success = active & (counts[draws] == 1)
+    success = _alone(active, draws, channels)
     channel = np.where(active, draws, -1)
     return active, channel, success
+
+
+def _alone(active, draws, channels: int) -> np.ndarray:
+    """The active sensors that have their drawn channel to themselves.
+
+    On a 2-D batch each row contends on channels of its own.
+    """
+    rows = 1
+    if draws.ndim == 2:
+        rows = draws.shape[0]
+        draws = draws + channels * np.arange(rows)[:, None]
+    counts = np.bincount(draws[active], minlength=channels * rows)
+    return active & (counts[draws] == 1)
 
 
 def simulate_round(
@@ -169,6 +188,8 @@ def simulate_round(
     the predictions fed back, and each success is observed on it in place.
     Random draws happen in a fixed order (sleep, activity, channels), each at
     full candidate length, so switching modes does not shift unrelated draws.
+    This is the one-seed case of the round that :func:`run_aloha_seeds`
+    plays for up to 8 seeds at once.
     """
     state.check_against(field)
     if cond.n_observations != state.order.size:
@@ -176,46 +197,124 @@ def simulate_round(
             f"conditioner holds {cond.n_observations} observations, "
             f"state has {state.order.size} uploads"
         )
-    cand = [int(c) for c in candidates]
-    if len(set(cand)) != len(cand):
-        raise ValueError(f"duplicate candidates: {cand}")
-    cand_arr = np.array(cand, dtype=int)
-    for c in cand:
-        if not 0 <= c < state.n_sensors or state.mask[c]:
-            raise ValueError(f"candidate {c} is not a remaining sensor")
-    n = len(cand)
-    predictions = cond.mean[cand_arr]
-    errors = predictions - field.measurements[cand_arr]
-    if cfg.mode == "conventional":
-        probabilities = np.full(n, equal_upload_probability(cfg))
-    else:
-        probabilities = upload_probabilities(errors**2, dual.psi)
-
-    dormant = rng.random(n) < cfg.p_sleep
-    active, channel, success = contend(np.where(dormant, 0.0, probabilities), cfg.channels, rng)
-
-    successes = [int(i) for i in cand_arr[success]]
-    collided = [int(i) for i in cand_arr[active & ~success]]
-    new_state = state.with_uploads(successes, field.measurements[successes])
-    for i in successes:
-        cond.observe(i, float(field.measurements[i]))
+    (log,), failed = _play_round([[int(c) for c in candidates]], field.measurements[None],
+                                 state.mask[None].copy(), np.array([dual.psi]), cfg, cond, [rng])
+    if failed:
+        raise ValueError(failed[0])
+    new_state = state.with_uploads(log.successes, field.measurements[log.successes])
     new_dual = dual
     if cfg.mode == "modified":
-        new_dual = dual_ascent_step(dual, int(active.sum()), cfg.channels, cfg.mu)
-    sse = float(np.sum(errors[~success] ** 2))
-    round_log = AlohaRound(
-        candidates=cand,
-        predictions=predictions,
-        errors=errors,
-        probabilities=probabilities,
-        activity=active,
-        channel_choice=channel,
-        successes=successes,
-        collided=collided,
-        sse=sse,
-        psi=dual.psi,
-    )
-    return round_log, new_state, new_dual
+        new_dual = dual_ascent_step(dual, int(log.activity.sum()), cfg.channels, cfg.mu)
+    return log, new_state, new_dual
+
+
+def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalConditioner,
+                rngs) -> tuple[list[AlohaRound], dict[int, str]]:
+    """One contention round for every seed of a batch, one row per seed.
+
+    ``cands`` holds each seed's candidate list, ``meas`` (S, n) its field's
+    measurements and ``mask`` (S, n) its record of which sensors have
+    uploaded; ``psi`` (S,) is each seed's dual variable and ``rngs`` its
+    generator.  Each generator draws sleep, activity and channels for its
+    own candidates; predictions, upload probabilities, contention, SSE and
+    the dual step are computed for the batch at once.  Each success is then
+    observed on its seed's rows of ``cond``, each seed's in candidate order;
+    a seed whose observation fails takes no further one.  ``mask``, ``psi``
+    and ``cond`` are updated in place.
+
+    Returns each seed's round log and, for the seeds whose upload the
+    conditioner could not take, their messages by row.
+    """
+    n_seeds, n = mask.shape
+    lens = [len(c) for c in cands]
+    width = max(lens)
+    ragged = lens.count(width) != n_seeds  # some seed has fewer candidates: pad its row
+    cand = _padded(cands, width, ragged, 0, int)
+    valid = np.arange(width) < np.array(lens)[:, None] if ragged else True
+    pick = np.sort(np.where(valid, cand, -1) if ragged else cand, axis=1)
+    dup = pick[:, 1:] == pick[:, :-1]
+    if ragged:
+        dup &= pick[:, 1:] >= 0
+    if dup.any():
+        raise ValueError(f"duplicate candidates: {cands[int(dup.any(axis=1).argmax())]}")
+    seeds = np.arange(n_seeds)[:, None]
+    bad = valid & ((cand < 0) | (cand >= n))  # padding (0) is in range
+    if not bad.any():
+        bad = valid & mask[seeds, cand]
+    if bad.any():
+        raise ValueError(f"candidate {cand[bad][0]} is not a remaining sensor")
+
+    # Each seed's own draws, in its generator's order; padding never transmits.
+    # One draw of 2k uniforms is the sleep draw of k then the activity draw of
+    # k: a generator hands out doubles one after another, keeping nothing back.
+    sleep, act, chan = [], [], []
+    for rng, k in zip(rngs, lens):
+        u = rng.random(2 * k)
+        sleep.append(u[:k])
+        act.append(u[k:])
+        chan.append(rng.integers(0, cfg.channels, size=k))
+    u_sleep, u_active = _padded(sleep, width, ragged, 1.0), _padded(act, width, ragged, 1.0)
+    draws = _padded(chan, width, ragged, 0, int)
+
+    predictions = cond.mean.reshape(n_seeds, n)[seeds, cand]
+    errors = predictions - meas[seeds, cand]
+    if cfg.mode == "conventional":
+        probabilities = np.full((n_seeds, width), equal_upload_probability(cfg))
+    else:
+        probabilities = upload_probabilities(errors**2, psi[:, None])
+    active = u_active < np.where(u_sleep < cfg.p_sleep, 0.0, probabilities)
+    success = _alone(active, draws, cfg.channels)
+    channel = np.where(active, draws, -1)
+
+    who, where = success.nonzero()  # row-major: each seed's successes in candidate order
+    sensors = cand[who, where]
+    mask[who, sensors] = True
+    failed: dict[int, str] = {}
+    for s, i, value in zip(who.tolist(), sensors.tolist(), meas[who, sensors].tolist()):
+        if s not in failed:
+            try:
+                cond.observe(i, value, s)
+            except ValueError as exc:  # this seed's run ends here; the others go on
+                failed[s] = str(exc)
+
+    psi_used = psi.tolist()
+    if cfg.mode == "modified":
+        psi += cfg.mu * (active.sum(axis=1) - cfg.channels)
+    missed = valid & ~success
+    lost = (errors**2)[missed]  # row-major: seed s's squared errors are lost[ends[s]:ends[s + 1]]
+    ends = [0, *np.cumsum(missed.sum(axis=1)).tolist()]
+    succ = _grouped(n_seeds, who, sensors)
+    hit_w, hit_q = (active & ~success).nonzero()
+    coll = _grouped(n_seeds, hit_w, cand[hit_w, hit_q])
+    logs = []
+    for s, (pred, err, prob, act_s, chan_s) in enumerate(zip(*(
+            _rows(x, lens, ragged) for x in (predictions, errors, probabilities, active, channel)))):
+        logs.append(AlohaRound(cands[s], pred, err, prob, act_s, chan_s, succ[s], coll[s],
+                               float(lost[ends[s] : ends[s + 1]].sum()), psi_used[s]))
+    return logs, failed
+
+
+def _padded(rows, width: int, ragged: bool, fill, dtype=float) -> np.ndarray:
+    """Per-seed rows as one (S, width) array; shorter rows padded with ``fill``."""
+    if not ragged:
+        return np.array(rows, dtype=dtype).reshape(len(rows), width)
+    out = np.full((len(rows), width), fill, dtype=dtype)
+    for dst, src in zip(out, rows):
+        dst[: len(src)] = src
+    return out
+
+
+def _rows(arr: np.ndarray, lens: list, ragged: bool) -> list:
+    """Each seed's row of an (S, width) array, cut to its own length (views)."""
+    return [row[:k] for row, k in zip(arr, lens)] if ragged else list(arr)
+
+
+def _grouped(n_seeds: int, who: np.ndarray, items: np.ndarray) -> list[list[int]]:
+    """``items`` split into one list per seed by ``who`` (ascending, as nonzero gives)."""
+    out: list[list[int]] = [[] for _ in range(n_seeds)]
+    for s, item in zip(who.tolist(), items.tolist()):
+        out[s].append(item)
+    return out
 
 
 def sse_lower_bound(sigma_sq: float, Q: int, channels: int) -> float:
@@ -254,22 +353,91 @@ def run_aloha(
     callable ``(field, state, rng) -> index list`` overrides that.  Once the
     pool is exhausted, rounds proceed with empty candidate sets and zero SSE.
     One conditioner over the sensors carries the predictions across rounds.
+    This runs the round loop of :func:`run_aloha_seeds`, which plays up to 8
+    seeds at once, on a batch of one seed.
+    """
+    logs = []
+    for (log,), failed in _play([field], [rng], cfg, rounds, params, candidate_policy):
+        if failed:
+            raise ValueError(failed[0])
+        logs.append(log)
+    return logs
+
+
+def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
+    """:func:`run_aloha` for every seed, the seeds played in lockstep batches.
+
+    Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
+    builds its field through ``make_field(rng)`` and then draws its rounds,
+    exactly as a run of its own would, so every seed's logs are
+    bit-identical to its own :func:`run_aloha`.  Up to 8 seeds are in flight
+    at once, in batches of near-equal size, so memory follows that number,
+    not the number of seeds.
+
+    Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
+    seed, round by round through a batch, seeds in order within a round.
+    A seed whose run fails yields ``(seed, field, t, error)`` with the
+    ``ValueError`` instead, and nothing after it; the others play on.
+    """
+    seeds = list(seeds)
+    n_batches = -(-len(seeds) // _IN_FLIGHT)
+    for i in range(n_batches):
+        batch = seeds[i * len(seeds) // n_batches : (i + 1) * len(seeds) // n_batches]
+        rngs = [np.random.default_rng(seed) for seed in batch]
+        fields = [make_field(rng) for rng in rngs]
+        for t, (logs, failed) in enumerate(_play(fields, rngs, cfg, rounds, params), start=1):
+            for row, (seed, field, log) in enumerate(zip(batch, fields, logs)):
+                if row in failed:
+                    yield seed, field, t, ValueError(failed[row])
+                elif log is not None:
+                    yield seed, field, t, log
+
+
+def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
+          candidate_policy=None):
+    """Play ``rounds`` rounds on each field with its generator, all fields at once.
+
+    After each round, yields every field's round log (None once its run has
+    failed) and the fields (rows) whose run failed in that round, with
+    messages.  A failed row draws and observes nothing afterwards; the others
+    play on, unchanged by it.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    state = DasState.fresh(field.n_sensors)
-    cond = IncrementalConditioner(field.locations, params, field.noise_variance)
-    dual = DualState(cfg.psi0)
-    logs: list[AlohaRound] = []
+    first = fields[0]
+    if any(f.n_sensors != first.n_sensors or f.noise_variance != first.noise_variance
+           for f in fields):
+        raise ValueError("a seed batch needs fields of one size and noise variance")
+    cond = IncrementalConditioner(np.stack([f.locations for f in fields]), params,
+                                  first.noise_variance)
+    meas = np.stack([f.measurements for f in fields])
+    mask = np.zeros(meas.shape, dtype=bool)  # the one record of the uploads
+    psi = np.full(len(fields), float(cfg.psi0))
+    # a candidate policy reads each seed's uploads as a DasState
+    states = [DasState.fresh(first.n_sensors) for _ in fields] if candidate_policy else None
+    ended: set[int] = set()
     for _ in range(rounds):
-        if candidate_policy is not None:
-            cand = list(candidate_policy(field, state, rng))
-        elif state.remaining_index.size:
-            rem = state.remaining_index
-            k = min(cfg.candidates, rem.size)
-            cand = sorted(int(i) for i in rng.choice(rem, size=k, replace=False))
-        else:
-            cand = []
-        round_log, state, dual = simulate_round(cand, field, state, dual, cfg, cond, rng)
-        logs.append(round_log)
-    return logs
+        # each seed's sensors still waiting, ascending: rest[ends[s]:ends[s + 1]]
+        _, rest = (~mask).nonzero()
+        ends = [0, *np.cumsum(mask.shape[1] - mask.sum(axis=1)).tolist()]
+        cands = []
+        for s, rng in enumerate(rngs):
+            if s in ended:
+                cands.append([])
+            elif states:
+                cands.append([int(c) for c in candidate_policy(fields[s], states[s], rng)])
+            elif ends[s] < ends[s + 1]:
+                rem = rest[ends[s] : ends[s + 1]]
+                k = min(cfg.candidates, rem.size)
+                cands.append(sorted(rng.choice(rem, size=k, replace=False).tolist()))
+            else:
+                cands.append([])
+        logs, failed = _play_round(cands, meas, mask, psi, cfg, cond, rngs)
+        ended.update(failed)
+        for s in ended:
+            logs[s] = None
+        if states:
+            for s, log in enumerate(logs):
+                if log is not None:
+                    states[s] = states[s].with_uploads(log.successes, meas[s, log.successes])
+        yield logs, failed

@@ -16,6 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
@@ -165,7 +166,7 @@ class ExperimentConfig:
         return FieldSpec(kind, self.L, self.sigma_sq, self.T, self.csv_path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     seed: int
     round: int
@@ -174,7 +175,7 @@ class RunRecord:
     extra: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggRecord:
     metric: str
     round: int
@@ -399,17 +400,21 @@ def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]
             for mode in settings.modes:
                 metric = _aloha_metric(mode, settings, b, q)
                 cfg = settings.contention(b, q, mode)
-                for seed in config.seeds:
-                    try:
-                        rng = np.random.default_rng(seed)
-                        field = config.field_spec.build(rng)
-                        logs = aloha_mod.run_aloha(field, cfg, config.rounds, params, rng)
-                        for t, log in enumerate(logs, start=1):
-                            succ = "|".join(str(i) for i in log.successes)
-                            extra = f"succ={succ};psi={log.psi!r};k={int(log.activity.sum())}"
-                            records.append(RunRecord(seed, t, metric, log.sse, extra))
-                    except Exception as exc:  # noqa: BLE001 - reported per seed
-                        failures.append((seed, metric, str(exc)))
+                start, failed = len(records), {}
+                runs = aloha_mod.run_aloha_seeds(config.seeds, config.field_spec.build, cfg,
+                                                 config.rounds, params)
+                for seed, _, t, log in runs:
+                    if isinstance(log, ValueError):
+                        failed[seed] = str(log)
+                        continue
+                    succ = "|".join(map(str, log.successes))
+                    k = len(log.successes) + len(log.collided)  # the active count
+                    extra = f"succ={succ};psi={log.psi!r};k={k}"
+                    records.append(RunRecord(seed, t, metric, log.sse, extra))
+                if failed:  # reported per seed; a failed seed writes no records
+                    records[start:] = [r for r in records[start:] if r.seed not in failed]
+                    failures += [(seed, metric, failed[seed])
+                                 for seed in config.seeds if seed in failed]
             for seed in config.seeds:
                 for t in range(1, config.rounds + 1):
                     records.append(RunRecord(seed, t, bound_metric, bound, ""))
@@ -440,7 +445,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         records, failures = _run_aloha_records(config)
     else:
         records, failures = _run_das_records(config)
-    records.sort(key=lambda r: (r.seed, r.round, r.metric))
+    # Stable passes, least significant key first: the order of sorting by
+    # (seed, round, metric), without a key tuple per record.
+    for name in ("metric", "round", "seed"):
+        records.sort(key=attrgetter(name))
     return RunResult(records, aggregate(records), failures)
 
 

@@ -165,7 +165,7 @@ def posterior(
     """
     cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
     targets = cond.target_locations[n:]
-    v = cond._a[:n, n:]  # L^-1 K(O, T)
+    v = cond._a[0][:n, n:]  # L^-1 K(O, T)
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, cond.variance[n:])
@@ -217,6 +217,16 @@ class IncrementalConditioner:
     built only when :meth:`residual_variance` first needs it, and ``observe``
     then reads its rows, which are bit-identical.
 
+    Seed axis: given an (S, n, d) array, one instance carries S fields, each
+    with its own target locations, factor and observations, and ``mean`` and
+    ``variance`` have shape (S, n), so a batch reads every seed's posterior
+    at once; given (n, d) locations it carries one field and they have shape
+    (n,).  ``observe`` conditions one seed at a time, on that seed's own
+    rows, so each seed's numbers are bit-identical to a conditioner of its
+    own.  Each seed's factor grows on demand: on a batch 8 rows at a time, so
+    memory follows the seeds' uploads, and for one field by doubling from 64
+    rows.
+
     Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
     jitter of 1e-10 up to 1e-6 times the signal variance that avoids it;
@@ -224,54 +234,66 @@ class IncrementalConditioner:
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float):
-        targets = as_points(target_locs)
+        locs = np.asarray(target_locs, dtype=float)
+        batch = locs.ndim == 3
+        targets = as_points(locs.reshape(-1, locs.shape[-1]) if batch else locs)
         if not (noise_variance > 0 and math.isfinite(noise_variance)):
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+        n_seeds, n = locs.shape[:2] if batch else (1, targets.shape[0])
         self.params = params
         self.noise_variance = noise_variance
-        self.target_locations = targets
-        self._coords = np.ascontiguousarray(targets.T)  # (d, n): one row per coordinate
-        n = targets.shape[0]
-        self._prior = None  # K(targets, targets), built on demand
-        # Row t of _a is the t-th row of L^-1 K(obs, targets); _c is L^-1 y.
-        # Both get room for 64 rows at the first observation, then double.
-        self._a = np.empty((0, n))
-        self._c = np.empty(0)
-        self._n_obs = 0
-        self.mean = np.zeros(n)
-        self.variance = np.full(n, params.signal_variance)
+        self._batch = batch
+        self.target_locations = targets.reshape(locs.shape) if batch else targets
+        # (d, n), or (d, S, n) on a batch: one contiguous row per coordinate (and seed)
+        self._coords = np.ascontiguousarray(np.moveaxis(self.target_locations, -1, 0))
+        self._prior = None  # K(targets, targets) of a single field, built on demand
+        # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
+        # _c[s] is L^-1 y; _t[s] counts the rows in use.
+        self._a = [np.empty((0, n)) for _ in range(n_seeds)]
+        self._c = [np.empty(0) for _ in range(n_seeds)]
+        self._t = [0] * n_seeds
+        # Posterior means and variances, (S, n) on a batch and (n,) otherwise,
+        # updated in place.
+        shape = (n_seeds, n) if batch else (n,)
+        self.mean = np.zeros(shape)
+        self.variance = np.full(shape, params.signal_variance)
 
     @property
-    def n_observations(self) -> int:
-        return self._n_obs
+    def n_observations(self):
+        """Observations held: an int, or a tuple with one count per seed on a batch."""
+        return tuple(self._t) if self._batch else self._t[0]
 
-    def observe(self, index: int, value: float):
-        """Condition on a (noisy) measurement at target ``index``.
+    def observe(self, index: int, value: float, seed: int = 0):
+        """Condition seed ``seed`` (the only one of a one-field conditioner) on a
+        (noisy) measurement at its target ``index``.
 
         Raises ``ValueError``, leaving the conditioner unchanged, if even the
         largest pivot jitter leaves a variance below ``VARIANCE_CLAMP``.
         """
-        targets = self.target_locations
-        if not 0 <= index < targets.shape[0]:
+        if not 0 <= seed < len(self._t):
+            raise IndexError(f"seed {seed} out of range")
+        if self._batch:
+            coords, mean, old = self._coords[:, seed], self.mean[seed], self.variance[seed]
+        else:
+            coords, mean, old = self._coords, self.mean, self.variance
+        if not 0 <= index < old.shape[0]:
             raise IndexError(f"target index {index} out of range")
         if not math.isfinite(value):
             raise ValueError("observed value is not finite")
-        t = self._n_obs
-        if t == self._c.shape[0]:
-            extra = max(t, 64)
-            self._a = np.concatenate([self._a, np.empty((extra, targets.shape[0]))])
-            self._c = np.concatenate([self._c, np.empty(extra)])
-        if self._prior is None:  # targets are validated: skip gram's checks
-            k_row = _sq_exp(self._coords - self._coords[:, index, None], self.params)
-        else:
+        a, c, t = self._a[seed], self._c[seed], self._t[seed]
+        if t == c.shape[0]:
+            a, c = self._grow(seed)
+        if self._prior is not None:
             k_row = self._prior[index]
-        lvec = self._a[:t, index]
-        resid = k_row - lvec @ self._a[:t]
-        pivot = self.variance[index] + self.noise_variance
+        else:  # targets are validated: skip gram's checks
+            k_row = _sq_exp(coords - coords[:, index, None], self.params)
+        lvec = a[:t, index]
+        resid = k_row - lvec @ a[:t]
+        pivot = old[index] + self.noise_variance
         for jitter in _PIVOT_JITTER:
             d = math.sqrt(pivot + jitter * self.params.signal_variance)
             row = resid / d
-            variance = self.variance - row * row
+            variance = old - row * row
             low = variance.min()
             if low >= VARIANCE_CLAMP:
                 break
@@ -279,11 +301,21 @@ class IncrementalConditioner:
             raise ValueError(
                 f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
             )
-        self._a[t] = row
-        self._c[t] = (value - lvec @ self._c[:t]) / d
-        self._n_obs = t + 1
-        self.mean += row * self._c[t]
-        self.variance = np.maximum(variance, 0.0)
+        a[t] = row
+        c[t] = cj = (value - lvec @ c[:t]) / d
+        self._t[seed] = t + 1
+        mean += row * cj
+        np.maximum(variance, 0.0, out=old)
+
+    def _grow(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Seed ``s``'s full buffers, 8 rows longer on a batch and doubled (64 at
+        first) otherwise: a batch keeps many factors, so it holds each close to
+        its uploads, and one factor's copies stay a small share of its products."""
+        a, c = self._a[s], self._c[s]
+        extra = 8 if self._batch else max(c.shape[0], 64)
+        self._a[s] = np.concatenate([a, np.empty((extra, a.shape[1]))])
+        self._c[s] = np.concatenate([c, np.empty(extra)])
+        return self._a[s], self._c[s]
 
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
@@ -296,12 +328,15 @@ class IncrementalConditioner:
         this way: unit rows give the variance left at single targets, an
         application's weights the error variance of its output.  Value-free:
         the covariance of a Gaussian does not depend on the measurement.
+        A conditioner of one field only.
         """
+        if self._batch:
+            raise ValueError("residual_variance scores a conditioner of one field")
         w = np.atleast_2d(np.asarray(weights, dtype=float))
         cand = np.asarray(candidates, dtype=int)
         if self._prior is None:
             self._prior = gram(self.target_locations, self.target_locations, self.params)
-        a = self._a[: self._n_obs]
+        a = self._a[0][: self._t[0]]
         s = w @ self._prior - (w @ a.T) @ a  # rows of W Sigma
         wc, sc, dc = w[:, cand], s[:, cand], self.variance[cand]
         own = np.einsum("ij,ij->i", w, s)[:, None] - wc * (2.0 * sc - wc * dc)

@@ -18,7 +18,7 @@ from fieldsense.aloha import (
     contend,
     expected_throughput,
     per_sensor_success_probability,
-    run_aloha,
+    run_aloha_seeds,
     sse_lower_bound,
 )
 from fieldsense.das import DasState, estimate, run_das, select_max_variance
@@ -49,23 +49,31 @@ class AlohaCurves(NamedTuple):
 def aloha_mean_curves(mode, B, Q, n_seeds, rounds=40, L=200, sigma_sq=0.1, mu=0.5):
     """Round-by-round ALOHA outcomes over paired per-seed fields.
 
-    The floor replaces each non-uploaded candidate's prediction by its true
-    mean, so it sums that candidate's squared measurement noise; it reads the
-    same round logs and draws nothing from the generator.
+    Seeds 1..n_seeds play in lockstep batches, each exactly as its own
+    ``run_aloha`` on ``gen_random_sinusoid`` would.  The floor replaces each
+    non-uploaded candidate's prediction by its true mean, so it sums that
+    candidate's squared measurement noise; it reads the same round logs and
+    draws nothing from the generator.
     """
     curves = AlohaCurves(*(np.empty((n_seeds, rounds)) for _ in range(4)))
     cfg = AlohaConfig(channels=B, candidates=Q, mu=mu, psi0=0.0, mode=mode)
-    for i in range(n_seeds):
-        rng = np.random.default_rng(i + 1)
-        field = gen_random_sinusoid(L, 10, sigma_sq, rng)
-        noise_sq = (field.measurements - field.true_means) ** 2
-        logs = run_aloha(field, cfg, rounds, UNIT, rng)
-        for r, log in enumerate(logs):
-            missed = [c for c in log.candidates if c not in log.successes]
-            curves.sse[i, r] = log.sse
-            curves.active[i, r] = int(log.activity.sum())
-            curves.floor[i, r] = noise_sq[missed].sum()
-            curves.missed[i, r] = len(missed)
+    noise_sq = {}
+    runs = run_aloha_seeds(range(1, n_seeds + 1),
+                           lambda rng: gen_random_sinusoid(L, 10, sigma_sq, rng),
+                           cfg, rounds, UNIT)
+    for seed, field, t, log in runs:
+        if isinstance(log, Exception):
+            raise log
+        i, r = seed - 1, t - 1
+        if t == 1:
+            noise_sq[seed] = (field.measurements - field.true_means) ** 2
+        missed = [c for c in log.candidates if c not in log.successes]
+        curves.sse[i, r] = log.sse
+        curves.active[i, r] = int(log.activity.sum())
+        curves.floor[i, r] = noise_sq[seed][missed].sum()
+        curves.missed[i, r] = len(missed)
+        if t == rounds:
+            del noise_sq[seed]
     return curves
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldsense.gp
 from fieldsense.aloha import (
     MODES,
     AlohaConfig,
@@ -17,6 +18,7 @@ from fieldsense.aloha import (
     expected_throughput,
     per_sensor_success_probability,
     run_aloha,
+    run_aloha_seeds,
     simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,
@@ -468,6 +470,141 @@ class TestRunAlohaProperties:
             assert again.sse == log.sse
             np.testing.assert_allclose(log.predictions, ref.predictions, rtol=0, atol=1e-10)
             assert abs(log.sse - ref.sse) <= 1e-12
+
+
+def sinusoid(L):
+    return lambda rng: gen_random_sinusoid(L, 10, 0.1, rng)
+
+
+def by_seed(events):
+    """run_aloha_seeds' events as {seed: (field, [log, ...] or the error)}."""
+    out = {}
+    for seed, field, t, log in events:
+        _, logs = out.setdefault(seed, (field, []))
+        if isinstance(log, Exception):
+            out[seed] = (field, log)
+        else:
+            assert t == len(logs) + 1
+            logs.append(log)
+    return out
+
+
+def assert_logs_equal(got, want):
+    """Two runs' logs, equal bit for bit."""
+    for g, w in zip(got, want, strict=True):
+        assert g.candidates == w.candidates
+        assert g.successes == w.successes
+        assert g.collided == w.collided
+        for name in ("predictions", "errors", "probabilities", "activity", "channel_choice"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(w, name))
+        assert g.sse == w.sse
+        assert g.psi == w.psi
+
+
+class TestRunAlohaSeeds:
+    """A seed batch plays every seed as its own run_aloha would, bit for bit,
+    whatever its batch-mates do, across the in-flight bound (8 seeds)."""
+
+    @pytest.mark.parametrize("L,B,Q,mode,p_sleep", [
+        (200, 3, 10, "modified", 0.0),
+        (200, 5, 10, "conventional", 0.0),
+        (30, 4, 10, "modified", 0.3),  # seeds run dry in different rounds
+        (30, 4, 10, "conventional", 0.3),
+    ])
+    def test_each_seed_equals_its_own_run(self, L, B, Q, mode, p_sleep):
+        cfg = AlohaConfig(channels=B, candidates=Q, mode=mode, p_sleep=p_sleep)
+        seeds = range(1, 41)  # five full batches of 8
+        runs = by_seed(run_aloha_seeds(seeds, sinusoid(L), cfg, 40, UNIT))
+        assert list(runs) == list(seeds)
+        dry = set()
+        for seed, (field, logs) in runs.items():
+            rng = np.random.default_rng(seed)
+            own = gen_random_sinusoid(L, 10, 0.1, rng)
+            np.testing.assert_array_equal(field.measurements, own.measurements)
+            assert_logs_equal(logs, run_aloha(own, cfg, 40, UNIT, rng))
+            dry.add(next((t for t, log in enumerate(logs) if not log.candidates), None))
+        if L == 30:  # ragged batches: pools ran dry at different rounds
+            assert len(dry - {None}) > 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_from_scratch_loop(self, mode):
+        cfg = AlohaConfig(channels=4, candidates=10, mode=mode, p_sleep=0.3)
+        runs = by_seed(run_aloha_seeds(range(1, 37), sinusoid(30), cfg, 40, UNIT))
+        for seed, (field, logs) in runs.items():
+            rng = np.random.default_rng(seed)
+            want = oracle.run_aloha(gen_random_sinusoid(30, 10, 0.1, rng), cfg, 40, UNIT, rng)
+            for g, w in zip(logs, want, strict=True):
+                assert g.candidates == w.candidates
+                assert g.successes == w.successes
+                assert g.collided == w.collided
+                np.testing.assert_array_equal(g.activity, w.activity)
+                np.testing.assert_array_equal(g.channel_choice, w.channel_choice)
+                assert g.psi == w.psi
+                np.testing.assert_allclose(g.predictions, w.predictions, rtol=0, atol=1e-10)
+                assert abs(g.sse - w.sse) <= 1e-12
+
+    def test_failing_seed_leaves_its_batch_alone(self, monkeypatch):
+        cfg = AlohaConfig(channels=3, candidates=10, mode="modified")
+        make = sinusoid(60)
+        doomed = gen_random_sinusoid(60, 10, 0.1, np.random.default_rng(5)).locations
+        poisoned = fieldsense.gp.IncrementalConditioner
+        monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
+        with pytest.raises(ValueError, match="below round-off") as alone:
+            rng = np.random.default_rng(5)
+            run_aloha(make(rng), cfg, 40, UNIT, rng)
+        monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
+        runs = by_seed(run_aloha_seeds(range(1, 9), make, cfg, 40, UNIT))
+        field, error = runs.pop(5)
+        assert isinstance(error, ValueError) and str(error) == str(alone.value)
+        monkeypatch.undo()
+        clean = by_seed(run_aloha_seeds([1, 2, 3, 4, 6, 7, 8], make, cfg, 40, UNIT))
+        assert list(runs) == list(clean)
+        for seed in runs:
+            assert_logs_equal(runs[seed][1], clean[seed][1])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        L=st.integers(1, 60),
+        B=st.integers(1, 6),
+        Q=st.integers(1, 12),
+        psi0=st.integers(-20, 20),
+        rounds=st.integers(1, 30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sleep_near_one_lets_psi_fall_by_mu_b(self, seed, L, B, Q, psi0, rounds):
+        # every candidate is dormant, so K = 0 and psi falls by mu * B a round;
+        # with mu = 0.5 and psi0 a multiple of 1/2 every step is exact
+        cfg = AlohaConfig(channels=B, candidates=Q, p_sleep=float(np.nextafter(1.0, 0.0)),
+                          mu=0.5, psi0=psi0 / 2, mode="modified")
+        rng = np.random.default_rng(seed)
+        alone = run_aloha(gen_random_sinusoid(L, 10, 0.1, rng), cfg, rounds, UNIT, rng)
+        batch = by_seed(run_aloha_seeds([seed, seed + 1], sinusoid(L), cfg, rounds, UNIT))
+        for logs in (alone, batch[seed][1], batch[seed + 1][1]):
+            for r, log in enumerate(logs, start=1):
+                assert len(log.candidates) == min(Q, L)
+                assert not log.activity.any() and log.successes == []
+                assert log.psi == cfg.psi0 - (r - 1) * cfg.mu * B
+        assert_logs_equal(alone, batch[seed][1])
+
+
+def poisoning_observe(locations, at):
+    """IncrementalConditioner.observe that, on the ``at``-th observation of
+    the field at ``locations`` (counted over every conditioner, so use one per
+    run), first zeroes that field's variance at the observed target, so the
+    real update fails for that field alone."""
+    real = fieldsense.gp.IncrementalConditioner.observe
+    calls = [0]
+
+    def observe(self, index, value, seed=0):
+        locs = self.target_locations
+        field = locs[seed] if locs.ndim == 3 else locs
+        if np.array_equal(field, locations):
+            calls[0] += 1
+            if calls[0] == at:
+                self.variance.reshape(-1, self.variance.shape[-1])[seed, index] = 0.0
+        return real(self, index, value, seed)
+
+    return observe
 
 
 class TestAlohaConfigValidation:

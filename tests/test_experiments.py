@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import fieldsense.gp
 from fieldsense.cli import main
 from fieldsense.experiments import (
     PRESETS,
@@ -23,6 +24,8 @@ from fieldsense.experiments import (
     read_records_csv,
     run_experiment,
 )
+
+from test_aloha import poisoning_observe
 
 
 def small_das_mapping(**overrides):
@@ -171,6 +174,38 @@ class TestRunExperiment:
         assert result.records == []
         assert len(result.failures) == 3
         assert all(label == "app-weighted" for _, label, _ in result.failures)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(L="200", B="1,5", Q="10", rounds="40"),  # fig7's field and grid ends
+        dict(L="30", B="4", Q="10", p_sleep="0.3", rounds="40"),  # pools run dry unevenly
+    ], ids=["fig7-grid", "sleep-exhaustion"])
+    def test_aloha_seed_batches_partition(self, overrides):
+        # 1..40 plays five full batches of 8 seeds; the parts play one batch
+        # of 7, two of 8, and three (of 5, 6 and 6)
+        def records(seeds):
+            return run_experiment(config_from_mapping(small_aloha_mapping(
+                seeds=seeds, **overrides))).records
+
+        key = lambda r: (r.seed, r.round, r.metric)  # noqa: E731
+        whole = records("1..40")
+        parts = records("1..7") + records("8..23") + records("24..40")
+        assert len(whole) == 40 * 40 * 3 * len(overrides["B"].split(","))
+        assert sorted(whole, key=key) == sorted(parts, key=key)
+
+    def test_failed_aloha_seed_leaves_the_others_records_alone(self, monkeypatch):
+        mapping = small_aloha_mapping(L="60", rounds="40", mode="modified", seeds="1..9")
+        doomed = config_from_mapping(mapping).field_spec.build(np.random.default_rng(4))
+        monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
+                            poisoning_observe(doomed.locations, at=3))
+        hit = run_experiment(config_from_mapping(mapping))
+        monkeypatch.undo()
+        clean = run_experiment(config_from_mapping({**mapping, "seeds": "1,2,3,5,6,7,8,9"}))
+        assert len(hit.failures) == 1
+        seed, label, message = hit.failures[0]
+        assert (seed, label) == (4, "sse.modified") and "below round-off" in message
+        # seed 4 keeps only its bound records; everything else is unchanged
+        assert [r for r in hit.records if r.seed != 4] == clean.records
+        assert {r.metric for r in hit.records if r.seed == 4} == {"sse.lower-bound"}
 
     def test_csv_experiment_holdout_metric(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -74,6 +74,27 @@ def test_peak_memory(body, limit_mb):
     assert peak < limit_mb, f"peak RSS {peak:.0f} MB"
 
 
+SEED_BATCH = """
+    from fieldsense.aloha import AlohaConfig, run_aloha_seeds
+    from fieldsense.fields import gen_random_sinusoid
+    from fieldsense.gp import KernelParams
+    cfg = AlohaConfig(channels=5, candidates=10, mode="conventional")  # fig7's largest cell
+    runs = run_aloha_seeds(range(1, {seeds} + 1),
+                           lambda rng: gen_random_sinusoid(200, 10, 0.1, rng), cfg, 40,
+                           KernelParams())
+    total = sum(log.sse for _, _, _, log in runs)
+"""
+
+
+def test_seed_batch_memory_follows_the_in_flight_bound():
+    # A seed batch holds each seed's factor (about 80 uploads x 200 sensors
+    # here), but only for the 8 seeds in flight: forty batches peak where one
+    # does, where all 320 seeds at once would need some 40 MB more.
+    one = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=8)) + textwrap.dedent(PEAK_MB)))
+    many = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=320)) + textwrap.dedent(PEAK_MB)))
+    assert many - one < 2, f"peak RSS {many:.1f} MB over 320 seeds, {one:.1f} MB over 8"
+
+
 def test_cli_import_leaves_scipy_out():
     out = run_fresh("""
         import sys

@@ -398,6 +398,65 @@ class TestIncrementalConditioner:
         assert np.all(cond.variance >= 0.0)
 
 
+class TestSeedAxis:
+    """A conditioner over S fields holds, for every seed, exactly the numbers a
+    conditioner of that field alone holds, bit for bit."""
+
+    @staticmethod
+    def assert_seeds_match(batch, singles):
+        for s, single in enumerate(singles):
+            np.testing.assert_array_equal(batch.mean[s], single.mean)
+            np.testing.assert_array_equal(batch.variance[s], single.variance)
+        assert batch.n_observations == tuple(single.n_observations for single in singles)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_matches_one_conditioner_per_field(self, d):
+        rng = np.random.default_rng(30 + d)
+        locs = rng.uniform(0, 5, size=(5, 40, d))
+        batch = IncrementalConditioner(locs, UNIT, 0.05)
+        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        assert batch.mean.shape == batch.variance.shape == (5, 40)
+        picked = [list(rng.permutation(40)) for _ in range(5)]
+        for _ in range(60):  # seeds in any order, some far ahead of others
+            s = int(rng.integers(5) if rng.random() < 0.5 else rng.integers(2))
+            i, v = picked[s].pop(), float(rng.normal())
+            batch.observe(i, v, s)
+            singles[s].observe(i, v)
+            self.assert_seeds_match(batch, singles)
+
+    def test_failing_seed_is_left_unchanged(self):
+        rng = np.random.default_rng(40)
+        locs = rng.uniform(0, 5, size=(3, 12, 1))
+        batch = IncrementalConditioner(locs, UNIT, 0.1)
+        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        for s in range(3):
+            batch.observe(s + 1, 0.4, s)
+            singles[s].observe(s + 1, 0.4)
+        # an understated variance at seed 1's next target overshoots its update
+        batch.variance[1, 7] = singles[1].variance[7] = 0.0
+        with pytest.raises(ValueError, match="below round-off") as want:
+            singles[1].observe(7, 0.2)
+        with pytest.raises(ValueError, match="below round-off") as got:
+            batch.observe(7, 0.2, 1)
+        assert str(got.value) == str(want.value)
+        for s in (0, 2):
+            batch.observe(7, 0.2, s)
+            singles[s].observe(7, 0.2)
+        self.assert_seeds_match(batch, singles)
+
+    def test_rejects_bad_input(self):
+        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        with pytest.raises(IndexError, match="seed"):
+            batch.observe(1, 0.5, 3)
+        with pytest.raises(IndexError, match="target"):
+            batch.observe(4, 0.5, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            batch.observe(1, np.nan, 1)
+        assert batch.n_observations == (0, 0, 0)
+        with pytest.raises(ValueError, match="one field"):
+            batch.residual_variance(np.ones((1, 4)), [0, 1])
+
+
 class TestKernelRow:
     """The kernel sums squared coordinate differences one coordinate at a time;
     for the few coordinates a location has, that is the left-to-right sum the
