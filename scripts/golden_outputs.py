@@ -14,7 +14,9 @@ holdout records:
 
 - ``das-select.cfg`` at seeds 1..20 and ``das-large.cfg`` at seeds 1..2
   (the benchmark's DAS workloads);
-- ``das --preset fig2|fig3|fig4`` at seeds 1..5;
+- ``das --preset fig2|fig3|fig4`` at seeds 1..5, and fig4 again at seeds
+  1..40, which span several seed batches;
+- ``das-select.cfg`` at seeds 20,3,9,1: out of order and not contiguous;
 - ``aloha --preset fig6|fig7|fig8`` at seeds 1..30;
 - das-csv on 120 stations from ``make_station_csv.py``, max-variance, random
   and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3;
@@ -64,6 +66,9 @@ def cases():
                         "--seed", "1..2"]
     for fig in ("fig2", "fig3", "fig4"):
         yield fig, ["das", "--preset", fig, "--seed", "1..5"]
+    yield "fig4-batches", ["das", "--preset", "fig4", "--seed", "1..40"]
+    yield "das-select-scattered", ["das", "--config", str(WORKLOADS / "das-select.cfg"),
+                                   "--seed", "20,3,9,1"]
     for fig in ("fig6", "fig7", "fig8"):
         yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]

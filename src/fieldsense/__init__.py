@@ -39,6 +39,7 @@ from .das import (
     FieldEstimate,
     estimate,
     run_das,
+    run_das_seeds,
     select_max_variance,
     select_random,
     select_virtual_target,

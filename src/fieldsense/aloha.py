@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState
+from .das import DasState, play_seed_batches
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
@@ -379,18 +379,8 @@ def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: Ke
     A seed whose run fails yields ``(seed, field, t, error)`` with the
     ``ValueError`` instead, and nothing after it; the others play on.
     """
-    seeds = list(seeds)
-    n_batches = -(-len(seeds) // _IN_FLIGHT)
-    for i in range(n_batches):
-        batch = seeds[i * len(seeds) // n_batches : (i + 1) * len(seeds) // n_batches]
-        rngs = [np.random.default_rng(seed) for seed in batch]
-        fields = [make_field(rng) for rng in rngs]
-        for t, (logs, failed) in enumerate(_play(fields, rngs, cfg, rounds, params), start=1):
-            for row, (seed, field, log) in enumerate(zip(batch, fields, logs)):
-                if row in failed:
-                    yield seed, field, t, ValueError(failed[row])
-                elif log is not None:
-                    yield seed, field, t, log
+    return play_seed_batches(seeds, make_field, lambda field: _IN_FLIGHT,
+                             lambda fields, rngs: _play(fields, rngs, cfg, rounds, params))
 
 
 def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,

@@ -106,9 +106,8 @@ def select_weighted_sum(
     if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
     weights[:, state.mask] = 0.0  # uploaded entries carry no error
-    return _min_residual_pick(
-        _conditioner(field, state, params), state.remaining_index, weights, betas
-    )
+    cond = _conditioner(field, state, params)
+    return int(_min_residual_pick(cond, state.remaining_index[None], weights, betas)[0])
 
 
 def select_max_value_app(

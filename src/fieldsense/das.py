@@ -1,21 +1,22 @@
 """Round-by-round data-aided sensing: one sensor uploads per round, chosen so
 the reconstruction of the whole field improves as fast as possible.
 
-The round state is one array record of the uploads (an upload mask, the
-upload order and the measured values), so a round costs one mask copy and
-one append, and the loop indexes the conditioner with the ascending array of
-sensors still missing.  The field estimate
-copies uploaded measurements verbatim and fills the rest with GP posterior
-means; its MSE is the sum of the posterior variances of the sensors still
-missing.  Selection policies pick the largest current variance (which
-minimizes next-round MSE in Lemma 1's sense: the current variances minus the
-picked sensor's own term), pick by uniform chance, or minimize the variance
-left at virtual target locations or in application outputs.  All of them
-score every candidate at once from one incremental conditioner, by the
-rank-one update the candidate's upload would make to the posterior
-covariance.
+The round loop plays a batch of seeds in lockstep on one conditioner with a
+seed axis; a run of one field is the batch of one.  Its round state is one
+array record of the batch's uploads (an (S, n) upload mask, the upload order
+and the measured values), and it indexes the conditioner with each seed's
+ascending array of sensors still missing.  The field estimate copies
+uploaded measurements verbatim and fills the rest with GP posterior means;
+its MSE is the sum of the posterior variances of the sensors still missing.
+Selection policies pick the largest current variance (which minimizes
+next-round MSE in Lemma 1's sense: the current variances minus the picked
+sensor's own term), pick by uniform chance, or minimize the variance left at
+virtual target locations or in application outputs.  All of them score
+every candidate of every seed at once from the conditioner, by the rank-one
+update the candidate's upload would make to the posterior covariance.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ from .gp import IncrementalConditioner, KernelParams, as_points
 _QUANTUM = 1e-12
 
 POLICIES = ("max-variance", "random", "app-weighted", "virtual")
+
+# Most seeds run_das_seeds plays at once, and the most bytes the factors and
+# priors of a batch may hold together.  A small field's round is mostly
+# numpy call overhead, which a batch pays once; a large field's is its own
+# O(t * L) products, which batching does not share, so it plays alone and
+# memory stays that of one seed.
+_IN_FLIGHT = 8
+_BATCH_BYTES = 4 * 2**20
 
 
 def quantize(values):
@@ -188,20 +197,31 @@ def _conditioner(field: SensorField, state: DasState, params: KernelParams,
                  extra_locs=None) -> IncrementalConditioner:
     """Conditioner over the sensors (then ``extra_locs``) holding ``state``'s uploads."""
     targets = field.locations if extra_locs is None else np.vstack([field.locations, extra_locs])
-    cond = IncrementalConditioner(targets, params, field.noise_variance)
+    cond = IncrementalConditioner(targets, params, field.noise_variance,
+                                  capacity=state.order.size)
     for idx, value in zip(state.order.tolist(), state.values.tolist()):
         cond.observe(idx, value)
     return cond
 
 
-def _max_variance_pick(cond: IncrementalConditioner, rem: np.ndarray) -> int:
-    return int(rem[int(np.argmax(quantize(cond.variance[rem])))])
+def _at(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``arr[s, idx[s]]`` for every row s: each seed's entries of an (S, n) array."""
+    return arr.take(idx + np.arange(0, arr.size, arr.shape[1])[:, None])
 
 
-def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights, betas) -> int:
-    """Candidate minimizing the beta-weighted residual variance of the weight rows."""
+def _max_variance_pick(cond: IncrementalConditioner, rem: np.ndarray) -> np.ndarray:
+    """For each row of ``rem`` (S, m), one seed's candidates, the one with the
+    largest quantized variance on ``cond``; ties go to the lowest index."""
+    var = _at(cond.variance.reshape(rem.shape[0], -1), rem)
+    return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
+
+
+def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights,
+                       betas) -> np.ndarray:
+    """For each row of ``rem`` (S, m), the candidate minimizing the beta-weighted
+    residual variance of that seed's weight rows; ties go to the lowest index."""
     scores = betas @ cond.residual_variance(weights, rem)
-    return int(rem[int(np.argmin(quantize(scores)))])
+    return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
 
 
 def _app_rows(weights, betas, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +246,8 @@ def select_max_variance(field: SensorField, state: DasState, params: KernelParam
     state.check_against(field)
     if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
-    return _max_variance_pick(_conditioner(field, state, params), state.remaining_index)
+    cond = _conditioner(field, state, params)
+    return int(_max_variance_pick(cond, state.remaining_index[None])[0])
 
 
 def select_random(state: DasState, rng: np.random.Generator) -> int:
@@ -263,7 +284,7 @@ def select_virtual_target(
         raise ValueError("no sensors remaining")
     virtual, rows = _virtual_rows(field, virtual_locs)
     cond = _conditioner(field, state, params, virtual)
-    return _min_residual_pick(cond, state.remaining_index, rows, np.ones(len(rows)))
+    return int(_min_residual_pick(cond, state.remaining_index[None], rows, np.ones(len(rows)))[0])
 
 
 @dataclass
@@ -293,46 +314,175 @@ def run_das(
     ``(weights, betas)`` the app-weighted policy needs: one weight row per
     application over the sensors, and the positive betas that sum their
     output MSEs.  One incremental conditioner carries the posterior and
-    scores every policy.
+    scores every policy.  This runs the round loop of :func:`run_das_seeds`
+    on a batch of one field.
     """
-    n = field.n_sensors
+    if policy == "random" and rng is None:
+        rng = np.random.default_rng()
+    logs = []
+    for (log,), failed in _play([field], [rng], policy, rounds, params, virtual_locs,
+                                log_estimates, apps):
+        if failed:
+            raise ValueError(failed[0])
+        logs.append(log)
+    return logs
+
+
+def run_das_seeds(seeds, make_field, policy, rounds: int, params: KernelParams,
+                  virtual_locs=None, log_estimates: bool = False, apps=None):
+    """:func:`run_das` for every seed, the seeds played in lockstep batches.
+
+    Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
+    builds its field through ``make_field(rng)`` and then draws the random
+    policy's picks, exactly as a run of its own would, so every seed's logs
+    are bit-identical to its own :func:`run_das`.  The fields must share
+    their number of sensors and noise variance.  A batch holds at most 8
+    seeds, and fewer where their factors (``rounds`` rows over the targets
+    each) and, for the scored policies, their priors (targets squared) would
+    pass 4 MB together, so a large field plays one seed at a time; batches
+    are of near-equal size.
+
+    Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
+    seed, round by round through a batch, seeds in order within a round.
+    A seed whose run fails yields ``(seed, field, t, error)`` with the
+    ``ValueError`` instead, and nothing after it; the others play on.
+    """
+    def in_flight(field: SensorField) -> int:
+        n = field.n_sensors
+        if policy == "virtual" and virtual_locs is not None:
+            n += as_points(virtual_locs, dim=field.dim).shape[0]
+        scored = policy in ("app-weighted", "virtual")
+        per_seed = 8 * n * (rounds + (n if scored else 0))
+        return max(1, min(_IN_FLIGHT, _BATCH_BYTES // per_seed))
+
+    return play_seed_batches(seeds, make_field, in_flight, lambda fields, rngs: _play(
+        fields, rngs, policy, rounds, params, virtual_locs, log_estimates, apps))
+
+
+def play_seed_batches(seeds, make_field, in_flight, play):
+    """Play every seed's run, the seeds in lockstep batches, and yield its rounds.
+
+    Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
+    builds its field through ``make_field(rng)``.  ``in_flight(field)``,
+    given the first seed's field, bounds the seeds of a batch, so memory
+    follows that number, not the number of seeds; the batches are of
+    near-equal size, so none pays a round's shared cost for a few seeds.
+    ``play(fields, rngs)`` plays one batch: after each round it yields every
+    field's log (None once its run has failed) and the fields (rows) whose
+    run failed in that round, with messages.
+
+    Yields ``(seed, field, t, log)`` for each round t of each seed, round by
+    round through a batch, seeds in order within a round.  A seed whose run
+    fails yields ``(seed, field, t, error)`` with the ``ValueError`` instead,
+    and nothing after it.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return
+    made = ((rng, make_field(rng)) for rng in map(np.random.default_rng, seeds))
+    first = next(made)
+    made = itertools.chain([first], made)
+    n_batches = -(-len(seeds) // in_flight(first[1]))
+    for i in range(n_batches):
+        batch = seeds[i * len(seeds) // n_batches : (i + 1) * len(seeds) // n_batches]
+        rngs, fields = map(list, zip(*itertools.islice(made, len(batch))))
+        for t, (logs, failed) in enumerate(play(fields, rngs), start=1):
+            for row, (seed, field, log) in enumerate(zip(batch, fields, logs)):
+                if row in failed:
+                    yield seed, field, t, ValueError(failed[row])
+                elif log is not None:
+                    yield seed, field, t, log
+
+
+def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=None,
+          log_estimates: bool = False, apps=None):
+    """Play ``rounds`` rounds of ``policy`` on each field with its generator, all
+    fields at once.
+
+    One conditioner with a seed axis carries every field's posterior, each
+    factor sized to ``rounds`` rows; max-variance and the scored policies
+    pick for the whole batch at once, the random and callable policies seed
+    by seed.  After each round, yields every field's round log (None once
+    its run has failed) and the fields (rows) whose run failed in that
+    round, with messages.  A failed row observes nothing afterwards; its
+    picks go on, unlogged, so the rows keep one length of sensors left, and
+    the others play on, unchanged by it.
+    """
+    first = fields[0]
+    n = first.n_sensors
     if not 1 <= rounds <= n:
         raise ValueError(f"rounds must be in [1, {n}], got {rounds}")
     if isinstance(policy, str) and policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if policy == "random" and rng is None:
-        rng = np.random.default_rng()
-    virtual = None
+    if any(f.n_sensors != n or f.noise_variance != first.noise_variance for f in fields):
+        raise ValueError("a seed batch needs fields of one size and noise variance")
+    n_seeds = len(fields)
+    targets = np.stack([f.locations for f in fields])
     if policy == "virtual":
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
-        virtual, rows = _virtual_rows(field, virtual_locs)
-        betas = np.ones(len(rows))
+        virtual, weights = _virtual_rows(first, virtual_locs)
+        targets = np.concatenate(
+            [targets, np.broadcast_to(virtual, (n_seeds, *virtual.shape))], axis=1)
+        betas = np.ones(len(weights))
     elif policy == "app-weighted":
         if apps is None:
             raise ValueError("app-weighted policy needs apps")
         rows, betas = _app_rows(*apps, n)
+        weights = np.repeat(rows[None], n_seeds, axis=0)  # each seed zeroes its own uploads
 
-    state = DasState.fresh(n)
-    cond = _conditioner(field, state, params, virtual)
-    logs: list[DasRound] = []
-    for _ in range(rounds):
-        rem = state.remaining_index
+    cond = IncrementalConditioner(targets, params, first.noise_variance, capacity=rounds)
+    meas = np.stack([f.measurements for f in fields])
+    # The one record of the uploads: which sensors, in what order, what values.
+    mask = np.zeros((n_seeds, n), dtype=bool)
+    order = np.zeros((n_seeds, rounds), dtype=int)
+    values = np.zeros((n_seeds, rounds))
+    seeds = np.arange(n_seeds)
+    rem = np.broadcast_to(np.arange(n), (n_seeds, n))  # each row's sensors still waiting
+    ended: set[int] = set()
+    for t in range(rounds):
         if callable(policy):
-            idx = int(policy(field, state, params, rng))
+            picks = np.array([rem[s, 0] if s in ended else _called_pick(
+                policy, fields[s], params, rngs[s], mask[s], order[s, :t], values[s, :t])
+                for s in range(n_seeds)])
         elif policy == "random":
-            idx = select_random(state, rng)
+            picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
+                              for s, rng in enumerate(rngs)])
         elif policy == "max-variance":
-            idx = _max_variance_pick(cond, rem)
+            picks = _max_variance_pick(cond, rem)
         else:
-            idx = _min_residual_pick(cond, rem, rows, betas)
-        value = float(field.measurements[idx])
-        state = state.with_uploads([idx], [value])
-        cond.observe(idx, value)
+            picks = _min_residual_pick(cond, rem, weights, betas)
+        measured = meas[seeds, picks]
+        mask[seeds, picks] = True
+        order[:, t] = picks
+        values[:, t] = measured
+        failed: dict[int, str] = {}
+        for s, (idx, value) in enumerate(zip(picks.tolist(), measured.tolist())):
+            if s not in ended:
+                try:
+                    cond.observe(idx, value, s)
+                except ValueError as exc:  # this seed's run ends here; the others go on
+                    failed[s] = str(exc)
+        ended.update(failed)
         if policy == "app-weighted":
-            rows[:, idx] = 0.0  # an uploaded entry carries no error
-        left = state.remaining_index
-        var = cond.variance[left]
-        est = _pack_estimate(field, left, cond.mean[left], var) if log_estimates else None
-        logs.append(DasRound(state.round, idx, float(np.sum(var)), est))
-    return logs
+            weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error
+        rem = np.flatnonzero(~mask).reshape(n_seeds, n - t - 1) - seeds[:, None] * n
+        var = _at(cond.variance, rem)
+        logs = []
+        for s, (idx, mse) in enumerate(zip(picks.tolist(), var.sum(axis=1).tolist())):
+            est = None
+            if log_estimates and s not in ended:
+                est = _pack_estimate(fields[s], rem[s], cond.mean[s, rem[s]], var[s])
+            logs.append(None if s in ended else DasRound(t + 1, idx, mse, est))
+        yield logs, failed
+
+
+def _called_pick(policy, field: SensorField, params: KernelParams, rng, mask, order,
+                 values) -> int:
+    """A callable policy's pick for one seed, given that seed's row of the
+    upload record as a :class:`DasState`, checked against its uploads."""
+    state = DasState._of(mask.copy(), order.copy(), values.copy(), order.size)
+    idx = int(policy(field, state, params, rng))
+    if not 0 <= idx < state.n_sensors or state.mask[idx]:
+        raise ValueError(f"sensor {idx} is not awaiting upload")
+    return idx

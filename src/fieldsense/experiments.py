@@ -130,6 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        _check_seeds(self.seeds)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if (self.aloha is not None) != (self.experiment == "aloha"):
@@ -211,7 +212,11 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def parse_seeds(spec: str) -> tuple[int, ...]:
-    """Seed spec: a single integer, 'a..b' (inclusive), or a comma list."""
+    """Seed spec: a single integer, 'a..b' (inclusive), or a comma list.
+
+    Seeds are non-negative and distinct: each names one run, and a batch
+    reports its failures by seed.
+    """
     spec = str(spec).strip()
     try:
         if ".." in spec:
@@ -219,12 +224,25 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ConfigError(f"empty seed range {spec!r}")
-            return tuple(range(lo, hi + 1))
-        if "," in spec:
-            return tuple(int(s) for s in spec.split(","))
-        return (int(spec),)
+            seeds = tuple(range(lo, hi + 1))
+        elif "," in spec:
+            seeds = tuple(int(s) for s in spec.split(","))
+        else:
+            seeds = (int(spec),)
     except ValueError:
         raise ConfigError(f"bad seed spec {spec!r}") from None
+    _check_seeds(seeds)
+    return seeds
+
+
+def _check_seeds(seeds):
+    seen = set()
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seed {seed} is negative; seeds are non-negative integers")
+        if seed in seen:
+            raise ConfigError(f"seed {seed} is repeated; each seed names one run")
+        seen.add(seed)
 
 
 def _parse_points(spec: str) -> tuple[tuple[float, ...], ...]:
@@ -339,35 +357,39 @@ def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
     spec = config.field_spec
     # csv fields are the same for every seed; parse once
     csv_field = load_csv(spec.path, spec.noise_variance) if spec.kind == "csv" else None
-    want_holdout = spec.kind == "csv"
+    make_field = spec.build if csv_field is None else (lambda rng: csv_field)
+    n_sensors = config.L if csv_field is None else csv_field.n_sensors
+    rounds = min(config.rounds, n_sensors)
+    want_holdout = csv_field is not None
     for policy in config.policies:
-        for seed in config.seeds:
-            try:
-                rng = np.random.default_rng(seed)
-                field = csv_field if csv_field is not None else spec.build(rng)
-                rounds = min(config.rounds, field.n_sensors)
-                apps = None
-                if policy == "app-weighted":
-                    weights = [app.weights for app in _build_apps(config, field.n_sensors)]
-                    apps = (weights, config.betas)
-                logs = das_mod.run_das(
-                    field, policy, rounds, params, rng=rng,
-                    virtual_locs=config.virtual, log_estimates=want_holdout,
-                    apps=apps,
-                )
-                for log in logs:
-                    records.append(RunRecord(
-                        seed, log.round, f"mse.{policy}", log.mse,
-                        f"selected={log.selected}",
-                    ))
-                    if want_holdout:
-                        records.append(RunRecord(
-                            seed, log.round, f"holdout-mse.{policy}",
-                            _holdout_mse(field, log.estimate),
-                            f"selected={log.selected}",
-                        ))
-            except Exception as exc:  # noqa: BLE001 - reported per seed
-                failures.append((seed, policy, str(exc)))
+        start, failed, done = len(records), {}, set()
+        try:
+            apps = None
+            if policy == "app-weighted":
+                apps = ([app.weights for app in _build_apps(config, n_sensors)], config.betas)
+            runs = das_mod.run_das_seeds(
+                config.seeds, make_field, policy, rounds, params,
+                virtual_locs=config.virtual, log_estimates=want_holdout, apps=apps,
+            )
+            for seed, field, t, log in runs:
+                if isinstance(log, ValueError):
+                    failed[seed] = str(log)
+                    continue
+                extra = f"selected={log.selected}"
+                records.append(RunRecord(seed, t, f"mse.{policy}", log.mse, extra))
+                if want_holdout:
+                    records.append(RunRecord(seed, t, f"holdout-mse.{policy}",
+                                             _holdout_mse(field, log.estimate), extra))
+                if t == rounds:
+                    done.add(seed)
+        except Exception as exc:  # noqa: BLE001 - reported for every seed it stopped
+            for seed in config.seeds:
+                if seed not in done:
+                    failed.setdefault(seed, str(exc))
+        if failed:  # reported per seed; a failed seed writes no records
+            records[start:] = [r for r in records[start:] if r.seed not in failed]
+            failures += [(seed, policy, failed[seed])
+                         for seed in config.seeds if seed in failed]
     return records, failures
 
 

@@ -141,7 +141,8 @@ def _condition(observed_locs, observed_values, target_locs, params: KernelParams
         raise ValueError(
             f"{obs.shape[0]} observed locations but {values.shape[0]} values"
         )
-    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance)
+    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance,
+                                  capacity=obs.shape[0])
     for i, value in enumerate(values):
         cond.observe(i, float(value))
     return cond, obs.shape[0]
@@ -213,9 +214,9 @@ class IncrementalConditioner:
     current at O(n_obs * n_targets) cost and memory per round.  ``observe``
     computes the one kernel row it needs, from a coordinate-major copy of the
     targets (one contiguous row per coordinate), so that row is the
-    matrix-vector product's minor cost; the full target kernel matrix is
-    built only when :meth:`residual_variance` first needs it, and ``observe``
-    then reads its rows, which are bit-identical.
+    matrix-vector product's minor cost; the target kernel matrix is built
+    only when :meth:`residual_variance` first needs it, and ``observe`` then
+    reads its rows, which are bit-identical.
 
     Seed axis: given an (S, n, d) array, one instance carries S fields, each
     with its own target locations, factor and observations, and ``mean`` and
@@ -223,9 +224,13 @@ class IncrementalConditioner:
     at once; given (n, d) locations it carries one field and they have shape
     (n,).  ``observe`` conditions one seed at a time, on that seed's own
     rows, so each seed's numbers are bit-identical to a conditioner of its
-    own.  Each seed's factor grows on demand: on a batch 8 rows at a time, so
-    memory follows the seeds' uploads, and for one field by doubling from 64
-    rows.
+    own, and :meth:`residual_variance` scores every seed at once.
+
+    ``capacity`` sizes each seed's factor up front: a caller that knows how
+    many observations a seed takes (the DAS loop takes one per round)
+    allocates them once.  Past it a factor grows on demand: on a batch 8 rows
+    at a time, so memory follows the seeds' uploads, and for one field by
+    doubling from 64 rows.
 
     Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
@@ -233,12 +238,15 @@ class IncrementalConditioner:
     if none does, ``observe`` raises.
     """
 
-    def __init__(self, target_locs, params: KernelParams, noise_variance: float):
+    def __init__(self, target_locs, params: KernelParams, noise_variance: float,
+                 capacity: int = 0):
         locs = np.asarray(target_locs, dtype=float)
         batch = locs.ndim == 3
         targets = as_points(locs.reshape(-1, locs.shape[-1]) if batch else locs)
         if not (noise_variance > 0 and math.isfinite(noise_variance)):
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+        if capacity < 0:
+            raise ValueError(f"capacity must be nonnegative, got {capacity}")
         n_seeds, n = locs.shape[:2] if batch else (1, targets.shape[0])
         self.params = params
         self.noise_variance = noise_variance
@@ -246,11 +254,13 @@ class IncrementalConditioner:
         self.target_locations = targets.reshape(locs.shape) if batch else targets
         # (d, n), or (d, S, n) on a batch: one contiguous row per coordinate (and seed)
         self._coords = np.ascontiguousarray(np.moveaxis(self.target_locations, -1, 0))
-        self._prior = None  # K(targets, targets) of a single field, built on demand
+        self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
-        # _c[s] is L^-1 y; _t[s] counts the rows in use.
-        self._a = [np.empty((0, n)) for _ in range(n_seeds)]
-        self._c = [np.empty(0) for _ in range(n_seeds)]
+        # _c[s] is L^-1 y; _t[s] counts the rows in use.  While every seed's
+        # rows fit, _a[s] is _block[s]; rows no seed has written are zero.
+        self._block = np.zeros((n_seeds, capacity, n))
+        self._a = list(self._block)
+        self._c = list(np.zeros((n_seeds, capacity)))
         self._t = [0] * n_seeds
         # Posterior means and variances, (S, n) on a batch and (n,) otherwise,
         # updated in place.
@@ -284,7 +294,7 @@ class IncrementalConditioner:
         if t == c.shape[0]:
             a, c = self._grow(seed)
         if self._prior is not None:
-            k_row = self._prior[index]
+            k_row = self._prior[seed, index]
         else:  # targets are validated: skip gram's checks
             k_row = _sq_exp(coords - coords[:, index, None], self.params)
         lvec = a[:t, index]
@@ -315,7 +325,20 @@ class IncrementalConditioner:
         extra = 8 if self._batch else max(c.shape[0], 64)
         self._a[s] = np.concatenate([a, np.empty((extra, a.shape[1]))])
         self._c[s] = np.concatenate([c, np.empty(extra)])
+        # one field's rows stay a block of one; a batch's no longer share one
+        self._block = None if self._batch else self._a[0][None]
         return self._a[s], self._c[s]
+
+    def _factors(self) -> np.ndarray:
+        """Every seed's factor rows as one (S, t, n) array, t the most any seed
+        holds; the rows a seed has not written are zero."""
+        t = max(self._t)
+        if self._block is not None:
+            return self._block[:, :t]
+        out = np.zeros((len(self._t), t, self._a[0].shape[1]))
+        for s, (a, ts) in enumerate(zip(self._a, self._t)):
+            out[s, :ts] = a[:ts]
+        return out
 
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
@@ -328,17 +351,36 @@ class IncrementalConditioner:
         this way: unit rows give the variance left at single targets, an
         application's weights the error variance of its output.  Value-free:
         the covariance of a Gaussian does not depend on the measurement.
-        A conditioner of one field only.
+
+        On a batch, ``weights`` is (k, n), shared by every seed, or (S, k, n),
+        ``candidates`` is (S, m), one row of targets per seed, and entry
+        (s, r, j) is seed s's score.  The products run once over the batch;
+        a seed holding as many observations as the fullest one (every seed
+        of a lockstep round loop) scores bit-identically to a conditioner of
+        its own field, and each seed's prior is built from its own targets.
         """
-        if self._batch:
-            raise ValueError("residual_variance scores a conditioner of one field")
-        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        n_seeds, n = len(self._t), self.variance.shape[-1]
+        w = np.asarray(weights, dtype=float)
         cand = np.asarray(candidates, dtype=int)
+        if not self._batch:
+            w, cand = np.atleast_2d(w), cand[None] if cand.ndim == 1 else cand
+        if cand.ndim != 2 or cand.shape[0] != n_seeds:
+            raise ValueError(f"need one row of candidates per seed, got shape {cand.shape}")
+        if cand.size and not (0 <= cand.min() and cand.max() < n):
+            raise IndexError(f"candidate targets must lie in [0, {n})")
+        if w.ndim == 2:  # one set for every seed
+            w = w[None].repeat(n_seeds, axis=0)
         if self._prior is None:
-            self._prior = gram(self.target_locations, self.target_locations, self.params)
-        a = self._a[0][: self._t[0]]
-        s = w @ self._prior - (w @ a.T) @ a  # rows of W Sigma
-        wc, sc, dc = w[:, cand], s[:, cand], self.variance[cand]
-        own = np.einsum("ij,ij->i", w, s)[:, None] - wc * (2.0 * sc - wc * dc)
-        cross = sc - wc * dc
-        return own - cross * cross / (dc + self.noise_variance)
+            c = self._coords.reshape(-1, n_seeds, n)
+            self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
+        a = self._factors()
+        s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
+        # flat positions of each seed's candidates in each of its rows
+        at = cand[:, None, :] + np.arange(0, s.size, n).reshape(*s.shape[:2], 1)
+        wc, sc = w.take(at), s.take(at)
+        dc = self.variance.take(cand + np.arange(0, n_seeds * n, n)[:, None])[:, None, :]
+        wd = wc * dc
+        own = np.einsum("...ij,...ij->...i", w, s)[..., None] - wc * (2.0 * sc - wd)
+        cross = sc - wd
+        out = own - cross * cross / (dc + self.noise_variance)
+        return out if self._batch else out[0]

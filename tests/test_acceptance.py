@@ -5,6 +5,7 @@ deterministic given those seeds.  Run with ``pytest -s tests/test_acceptance.py`
 to see the per-criterion lines as they complete.
 """
 
+import copy
 import math
 import time
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from fieldsense.aloha import (
     run_aloha_seeds,
     sse_lower_bound,
 )
-from fieldsense.das import DasState, estimate, run_das, select_max_variance
+from fieldsense.das import DasState, estimate, run_das, run_das_seeds, select_max_variance
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
@@ -162,11 +163,13 @@ def test_criterion_04_mean_mse_ordering():
     n_seeds, rounds = 1000, 25
     das = np.empty((n_seeds, rounds))
     rand = np.empty((n_seeds, rounds))
-    for i in range(n_seeds):
-        field = gen_1d(30, 0.1, np.random.default_rng(i + 1))
-        das[i] = [l.mse for l in run_das(field, "max-variance", rounds, UNIT)]
-        rand[i] = [l.mse for l in run_das(field, "random", rounds, UNIT,
-                                          rng=np.random.default_rng(i + 1))]
+    # seed i's field is drawn from default_rng(i), and its random picks from
+    # a fresh default_rng(i): the field is built from a copy of the stream
+    field_of = lambda rng: gen_1d(30, 0.1, copy.deepcopy(rng))  # noqa: E731
+    for policy, mses in (("max-variance", das), ("random", rand)):
+        for seed, _, t, log in run_das_seeds(range(1, n_seeds + 1), field_of, policy,
+                                             rounds, UNIT):
+            mses[seed - 1, t - 1] = log.mse
     span = slice(2, 25)  # rounds 3..25
     dominated = bool(np.all(das.mean(0)[span] < rand.mean(0)[span]))
     tighter = das[:, 9].std() < rand[:, 9].std()

@@ -29,7 +29,7 @@ from fieldsense.fields import gen_random_sinusoid
 from fieldsense.gp import KernelParams
 
 import oracle
-from test_das import make_field
+from test_das import by_seed, make_field, poisoning_observe
 
 UNIT = KernelParams(1.0, 1.0)
 
@@ -476,19 +476,6 @@ def sinusoid(L):
     return lambda rng: gen_random_sinusoid(L, 10, 0.1, rng)
 
 
-def by_seed(events):
-    """run_aloha_seeds' events as {seed: (field, [log, ...] or the error)}."""
-    out = {}
-    for seed, field, t, log in events:
-        _, logs = out.setdefault(seed, (field, []))
-        if isinstance(log, Exception):
-            out[seed] = (field, log)
-        else:
-            assert t == len(logs) + 1
-            logs.append(log)
-    return out
-
-
 def assert_logs_equal(got, want):
     """Two runs' logs, equal bit for bit."""
     for g, w in zip(got, want, strict=True):
@@ -585,26 +572,6 @@ class TestRunAlohaSeeds:
                 assert not log.activity.any() and log.successes == []
                 assert log.psi == cfg.psi0 - (r - 1) * cfg.mu * B
         assert_logs_equal(alone, batch[seed][1])
-
-
-def poisoning_observe(locations, at):
-    """IncrementalConditioner.observe that, on the ``at``-th observation of
-    the field at ``locations`` (counted over every conditioner, so use one per
-    run), first zeroes that field's variance at the observed target, so the
-    real update fails for that field alone."""
-    real = fieldsense.gp.IncrementalConditioner.observe
-    calls = [0]
-
-    def observe(self, index, value, seed=0):
-        locs = self.target_locations
-        field = locs[seed] if locs.ndim == 3 else locs
-        if np.array_equal(field, locations):
-            calls[0] += 1
-            if calls[0] == at:
-                self.variance.reshape(-1, self.variance.shape[-1])[seed, index] = 0.0
-        return real(self, index, value, seed)
-
-    return observe
 
 
 class TestAlohaConfigValidation:

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldsense.gp
 from fieldsense.das import (
+    POLICIES,
     DasState,
     estimate,
     run_das,
+    run_das_seeds,
     select_max_variance,
     select_random,
     select_virtual_target,
@@ -73,6 +76,39 @@ def brute_force_min_next_mse(field, state, params):
         if best_mse is None or mse < best_mse:
             best_idx, best_mse = cand, mse
     return best_idx
+
+
+def by_seed(events):
+    """The events of run_das_seeds or run_aloha_seeds as {seed: (field, [log, ...] or the error)}."""
+    out = {}
+    for seed, field, t, log in events:
+        _, logs = out.setdefault(seed, (field, []))
+        if isinstance(log, Exception):
+            out[seed] = (field, log)
+        else:
+            assert t == len(logs) + 1
+            logs.append(log)
+    return out
+
+
+def poisoning_observe(locations, at):
+    """IncrementalConditioner.observe that, on the ``at``-th observation of
+    the field at ``locations`` (counted over every conditioner, so use one per
+    run), first zeroes that field's variance at the observed target, so the
+    real update fails for that field alone."""
+    real = fieldsense.gp.IncrementalConditioner.observe
+    calls = [0]
+
+    def observe(self, index, value, seed=0):
+        locs = self.target_locations
+        field = locs[seed] if locs.ndim == 3 else locs
+        if np.array_equal(field, locations):
+            calls[0] += 1
+            if calls[0] == at:
+                self.variance.reshape(-1, self.variance.shape[-1])[seed, index] = 0.0
+        return real(self, index, value, seed)
+
+    return observe
 
 
 class TestDasState:
@@ -416,3 +452,114 @@ class TestRunDas:
         field = make_field([0.0, 1.0, 2.0])
         logs = run_das(field, lambda f, s, p, r: max(s.remaining), 3, UNIT)
         assert [l.selected for l in logs] == [2, 1, 0]
+
+
+def assert_das_logs_equal(got, want):
+    """Two runs' round logs, equal bit for bit."""
+    assert [(l.round, l.selected, l.mse) for l in got] == \
+        [(l.round, l.selected, l.mse) for l in want]
+    for g, w in zip(got, want):
+        assert (g.estimate is None) == (w.estimate is None)
+        if g.estimate is not None:
+            np.testing.assert_array_equal(g.estimate.values, w.estimate.values)
+            np.testing.assert_array_equal(g.estimate.per_sensor_variance,
+                                          w.estimate.per_sensor_variance)
+
+
+def field_1d(L):
+    return lambda rng: gen_1d(L, 0.1, rng)
+
+
+class TestRunDasSeeds:
+    """A seed batch plays every seed as its own run_das would, bit for bit,
+    whatever its batch-mates do.  The scored policies and the holdout
+    estimates are checked through the CLI records in
+    tests/test_experiments.py::TestRunExperiment::test_das_seed_batches_partition."""
+
+    @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 15), n_seeds=st.integers(1, 12),
+           d=st.integers(1, 2), policy=st.sampled_from(POLICIES), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_seed_equals_its_own_run(self, seed, L, n_seeds, d, policy, data):
+        # seeds out of order, one to two batches, down to one sensor and to
+        # the last sensor of the field, with the estimates logged
+        rounds = data.draw(st.integers(1, L))
+        base = np.random.default_rng(seed)
+        virtual = base.uniform(0, 6, size=(int(base.integers(1, 4)), d))
+        apps = (base.normal(size=(2, L)), base.uniform(0.1, 2.0, size=2))
+
+        def make(rng):
+            locs, vals = rng.uniform(0, 6, size=(L, d)), rng.normal(size=L)
+            return SensorField(locs, vals, vals + rng.normal(0, 0.2, L), 0.05)
+
+        seeds = [int(s) for s in base.choice(10_000, size=n_seeds, replace=False)]
+        kwargs = dict(virtual_locs=virtual, log_estimates=True, apps=apps)
+        runs = by_seed(run_das_seeds(seeds, make, policy, rounds, UNIT, **kwargs))
+        assert list(runs) == seeds
+        for s, (field, logs) in runs.items():
+            rng = np.random.default_rng(s)
+            assert_das_logs_equal(logs, run_das(make(rng), policy, rounds, UNIT, rng=rng, **kwargs))
+
+    def test_callable_policy_reads_each_seeds_state(self):
+        # alternates a draw from the seed's own generator with the sensor
+        # farthest from its last upload, so every pick reads the seed's state
+        def policy(field, state, params, rng):
+            rem = state.remaining_index
+            if state.round % 2 == 0:
+                return int(rem[int(rng.integers(rem.size))])
+            last = field.locations[state.order[-1]]
+            return int(rem[np.argmax(np.abs(field.locations[rem, 0] - last[0]))])
+
+        runs = by_seed(run_das_seeds(range(1, 11), field_1d(25), policy, 20, UNIT))
+        assert list(runs) == list(range(1, 11))
+        for seed, (field, logs) in runs.items():
+            rng = np.random.default_rng(seed)
+            own = gen_1d(25, 0.1, rng)
+            np.testing.assert_array_equal(field.locations, own.locations)
+            assert_das_logs_equal(logs, run_das(own, policy, 20, UNIT, rng=rng))
+
+    def test_failing_seed_leaves_its_batch_alone(self, monkeypatch):
+        make = field_1d(30)
+        doomed = make(np.random.default_rng(5)).locations
+        poisoned = fieldsense.gp.IncrementalConditioner
+        monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
+        with pytest.raises(ValueError, match="below round-off") as alone:
+            run_das(make(np.random.default_rng(5)), "max-variance", 20, UNIT)
+        monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
+        runs = by_seed(run_das_seeds(range(1, 9), make, "max-variance", 20, UNIT))
+        field, error = runs.pop(5)
+        assert isinstance(error, ValueError) and str(error) == str(alone.value)
+        monkeypatch.undo()
+        clean = by_seed(run_das_seeds([1, 2, 3, 4, 6, 7, 8], make, "max-variance", 20, UNIT))
+        assert list(runs) == list(clean)
+        for seed in runs:
+            assert_das_logs_equal(runs[seed][1], clean[seed][1])
+
+    @pytest.mark.parametrize("L,rounds,policy,sizes", [
+        (30, 30, "max-variance", [6, 7, 7]),  # 20 seeds, at most 8 in flight
+        (60, 30, "virtual", [6, 7, 7]),
+        (3000, 200, "max-variance", [1] * 20),  # 4.8 MB of factor a seed
+        (500, 12, "app-weighted", [2] * 10),  # 2 MB of prior and factor a seed
+    ])
+    def test_batches_follow_the_byte_budget(self, monkeypatch, L, rounds, policy, sizes):
+        made = []
+        real = fieldsense.gp.IncrementalConditioner.__init__
+
+        def init(self, target_locs, *args, **kwargs):
+            made.append(np.shape(target_locs)[0])
+            real(self, target_locs, *args, **kwargs)
+
+        monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "__init__", init)
+        # the batches are what counts here, not the posterior
+        monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
+                            lambda self, index, value, seed=0: None)
+        apps = ([np.full(L, 1.0 / L)], [1.0])
+        for _ in run_das_seeds(range(1, 21), field_1d(L), policy, rounds, UNIT,
+                               virtual_locs=[(2.0,), (6.0,)], apps=apps):
+            pass
+        assert made == sizes
+
+    def test_rejects_a_batch_of_unlike_fields(self):
+        sizes = iter([3, 2])
+        make = lambda rng: make_field(np.arange(float(next(sizes))))  # noqa: E731
+        with pytest.raises(ValueError, match="one size"):
+            list(run_das_seeds([1, 2], make, "max-variance", 2, UNIT))

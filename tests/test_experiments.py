@@ -11,11 +11,15 @@ import pytest
 
 import fieldsense.gp
 from fieldsense.cli import main
+from fieldsense.das import run_das
 from fieldsense.experiments import (
     PRESETS,
     ConfigError,
+    ExperimentConfig,
     RunRecord,
     RunResult,
+    _build_apps,
+    _holdout_mse,
     aggregate,
     config_from_mapping,
     emit_results,
@@ -25,7 +29,9 @@ from fieldsense.experiments import (
     run_experiment,
 )
 
-from test_aloha import poisoning_observe
+from test_das import poisoning_observe
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def small_das_mapping(**overrides):
@@ -51,6 +57,21 @@ class TestParsing:
             parse_seeds("x")
         with pytest.raises(ConfigError):
             parse_seeds("5..2")
+
+    @pytest.mark.parametrize("spec,named", [
+        ("-1,2", "seed -1 is negative"), ("-3..2", "seed -3 is negative"),
+        ("-4", "seed -4 is negative"), ("1,1", "seed 1 is repeated"),
+        ("3,9,4,9", "seed 9 is repeated"),
+    ])
+    def test_parse_seeds_rejects_negative_and_repeated_seeds(self, spec, named):
+        with pytest.raises(ConfigError, match=named):
+            parse_seeds(spec)
+
+    @pytest.mark.parametrize("seeds,named", [((2, -1), "seed -1 is negative"),
+                                             ((5, 2, 5), "seed 5 is repeated")])
+    def test_config_rejects_negative_and_repeated_seeds(self, seeds, named):
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(experiment="das-1d", rounds=2, seeds=seeds, L=10)
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -101,6 +122,16 @@ class TestParsing:
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             config_from_mapping(small_aloha_mapping(mode="turbo"))
+
+
+def station_csv(tmp_path, n=40):
+    """A das-csv station file of ``n`` random 2-D stations; returns its path."""
+    rng = np.random.default_rng(0)
+    xy = rng.uniform(0, 5, size=(n, 2))
+    vals = np.sin(xy[:, 0]) + rng.normal(0, 0.05, n)
+    path = tmp_path / "stations.csv"
+    path.write_text("".join(f"{a},{b},{v}\n" for (a, b), v in zip(xy, vals)))
+    return str(path)
 
 
 class TestRunExperiment:
@@ -207,15 +238,66 @@ class TestRunExperiment:
         assert [r for r in hit.records if r.seed != 4] == clean.records
         assert {r.metric for r in hit.records if r.seed == 4} == {"sse.lower-bound"}
 
+    @pytest.mark.parametrize("case", ["das-select", "fig4", "das-csv"])
+    def test_das_seed_batches_partition(self, case, tmp_path):
+        # 1..20 plays batches of 6, 7 and 7 seeds; the parts one batch each,
+        # of 7, 6 and 7.  das-select scores virtual targets and an
+        # application, fig4 picks by max variance and by chance, das-csv
+        # logs the holdout estimates of every policy.
+        if case == "das-select":
+            mapping = load_config_file(WORKLOADS / "das-select.cfg")
+        elif case == "fig4":
+            mapping = dict(PRESETS["fig4"])
+        else:
+            mapping = {"experiment": "das-csv", "csv": station_csv(tmp_path), "sigma2": "0.01",
+                       "rounds": "15", "policy": "max-variance,random,app-weighted",
+                       "apps": "mean,e:7", "betas": "1,0.5"}
+
+        def records(seeds):
+            result = run_experiment(config_from_mapping({**mapping, "seeds": seeds}))
+            assert not result.failures
+            return result.records
+
+        key = lambda r: (r.seed, r.round, r.metric)  # noqa: E731
+        whole = sorted(records("1..20"), key=key)
+        assert whole == sorted(records("1..7") + records("8..13") + records("14..20"), key=key)
+        # and every seed is the run of its own run_das, bit for bit
+        config = config_from_mapping({**mapping, "seeds": "1..20"})
+        holdout, own = config.experiment == "das-csv", []
+        for policy in config.policies:
+            for seed in config.seeds:
+                rng = np.random.default_rng(seed)
+                field = config.field_spec.build(rng)
+                apps = None
+                if policy == "app-weighted":
+                    apps = ([a.weights for a in _build_apps(config, field.n_sensors)], config.betas)
+                for log in run_das(field, policy, min(config.rounds, field.n_sensors),
+                                   config.kernel_params, rng=rng, virtual_locs=config.virtual,
+                                   log_estimates=holdout, apps=apps):
+                    extra = f"selected={log.selected}"
+                    own.append(RunRecord(seed, log.round, f"mse.{policy}", log.mse, extra))
+                    if holdout:
+                        own.append(RunRecord(seed, log.round, f"holdout-mse.{policy}",
+                                             _holdout_mse(field, log.estimate), extra))
+        assert whole == sorted(own, key=key)
+
+    def test_failed_das_seed_leaves_the_others_records_alone(self, monkeypatch):
+        mapping = small_das_mapping(L="30", rounds="20", policy="max-variance", seeds="1..9")
+        doomed = config_from_mapping(mapping).field_spec.build(np.random.default_rng(4))
+        monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
+                            poisoning_observe(doomed.locations, at=3))
+        hit = run_experiment(config_from_mapping(mapping))
+        monkeypatch.undo()
+        clean = run_experiment(config_from_mapping({**mapping, "seeds": "1,2,3,5,6,7,8,9"}))
+        assert len(hit.failures) == 1
+        seed, label, message = hit.failures[0]
+        assert (seed, label) == (4, "max-variance") and "below round-off" in message
+        assert [r for r in hit.records if r.seed != 4] == clean.records
+        assert not [r for r in hit.records if r.seed == 4]
+
     def test_csv_experiment_holdout_metric(self, tmp_path):
-        rng = np.random.default_rng(0)
-        path = tmp_path / "stations.csv"
-        xy = rng.uniform(0, 5, size=(25, 2))
-        vals = np.sin(xy[:, 0]) + rng.normal(0, 0.05, 25)
-        lines = [f"{a},{b},{v}" for (a, b), v in zip(xy, vals)]
-        path.write_text("\n".join(lines) + "\n")
         cfg = config_from_mapping({
-            "experiment": "das-csv", "csv": str(path), "sigma2": "0.01",
+            "experiment": "das-csv", "csv": station_csv(tmp_path, n=25), "sigma2": "0.01",
             "rounds": "5", "policy": "max-variance", "seeds": "1..2",
         })
         result = run_experiment(cfg)
@@ -329,6 +411,22 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("fieldsense: config: ")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command,seeds,named", [
+        ("das", "-1,2", "seed -1 is negative"),
+        ("aloha", "-1,2", "seed -1 is negative"),
+        ("das", "1,1", "seed 1 is repeated"),
+        ("aloha", "1,1", "seed 1 is repeated"),
+    ])
+    def test_bad_seeds_exit_2(self, tmp_path, capsys, command, seeds, named):
+        out = tmp_path / "x.csv"
+        preset = "fig4" if command == "das" else "fig6"
+        code = main([command, "--preset", preset, f"--seed={seeds}", "--rounds", "2",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fieldsense: config: ") and named in err
+        assert not out.exists()
 
     def test_subcommand_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["das", "--preset", "fig6", "--out", str(tmp_path / "x.csv")]) == 2

@@ -3,8 +3,9 @@
 The conditioner computes kernel rows only as observations need them, so a
 max-variance run and the public selection helpers use memory in proportion
 to uploads times sensors, not sensors squared (at L = 20000 a dense prior
-alone would take 3.2 GB); and the package runs on numpy
-alone, with scipy needed by the tests only.
+alone would take 3.2 GB); a seed batch keeps only as many seeds in flight
+as its bound allows; and the package runs on numpy alone, with scipy needed
+by the tests only.
 """
 
 import os
@@ -93,6 +94,27 @@ def test_seed_batch_memory_follows_the_in_flight_bound():
     one = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=8)) + textwrap.dedent(PEAK_MB)))
     many = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=320)) + textwrap.dedent(PEAK_MB)))
     assert many - one < 2, f"peak RSS {many:.1f} MB over 320 seeds, {one:.1f} MB over 8"
+
+
+DAS_SEED_BATCH = """
+    from fieldsense.das import run_das_seeds
+    from fieldsense.fields import gen_2d
+    from fieldsense.gp import KernelParams
+    runs = run_das_seeds(range(1, {seeds} + 1), lambda rng: gen_2d(20000, 0.1, rng),
+                         "max-variance", 200, KernelParams())
+    total = sum(log.mse for _, _, _, log in runs)
+"""
+
+
+def test_large_das_fields_play_one_seed_at_a_time():
+    # Each seed's factor here is 200 x 20000 floats (32 MB), past the byte
+    # budget of a DAS seed batch, so the seeds play one at a time: three peak
+    # where one does, where three in flight would need some 64 MB more.
+    one = float(run_fresh(textwrap.dedent(DAS_SEED_BATCH.format(seeds=1))
+                          + textwrap.dedent(PEAK_MB)))
+    three = float(run_fresh(textwrap.dedent(DAS_SEED_BATCH.format(seeds=3))
+                            + textwrap.dedent(PEAK_MB)))
+    assert three - one < 2, f"peak RSS {three:.1f} MB over 3 seeds, {one:.1f} MB over 1"
 
 
 def test_cli_import_leaves_scipy_out():

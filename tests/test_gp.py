@@ -11,8 +11,8 @@ from scipy.linalg import LinAlgError, cholesky
 
 import fieldsense.das
 import fieldsense.gp
-from fieldsense.das import run_das
-from fieldsense.fields import gen_2d
+from fieldsense.das import DasState, run_das
+from fieldsense.fields import SensorField, gen_2d
 from fieldsense.gp import (
     VARIANCE_CLAMP,
     IncrementalConditioner,
@@ -424,6 +424,67 @@ class TestSeedAxis:
             singles[s].observe(i, v)
             self.assert_seeds_match(batch, singles)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_batched_scores_match_one_conditioner_per_field(self, k, d):
+        # seeds in lockstep, one observation each a step as the DAS loop plays
+        # them; scoring starts at step 5, so each prior is built mid-run and
+        # later kernel rows come from it; weights shared by every seed and one
+        # set per seed; factors sized to the run, short of it (they grow) and
+        # unsized
+        rng = np.random.default_rng(60 + 10 * d + k)
+        n, steps = 25, 12
+        for n_seeds in range(1, 9):
+            locs = rng.uniform(0, 5, size=(n_seeds, n, d))
+            batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=(steps, 7, 0)[n_seeds % 3])
+            singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+            order = [rng.permutation(n) for _ in range(n_seeds)]
+            shared, own = rng.normal(size=(k, n)), rng.normal(size=(n_seeds, k, n))
+            for step in range(steps):
+                if step >= 5:
+                    rem = np.sort([o[step:] for o in order], axis=1)
+                    for weights in (shared, own):
+                        got = batch.residual_variance(weights, rem)
+                        assert got.shape == (n_seeds, k, n - step)
+                        for s, single in enumerate(singles):
+                            w = weights if weights.ndim == 2 else weights[s]
+                            np.testing.assert_array_equal(
+                                got[s], single.residual_variance(w, rem[s]))
+                for s in range(n_seeds):
+                    i, v = int(order[s][step]), float(rng.normal())
+                    batch.observe(i, v, s)
+                    singles[s].observe(i, v)
+            self.assert_seeds_match(batch, singles)
+
+    def test_batched_scores_match_the_oracle(self):
+        # each seed's scores against tests/oracle.py's per-candidate scorers:
+        # the variance left at virtual targets, and applications' error variances
+        rng = np.random.default_rng(70)
+        n_seeds, n = 4, 14
+        virtual = np.array([[0.5], [2.5], [4.5]])
+        locs = rng.uniform(0, 5, size=(n_seeds, n, 1))
+        fields = [SensorField(l, v, v, 0.1) for l, v in zip(locs, rng.normal(size=(n_seeds, n)))]
+        states = [DasState.fresh(n) for _ in fields]
+        targets = np.concatenate([locs, np.broadcast_to(virtual, (n_seeds, 3, 1))], axis=1)
+        cond = IncrementalConditioner(targets, UNIT, 0.1, capacity=4)
+        for _ in range(4):
+            for s, field in enumerate(fields):
+                i = int(rng.choice(states[s].remaining_index))
+                cond.observe(i, float(field.measurements[i]), s)
+                states[s] = states[s].with_uploads([i], [field.measurements[i]])
+        rem = np.stack([state.remaining_index for state in states])
+        traces = cond.residual_variance(np.hstack([np.zeros((3, n)), np.eye(3)]), rem).sum(axis=1)
+        apps = np.concatenate([rng.normal(size=(n_seeds, 2, n)), np.zeros((n_seeds, 2, 3))], axis=2)
+        for s, state in enumerate(states):
+            apps[s][:, : n][:, state.mask] = 0.0  # uploaded entries carry no error
+        mses = cond.residual_variance(apps, rem)
+        for s, (field, state) in enumerate(zip(fields, states)):
+            np.testing.assert_allclose(traces[s], oracle.virtual_traces(field, state, virtual, UNIT),
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(mses[s].T, oracle.hypothetical_mses(apps[s, :, :n], field,
+                                                                           state, UNIT),
+                                       rtol=0, atol=1e-10)
+
     def test_failing_seed_is_left_unchanged(self):
         rng = np.random.default_rng(40)
         locs = rng.uniform(0, 5, size=(3, 12, 1))
@@ -453,8 +514,13 @@ class TestSeedAxis:
         with pytest.raises(ValueError, match="not finite"):
             batch.observe(1, np.nan, 1)
         assert batch.n_observations == (0, 0, 0)
-        with pytest.raises(ValueError, match="one field"):
+        with pytest.raises(ValueError, match="one row of candidates per seed"):
             batch.residual_variance(np.ones((1, 4)), [0, 1])
+        with pytest.raises(ValueError, match="one row of candidates per seed"):
+            batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1]])
+        for bad in (4, -1):
+            with pytest.raises(IndexError, match="candidate"):
+                batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1], [bad, 1]])
 
 
 class TestKernelRow:
