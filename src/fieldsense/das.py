@@ -209,10 +209,10 @@ def _at(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return arr.take(idx + np.arange(0, arr.size, arr.shape[1])[:, None])
 
 
-def _max_variance_pick(cond: IncrementalConditioner, rem: np.ndarray) -> np.ndarray:
+def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
     """For each row of ``rem`` (S, m), one seed's candidates, the one with the
-    largest quantized variance on ``cond``; ties go to the lowest index."""
-    var = _at(cond.variance.reshape(rem.shape[0], -1), rem)
+    largest quantized variance, ``var`` (S, m) holding theirs; ties go to the
+    lowest index."""
     return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
 
 
@@ -247,7 +247,8 @@ def select_max_variance(field: SensorField, state: DasState, params: KernelParam
     if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
     cond = _conditioner(field, state, params)
-    return int(_max_variance_pick(cond, state.remaining_index[None])[0])
+    rem = state.remaining_index[None]
+    return int(_max_variance_pick(_at(cond.variance.reshape(1, -1), rem), rem)[0])
 
 
 def select_random(state: DasState, rng: np.random.Generator) -> int:
@@ -439,6 +440,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     values = np.zeros((n_seeds, rounds))
     seeds = np.arange(n_seeds)
     rem = np.broadcast_to(np.arange(n), (n_seeds, n))  # each row's sensors still waiting
+    var = _at(cond.variance, rem)  # and their variances
     ended: set[int] = set()
     for t in range(rounds):
         if callable(policy):
@@ -449,7 +451,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
             picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
                               for s, rng in enumerate(rngs)])
         elif policy == "max-variance":
-            picks = _max_variance_pick(cond, rem)
+            picks = _max_variance_pick(var, rem)
         else:
             picks = _min_residual_pick(cond, rem, weights, betas)
         measured = meas[seeds, picks]

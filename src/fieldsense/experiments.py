@@ -14,6 +14,9 @@ key set and can be overridden by a file or command-line flags.
 import csv
 import itertools
 import json
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -410,37 +413,153 @@ def _aloha_metric(mode: str, settings: AlohaSettings, b: int, q: int) -> str:
     return name
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One (B, Q, mode) cell of an ALOHA sweep."""
+
+    b: int
+    q: int
+    mode: str
+
+    def __str__(self):
+        return f"B={self.b} Q={self.q} {self.mode}"
+
+
+def _aloha_cell(config: ExperimentConfig, cell: _Cell) -> tuple[list[tuple], list]:
+    """Every seed's records of one cell, as ``RunRecord`` field tuples (cheap
+    to pickle), and its per-seed failures in seed order."""
+    settings = config.aloha
+    metric = _aloha_metric(cell.mode, settings, cell.b, cell.q)
+    rows, failed = [], {}
+    runs = aloha_mod.run_aloha_seeds(config.seeds, config.field_spec.build,
+                                     settings.contention(cell.b, cell.q, cell.mode),
+                                     config.rounds, config.kernel_params)
+    for seed, _, t, log in runs:
+        if isinstance(log, ValueError):
+            failed[seed] = str(log)
+            continue
+        succ = "|".join(map(str, log.successes))
+        k = len(log.successes) + len(log.collided)  # the active count
+        rows.append((seed, t, metric, log.sse, f"succ={succ};psi={log.psi!r};k={k}"))
+    if failed:  # reported per seed; a failed seed writes no records
+        rows = [row for row in rows if row[0] not in failed]
+    return rows, [(seed, metric, failed[seed]) for seed in config.seeds if seed in failed]
+
+
 def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
+    settings = config.aloha
+    cells = [_Cell(b, q, mode) for b, q, mode in
+             itertools.product(settings.b_values, settings.q_values, settings.modes)]
+    done = iter(_map_in_shares(lambda cell: _aloha_cell(config, cell), cells))
     records: list[RunRecord] = []
     failures = []
-    params = config.kernel_params
-    settings = config.aloha
-    for b in settings.b_values:
-        for q in settings.q_values:
-            bound = aloha_mod.sse_lower_bound(config.sigma_sq, q, b)
-            bound_metric = _aloha_metric("lower-bound", settings, b, q)
-            for mode in settings.modes:
-                metric = _aloha_metric(mode, settings, b, q)
-                cfg = settings.contention(b, q, mode)
-                start, failed = len(records), {}
-                runs = aloha_mod.run_aloha_seeds(config.seeds, config.field_spec.build, cfg,
-                                                 config.rounds, params)
-                for seed, _, t, log in runs:
-                    if isinstance(log, ValueError):
-                        failed[seed] = str(log)
-                        continue
-                    succ = "|".join(map(str, log.successes))
-                    k = len(log.successes) + len(log.collided)  # the active count
-                    extra = f"succ={succ};psi={log.psi!r};k={k}"
-                    records.append(RunRecord(seed, t, metric, log.sse, extra))
-                if failed:  # reported per seed; a failed seed writes no records
-                    records[start:] = [r for r in records[start:] if r.seed not in failed]
-                    failures += [(seed, metric, failed[seed])
-                                 for seed in config.seeds if seed in failed]
-            for seed in config.seeds:
-                for t in range(1, config.rounds + 1):
-                    records.append(RunRecord(seed, t, bound_metric, bound, ""))
+    for b, q in itertools.product(settings.b_values, settings.q_values):
+        for _ in settings.modes:
+            rows, cell_failures = next(done)
+            records += itertools.starmap(RunRecord, rows)
+            failures += cell_failures
+        bound = aloha_mod.sse_lower_bound(config.sigma_sq, q, b)
+        bound_metric = _aloha_metric("lower-bound", settings, b, q)
+        records += [RunRecord(seed, t, bound_metric, bound, "")
+                    for seed in config.seeds for t in range(1, config.rounds + 1)]
     return records, failures
+
+
+def _shares(n_cells: int) -> int:
+    """How many processes ``n_cells`` independent cells are split between: one
+    per CPU this process may run on, at most one per cell.  One where fork is
+    missing, or unsafe because another thread runs (a forked child inherits
+    whatever locks it holds)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(n_cells, len(os.sched_getaffinity(0)))
+
+
+def _run_share(fn, cells) -> list:
+    """``[fn(cell) for cell in cells]``; an exception names the cell it came from."""
+    out = []
+    for cell in cells:
+        try:
+            out.append(fn(cell))
+        except Exception as exc:  # noqa: BLE001 - re-raised with the cell named
+            raise RuntimeError(f"cell {cell}: {exc}") from exc
+    return out
+
+
+def _map_in_shares(fn, cells: list) -> list:
+    """``[fn(cell) for cell in cells]``, the cells dealt out in turn between
+    this process and one forked child per further share (:func:`_shares`).
+
+    Each child runs its share, sends the pickled results up its own pipe and
+    leaves through ``os._exit``, so it flushes no buffer of its parent's and
+    runs no exit handler.  Results come back in cell order.  A cell that
+    raises in a child raises here, naming it; a child that dies or sends a
+    truncated payload raises, naming its cells.  Every child is reaped before
+    this returns or raises, and killed first if its results are not needed.
+    """
+    shares = _shares(len(cells))
+    if shares < 2:
+        return _run_share(fn, cells)
+    children: dict[int, int | None] = {}  # pid -> read end of its pipe, until closed
+    try:
+        for w in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                code = 1
+                try:
+                    for fd in (read_fd, *children.values()):
+                        os.close(fd)
+                    try:
+                        payload = ("ok", _run_share(fn, cells[w::shares]))
+                    except Exception as exc:  # noqa: BLE001 - reported to the parent
+                        payload = ("error", str(exc))
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = read_fd
+        out = [None] * len(cells)
+        out[0::shares] = _run_share(fn, cells[0::shares])
+        for w, pid in enumerate(list(children), start=1):
+            read_fd, children[pid] = children[pid], None
+            with os.fdopen(read_fd, "rb") as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            out[w::shares] = _child_results(data, status, cells[w::shares])
+        return out
+    finally:
+        if children:
+            import signal  # only on this error path, so a run imports nothing new
+
+            for pid, read_fd in children.items():
+                if read_fd is not None:
+                    os.close(read_fd)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
+def _child_results(data: bytes, status: int, cells) -> list:
+    """A child's results from its payload and exit status (as
+    ``os.waitstatus_to_exitcode`` gives it); raises if it did not finish."""
+    try:
+        kind, value = pickle.loads(data) if status == 0 else (None, None)
+    except Exception:  # noqa: BLE001 - a truncated payload
+        kind = value = None
+    if kind == "ok":
+        return value
+    if kind == "error":
+        raise RuntimeError(value)
+    ended = f"exit status {status}" if status >= 0 else f"signal {-status}"
+    raise RuntimeError(f"cells {', '.join(map(str, cells))}: the process running them "
+                       f"ended ({ended}) without returning their results")
 
 
 def aggregate(records: list[RunRecord]) -> list[AggRecord]:
@@ -460,8 +579,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute every (policy-or-mode, seed) run in the config.
 
     Deterministic given the config: each seed gets its own generator, so seed
-    batches can be split and concatenated without changing any record.
-    Per-seed failures are collected rather than aborting the batch.
+    batches can be split and concatenated without changing any record.  An
+    ALOHA sweep's (B, Q, mode) cells are shared out between this process and
+    forked children, one per further usable CPU, with the same records
+    however they are split.  Per-seed failures are collected rather than
+    aborting the batch.
     """
     if config.experiment == "aloha":
         records, failures = _run_aloha_records(config)

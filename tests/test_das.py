@@ -93,18 +93,19 @@ def by_seed(events):
 
 def poisoning_observe(locations, at):
     """IncrementalConditioner.observe that, on the ``at``-th observation of
-    the field at ``locations`` (counted over every conditioner, so use one per
-    run), first zeroes that field's variance at the observed target, so the
-    real update fails for that field alone."""
+    the field at ``locations`` by each conditioner, first zeroes that field's
+    variance at the observed target, so the real update fails for that field
+    alone."""
     real = fieldsense.gp.IncrementalConditioner.observe
-    calls = [0]
+    calls = {}  # id -> [conditioner, observations]; holding it keeps its id unused
 
     def observe(self, index, value, seed=0):
         locs = self.target_locations
         field = locs[seed] if locs.ndim == 3 else locs
         if np.array_equal(field, locations):
-            calls[0] += 1
-            if calls[0] == at:
+            count = calls.setdefault(id(self), [self, 0])
+            count[1] += 1
+            if count[1] == at:
                 self.variance.reshape(-1, self.variance.shape[-1])[seed, index] = 0.0
         return real(self, index, value, seed)
 

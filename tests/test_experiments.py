@@ -2,13 +2,18 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import fieldsense.aloha
+import fieldsense.experiments
 import fieldsense.gp
 from fieldsense.cli import main
 from fieldsense.das import run_das
@@ -32,6 +37,15 @@ from fieldsense.experiments import (
 from test_das import poisoning_observe
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+OBSERVE = fieldsense.gp.IncrementalConditioner.observe
+SHARES = (1, 3)  # this process alone, and with two forked children
+
+
+def split_between(monkeypatch, shares):
+    """Split an ALOHA sweep's cells between this process and forked children
+    as if this process could run on ``shares`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
+    assert fieldsense.experiments._shares(10) == shares
 
 
 def small_das_mapping(**overrides):
@@ -210,33 +224,40 @@ class TestRunExperiment:
         dict(L="200", B="1,5", Q="10", rounds="40"),  # fig7's field and grid ends
         dict(L="30", B="4", Q="10", p_sleep="0.3", rounds="40"),  # pools run dry unevenly
     ], ids=["fig7-grid", "sleep-exhaustion"])
-    def test_aloha_seed_batches_partition(self, overrides):
+    def test_aloha_seed_batches_partition(self, overrides, monkeypatch):
         # 1..40 plays five full batches of 8 seeds; the parts play one batch
-        # of 7, two of 8, and three (of 5, 6 and 6)
+        # of 7, two of 8, and three (of 5, 6 and 6), each cell in whichever
+        # process its share falls to
         def records(seeds):
             return run_experiment(config_from_mapping(small_aloha_mapping(
                 seeds=seeds, **overrides))).records
 
         key = lambda r: (r.seed, r.round, r.metric)  # noqa: E731
-        whole = records("1..40")
-        parts = records("1..7") + records("8..23") + records("24..40")
-        assert len(whole) == 40 * 40 * 3 * len(overrides["B"].split(","))
-        assert sorted(whole, key=key) == sorted(parts, key=key)
+        for shares in SHARES:
+            split_between(monkeypatch, shares)
+            whole = records("1..40")
+            parts = records("1..7") + records("8..23") + records("24..40")
+            assert len(whole) == 40 * 40 * 3 * len(overrides["B"].split(","))
+            assert sorted(whole, key=key) == sorted(parts, key=key)
 
     def test_failed_aloha_seed_leaves_the_others_records_alone(self, monkeypatch):
-        mapping = small_aloha_mapping(L="60", rounds="40", mode="modified", seeds="1..9")
+        # two cells, so with more than one share the modified one fails in a
+        # child, which inherits the poisoned observe
+        mapping = small_aloha_mapping(L="60", rounds="40", seeds="1..9")
         doomed = config_from_mapping(mapping).field_spec.build(np.random.default_rng(4))
-        monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
-                            poisoning_observe(doomed.locations, at=3))
-        hit = run_experiment(config_from_mapping(mapping))
-        monkeypatch.undo()
         clean = run_experiment(config_from_mapping({**mapping, "seeds": "1,2,3,5,6,7,8,9"}))
-        assert len(hit.failures) == 1
-        seed, label, message = hit.failures[0]
-        assert (seed, label) == (4, "sse.modified") and "below round-off" in message
-        # seed 4 keeps only its bound records; everything else is unchanged
-        assert [r for r in hit.records if r.seed != 4] == clean.records
-        assert {r.metric for r in hit.records if r.seed == 4} == {"sse.lower-bound"}
+        for shares in SHARES:
+            split_between(monkeypatch, shares)
+            monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
+                                poisoning_observe(doomed.locations, at=3))
+            hit = run_experiment(config_from_mapping(mapping))
+            monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe", OBSERVE)
+            assert [(seed, label) for seed, label, _ in hit.failures] == [
+                (4, "sse.conventional"), (4, "sse.modified")]
+            assert all("below round-off" in message for _, _, message in hit.failures)
+            # seed 4 keeps only its bound records; everything else is unchanged
+            assert [r for r in hit.records if r.seed != 4] == clean.records
+            assert {r.metric for r in hit.records if r.seed == 4} == {"sse.lower-bound"}
 
     @pytest.mark.parametrize("case", ["das-select", "fig4", "das-csv"])
     def test_das_seed_batches_partition(self, case, tmp_path):
@@ -450,6 +471,87 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def no_child_left():
+    """True if this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedCells:
+    """An ALOHA sweep's cells dealt out between this process and forked
+    children: fig7 at three shares puts B=2 conventional in a child and B=2
+    modified in this process."""
+
+    SWEEP = ["aloha", "--preset", "fig7", "--seed", "1..2", "--rounds", "3"]
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def fail_at(self, monkeypatch, where, fate):
+        """Make the B=2 cell run in ``where`` (a child or this process) end by
+        ``fate``: its process exits at once, or the cell raises."""
+        parent, real = os.getpid(), fieldsense.aloha.run_aloha_seeds
+
+        def run_aloha_seeds(seeds, make_field, cfg, rounds, params):
+            if cfg.channels == 2 and (os.getpid() == parent) == (where == "parent"):
+                if fate == "exit":
+                    os._exit(1)
+                raise RuntimeError("boom")
+            return real(seeds, make_field, cfg, rounds, params)
+
+        monkeypatch.setattr(fieldsense.aloha, "run_aloha_seeds", run_aloha_seeds)
+
+    @pytest.mark.parametrize("where,fate,named", [
+        ("child", "exit", "cells B=2 Q=10 conventional, B=3 Q=10 modified, "
+                          "B=5 Q=10 conventional: the process running them ended "
+                          "(exit status 1)"),
+        ("child", "raise", "cell B=2 Q=10 conventional: boom"),
+        ("parent", "raise", "cell B=2 Q=10 modified: boom"),
+    ], ids=["child-exits", "child-raises", "parent-raises"])
+    def test_a_failed_cell_is_a_run_error(self, tmp_path, capsys, monkeypatch, where,
+                                          fate, named):
+        self.fail_at(monkeypatch, where, fate)
+        assert main([*self.SWEEP, "--out", str(tmp_path / "x.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert f"fieldsense: run: {named}" in err and not out
+        assert no_child_left()
+
+    @pytest.mark.parametrize("args,code", [
+        ([], 0),
+        (["--rounds", "0"], 2),
+        (["--out", "missing/x.csv"], 4),
+    ], ids=["ok", "config", "emit"])
+    def test_no_child_outlives_the_cli(self, tmp_path, monkeypatch, args, code):
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.SWEEP, "--out", "x.csv", *args]) == code
+        assert no_child_left()
+
+    def test_a_threaded_caller_runs_every_cell_itself(self, monkeypatch):
+        self.fail_at(monkeypatch, "child", "exit")
+        config = config_from_mapping(small_aloha_mapping(B="1,2,3"))
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            result = run_experiment(config)
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert not result.failures and len(result.records) == 3 * 3 * 5 * 3
+
+    def test_a_truncated_payload_is_a_run_error(self):
+        cells = [fieldsense.experiments._Cell(2, 10, "modified")]
+        payload = pickle.dumps(("ok", [([], [])]), pickle.HIGHEST_PROTOCOL)
+        assert fieldsense.experiments._child_results(payload, 0, cells) == [([], [])]
+        with pytest.raises(RuntimeError, match=r"^cells B=2 Q=10 modified: .*exit status 0"):
+            fieldsense.experiments._child_results(payload[:-3], 0, cells)
 
 
 def load_run_figures():

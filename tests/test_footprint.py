@@ -4,11 +4,13 @@ The conditioner computes kernel rows only as observations need them, so a
 max-variance run and the public selection helpers use memory in proportion
 to uploads times sensors, not sensors squared (at L = 20000 a dense prior
 alone would take 3.2 GB); a seed batch keeps only as many seeds in flight
-as its bound allows; and the package runs on numpy alone, with scipy needed
-by the tests only.
+as its bound allows; an ALOHA sweep's forked children peak below their
+parent; and the package runs on numpy alone, with scipy needed by the tests
+only.
 """
 
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -124,3 +126,45 @@ def test_cli_import_leaves_scipy_out():
         print("scipy" in sys.modules)
     """)
     assert out.strip() == "False"
+
+
+SPLIT_SWEEP = """
+    import resource, tempfile
+    from fieldsense.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["aloha", "--preset", "fig7", "--seed", "1..10",
+                     "--out", tmp + "/fig7.csv"]) == 0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        print(resource.getrusage(who).ru_maxrss / 1024)
+"""
+
+
+def test_forked_cells_peak_below_their_parent():
+    # The sweep's forked children share the parent's pages until they write
+    # to them and return their records up a pipe, while the parent gathers
+    # every cell's records; a benchmark that reads the parent's peak alone
+    # sees the run's largest process.
+    lines = run_fresh(SPLIT_SWEEP).split()
+    parent, children = float(lines[-2]), float(lines[-1])
+    print(f"fig7 at 10 seeds: parent peak {parent:.1f} MB, children {children:.1f} MB")
+    assert children <= parent, f"children peak {children:.1f} MB, parent {parent:.1f} MB"
+
+
+def test_forked_cells_with_blas_threads(tmp_path):
+    # OpenBLAS keeps a thread pool; forking beside it must neither deadlock
+    # nor change a byte, and only the parent reports what it wrote.
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if threads:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+        out = tmp_path / f"fig7-{threads or 'default'}.csv"
+        proc = subprocess.run([sys.executable, "-m", "fieldsense", "aloha", "--preset", "fig7",
+                               "--seed", "1..3", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("wrote") == 1, proc.stdout
+        outputs.append((out.read_bytes(), pathlib.Path(f"{out}.agg").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky
 
-import fieldsense.das
 import fieldsense.gp
 from fieldsense.das import DasState, run_das
 from fieldsense.fields import SensorField, gen_2d
@@ -576,18 +575,19 @@ class TestKernelRow:
         params = KernelParams()
         plain = run_das(field, "max-variance", 40, params)
 
-        pick = fieldsense.das._max_variance_pick
-        calls = []
+        observe = IncrementalConditioner.observe
+        seen = []
 
-        def pick_and_score(cond, rem):
-            if len(calls) == 15:  # builds the prior; later rows come from it
+        def score_and_observe(cond, index, value, seed=0):
+            if len(seen) == 15:  # builds the prior; later rows come from it
+                rem = np.setdiff1d(np.arange(field.n_sensors), seen)[None]
                 cond.residual_variance(np.ones((1, field.n_sensors)), rem)
                 assert cond._prior is not None
-            calls.append(len(rem))
-            return pick(cond, rem)
+            seen.append(index)
+            return observe(cond, index, value, seed)
 
-        monkeypatch.setattr(fieldsense.das, "_max_variance_pick", pick_and_score)
+        monkeypatch.setattr(IncrementalConditioner, "observe", score_and_observe)
         switched = run_das(field, "max-variance", 40, params)
-        assert len(calls) == 40
+        assert len(seen) == 40
         assert [log.selected for log in switched] == [log.selected for log in plain]
         assert [log.mse for log in switched] == [log.mse for log in plain]
