@@ -17,7 +17,6 @@ from .aloha import (
     per_sensor_success_probability,
     run_aloha,
     run_aloha_seeds,
-    simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,

@@ -16,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState, play_seed_batches
+from .das import _IN_FLIGHT, DasState, play_seed_batches
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
 MODES = ("conventional", "modified")
-
-# Most seeds run_aloha_seeds plays at once.  Each seed in flight holds its
-# own factor (uploads x L floats: about 0.13 MB in fig7's B = 5 cell, 0.2 MB
-# of peak RSS with its buffers), so this bounds a batch's memory however many
-# seeds a sweep has; batches are split evenly, so none pays a round's shared
-# cost for a few seeds.
-_IN_FLIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,10 @@ class AlohaConfig:
             raise ValueError(f"candidates must be at least 1, got {self.candidates}")
         if not 0.0 <= self.p_sleep < 1.0:
             raise ValueError(f"p_sleep must be in [0, 1), got {self.p_sleep}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not math.isfinite(self.psi0):
+            raise ValueError(f"psi0 must be finite, got {self.psi0}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -172,42 +167,6 @@ def _alone(active, draws, channels: int) -> np.ndarray:
     return active & (counts[draws] == 1)
 
 
-def simulate_round(
-    candidates,
-    field: SensorField,
-    state: DasState,
-    dual: DualState,
-    cfg: AlohaConfig,
-    cond: IncrementalConditioner,
-    rng: np.random.Generator,
-) -> tuple[AlohaRound, DasState, DualState]:
-    """Play one contention round and fold the successful uploads into ``state``.
-
-    ``cond`` is the run's conditioner over the sensors, in lockstep with
-    ``state`` (holding exactly its uploads, else ``ValueError``): its means are
-    the predictions fed back, and each success is observed on it in place.
-    Random draws happen in a fixed order (sleep, activity, channels), each at
-    full candidate length, so switching modes does not shift unrelated draws.
-    This is the one-seed case of the round that :func:`run_aloha_seeds`
-    plays for up to 8 seeds at once.
-    """
-    state.check_against(field)
-    if cond.n_observations != state.order.size:
-        raise ValueError(
-            f"conditioner holds {cond.n_observations} observations, "
-            f"state has {state.order.size} uploads"
-        )
-    (log,), failed = _play_round([[int(c) for c in candidates]], field.measurements[None],
-                                 state.mask[None].copy(), np.array([dual.psi]), cfg, cond, [rng])
-    if failed:
-        raise ValueError(failed[0])
-    new_state = state.with_uploads(log.successes, field.measurements[log.successes])
-    new_dual = dual
-    if cfg.mode == "modified":
-        new_dual = dual_ascent_step(dual, int(log.activity.sum()), cfg.channels, cfg.mu)
-    return log, new_state, new_dual
-
-
 def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalConditioner,
                 rngs) -> tuple[list[AlohaRound], dict[int, str]]:
     """One contention round for every seed of a batch, one row per seed.
@@ -220,29 +179,19 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
     the dual step are computed for the batch at once.  Each success is then
     observed on its seed's rows of ``cond``, each seed's in candidate order;
     a seed whose observation fails takes no further one.  ``mask``, ``psi``
-    and ``cond`` are updated in place.
+    and ``cond`` are updated in place.  Each candidate list must name
+    distinct sensors that have not uploaded; it is not checked here.
 
     Returns each seed's round log and, for the seeds whose upload the
     conditioner could not take, their messages by row.
     """
-    n_seeds, n = mask.shape
+    n_seeds = mask.shape[0]
     lens = [len(c) for c in cands]
     width = max(lens)
     ragged = lens.count(width) != n_seeds  # some seed has fewer candidates: pad its row
     cand = _padded(cands, width, ragged, 0, int)
     valid = np.arange(width) < np.array(lens)[:, None] if ragged else True
-    pick = np.sort(np.where(valid, cand, -1) if ragged else cand, axis=1)
-    dup = pick[:, 1:] == pick[:, :-1]
-    if ragged:
-        dup &= pick[:, 1:] >= 0
-    if dup.any():
-        raise ValueError(f"duplicate candidates: {cands[int(dup.any(axis=1).argmax())]}")
     seeds = np.arange(n_seeds)[:, None]
-    bad = valid & ((cand < 0) | (cand >= n))  # padding (0) is in range
-    if not bad.any():
-        bad = valid & mask[seeds, cand]
-    if bad.any():
-        raise ValueError(f"candidate {cand[bad][0]} is not a remaining sensor")
 
     # Each seed's own draws, in its generator's order; padding never transmits.
     # One draw of 2k uniforms is the sleep draw of k then the activity draw of
@@ -256,7 +205,7 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
     u_sleep, u_active = _padded(sleep, width, ragged, 1.0), _padded(act, width, ragged, 1.0)
     draws = _padded(chan, width, ragged, 0, int)
 
-    predictions = cond.mean.reshape(n_seeds, n)[seeds, cand]
+    predictions = cond.mean[seeds, cand]
     errors = predictions - meas[seeds, cand]
     if cfg.mode == "conventional":
         probabilities = np.full((n_seeds, width), equal_upload_probability(cfg))
@@ -350,8 +299,10 @@ def run_aloha(
 
     Candidates default to a uniform random subset of size Q from the sensors
     that have not uploaded yet (all of them once fewer than Q remain); a
-    callable ``(field, state, rng) -> index list`` overrides that.  Once the
-    pool is exhausted, rounds proceed with empty candidate sets and zero SSE.
+    callable ``(field, state, rng) -> index list`` overrides that, and a list
+    that repeats a sensor or names one not waiting raises ``ValueError``.
+    Once the pool is exhausted, rounds proceed with empty candidate sets and
+    zero SSE.
     One conditioner over the sensors carries the predictions across rounds.
     This runs the round loop of :func:`run_aloha_seeds`, which plays up to 8
     seeds at once, on a batch of one seed.
@@ -379,6 +330,9 @@ def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: Ke
     A seed whose run fails yields ``(seed, field, t, error)`` with the
     ``ValueError`` instead, and nothing after it; the others play on.
     """
+    # Each seed in flight holds its own factor rows (uploads x L floats: about
+    # 0.13 MB in fig7's B = 5 cell, 0.2 MB of peak RSS with its buffers), so
+    # the bound on seeds in flight bounds a batch's memory.
     return play_seed_batches(seeds, make_field, lambda field: _IN_FLIGHT,
                              lambda fields, rngs: _play(fields, rngs, cfg, rounds, params))
 
@@ -415,7 +369,7 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
             if s in ended:
                 cands.append([])
             elif states:
-                cands.append([int(c) for c in candidate_policy(fields[s], states[s], rng)])
+                cands.append(_checked(candidate_policy(fields[s], states[s], rng), mask[s]))
             elif ends[s] < ends[s + 1]:
                 rem = rest[ends[s] : ends[s + 1]]
                 k = min(cfg.candidates, rem.size)
@@ -431,3 +385,14 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
                 if log is not None:
                     states[s] = states[s].with_uploads(log.successes, meas[s, log.successes])
         yield logs, failed
+
+
+def _checked(candidates, mask) -> list[int]:
+    """A candidate policy's list, as ints, checked against one seed's upload ``mask``."""
+    cands = [int(c) for c in candidates]
+    if len(set(cands)) != len(cands):
+        raise ValueError(f"duplicate candidates: {cands}")
+    for c in cands:
+        if not 0 <= c < mask.size or mask[c]:
+            raise ValueError(f"candidate {c} is not a remaining sensor")
+    return cands

@@ -30,11 +30,11 @@ _QUANTUM = 1e-12
 
 POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 
-# Most seeds run_das_seeds plays at once, and the most bytes the factors and
-# priors of a batch may hold together.  A small field's round is mostly
-# numpy call overhead, which a batch pays once; a large field's is its own
-# O(t * L) products, which batching does not share, so it plays alone and
-# memory stays that of one seed.
+# Most seeds run_das_seeds (and aloha.run_aloha_seeds) plays at once, and the
+# most bytes the factors and priors of a DAS batch may hold together.  A small
+# field's round is mostly numpy call overhead, which a batch pays once; a large
+# field's is its own O(t * L) products, which batching does not share, so it
+# plays alone and memory stays that of one seed.
 _IN_FLIGHT = 8
 _BATCH_BYTES = 4 * 2**20
 

@@ -166,7 +166,7 @@ def posterior(
     """
     cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
     targets = cond.target_locations[n:]
-    v = cond._a[0][:n, n:]  # L^-1 K(O, T)
+    v = cond._a[0, :n, n:]  # L^-1 K(O, T)
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, cond.variance[n:])
@@ -221,16 +221,17 @@ class IncrementalConditioner:
     Seed axis: given an (S, n, d) array, one instance carries S fields, each
     with its own target locations, factor and observations, and ``mean`` and
     ``variance`` have shape (S, n), so a batch reads every seed's posterior
-    at once; given (n, d) locations it carries one field and they have shape
-    (n,).  ``observe`` conditions one seed at a time, on that seed's own
-    rows, so each seed's numbers are bit-identical to a conditioner of its
-    own, and :meth:`residual_variance` scores every seed at once.
+    at once; (n, d) locations are the batch of one, whose ``mean`` and
+    ``variance`` are its row, of shape (n,).  ``observe`` conditions one seed
+    at a time, on that seed's own rows, so each seed's numbers are
+    bit-identical to a conditioner of its own, and
+    :meth:`residual_variance` scores every seed at once.
 
-    ``capacity`` sizes each seed's factor up front: a caller that knows how
-    many observations a seed takes (the DAS loop takes one per round)
-    allocates them once.  Past it a factor grows on demand: on a batch 8 rows
-    at a time, so memory follows the seeds' uploads, and for one field by
-    doubling from 64 rows.
+    Every seed's factor rows live in one (S, rows, n) block; the rows a seed
+    has not written are zero.  ``capacity`` sizes it up front: a caller that
+    knows how many observations a seed takes (the DAS loop takes one per
+    round) allocates them once.  Once a seed fills it, the whole block grows
+    by 8 zero rows, so memory follows the fullest seed's uploads.
 
     Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
@@ -252,21 +253,29 @@ class IncrementalConditioner:
         self.noise_variance = noise_variance
         self._batch = batch
         self.target_locations = targets.reshape(locs.shape) if batch else targets
-        # (d, n), or (d, S, n) on a batch: one contiguous row per coordinate (and seed)
-        self._coords = np.ascontiguousarray(np.moveaxis(self.target_locations, -1, 0))
+        # (d, S, n): one contiguous row per coordinate and seed
+        self._coords = np.ascontiguousarray(
+            np.moveaxis(targets.reshape(n_seeds, n, targets.shape[1]), -1, 0))
         self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
-        # _c[s] is L^-1 y; _t[s] counts the rows in use.  While every seed's
-        # rows fit, _a[s] is _block[s]; rows no seed has written are zero.
-        self._block = np.zeros((n_seeds, capacity, n))
-        self._a = list(self._block)
-        self._c = list(np.zeros((n_seeds, capacity)))
+        # _c[s] is L^-1 y; _t[s] counts the rows in use.
+        self._a = np.zeros((n_seeds, capacity, n))
+        self._c = np.zeros((n_seeds, capacity))
         self._t = [0] * n_seeds
-        # Posterior means and variances, (S, n) on a batch and (n,) otherwise,
-        # updated in place.
-        shape = (n_seeds, n) if batch else (n,)
-        self.mean = np.zeros(shape)
-        self.variance = np.full(shape, params.signal_variance)
+        # (S, n) posterior means and variances, updated in place
+        self._mean = np.zeros((n_seeds, n))
+        self._variance = np.full((n_seeds, n), params.signal_variance)
+
+    # Views taken on each read: a stored view would lose its base in a copy.
+    @property
+    def mean(self) -> np.ndarray:
+        """Posterior means, (S, n) on a batch and (n,) for one field; writable."""
+        return self._mean if self._batch else self._mean[0]
+
+    @property
+    def variance(self) -> np.ndarray:
+        """Posterior variances, shaped as :attr:`mean`; writable."""
+        return self._variance if self._batch else self._variance[0]
 
     @property
     def n_observations(self):
@@ -282,20 +291,21 @@ class IncrementalConditioner:
         """
         if not 0 <= seed < len(self._t):
             raise IndexError(f"seed {seed} out of range")
-        if self._batch:
-            coords, mean, old = self._coords[:, seed], self.mean[seed], self.variance[seed]
-        else:
-            coords, mean, old = self._coords, self.mean, self.variance
+        mean, old = self._mean[seed], self._variance[seed]
         if not 0 <= index < old.shape[0]:
             raise IndexError(f"target index {index} out of range")
         if not math.isfinite(value):
             raise ValueError("observed value is not finite")
-        a, c, t = self._a[seed], self._c[seed], self._t[seed]
-        if t == c.shape[0]:
-            a, c = self._grow(seed)
+        t = self._t[seed]
+        if t == self._c.shape[1]:  # this seed fills the block: 8 more rows for every seed
+            more = (len(self._t), 8)
+            self._a = np.concatenate([self._a, np.zeros((*more, old.shape[0]))], axis=1)
+            self._c = np.concatenate([self._c, np.zeros(more)], axis=1)
+        a, c = self._a[seed], self._c[seed]
         if self._prior is not None:
             k_row = self._prior[seed, index]
         else:  # targets are validated: skip gram's checks
+            coords = self._coords[:, seed]
             k_row = _sq_exp(coords - coords[:, index, None], self.params)
         lvec = a[:t, index]
         resid = k_row - lvec @ a[:t]
@@ -317,29 +327,6 @@ class IncrementalConditioner:
         mean += row * cj
         np.maximum(variance, 0.0, out=old)
 
-    def _grow(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Seed ``s``'s full buffers, 8 rows longer on a batch and doubled (64 at
-        first) otherwise: a batch keeps many factors, so it holds each close to
-        its uploads, and one factor's copies stay a small share of its products."""
-        a, c = self._a[s], self._c[s]
-        extra = 8 if self._batch else max(c.shape[0], 64)
-        self._a[s] = np.concatenate([a, np.empty((extra, a.shape[1]))])
-        self._c[s] = np.concatenate([c, np.empty(extra)])
-        # one field's rows stay a block of one; a batch's no longer share one
-        self._block = None if self._batch else self._a[0][None]
-        return self._a[s], self._c[s]
-
-    def _factors(self) -> np.ndarray:
-        """Every seed's factor rows as one (S, t, n) array, t the most any seed
-        holds; the rows a seed has not written are zero."""
-        t = max(self._t)
-        if self._block is not None:
-            return self._block[:, :t]
-        out = np.zeros((len(self._t), t, self._a[0].shape[1]))
-        for s, (a, ts) in enumerate(zip(self._a, self._t)):
-            out[s, :ts] = a[:ts]
-        return out
-
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
 
@@ -359,7 +346,7 @@ class IncrementalConditioner:
         of a lockstep round loop) scores bit-identically to a conditioner of
         its own field, and each seed's prior is built from its own targets.
         """
-        n_seeds, n = len(self._t), self.variance.shape[-1]
+        n_seeds, n = self._mean.shape
         w = np.asarray(weights, dtype=float)
         cand = np.asarray(candidates, dtype=int)
         if not self._batch:
@@ -371,14 +358,14 @@ class IncrementalConditioner:
         if w.ndim == 2:  # one set for every seed
             w = w[None].repeat(n_seeds, axis=0)
         if self._prior is None:
-            c = self._coords.reshape(-1, n_seeds, n)
+            c = self._coords
             self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
-        a = self._factors()
+        a = self._a[:, : max(self._t)]
         s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
         # flat positions of each seed's candidates in each of its rows
         at = cand[:, None, :] + np.arange(0, s.size, n).reshape(*s.shape[:2], 1)
         wc, sc = w.take(at), s.take(at)
-        dc = self.variance.take(cand + np.arange(0, n_seeds * n, n)[:, None])[:, None, :]
+        dc = self._variance.take(cand + np.arange(0, n_seeds * n, n)[:, None])[:, None, :]
         wd = wc * dc
         own = np.einsum("...ij,...ij->...i", w, s)[..., None] - wc * (2.0 * sc - wd)
         cross = sc - wd

@@ -19,14 +19,14 @@ from fieldsense.aloha import (
     per_sensor_success_probability,
     run_aloha,
     run_aloha_seeds,
-    simulate_round,
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
+    _play_round,
 )
-from fieldsense.das import DasState, _conditioner
+from fieldsense.das import DasState
 from fieldsense.fields import gen_random_sinusoid
-from fieldsense.gp import KernelParams
+from fieldsense.gp import IncrementalConditioner, KernelParams
 
 import oracle
 from test_das import by_seed, make_field, poisoning_observe
@@ -34,9 +34,27 @@ from test_das import by_seed, make_field, poisoning_observe
 UNIT = KernelParams(1.0, 1.0)
 
 
-def cond_for(field, state):
-    """A fresh conditioner holding ``state``'s uploads, for one simulate_round call."""
-    return _conditioner(field, state, UNIT)
+def fresh_batch(fields, uploaded=()):
+    """A batch's round state over ``fields``, with ``uploaded`` observed on
+    every seed: its conditioner and its (S, n) upload mask."""
+    cond = IncrementalConditioner(np.stack([f.locations for f in fields]), UNIT,
+                                  fields[0].noise_variance)
+    mask = np.zeros((len(fields), fields[0].n_sensors), dtype=bool)
+    for s, field in enumerate(fields):
+        for i in uploaded:
+            cond.observe(i, float(field.measurements[i]), s)
+            mask[s, i] = True
+    return cond, mask
+
+
+def one_round(field, cands, cfg, rng, uploaded=(), psi=0.0):
+    """The batch round on a batch of one: ``field`` with ``uploaded`` observed
+    plays ``cands``; returns the round's log, the mask and psi after it."""
+    cond, mask = fresh_batch([field], uploaded)
+    psi = np.array([psi])
+    (log,), failed = _play_round([cands], field.measurements[None], mask, psi, cfg, cond, [rng])
+    assert not failed
+    return log, mask[0], float(psi[0])
 
 
 class TestClosedForms:
@@ -155,23 +173,20 @@ class TestDualAscent:
         assert [h[0] for h in dual.history] == [1, 2, 3]
 
     def test_regulates_active_count_with_stationary_errors(self):
-        # Resetting the upload state each round keeps error statistics
-        # stationary; the running mean of K should settle near B.
+        # A fresh upload state each round keeps error statistics stationary;
+        # the running mean of K should settle near B.
         cfg = AlohaConfig(channels=3, candidates=10, mu=0.5, mode="modified")
-        mean_k = []
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            field = gen_random_sinusoid(200, 10, 0.1, rng)
-            dual = DualState(cfg.psi0)
-            state0 = DasState.fresh(200)
-            ks = []
-            for _ in range(200):
-                cand = sorted(rng.choice(200, size=10, replace=False).tolist())
-                log, _, dual = simulate_round(
-                    cand, field, state0, dual, cfg, cond_for(field, state0), rng
-                )
-                ks.append(int(log.activity.sum()))
-            mean_k.append(np.mean(ks[-20:]))
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        fields = [gen_random_sinusoid(200, 10, 0.1, rng) for rng in rngs]
+        meas = np.stack([f.measurements for f in fields])
+        psi = np.full(5, cfg.psi0)
+        ks = []
+        for _ in range(200):
+            cands = [sorted(rng.choice(200, size=10, replace=False).tolist()) for rng in rngs]
+            cond, mask = fresh_batch(fields)
+            logs, _ = _play_round(cands, meas, mask, psi, cfg, cond, rngs)
+            ks.append([int(log.activity.sum()) for log in logs])
+        mean_k = np.mean(ks[-20:], axis=0)
         assert abs(np.mean(mean_k) - 3) < 1.0
 
 
@@ -209,59 +224,59 @@ def perfect_prediction_setup():
 
 
 class TestSimulateRound:
+    """The round that ``run_aloha`` and ``run_aloha_seeds`` play on a seed batch."""
+
     def test_zero_errors_keep_everyone_silent(self):
         field, state = perfect_prediction_setup()
         cfg = AlohaConfig(channels=2, candidates=2, mode="modified")
-        log, new_state, dual = simulate_round(
-            [1], field, state, DualState(0.0), cfg, cond_for(field, state),
-            np.random.default_rng(0),
-        )
+        log, mask, _ = one_round(field, [1], cfg, np.random.default_rng(0),
+                                 uploaded=state.uploaded)
         assert log.errors[0] == pytest.approx(0.0, abs=1e-12)
         assert log.probabilities[0] == 0.0 or log.probabilities[0] < 1e-10
         assert not log.activity.any()
         assert log.sse == pytest.approx(0.0, abs=1e-20)
-        assert new_state.remaining == (1,)
+        assert mask.tolist() == [True, False]
 
     def test_single_candidate_certain_upload(self):
         field = make_field([0.0, 5.0])
         cfg = AlohaConfig(channels=1, candidates=1, mode="conventional")
-        log, new_state, _ = simulate_round(
-            [1], field, DasState.fresh(2), DualState(0.0), cfg,
-            cond_for(field, DasState.fresh(2)), np.random.default_rng(3),
-        )
+        log, mask, _ = one_round(field, [1], cfg, np.random.default_rng(3))
         assert log.successes == [1]
-        assert 1 in new_state.uploaded
+        assert mask.tolist() == [False, True]
         assert log.sse == 0.0
 
     def test_mean_successes_match_throughput(self):
+        # 20,000 seed-rounds, as 40 rounds of a fresh 500-seed batch
         field = make_field(np.linspace(0, 9, 10), noise=0.1)
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
         rng = np.random.default_rng(4)
-        n = 20_000
+        n_seeds, n_rounds = 500, 40
         total = 0
-        state = DasState.fresh(10)
-        for _ in range(n):
-            log, _, _ = simulate_round(
-                list(range(10)), field, state, DualState(0.0), cfg,
-                cond_for(field, state), rng,
-            )
-            total += len(log.successes)
+        for _ in range(n_rounds):
+            cond, mask = fresh_batch([field] * n_seeds)
+            logs, _ = _play_round([list(range(10))] * n_seeds,
+                                  np.tile(field.measurements, (n_seeds, 1)), mask,
+                                  np.zeros(n_seeds), cfg, cond, [rng] * n_seeds)
+            total += sum(len(log.successes) for log in logs)
         want = expected_throughput(0.3, cfg)
-        assert total / n == pytest.approx(want, rel=0.02)
+        assert total / (n_seeds * n_rounds) == pytest.approx(want, rel=0.02)
 
     def test_round_log_invariants(self):
         rng = np.random.default_rng(5)
         field = gen_random_sinusoid(40, 10, 0.1, rng)
         cfg = AlohaConfig(channels=3, candidates=10, mode="modified", p_sleep=0.3)
-        state = DasState.fresh(40)
-        cond = cond_for(field, state)
-        dual = DualState(0.0)
+        cond, mask = fresh_batch([field])
+        psi = np.zeros(1)
         for _ in range(15):
-            cand = sorted(rng.choice(sorted(state.remaining), size=min(10, len(state.remaining)), replace=False).tolist())
-            log, state, dual = simulate_round(cand, field, state, dual, cfg, cond, rng)
+            rem = np.flatnonzero(~mask[0])
+            cand = sorted(rng.choice(rem, size=min(10, rem.size), replace=False).tolist())
+            (log,), failed = _play_round([cand], field.measurements[None], mask, psi, cfg,
+                                         cond, [rng])
+            assert not failed
             active_set = {c for c, a in zip(log.candidates, log.activity) if a}
             assert set(log.successes) | set(log.collided) == active_set
             assert set(log.successes) & set(log.collided) == set()
+            assert set(np.flatnonzero(~mask[0])) == set(rem.tolist()) - set(log.successes)
             failures = [q for q in range(len(cand)) if cand[q] not in log.successes]
             recomputed = float(np.sum(log.errors[failures] ** 2))
             assert recomputed == log.sse  # bitwise
@@ -269,34 +284,24 @@ class TestSimulateRound:
             assert log.sse >= 0.0
 
     def test_rejects_bad_candidates(self):
+        # a candidate policy's list is checked where it enters the round loop
         field = make_field([0.0, 1.0])
-        state = DasState.fresh(2).with_uploads([0], [0.0])
-        cfg = AlohaConfig(channels=1, candidates=2)
-        with pytest.raises(ValueError):
-            simulate_round([0], field, state, DualState(0.0), cfg,
-                           cond_for(field, state), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulate_round([1, 1], field, state, DualState(0.0), cfg,
-                           cond_for(field, state), np.random.default_rng(0))
-
-    def test_rejects_conditioner_out_of_lockstep(self):
-        field = make_field([0.0, 1.0, 2.0])
-        state = DasState.fresh(3).with_uploads([0], [0.0])
-        cfg = AlohaConfig(channels=1, candidates=2)
-        for held in (DasState.fresh(3), state.with_uploads([1], [0.0])):
-            with pytest.raises(ValueError, match="conditioner"):
-                simulate_round([2], field, state, DualState(0.0), cfg,
-                               cond_for(field, held), np.random.default_rng(0))
+        cfg = AlohaConfig(channels=1, candidates=1, mode="conventional")
+        for bad, match in (([1, 1], "duplicate"), ([2], "not a remaining"),
+                           ([-1], "not a remaining")):
+            with pytest.raises(ValueError, match=match):
+                run_aloha(field, cfg, 1, UNIT, np.random.default_rng(0),
+                          candidate_policy=lambda f, s, r, bad=bad: bad)
+        # one candidate on one channel uploads for sure, then is offered again
+        with pytest.raises(ValueError, match="candidate 0 is not a remaining sensor"):
+            run_aloha(field, cfg, 2, UNIT, np.random.default_rng(0),
+                      candidate_policy=lambda f, s, r: [0])
 
     def test_conventional_leaves_dual_untouched(self):
         field = make_field(np.linspace(0, 9, 10), noise=0.1)
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
-        dual = DualState(0.7)
-        _, _, new_dual = simulate_round(
-            list(range(10)), field, DasState.fresh(10), dual, cfg,
-            cond_for(field, DasState.fresh(10)), np.random.default_rng(6),
-        )
-        assert new_dual is dual
+        log, _, psi = one_round(field, list(range(10)), cfg, np.random.default_rng(6), psi=0.7)
+        assert log.psi == psi == 0.7
 
 
 class TestRunAloha:
@@ -583,6 +588,10 @@ class TestAlohaConfigValidation:
             dict(channels=3, candidates=10, p_sleep=1.0),
             dict(channels=3, candidates=10, mu=0.0),
             dict(channels=3, candidates=10, mode="other"),
+            dict(channels=3, candidates=10, mu=math.inf),
+            dict(channels=3, candidates=10, psi0=math.nan),
+            dict(channels=3, candidates=10, psi0=math.inf),
+            dict(channels=3, candidates=10, psi0=-math.inf),
         ],
     )
     def test_rejects(self, kwargs):

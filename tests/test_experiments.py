@@ -414,6 +414,9 @@ class TestCli:
             ("aloha", "L = 20\nQ = 0\n"),
             ("aloha", "L = 20\np_sleep = 1\n"),
             ("aloha", "L = 20\nmu = 0\n"),
+            ("aloha", "L = 20\nmu = inf\n"),
+            ("aloha", "L = 20\nmode = modified\npsi0 = nan\n"),
+            ("aloha", "L = 20\nmode = modified\npsi0 = inf\n"),
             ("das", "experiment = das-1d\nL = 12\nlength_scale = 0\n"),
             ("das", "experiment = das-1d\nL = 12\nsignal_variance = -1\n"),
             ("das", "experiment = das-1d\nL = 0\nrounds = 5\n"),
@@ -422,8 +425,8 @@ class TestCli:
             ("das", "experiment = das-1d\nL = 20\npolicy = app-weighted\napps = e:500\n"),
             ("aloha", "L = 20\nT = 0\n"),
         ],
-        ids=["betas", "virtual", "B", "Q", "p_sleep", "mu", "length_scale",
-             "signal_variance", "L", "sigma2", "app_spec", "app_index", "T"],
+        ids=["betas", "virtual", "B", "Q", "p_sleep", "mu", "mu_inf", "psi0_nan", "psi0_inf",
+             "length_scale", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "bad.cfg"

@@ -484,6 +484,27 @@ class TestSeedAxis:
                                                                            state, UNIT),
                                        rtol=0, atol=1e-10)
 
+    def test_growth_leaves_unwritten_rows_zero(self):
+        # no capacity: the block grows 8 rows at a time while the seeds hold
+        # 3, 9 and 17 observations, so most rows past a seed's own come from
+        # a growth; a seed scores as its own conditioner only if they are zero
+        rng = np.random.default_rng(80)
+        n = 30
+        locs = rng.uniform(0, 5, size=(3, n, 2))
+        batch = IncrementalConditioner(locs, UNIT, 0.05)
+        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        for s, count in enumerate((3, 9, 17)):
+            for i in rng.permutation(n)[:count].tolist():
+                v = float(rng.normal())
+                batch.observe(i, v, s)
+                singles[s].observe(i, v)
+        self.assert_seeds_match(batch, singles)
+        weights = rng.normal(size=(2, n))
+        got = batch.residual_variance(weights, np.tile(np.arange(n), (3, 1)))
+        for s, single in enumerate(singles):
+            np.testing.assert_allclose(got[s], single.residual_variance(weights, np.arange(n)),
+                                       rtol=0, atol=1e-12)
+
     def test_failing_seed_is_left_unchanged(self):
         rng = np.random.default_rng(40)
         locs = rng.uniform(0, 5, size=(3, 12, 1))
