@@ -22,7 +22,11 @@ holdout records:
   and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3;
 - ALOHA with sleep and pool exhaustion (L = 30, B = 4, Q = 10,
   ``p_sleep = 0.3``, both modes, 40 rounds) at seeds 1..40: seeds run dry
-  in different rounds, so one seed batch holds ragged candidate sets.
+  in different rounds, so one seed batch holds ragged candidate sets;
+- ALOHA with at least as many channels as candidates (L = 60, B = 6, Q = 4,
+  both modes, 40 rounds) at seeds 1..30: many rounds take three or four
+  successes of a seed, so its uploads are observed in slots three or four
+  deep.
 
 Uses the standard library only.
 """
@@ -57,6 +61,16 @@ p_sleep = 0.3
 mode = conventional,modified
 """
 
+WIDE_CONFIG = """\
+experiment = aloha
+L = 60
+sigma2 = 0.1
+rounds = 40
+B = 6
+Q = 4
+mode = conventional,modified
+"""
+
 
 def cases():
     """(name, fieldsense arguments) for every run of the matrix."""
@@ -73,6 +87,7 @@ def cases():
         yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
     yield "aloha-sleep", ["aloha", "--config", "aloha-sleep.cfg", "--seed", "1..40"]
+    yield "aloha-wide", ["aloha", "--config", "aloha-wide.cfg", "--seed", "1..30"]
 
 
 def main(argv=None) -> int:
@@ -94,6 +109,7 @@ def main(argv=None) -> int:
          "stations.csv", "--n", "120"])
     (out / "das-csv.cfg").write_text(CSV_CONFIG, encoding="utf-8")
     (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
+    (out / "aloha-wide.cfg").write_text(WIDE_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
         run([sys.executable, "-m", "fieldsense", *fs_args, "--out", f"{name}.csv"])
         print(f"{name}: {out / name}.csv", flush=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import _IN_FLIGHT, DasState, play_seed_batches
+from .das import DasState, _in_flight, play_seed_batches
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
@@ -176,11 +176,12 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
     uploaded; ``psi`` (S,) is each seed's dual variable and ``rngs`` its
     generator.  Each generator draws sleep, activity and channels for its
     own candidates; predictions, upload probabilities, contention, SSE and
-    the dual step are computed for the batch at once.  Each success is then
-    observed on its seed's rows of ``cond``, each seed's in candidate order;
-    a seed whose observation fails takes no further one.  ``mask``, ``psi``
-    and ``cond`` are updated in place.  Each candidate list must name
-    distinct sensors that have not uploaded; it is not checked here.
+    the dual step are computed for the batch at once.  The successes are
+    then observed on ``cond`` slot by slot, slot j holding each seed's j-th
+    success in candidate order; a seed whose observation fails takes no
+    further one.  ``mask``, ``psi`` and ``cond`` are updated in place.  Each
+    candidate list must name distinct sensors that have not uploaded; it is
+    not checked here.
 
     Returns each seed's round log and, for the seeds whose upload the
     conditioner could not take, their messages by row.
@@ -219,12 +220,14 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
     sensors = cand[who, where]
     mask[who, sensors] = True
     failed: dict[int, str] = {}
-    for s, i, value in zip(who.tolist(), sensors.tolist(), meas[who, sensors].tolist()):
-        if s not in failed:
-            try:
-                cond.observe(i, value, s)
-            except ValueError as exc:  # this seed's run ends here; the others go on
-                failed[s] = str(exc)
+    if who.size:
+        slot = np.arange(who.size) - np.searchsorted(who, who)  # its rank in its seed
+        values = meas[who, sensors]
+        for j in range(int(slot.max()) + 1):
+            take = slot == j
+            if failed:  # a failed seed's run ends; the others go on
+                take &= ~np.isin(who, list(failed))
+            failed.update(cond.observe(sensors[take], values[take], who[take]))
 
     psi_used = psi.tolist()
     if cfg.mode == "modified":
@@ -304,8 +307,8 @@ def run_aloha(
     Once the pool is exhausted, rounds proceed with empty candidate sets and
     zero SSE.
     One conditioner over the sensors carries the predictions across rounds.
-    This runs the round loop of :func:`run_aloha_seeds`, which plays up to 8
-    seeds at once, on a batch of one seed.
+    This runs the round loop of :func:`run_aloha_seeds` on a batch of one
+    seed.
     """
     logs = []
     for (log,), failed in _play([field], [rng], cfg, rounds, params, candidate_policy):
@@ -321,20 +324,25 @@ def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: Ke
     Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
     builds its field through ``make_field(rng)`` and then draws its rounds,
     exactly as a run of its own would, so every seed's logs are
-    bit-identical to its own :func:`run_aloha`.  Up to 8 seeds are in flight
-    at once, in batches of near-equal size, so memory follows that number,
-    not the number of seeds.
+    bit-identical to its own :func:`run_aloha`.  The seeds play in batches
+    of near-equal size, each holding as many seeds as fit the byte budget of
+    :func:`fieldsense.das._in_flight` at their worst case, ``min(L, rounds *
+    B)`` factor rows each (B successes a round at most), so memory follows
+    that bound, not the number of seeds.
 
     Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
     seed, round by round through a batch, seeds in order within a round.
     A seed whose run fails yields ``(seed, field, t, error)`` with the
     ``ValueError`` instead, and nothing after it; the others play on.
     """
-    # Each seed in flight holds its own factor rows (uploads x L floats: about
-    # 0.13 MB in fig7's B = 5 cell, 0.2 MB of peak RSS with its buffers), so
-    # the bound on seeds in flight bounds a batch's memory.
-    return play_seed_batches(seeds, make_field, lambda field: _IN_FLIGHT,
-                             lambda fields, rngs: _play(fields, rngs, cfg, rounds, params))
+    return play_seed_batches(
+        seeds, make_field, lambda field: _in_flight(field.n_sensors, _capacity(field, cfg, rounds)),
+        lambda fields, rngs: _play(fields, rngs, cfg, rounds, params))
+
+
+def _capacity(field: SensorField, cfg: AlohaConfig, rounds: int) -> int:
+    """The most uploads a seed's run can take: B a round, each sensor once."""
+    return min(field.n_sensors, rounds * cfg.channels)
 
 
 def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
@@ -353,7 +361,7 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
            for f in fields):
         raise ValueError("a seed batch needs fields of one size and noise variance")
     cond = IncrementalConditioner(np.stack([f.locations for f in fields]), params,
-                                  first.noise_variance)
+                                  first.noise_variance, capacity=_capacity(first, cfg, rounds))
     meas = np.stack([f.measurements for f in fields])
     mask = np.zeros(meas.shape, dtype=bool)  # the one record of the uploads
     psi = np.full(len(fields), float(cfg.psi0))

@@ -3,9 +3,9 @@ the reconstruction of the whole field improves as fast as possible.
 
 The round loop plays a batch of seeds in lockstep on one conditioner with a
 seed axis; a run of one field is the batch of one.  Its round state is one
-array record of the batch's uploads (an (S, n) upload mask, the upload order
-and the measured values), and it indexes the conditioner with each seed's
-ascending array of sensors still missing.  The field estimate copies
+array record of the batch's uploads (a mask of the sensors still waiting,
+the upload order and the measured values), and it indexes the conditioner
+with the flat positions of each seed's sensors still missing, ascending.  The field estimate copies
 uploaded measurements verbatim and fills the rest with GP posterior means;
 its MSE is the sum of the posterior variances of the sensors still missing.
 Selection policies pick the largest current variance (which minimizes
@@ -30,12 +30,11 @@ _QUANTUM = 1e-12
 
 POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 
-# Most seeds run_das_seeds (and aloha.run_aloha_seeds) plays at once, and the
-# most bytes the factors and priors of a DAS batch may hold together.  A small
+# The most bytes the seeds of one batch of run_das_seeds or
+# aloha.run_aloha_seeds may hold at their worst case (see _in_flight).  A small
 # field's round is mostly numpy call overhead, which a batch pays once; a large
 # field's is its own O(t * L) products, which batching does not share, so it
 # plays alone and memory stays that of one seed.
-_IN_FLIGHT = 8
 _BATCH_BYTES = 4 * 2**20
 
 
@@ -204,15 +203,10 @@ def _conditioner(field: SensorField, state: DasState, params: KernelParams,
     return cond
 
 
-def _at(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``arr[s, idx[s]]`` for every row s: each seed's entries of an (S, n) array."""
-    return arr.take(idx + np.arange(0, arr.size, arr.shape[1])[:, None])
-
-
 def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
-    """For each row of ``rem`` (S, m), one seed's candidates, the one with the
-    largest quantized variance, ``var`` (S, m) holding theirs; ties go to the
-    lowest index."""
+    """For each row of ``rem`` (S, m), one seed's candidates in ascending
+    order, the one with the largest quantized variance, ``var`` (S, m)
+    holding theirs; ties go to the lowest index."""
     return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
 
 
@@ -246,9 +240,9 @@ def select_max_variance(field: SensorField, state: DasState, params: KernelParam
     state.check_against(field)
     if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
-    cond = _conditioner(field, state, params)
-    rem = state.remaining_index[None]
-    return int(_max_variance_pick(_at(cond.variance.reshape(1, -1), rem), rem)[0])
+    rem = state.remaining_index
+    var = _conditioner(field, state, params).variance[rem]
+    return int(_max_variance_pick(var[None], rem[None])[0])
 
 
 def select_random(state: DasState, rng: np.random.Generator) -> int:
@@ -337,10 +331,10 @@ def run_das_seeds(seeds, make_field, policy, rounds: int, params: KernelParams,
     builds its field through ``make_field(rng)`` and then draws the random
     policy's picks, exactly as a run of its own would, so every seed's logs
     are bit-identical to its own :func:`run_das`.  The fields must share
-    their number of sensors and noise variance.  A batch holds at most 8
-    seeds, and fewer where their factors (``rounds`` rows over the targets
-    each) and, for the scored policies, their priors (targets squared) would
-    pass 4 MB together, so a large field plays one seed at a time; batches
+    their number of sensors and noise variance.  A batch holds as many seeds
+    as fit a 4 MB budget (:func:`_in_flight`) over their factors (``rounds``
+    rows over the targets each) and, for the scored policies, their priors
+    (targets squared), so a large field plays one seed at a time; batches
     are of near-equal size.
 
     Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
@@ -352,12 +346,20 @@ def run_das_seeds(seeds, make_field, policy, rounds: int, params: KernelParams,
         n = field.n_sensors
         if policy == "virtual" and virtual_locs is not None:
             n += as_points(virtual_locs, dim=field.dim).shape[0]
-        scored = policy in ("app-weighted", "virtual")
-        per_seed = 8 * n * (rounds + (n if scored else 0))
-        return max(1, min(_IN_FLIGHT, _BATCH_BYTES // per_seed))
+        return _in_flight(n, rounds, policy in ("app-weighted", "virtual"))
 
     return play_seed_batches(seeds, make_field, in_flight, lambda fields, rngs: _play(
         fields, rngs, policy, rounds, params, virtual_locs, log_estimates, apps))
+
+
+def _in_flight(n_targets: int, rows: int, scored: bool = False) -> int:
+    """Most seeds a batch may play at once: as many as fit ``_BATCH_BYTES``
+    at each seed's worst case, ``rows`` factor rows and a posterior mean and
+    variance over ``n_targets`` targets, and a prior over them (targets
+    squared) if ``scored``.  Factor rows become resident only once written,
+    so a batch holds less than this until its seeds fill their rows."""
+    per_seed = 8 * n_targets * (rows + 2 + (n_targets if scored else 0))
+    return max(1, _BATCH_BYTES // per_seed)
 
 
 def play_seed_batches(seeds, make_field, in_flight, play):
@@ -434,47 +436,50 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
 
     cond = IncrementalConditioner(targets, params, first.noise_variance, capacity=rounds)
     meas = np.stack([f.measurements for f in fields])
-    # The one record of the uploads: which sensors, in what order, what values.
-    mask = np.zeros((n_seeds, n), dtype=bool)
+    # The one record of the uploads: which sensors are still waiting, laid over
+    # every target so that its flat positions index the conditioner's (S, n_t)
+    # arrays; the upload order; the measured values.
+    n_t = targets.shape[1]
+    waiting = np.zeros((n_seeds, n_t), dtype=bool)
+    waiting[:, :n] = True
     order = np.zeros((n_seeds, rounds), dtype=int)
     values = np.zeros((n_seeds, rounds))
     seeds = np.arange(n_seeds)
-    rem = np.broadcast_to(np.arange(n), (n_seeds, n))  # each row's sensors still waiting
-    var = _at(cond.variance, rem)  # and their variances
+    offsets = seeds * n_t  # flat position of each row's first target
+    flat = np.flatnonzero(waiting).reshape(n_seeds, n)  # each row's sensors still waiting
+    var = cond.variance.take(flat)  # and their variances
     ended: set[int] = set()
     for t in range(rounds):
-        if callable(policy):
-            picks = np.array([rem[s, 0] if s in ended else _called_pick(
-                policy, fields[s], params, rngs[s], mask[s], order[s, :t], values[s, :t])
-                for s in range(n_seeds)])
-        elif policy == "random":
-            picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
-                              for s, rng in enumerate(rngs)])
-        elif policy == "max-variance":
-            picks = _max_variance_pick(var, rem)
+        if policy == "max-variance":
+            picks = _max_variance_pick(var, flat) - offsets
         else:
-            picks = _min_residual_pick(cond, rem, weights, betas)
+            rem = flat - offsets[:, None]
+            if callable(policy):
+                picks = np.array([rem[s, 0] if s in ended else _called_pick(
+                    policy, fields[s], params, rngs[s], ~waiting[s, :n], order[s, :t],
+                    values[s, :t]) for s in range(n_seeds)])
+            elif policy == "random":
+                picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
+                                  for s, rng in enumerate(rngs)])
+            else:
+                picks = _min_residual_pick(cond, rem, weights, betas)
         measured = meas[seeds, picks]
-        mask[seeds, picks] = True
+        waiting[seeds, picks] = False
         order[:, t] = picks
         values[:, t] = measured
-        failed: dict[int, str] = {}
-        for s, (idx, value) in enumerate(zip(picks.tolist(), measured.tolist())):
-            if s not in ended:
-                try:
-                    cond.observe(idx, value, s)
-                except ValueError as exc:  # this seed's run ends here; the others go on
-                    failed[s] = str(exc)
+        live = [s for s in range(n_seeds) if s not in ended] if ended else seeds
+        failed = cond.observe(picks[live], measured[live], live)  # a failed seed's run ends
         ended.update(failed)
         if policy == "app-weighted":
             weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error
-        rem = np.flatnonzero(~mask).reshape(n_seeds, n - t - 1) - seeds[:, None] * n
-        var = _at(cond.variance, rem)
+        flat = np.flatnonzero(waiting).reshape(n_seeds, n - t - 1)
+        var = cond.variance.take(flat)
         logs = []
         for s, (idx, mse) in enumerate(zip(picks.tolist(), var.sum(axis=1).tolist())):
             est = None
             if log_estimates and s not in ended:
-                est = _pack_estimate(fields[s], rem[s], cond.mean[s, rem[s]], var[s])
+                rem_s = flat[s] - offsets[s]
+                est = _pack_estimate(fields[s], rem_s, cond.mean[s, rem_s], var[s])
             logs.append(None if s in ended else DasRound(t + 1, idx, mse, est))
         yield logs, failed
 
@@ -482,8 +487,9 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
 def _called_pick(policy, field: SensorField, params: KernelParams, rng, mask, order,
                  values) -> int:
     """A callable policy's pick for one seed, given that seed's row of the
-    upload record as a :class:`DasState`, checked against its uploads."""
-    state = DasState._of(mask.copy(), order.copy(), values.copy(), order.size)
+    upload record (``mask`` a fresh array) as a :class:`DasState`, checked
+    against its uploads."""
+    state = DasState._of(mask, order.copy(), values.copy(), order.size)
     idx = int(policy(field, state, params, rng))
     if not 0 <= idx < state.n_sensors or state.mask[idx]:
         raise ValueError(f"sensor {idx} is not awaiting upload")

@@ -72,6 +72,10 @@ _ALOHA_KEYS = {"experiment", "rounds", "seeds", "L", "sigma2", "T",
 
 DEFAULT_VIRTUAL_1D = ((1.0,), (3.0,), (5.0,), (7.0,), (9.0,))
 
+# The most bytes of fields an ALOHA sweep keeps, in each of its processes,
+# to build each seed's field once for all of its cells.
+_BUILT_BYTES = 16 * 2**20
+
 
 class ConfigError(ValueError):
     """Raised for any malformed or inconsistent run configuration."""
@@ -425,13 +429,13 @@ class _Cell:
         return f"B={self.b} Q={self.q} {self.mode}"
 
 
-def _aloha_cell(config: ExperimentConfig, cell: _Cell) -> tuple[list[tuple], list]:
+def _aloha_cell(config: ExperimentConfig, cell: _Cell, make_field) -> tuple[list[tuple], list]:
     """Every seed's records of one cell, as ``RunRecord`` field tuples (cheap
     to pickle), and its per-seed failures in seed order."""
     settings = config.aloha
     metric = _aloha_metric(cell.mode, settings, cell.b, cell.q)
     rows, failed = [], {}
-    runs = aloha_mod.run_aloha_seeds(config.seeds, config.field_spec.build,
+    runs = aloha_mod.run_aloha_seeds(config.seeds, make_field,
                                      settings.contention(cell.b, cell.q, cell.mode),
                                      config.rounds, config.kernel_params)
     for seed, _, t, log in runs:
@@ -450,7 +454,9 @@ def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]
     settings = config.aloha
     cells = [_Cell(b, q, mode) for b, q, mode in
              itertools.product(settings.b_values, settings.q_values, settings.modes)]
-    done = iter(_map_in_shares(lambda cell: _aloha_cell(config, cell), cells))
+    make_field = _built_once(config.field_spec.build)  # one cache for each process's cells
+    done = iter(_map_in_shares(lambda cell: _aloha_cell(config, cell, make_field), cells))
+    del make_field  # the fields' memory goes to the records
     records: list[RunRecord] = []
     failures = []
     for b, q in itertools.product(settings.b_values, settings.q_values):
@@ -463,6 +469,33 @@ def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]
         records += [RunRecord(seed, t, bound_metric, bound, "")
                     for seed in config.seeds for t in range(1, config.rounds + 1)]
     return records, failures
+
+
+def _built_once(make_field):
+    """``make_field``, building each seed's field once for all the calls it gets.
+
+    Every call gets a seed's fresh generator, whose state identifies the
+    seed.  The first call for a seed builds the field and keeps it with the
+    state the build left the generator in; a later one returns that field
+    and moves its generator to that state, so every later draw is as it
+    would have been.  Fields are kept up to ``_BUILT_BYTES`` in all.
+    """
+    built = {}
+
+    def make(rng):
+        bitgen = rng.bit_generator
+        start = bitgen.state["state"]
+        key = start["state"], start["inc"]
+        if key in built:
+            field, bitgen.state = built[key]
+            return field
+        field = make_field(rng)
+        size = field.locations.nbytes + field.true_means.nbytes + field.measurements.nbytes
+        if (len(built) + 1) * size <= _BUILT_BYTES:
+            built[key] = field, bitgen.state
+        return field
+
+    return make
 
 
 def _shares(n_cells: int) -> int:
@@ -563,15 +596,34 @@ def _child_results(data: bytes, status: int, cells) -> list:
 
 
 def aggregate(records: list[RunRecord]) -> list[AggRecord]:
-    """Per-(metric, round) mean and population standard deviation."""
-    groups: dict[tuple[str, int], list[float]] = {}
+    """Per-(metric, round) mean and population standard deviation.
+
+    Each round's values are reduced in record order.  Where every round of a
+    metric has as many values, its (rounds, values) block is reduced at once,
+    one contiguous row per round: numpy reduces each row as it would the
+    round's values alone, so the bits are the same.
+    """
+    columns: dict[str, tuple[list[int], list[float]]] = {}
     for rec in records:
-        groups.setdefault((rec.metric, rec.round), []).append(rec.value)
+        if rec.metric not in columns:
+            columns[rec.metric] = ([], [])
+        rounds, values = columns[rec.metric]
+        rounds.append(rec.round)
+        values.append(rec.value)
     out = []
-    for (metric, rnd) in sorted(groups):
-        vals = np.asarray(groups[(metric, rnd)])
-        out.append(AggRecord(metric, rnd, float(vals.mean()),
-                             float(vals.std(ddof=0)), vals.size))
+    for metric in sorted(columns):
+        rounds, values = map(np.asarray, columns[metric])
+        by_round = np.argsort(rounds, kind="stable")  # record order within a round
+        rnds, starts, counts = np.unique(rounds[by_round], return_index=True,
+                                         return_counts=True)
+        grouped = values[by_round]
+        if (counts == counts[0]).all():
+            block = grouped.reshape(rnds.size, counts[0])
+            stats = zip(block.mean(axis=1).tolist(), block.std(axis=1).tolist())
+        else:
+            stats = ((float(v.mean()), float(v.std())) for v in np.split(grouped, starts[1:]))
+        out += [AggRecord(metric, rnd, mean, std, n)
+                for rnd, (mean, std), n in zip(rnds.tolist(), stats, counts.tolist())]
     return out
 
 

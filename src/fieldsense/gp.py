@@ -13,6 +13,7 @@ inputs (scalars, flat lists) are promoted to shape (n, 1).
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +204,19 @@ def pointwise_conditional(
     return float(mean[0]), float(var[0])
 
 
+def _zeros(shape) -> np.ndarray:
+    """A zero-filled float array on fresh anonymous pages, which become
+    resident only once written.  ``np.zeros`` may reuse a block the allocator
+    has just freed, and clearing it makes every page of that block resident.
+    As numpy does for its own arrays, a block of 4 MiB or more asks for huge
+    pages, which take a fault per 2 MiB written instead of per 4 KiB."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if 8 * size >= 4 * 2**20 and hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, count=size).reshape(shape)
+
+
 class IncrementalConditioner:
     """Conditions the GP on observations added one at a time.
 
@@ -212,9 +226,9 @@ class IncrementalConditioner:
     observation extends the Cholesky factor of the noise-augmented kernel
     matrix by one row, so per-target posterior means and variances stay
     current at O(n_obs * n_targets) cost and memory per round.  ``observe``
-    computes the one kernel row it needs, from a coordinate-major copy of the
-    targets (one contiguous row per coordinate), so that row is the
-    matrix-vector product's minor cost; the target kernel matrix is built
+    computes the kernel rows it needs, from a coordinate-major copy of the
+    targets (one contiguous row per coordinate), so they are the
+    matrix-vector products' minor cost; the target kernel matrix is built
     only when :meth:`residual_variance` first needs it, and ``observe`` then
     reads its rows, which are bit-identical.
 
@@ -222,33 +236,38 @@ class IncrementalConditioner:
     with its own target locations, factor and observations, and ``mean`` and
     ``variance`` have shape (S, n), so a batch reads every seed's posterior
     at once; (n, d) locations are the batch of one, whose ``mean`` and
-    ``variance`` are its row, of shape (n,).  ``observe`` conditions one seed
-    at a time, on that seed's own rows, so each seed's numbers are
-    bit-identical to a conditioner of its own, and
+    ``variance`` are its row, of shape (n,).  ``observe`` takes one
+    observation of one seed, or a slot: one observation each of distinct
+    seeds, updated together.  Every seed is conditioned on its own rows, so
+    its numbers are bit-identical to a conditioner of its own, and
     :meth:`residual_variance` scores every seed at once.
 
-    Every seed's factor rows live in one (S, rows, n) block; the rows a seed
-    has not written are zero.  ``capacity`` sizes it up front: a caller that
-    knows how many observations a seed takes (the DAS loop takes one per
-    round) allocates them once.  Once a seed fills it, the whole block grows
-    by 8 zero rows, so memory follows the fullest seed's uploads.
+    Every seed's factor rows live in one (S, capacity, n) block, allocated
+    once; the rows a seed has not written are zero.  ``capacity`` is the
+    most observations a seed takes (a DAS run takes one per round), by
+    default one per target.  The block is laid on fresh pages, and only the
+    pages a seed writes become resident, so memory follows the rows written,
+    not the capacity.  A seed that observes past the capacity doubles the
+    block, copying it.
 
     Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
     jitter of 1e-10 up to 1e-6 times the signal variance that avoids it;
-    if none does, ``observe`` raises.
+    if none does, the update fails and leaves its seed unchanged.
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float,
-                 capacity: int = 0):
+                 capacity: int | None = None):
         locs = np.asarray(target_locs, dtype=float)
         batch = locs.ndim == 3
         targets = as_points(locs.reshape(-1, locs.shape[-1]) if batch else locs)
         if not (noise_variance > 0 and math.isfinite(noise_variance)):
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+        n_seeds, n = locs.shape[:2] if batch else (1, targets.shape[0])
+        if capacity is None:
+            capacity = n
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
-        n_seeds, n = locs.shape[:2] if batch else (1, targets.shape[0])
         self.params = params
         self.noise_variance = noise_variance
         self._batch = batch
@@ -259,7 +278,7 @@ class IncrementalConditioner:
         self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
         # _c[s] is L^-1 y; _t[s] counts the rows in use.
-        self._a = np.zeros((n_seeds, capacity, n))
+        self._a = _zeros((n_seeds, capacity, n))
         self._c = np.zeros((n_seeds, capacity))
         self._t = [0] * n_seeds
         # (S, n) posterior means and variances, updated in place
@@ -282,50 +301,105 @@ class IncrementalConditioner:
         """Observations held: an int, or a tuple with one count per seed on a batch."""
         return tuple(self._t) if self._batch else self._t[0]
 
-    def observe(self, index: int, value: float, seed: int = 0):
-        """Condition seed ``seed`` (the only one of a one-field conditioner) on a
-        (noisy) measurement at its target ``index``.
+    def observe(self, index, value, seed=0):
+        """Condition seeds on (noisy) measurements at their targets.
 
-        Raises ``ValueError``, leaving the conditioner unchanged, if even the
-        largest pivot jitter leaves a variance below ``VARIANCE_CLAMP``.
+        Scalars observe ``value`` at target ``index`` of seed ``seed`` (the
+        only one of a one-field conditioner), and raise ``ValueError``,
+        leaving the conditioner unchanged, if even the largest pivot jitter
+        leaves a variance below ``VARIANCE_CLAMP``.
+
+        Equal-length sequences observe a slot: one measurement each of
+        distinct seeds.  The kernel rows, pivots and updates run as (m, n)
+        array operations; each seed's product with its own factor rows runs
+        on its own, so its numbers are those of a one-seed call.  A seed
+        whose pivot needs jitter is retried alone; a seed that no jitter
+        saves is left unchanged while the others apply.  Returns
+        ``{seed: message}`` for those seeds.
+
+        Bad seeds, targets or values raise before anything changes.
         """
-        if not 0 <= seed < len(self._t):
-            raise IndexError(f"seed {seed} out of range")
-        mean, old = self._mean[seed], self._variance[seed]
-        if not 0 <= index < old.shape[0]:
-            raise IndexError(f"target index {index} out of range")
-        if not math.isfinite(value):
+        one = np.ndim(index) == 0
+        index, seed = np.atleast_1d(index), np.atleast_1d(seed)
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        n_seeds, n = self._mean.shape
+        m = seed.size
+        if not index.size == value.size == m:
+            raise ValueError(f"a slot needs one target and value per seed, got "
+                             f"{index.size}, {value.size} and {m}")
+        if not m:
+            return {}
+        seeds, idx = seed.tolist(), index.tolist()
+        for name, got, size in (("seed", seeds, n_seeds), ("target index", idx, n)):
+            if not (0 <= min(got) and max(got) < size):
+                bad = next(x for x in got if not 0 <= x < size)
+                raise IndexError(f"{name} {bad} out of range")
+        if not all(map(math.isfinite, value.tolist())):
             raise ValueError("observed value is not finite")
-        t = self._t[seed]
-        if t == self._c.shape[1]:  # this seed fills the block: 8 more rows for every seed
-            more = (len(self._t), 8)
-            self._a = np.concatenate([self._a, np.zeros((*more, old.shape[0]))], axis=1)
-            self._c = np.concatenate([self._c, np.zeros(more)], axis=1)
-        a, c = self._a[seed], self._c[seed]
+        if len(set(seeds)) != m:
+            raise ValueError(f"a slot's seeds must be distinct, got {seeds}")
+        ts = [self._t[s] for s in seeds]
+        if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
+            cap = self._c.shape[1]
+            grown = _zeros((n_seeds, max(2 * cap, 8), n))
+            grown[:, :cap] = self._a
+            self._a = grown
+            self._c = np.concatenate([self._c, np.zeros((n_seeds, grown.shape[1] - cap))],
+                                     axis=1)
+        # a run of consecutive seeds (every seed of a lockstep DAS round) is a
+        # slice, whose rows are views: a batch of one makes no copy of its rows
+        rows = slice(seeds[0], seeds[0] + m) if seeds == list(
+            range(seeds[0], seeds[0] + m)) else seed
         if self._prior is not None:
-            k_row = self._prior[seed, index]
+            k_rows = self._prior[seed, index]
         else:  # targets are validated: skip gram's checks
-            coords = self._coords[:, seed]
-            k_row = _sq_exp(coords - coords[:, index, None], self.params)
-        lvec = a[:t, index]
-        resid = k_row - lvec @ a[:t]
-        pivot = old[index] + self.noise_variance
-        for jitter in _PIVOT_JITTER:
-            d = math.sqrt(pivot + jitter * self.params.signal_variance)
-            row = resid / d
-            variance = old - row * row
-            low = variance.min()
-            if low >= VARIANCE_CLAMP:
-                break
+            k_rows = _sq_exp(self._coords[:, rows] - self._coords[:, seed, index, None],
+                             self.params)
+        # each seed's t-row products, on its own: stacked, they differ in the last bits
+        prod = np.empty((m, n))
+        lc = np.empty(m)
+        for r, (s, i, t) in enumerate(zip(seeds, idx, ts)):
+            a = self._a[s, :t]
+            lvec = a[:, i]
+            np.matmul(lvec, a, out=prod[r])
+            lc[r] = lvec @ self._c[s, :t]
+        resid = np.subtract(k_rows, prod, out=prod)
+        pivot = self._variance[seed, index] + self.noise_variance
+        d = np.sqrt(pivot)
+        row = resid / d[:, None]
+        old = self._variance[rows]
+        variance = old - row * row
+        failed = {}
+        low = variance.min(axis=1).tolist()
+        for r in [r for r, x in enumerate(low) if x < VARIANCE_CLAMP]:
+            for jitter in _PIVOT_JITTER[1:]:  # this seed alone, up the ladder
+                d[r] = math.sqrt(pivot[r] + jitter * self.params.signal_variance)
+                row[r] = resid[r] / d[r]
+                variance[r] = old[r] - row[r] * row[r]
+                low[r] = variance[r].min()
+                if low[r] >= VARIANCE_CLAMP:
+                    break
+            else:
+                failed[seeds[r]] = (f"posterior variance {low[r]:g} below round-off "
+                                    f"tolerance {VARIANCE_CLAMP:g}")
+        c = (value - lc) / d
+        t = np.array(ts)
+        if failed:  # apply the others only
+            keep = np.array([s not in failed for s in seeds])
+            seed = rows = seed[keep]
+            t, row, variance, c = t[keep], row[keep], variance[keep], c[keep]
+        self._a[seed, t] = row
+        self._c[seed, t] = c
+        for s in seed.tolist():
+            self._t[s] += 1
+        self._mean[rows] += row * c[:, None]
+        if isinstance(rows, slice):
+            np.maximum(variance, 0.0, out=old)
         else:
-            raise ValueError(
-                f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
-            )
-        a[t] = row
-        c[t] = cj = (value - lvec @ c[:t]) / d
-        self._t[seed] = t + 1
-        mean += row * cj
-        np.maximum(variance, 0.0, out=old)
+            self._variance[rows] = np.maximum(variance, 0.0)
+        if one and failed:
+            raise ValueError(failed.popitem()[1])
+        return None if one else failed
 
     def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.

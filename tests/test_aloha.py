@@ -495,7 +495,7 @@ def assert_logs_equal(got, want):
 
 class TestRunAlohaSeeds:
     """A seed batch plays every seed as its own run_aloha would, bit for bit,
-    whatever its batch-mates do, across the in-flight bound (8 seeds)."""
+    whatever its batch-mates do, across the in-flight bound."""
 
     @pytest.mark.parametrize("L,B,Q,mode,p_sleep", [
         (200, 3, 10, "modified", 0.0),
@@ -505,7 +505,7 @@ class TestRunAlohaSeeds:
     ])
     def test_each_seed_equals_its_own_run(self, L, B, Q, mode, p_sleep):
         cfg = AlohaConfig(channels=B, candidates=Q, mode=mode, p_sleep=p_sleep)
-        seeds = range(1, 41)  # five full batches of 8
+        seeds = range(1, 41)  # batches of 20 (B = 3), 10 (B = 5) or all 40 (L = 30)
         runs = by_seed(run_aloha_seeds(seeds, sinusoid(L), cfg, 40, UNIT))
         assert list(runs) == list(seeds)
         dry = set()

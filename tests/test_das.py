@@ -95,18 +95,19 @@ def poisoning_observe(locations, at):
     """IncrementalConditioner.observe that, on the ``at``-th observation of
     the field at ``locations`` by each conditioner, first zeroes that field's
     variance at the observed target, so the real update fails for that field
-    alone."""
+    alone.  Like observe, it takes one observation or a slot of them."""
     real = fieldsense.gp.IncrementalConditioner.observe
     calls = {}  # id -> [conditioner, observations]; holding it keeps its id unused
 
     def observe(self, index, value, seed=0):
         locs = self.target_locations
-        field = locs[seed] if locs.ndim == 3 else locs
-        if np.array_equal(field, locations):
-            count = calls.setdefault(id(self), [self, 0])
-            count[1] += 1
-            if count[1] == at:
-                self.variance.reshape(-1, self.variance.shape[-1])[seed, index] = 0.0
+        for i, s in zip(np.atleast_1d(index).tolist(), np.atleast_1d(seed).tolist()):
+            field = locs[s] if locs.ndim == 3 else locs
+            if np.array_equal(field, locations):
+                count = calls.setdefault(id(self), [self, 0])
+                count[1] += 1
+                if count[1] == at:
+                    self.variance.reshape(-1, self.variance.shape[-1])[s, i] = 0.0
         return real(self, index, value, seed)
 
     return observe
@@ -535,11 +536,15 @@ class TestRunDasSeeds:
         for seed in runs:
             assert_das_logs_equal(runs[seed][1], clean[seed][1])
 
+    # A seed's worst case is 8 * n * (rounds + 2 + n if scored) bytes of 4 MB,
+    # n its targets (the sensors, and the 2 virtual points of the virtual policy).
     @pytest.mark.parametrize("L,rounds,policy,sizes", [
-        (30, 30, "max-variance", [6, 7, 7]),  # 20 seeds, at most 8 in flight
-        (60, 30, "virtual", [6, 7, 7]),
+        (30, 30, "max-variance", [20]),  # 7.7 kB a seed: all 20 seeds at once
+        (60, 30, "virtual", [20]),  # 47 kB a seed
         (3000, 200, "max-variance", [1] * 20),  # 4.8 MB of factor a seed
         (500, 12, "app-weighted", [2] * 10),  # 2 MB of prior and factor a seed
+        (300, 220, "max-variance", [6, 7, 7]),  # 533 kB a seed: 7 at most
+        (240, 30, "virtual", [6, 7, 7]),  # 530 kB a seed
     ])
     def test_batches_follow_the_byte_budget(self, monkeypatch, L, rounds, policy, sizes):
         made = []
@@ -552,7 +557,7 @@ class TestRunDasSeeds:
         monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "__init__", init)
         # the batches are what counts here, not the posterior
         monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
-                            lambda self, index, value, seed=0: None)
+                            lambda self, index, value, seed=0: {})
         apps = ([np.full(L, 1.0 / L)], [1.0])
         for _ in run_das_seeds(range(1, 21), field_1d(L), policy, rounds, UNIT,
                                virtual_locs=[(2.0,), (6.0,)], apps=apps):

@@ -19,6 +19,7 @@ from fieldsense.cli import main
 from fieldsense.das import run_das
 from fieldsense.experiments import (
     PRESETS,
+    AggRecord,
     ConfigError,
     ExperimentConfig,
     RunRecord,
@@ -225,9 +226,10 @@ class TestRunExperiment:
         dict(L="30", B="4", Q="10", p_sleep="0.3", rounds="40"),  # pools run dry unevenly
     ], ids=["fig7-grid", "sleep-exhaustion"])
     def test_aloha_seed_batches_partition(self, overrides, monkeypatch):
-        # 1..40 plays five full batches of 8 seeds; the parts play one batch
-        # of 7, two of 8, and three (of 5, 6 and 6), each cell in whichever
-        # process its share falls to
+        # 1..40 plays four batches of 10 seeds where B = 5 and one of 40
+        # elsewhere; the parts play batches of 7, 8 + 8 and 8 + 9 where B = 5
+        # and one each elsewhere, each cell in whichever process its share
+        # falls to
         def records(seeds):
             return run_experiment(config_from_mapping(small_aloha_mapping(
                 seeds=seeds, **overrides))).records
@@ -239,6 +241,22 @@ class TestRunExperiment:
             parts = records("1..7") + records("8..23") + records("24..40")
             assert len(whole) == 40 * 40 * 3 * len(overrides["B"].split(","))
             assert sorted(whole, key=key) == sorted(parts, key=key)
+
+    def test_a_kept_field_restarts_its_generator_where_its_build_left_it(self, monkeypatch):
+        spec = config_from_mapping(small_aloha_mapping()).field_spec
+        own = np.random.default_rng(7)
+        want = (spec.build(own), own.random(3))
+        for budget, kept in ((fieldsense.experiments._BUILT_BYTES, True), (100, False)):
+            monkeypatch.setattr(fieldsense.experiments, "_BUILT_BYTES", budget)
+            make = fieldsense.experiments._built_once(spec.build)
+            got = []
+            for _ in range(2):  # the second call is a later cell's, on the same seed
+                rng = np.random.default_rng(7)
+                got.append((make(rng), rng.random(3)))
+            assert (got[1][0] is got[0][0]) == kept  # built once, unless past the budget
+            for field, draws in got:
+                np.testing.assert_array_equal(field.measurements, want[0].measurements)
+                np.testing.assert_array_equal(draws, want[1])
 
     def test_failed_aloha_seed_leaves_the_others_records_alone(self, monkeypatch):
         # two cells, so with more than one share the modified one fails in a
@@ -373,6 +391,23 @@ class TestEmit:
         records = [RunRecord(1, 1, "m", 2.0), RunRecord(2, 1, "m", 4.0)]
         aggs = aggregate(records)
         assert aggs[0].mean == 3.0 and aggs[0].n == 2
+
+    def test_aggregate_equals_the_per_group_reduction_bitwise(self):
+        # "full" has 300 values in each of its 7 rounds (past numpy's 128-value
+        # pairwise block, so the block reduction's row sums are pairwise too);
+        # "ragged" has rounds of different sizes; records come shuffled
+        rng = np.random.default_rng(11)
+        records = [RunRecord(seed, rnd, "full", float(rng.normal()))
+                   for seed in range(300) for rnd in range(1, 8)]
+        records += [RunRecord(seed, rnd, "ragged", float(rng.lognormal()))
+                    for rnd in range(1, 6) for seed in range(10 * rnd)]
+        records = [records[i] for i in rng.permutation(len(records))]
+        groups = {}
+        for rec in records:
+            groups.setdefault((rec.metric, rec.round), []).append(rec.value)
+        want = [AggRecord(metric, rnd, float(np.mean(vals)), float(np.std(vals)), len(vals))
+                for (metric, rnd), vals in sorted(groups.items())]
+        assert aggregate(records) == want
 
 
 class TestCli:

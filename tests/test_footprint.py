@@ -3,8 +3,9 @@
 The conditioner computes kernel rows only as observations need them, so a
 max-variance run and the public selection helpers use memory in proportion
 to uploads times sensors, not sensors squared (at L = 20000 a dense prior
-alone would take 3.2 GB); a seed batch keeps only as many seeds in flight
-as its bound allows; an ALOHA sweep's forked children peak below their
+alone would take 3.2 GB); a factor block sized up front holds only the rows
+written; a seed batch keeps only as many seeds in flight as its bound
+allows; an ALOHA sweep's forked children peak below their
 parent; and the package runs on numpy alone, with scipy needed by the tests
 only.
 """
@@ -96,6 +97,31 @@ def test_seed_batch_memory_follows_the_in_flight_bound():
     one = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=8)) + textwrap.dedent(PEAK_MB)))
     many = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=320)) + textwrap.dedent(PEAK_MB)))
     assert many - one < 2, f"peak RSS {many:.1f} MB over 320 seeds, {one:.1f} MB over 8"
+
+
+REUSED_BLOCK = """
+    import numpy as np
+    from fieldsense.gp import IncrementalConditioner, KernelParams
+    locs = np.random.default_rng(1).uniform(0, 10, size=(5000, 1))
+    for _ in range({blocks}):
+        # 600 rows over 5000 targets (a 24 MB block), 10 of them written
+        cond = IncrementalConditioner(locs, KernelParams(), 0.1, capacity=600)
+        for i in range(10):
+            cond.observe(i, 0.0)
+        del cond
+"""
+
+
+def test_block_sized_up_front_peaks_with_the_rows_written():
+    # The allocator hands the third block the memory the second one freed,
+    # and zero-filling it there would make all 24 MB resident; the factor
+    # block is laid on fresh pages, so three blocks in turn peak where one
+    # does, with the 0.4 MB of rows written.
+    one = float(run_fresh(textwrap.dedent(REUSED_BLOCK.format(blocks=1))
+                          + textwrap.dedent(PEAK_MB)))
+    three = float(run_fresh(textwrap.dedent(REUSED_BLOCK.format(blocks=3))
+                            + textwrap.dedent(PEAK_MB)))
+    assert three - one < 2, f"peak RSS {three:.1f} MB over 3 blocks, {one:.1f} MB over 1"
 
 
 DAS_SEED_BATCH = """

@@ -485,13 +485,14 @@ class TestSeedAxis:
                                        rtol=0, atol=1e-10)
 
     def test_growth_leaves_unwritten_rows_zero(self):
-        # no capacity: the block grows 8 rows at a time while the seeds hold
-        # 3, 9 and 17 observations, so most rows past a seed's own come from
-        # a growth; a seed scores as its own conditioner only if they are zero
+        # a block of 2 rows doubles (to 8, 16 and 32 rows) while the seeds
+        # hold 3, 9 and 17 observations, so most rows past a seed's own come
+        # from a growth; a seed scores as its own conditioner only if they
+        # are zero
         rng = np.random.default_rng(80)
         n = 30
         locs = rng.uniform(0, 5, size=(3, n, 2))
-        batch = IncrementalConditioner(locs, UNIT, 0.05)
+        batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=2)
         singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
         for s, count in enumerate((3, 9, 17)):
             for i in rng.permutation(n)[:count].tolist():
@@ -524,6 +525,78 @@ class TestSeedAxis:
             batch.observe(7, 0.2, s)
             singles[s].observe(7, 0.2)
         self.assert_seeds_match(batch, singles)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_slot_matches_one_conditioner_per_field(self, d):
+        # slots of distinct seeds, in any order or a run of consecutive seeds,
+        # over seeds holding ragged observation counts; from step 6 on the
+        # batch's prior is built, so its kernel rows come from it
+        rng = np.random.default_rng(85 + d)
+        n_seeds, n = 6, 30
+        locs = rng.uniform(0, 5, size=(n_seeds, n, d))
+        batch = IncrementalConditioner(locs, UNIT, 0.05)
+        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        left = [list(rng.permutation(n)) for _ in range(n_seeds)]
+        for step in range(14):
+            if step == 6:
+                batch.residual_variance(np.ones((1, n)), np.tile(np.arange(n), (n_seeds, 1)))
+            size = int(rng.integers(1, n_seeds + 1))
+            if step % 3:
+                slot = rng.choice(n_seeds, size=size, replace=False).tolist()
+            else:
+                first = int(rng.integers(n_seeds - size + 1))
+                slot = list(range(first, first + size))
+            idx = [int(left[s].pop()) for s in slot]
+            vals = rng.normal(size=size).tolist()
+            assert batch.observe(np.array(idx), np.array(vals), np.array(slot)) == {}
+            for s, i, v in zip(slot, idx, vals):
+                singles[s].observe(i, v)
+            self.assert_seeds_match(batch, singles)
+        assert len(set(batch.n_observations)) > 1
+
+    def test_slot_retries_or_leaves_a_seed_alone(self):
+        # one slot over four seeds: seed 1's pivot needs jitter, seed 2's
+        # update fails at every rung, seeds 0 and 3 take the plain update
+        rng = np.random.default_rng(90)
+        locs = rng.uniform(0, 5, size=(4, 6, 1))
+        batch = IncrementalConditioner(locs, UNIT, 0.1)
+        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        for s in range(4):
+            batch.observe(1, 0.4, s)
+            singles[s].observe(1, 0.4)
+        probe = copy.deepcopy(singles[1])
+        probe.observe(4, 0.2)
+        drop = singles[1].variance - probe.variance  # row * row of the plain update
+        # target 2 left 5e-10 short of the plain update, past the clamp
+        batch.variance[1, 2] = singles[1].variance[2] = drop[2] - 5e-10
+        # an understated variance at seed 2's target overshoots any update
+        batch.variance[2, 4] = singles[2].variance[4] = 0.0
+        assert batch.variance[1, 2] - drop[2] < VARIANCE_CLAMP  # seed 1's plain update fails
+        with pytest.raises(ValueError, match="below round-off") as want:
+            singles[2].observe(4, 0.2)
+        before = copy.deepcopy(batch)
+        failed = batch.observe([4, 4, 4, 4], [0.2, -0.3, 0.2, 0.7], [3, 1, 2, 0])
+        assert failed == {2: str(want.value)}
+        for s, v in ((0, 0.7), (1, -0.3), (3, 0.2)):
+            singles[s].observe(4, v)
+        self.assert_seeds_match(batch, singles)
+        for arr in ("_a", "_c", "_mean", "_variance"):  # seed 2 is left as it was
+            np.testing.assert_array_equal(getattr(batch, arr)[2], getattr(before, arr)[2])
+
+    def test_slot_rejects_bad_input_and_changes_nothing(self):
+        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        for args, err, match in [
+            (([1, 2], [0.5, 0.5], [0, 0]), ValueError, "distinct"),
+            (([1, 2], [0.5], [0, 1]), ValueError, "one target and value per seed"),
+            (([1, 2, 3], [0.5, 0.5, 0.5], [0, 3, 1]), IndexError, "seed 3"),
+            (([1, 4], [0.5, 0.5], [0, 1]), IndexError, "target index 4"),
+            (([1, 2], [0.5, np.inf], [0, 1]), ValueError, "not finite"),
+        ]:
+            with pytest.raises(err, match=match):
+                batch.observe(*args)
+        assert batch.n_observations == (0, 0, 0)
+        np.testing.assert_array_equal(batch.mean, 0.0)
+        np.testing.assert_array_equal(batch.variance, 1.0)
 
     def test_rejects_bad_input(self):
         batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
@@ -588,8 +661,8 @@ class TestKernelRow:
             cond.observe(idx, float(rng.normal()))
         full = oracle.sq_exp_reduced(pts[:, None, :] - pts[None, :, :], self.PARAMS)
         assert len(rows) == len(order)
-        for idx, row in zip(order, rows):
-            np.testing.assert_array_equal(row, full[idx])
+        for idx, row in zip(order, rows):  # a one-seed slot's (1, n) rows
+            np.testing.assert_array_equal(row, full[[idx]])
 
     def test_cached_prior_midway_leaves_run_das_unchanged(self, monkeypatch):
         field = gen_2d(300, 0.1, np.random.default_rng(4))
