@@ -26,7 +26,9 @@ holdout records:
 - ALOHA with at least as many channels as candidates (L = 60, B = 6, Q = 4,
   both modes, 40 rounds) at seeds 1..30: many rounds take three or four
   successes of a seed, so its uploads are observed in slots three or four
-  deep.
+  deep;
+- ``--format json``: ``aloha --preset fig7`` at seeds 1..5 and
+  ``das-select.cfg`` at seeds 20,3,9,1.
 
 Uses the standard library only.
 """
@@ -73,7 +75,8 @@ mode = conventional,modified
 
 
 def cases():
-    """(name, fieldsense arguments) for every run of the matrix."""
+    """(name, fieldsense arguments) for every run of the matrix; the records
+    go to ``<name>.csv``, or ``<name>.json`` for a ``--format json`` case."""
     yield "das-select", ["das", "--config", str(WORKLOADS / "das-select.cfg"),
                          "--seed", "1..20"]
     yield "das-large", ["das", "--config", str(WORKLOADS / "das-large.cfg"),
@@ -88,6 +91,9 @@ def cases():
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
     yield "aloha-sleep", ["aloha", "--config", "aloha-sleep.cfg", "--seed", "1..40"]
     yield "aloha-wide", ["aloha", "--config", "aloha-wide.cfg", "--seed", "1..30"]
+    yield "fig7-json", ["aloha", "--preset", "fig7", "--seed", "1..5", "--format", "json"]
+    yield "das-select-scattered-json", ["das", "--config", str(WORKLOADS / "das-select.cfg"),
+                                        "--seed", "20,3,9,1", "--format", "json"]
 
 
 def main(argv=None) -> int:
@@ -111,8 +117,9 @@ def main(argv=None) -> int:
     (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
     (out / "aloha-wide.cfg").write_text(WIDE_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
-        run([sys.executable, "-m", "fieldsense", *fs_args, "--out", f"{name}.csv"])
-        print(f"{name}: {out / name}.csv", flush=True)
+        path = f"{name}.json" if "json" in fs_args else f"{name}.csv"
+        run([sys.executable, "-m", "fieldsense", *fs_args, "--out", path])
+        print(f"{name}: {out / path}", flush=True)
     return 0
 
 

@@ -43,7 +43,7 @@ def main(argv=None):
         result = run_experiment(config)
         path = out_dir / f"{name}.{args.format}"
         emit_results(result, args.format, path)
-        print(f"{name}: {len(result.records)} records -> {path} "
+        print(f"{name}: {result.n_records} records -> {path} "
               f"({time.time() - start:.1f}s)")
         for seed, label, message in result.failures:
             print(f"  seed {seed} ({label}) failed: {message}", file=sys.stderr)

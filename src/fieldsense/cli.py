@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         emit_results(result, config.fmt, out)
     except OSError as exc:
         return _fail("emit", str(exc))
-    print(f"wrote {len(result.records)} records to {out} "
+    print(f"wrote {result.n_records} records to {out} "
           f"(aggregates: {out}.agg)")
     return 3 if result.failures else 0
 

@@ -1,24 +1,23 @@
-"""Experiment orchestration: configs, seed batches, and result files.
+"""Experiment orchestration: configs, seed batches, and the cells that run them.
 
 A run configuration names an experiment family (1-D / 2-D / CSV field
 collection, virtual-target collection, or ALOHA uploading), the field and
 kernel parameters, one or more selection policies or contention modes, and a
 seed batch.  Running it produces per-seed per-round records plus per-round
-aggregates (mean and population standard deviation), either as CSV or JSON.
-Outputs are canonicalized so identical configs yield identical bytes.
+aggregates (mean and population standard deviation), written as CSV or JSON
+by :mod:`fieldsense.records`.  Outputs are canonicalized so identical configs
+yield identical bytes.
 
 Config files are flat ``key = value`` text; the shipped presets use the same
 key set and can be overridden by a file or command-line flags.
 """
 
-import csv
+import functools
 import itertools
-import json
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field as dc_field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -28,6 +27,17 @@ from . import das as das_mod
 from .apps import LinearApplication, uniform_mean_application
 from .fields import FieldSpec, load_csv
 from .gp import KernelParams
+from .records import (  # noqa: F401 - the records' own names are this module's too
+    AggRecord,
+    RecordBlock,
+    RunRecord,
+    RunResult,
+    aggregate,
+    build_block,
+    constant_block,
+    emit_results,
+    read_records_csv,
+)
 
 EXPERIMENTS = ("das-1d", "das-2d", "das-csv", "das-virtual", "aloha")
 
@@ -81,6 +91,13 @@ class ConfigError(ValueError):
     """Raised for any malformed or inconsistent run configuration."""
 
 
+def _check_distinct(name: str, values, error):
+    """Raise ``error`` if a value repeats: each names one metric's records."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise error(f"{name} {value!r} is repeated; each names one set of records")
+
+
 def _app_index(spec: str) -> int | None:
     """Sensor index of an ``e:<index>`` app spec; None for the ``mean`` app."""
     if spec == "mean":
@@ -100,6 +117,8 @@ class AlohaSettings:
     modes: tuple[str, ...] = ("conventional",)
 
     def __post_init__(self):
+        for name, values in (("B", self.b_values), ("Q", self.q_values), ("mode", self.modes)):
+            _check_distinct(name, values, ValueError)
         for b, q, mode in itertools.product(self.b_values, self.q_values, self.modes):
             self.contention(b, q, mode)  # AlohaConfig rejects any bad value
 
@@ -152,6 +171,7 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in das_mod.POLICIES:
                 raise ConfigError(f"unknown policy {p!r}; expected one of {das_mod.POLICIES}")
+        _check_distinct("policy", self.policies, ConfigError)
         if self.experiment == "das-csv" and not self.csv_path:
             raise ConfigError("das-csv needs a csv path")
         if "virtual" in self.policies and self.virtual is None:
@@ -172,31 +192,6 @@ class ExperimentConfig:
         kind = {"das-1d": "1d", "das-virtual": "1d", "das-2d": "2d",
                 "das-csv": "csv", "aloha": "sinusoid"}[self.experiment]
         return FieldSpec(kind, self.L, self.sigma_sq, self.T, self.csv_path)
-
-
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    seed: int
-    round: int
-    metric: str
-    value: float
-    extra: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class AggRecord:
-    metric: str
-    round: int
-    mean: float
-    std: float
-    n: int
-
-
-@dataclass
-class RunResult:
-    records: list[RunRecord]
-    aggregates: list[AggRecord]
-    failures: list[tuple[int, str, str]] = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +352,10 @@ def check_app_indices(config: ExperimentConfig):
         _build_apps(config, config.L)
 
 
-def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
-    records: list[RunRecord] = []
-    failures = []
+def _run_das_records(config: ExperimentConfig) -> tuple[list[RecordBlock], list, list]:
+    """One block of records for each policy, their aggregates, and the
+    failures of every policy."""
+    blocks, aggs, failures = [], [], []
     params = config.kernel_params
     spec = config.field_spec
     # csv fields are the same for every seed; parse once
@@ -368,8 +364,13 @@ def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
     n_sensors = config.L if csv_field is None else csv_field.n_sensors
     rounds = min(config.rounds, n_sensors)
     want_holdout = csv_field is not None
+    seeds = sorted(config.seeds)
+    at = {seed: i * rounds - 1 for i, seed in enumerate(seeds)}  # + t: round t's slot
     for policy in config.policies:
-        start, failed, done = len(records), {}, set()
+        mse, holdout = f"mse.{policy}", f"holdout-mse.{policy}"
+        mse_values, hold_values = [0.0] * (len(seeds) * rounds), [0.0] * (len(seeds) * rounds)
+        extras = [""] * (len(seeds) * rounds)
+        failed, done = {}, set()
         try:
             apps = None
             if policy == "app-weighted":
@@ -382,22 +383,25 @@ def _run_das_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
                 if isinstance(log, ValueError):
                     failed[seed] = str(log)
                     continue
-                extra = f"selected={log.selected}"
-                records.append(RunRecord(seed, t, f"mse.{policy}", log.mse, extra))
+                i = at[seed] + t
+                extras[i] = f"selected={log.selected}"
+                mse_values[i] = log.mse
                 if want_holdout:
-                    records.append(RunRecord(seed, t, f"holdout-mse.{policy}",
-                                             _holdout_mse(field, log.estimate), extra))
+                    hold_values[i] = _holdout_mse(field, log.estimate)
                 if t == rounds:
                     done.add(seed)
         except Exception as exc:  # noqa: BLE001 - reported for every seed it stopped
             for seed in config.seeds:
                 if seed not in done:
                     failed.setdefault(seed, str(exc))
-        if failed:  # reported per seed; a failed seed writes no records
-            records[start:] = [r for r in records[start:] if r.seed not in failed]
-            failures += [(seed, policy, failed[seed])
-                         for seed in config.seeds if seed in failed]
-    return records, failures
+        columns = {mse: (mse_values, extras)}
+        if want_holdout:
+            columns[holdout] = (hold_values, extras)
+        block, block_aggs = build_block(seeds, rounds, columns, failed)
+        blocks.append(block)
+        aggs += block_aggs
+        failures += [(seed, policy, failed[seed]) for seed in config.seeds if seed in failed]
+    return blocks, aggs, failures
 
 
 def _holdout_mse(field, est) -> float:
@@ -429,46 +433,51 @@ class _Cell:
         return f"B={self.b} Q={self.q} {self.mode}"
 
 
-def _aloha_cell(config: ExperimentConfig, cell: _Cell, make_field) -> tuple[list[tuple], list]:
-    """Every seed's records of one cell, as ``RunRecord`` field tuples (cheap
-    to pickle), and its per-seed failures in seed order."""
+def _aloha_cell(config: ExperimentConfig, cell: _Cell, make_field) -> tuple:
+    """Every seed's records of one cell as a :class:`RecordBlock`, their
+    aggregates, and the cell's per-seed failures in seed order."""
     settings = config.aloha
     metric = _aloha_metric(cell.mode, settings, cell.b, cell.q)
-    rows, failed = [], {}
+    seeds, rounds = sorted(config.seeds), config.rounds
+    at = {seed: i * rounds - 1 for i, seed in enumerate(seeds)}  # + t: round t's slot
+    values, extras, failed = [0.0] * (len(seeds) * rounds), [""] * (len(seeds) * rounds), {}
     runs = aloha_mod.run_aloha_seeds(config.seeds, make_field,
                                      settings.contention(cell.b, cell.q, cell.mode),
-                                     config.rounds, config.kernel_params)
+                                     rounds, config.kernel_params)
     for seed, _, t, log in runs:
         if isinstance(log, ValueError):
             failed[seed] = str(log)
             continue
         succ = "|".join(map(str, log.successes))
         k = len(log.successes) + len(log.collided)  # the active count
-        rows.append((seed, t, metric, log.sse, f"succ={succ};psi={log.psi!r};k={k}"))
-    if failed:  # reported per seed; a failed seed writes no records
-        rows = [row for row in rows if row[0] not in failed]
-    return rows, [(seed, metric, failed[seed]) for seed in config.seeds if seed in failed]
+        values[at[seed] + t] = log.sse
+        extras[at[seed] + t] = f"succ={succ};psi={log.psi!r};k={k}"
+    block, aggs = build_block(seeds, rounds, {metric: (values, extras)}, failed)
+    return block, aggs, [(seed, metric, failed[seed]) for seed in config.seeds if seed in failed]
 
 
-def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RunRecord], list]:
+def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RecordBlock], list, list]:
+    """One block of records for each (B, Q, mode) cell and each (B, Q)'s
+    bound, with their aggregates, and the cells' failures."""
     settings = config.aloha
     cells = [_Cell(b, q, mode) for b, q, mode in
              itertools.product(settings.b_values, settings.q_values, settings.modes)]
-    make_field = _built_once(config.field_spec.build)  # one cache for each process's cells
-    done = iter(_map_in_shares(lambda cell: _aloha_cell(config, cell, make_field), cells))
-    del make_field  # the fields' memory goes to the records
-    records: list[RunRecord] = []
-    failures = []
+    # one cache of fields for each process's cells, dropped with the function
+    done = iter(_map_in_shares(functools.partial(
+        _aloha_cell, config, make_field=_built_once(config.field_spec.build)), cells))
+    blocks, aggs, failures = [], [], []
     for b, q in itertools.product(settings.b_values, settings.q_values):
         for _ in settings.modes:
-            rows, cell_failures = next(done)
-            records += itertools.starmap(RunRecord, rows)
+            block, cell_aggs, cell_failures = next(done)
+            blocks.append(block)
+            aggs += cell_aggs
             failures += cell_failures
         bound = aloha_mod.sse_lower_bound(config.sigma_sq, q, b)
-        bound_metric = _aloha_metric("lower-bound", settings, b, q)
-        records += [RunRecord(seed, t, bound_metric, bound, "")
-                    for seed in config.seeds for t in range(1, config.rounds + 1)]
-    return records, failures
+        metric = _aloha_metric("lower-bound", settings, b, q)
+        block, bound_aggs = constant_block(sorted(config.seeds), config.rounds, metric, bound)
+        blocks.append(block)
+        aggs += bound_aggs
+    return blocks, aggs, failures
 
 
 def _built_once(make_field):
@@ -557,6 +566,7 @@ def _map_in_shares(fn, cells: list) -> list:
             children[pid] = read_fd
         out = [None] * len(cells)
         out[0::shares] = _run_share(fn, cells[0::shares])
+        del fn  # and what it holds, before the children's results arrive
         for w, pid in enumerate(list(children), start=1):
             read_fd, children[pid] = children[pid], None
             with os.fdopen(read_fd, "rb") as fh:
@@ -595,38 +605,6 @@ def _child_results(data: bytes, status: int, cells) -> list:
                        f"ended ({ended}) without returning their results")
 
 
-def aggregate(records: list[RunRecord]) -> list[AggRecord]:
-    """Per-(metric, round) mean and population standard deviation.
-
-    Each round's values are reduced in record order.  Where every round of a
-    metric has as many values, its (rounds, values) block is reduced at once,
-    one contiguous row per round: numpy reduces each row as it would the
-    round's values alone, so the bits are the same.
-    """
-    columns: dict[str, tuple[list[int], list[float]]] = {}
-    for rec in records:
-        if rec.metric not in columns:
-            columns[rec.metric] = ([], [])
-        rounds, values = columns[rec.metric]
-        rounds.append(rec.round)
-        values.append(rec.value)
-    out = []
-    for metric in sorted(columns):
-        rounds, values = map(np.asarray, columns[metric])
-        by_round = np.argsort(rounds, kind="stable")  # record order within a round
-        rnds, starts, counts = np.unique(rounds[by_round], return_index=True,
-                                         return_counts=True)
-        grouped = values[by_round]
-        if (counts == counts[0]).all():
-            block = grouped.reshape(rnds.size, counts[0])
-            stats = zip(block.mean(axis=1).tolist(), block.std(axis=1).tolist())
-        else:
-            stats = ((float(v.mean()), float(v.std())) for v in np.split(grouped, starts[1:]))
-        out += [AggRecord(metric, rnd, mean, std, n)
-                for rnd, (mean, std), n in zip(rnds.tolist(), stats, counts.tolist())]
-    return out
-
-
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute every (policy-or-mode, seed) run in the config.
 
@@ -634,73 +612,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     batches can be split and concatenated without changing any record.  An
     ALOHA sweep's (B, Q, mode) cells are shared out between this process and
     forked children, one per further usable CPU, with the same records
-    however they are split.  Per-seed failures are collected rather than
-    aborting the batch.
+    however they are split.  Each cell formats its records' lines and
+    reduces their aggregates where it runs.  Per-seed failures are collected
+    rather than aborting the batch.
     """
     if config.experiment == "aloha":
-        records, failures = _run_aloha_records(config)
+        blocks, aggs, failures = _run_aloha_records(config)
     else:
-        records, failures = _run_das_records(config)
-    # Stable passes, least significant key first: the order of sorting by
-    # (seed, round, metric), without a key tuple per record.
-    for name in ("metric", "round", "seed"):
-        records.sort(key=attrgetter(name))
-    return RunResult(records, aggregate(records), failures)
+        blocks, aggs, failures = _run_das_records(config)
+    aggs.sort(key=attrgetter("metric"))  # stable: each metric's rounds stay ascending
+    return RunResult(blocks, aggs, failures)
 
 
-# ---------------------------------------------------------------------------
-# emitting
-
-
-def emit_results(result: RunResult, fmt: str, path, timestamp: bool = False):
-    """Write records to ``path`` and aggregates to ``path + '.agg'``.
-
-    CSV columns: seed,round,metric,value,extra (aggregates:
-    metric,round,mean,std,n).  JSON mirrors the same rows as object lists.
-    Output bytes are deterministic unless ``timestamp`` is set.
-    """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    stamp = datetime.now(timezone.utc).isoformat() if timestamp else None
-    agg_path = str(path) + ".agg"
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if stamp:
-                fh.write(f"# generated {stamp}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seed", "round", "metric", "value", "extra"])
-            for r in result.records:
-                writer.writerow([r.seed, r.round, r.metric, repr(r.value), r.extra])
-        with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "round", "mean", "std", "n"])
-            for a in result.aggregates:
-                writer.writerow([a.metric, a.round, repr(a.mean), repr(a.std), a.n])
-    else:
-        records = [
-            {"seed": r.seed, "round": r.round, "metric": r.metric,
-             "value": r.value, "extra": r.extra}
-            for r in result.records
-        ]
-        payload = {"generated": stamp, "records": records} if stamp else records
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        aggs = [
-            {"metric": a.metric, "round": a.round, "mean": a.mean,
-             "std": a.std, "n": a.n}
-            for a in result.aggregates
-        ]
-        with open(agg_path, "w", encoding="utf-8") as fh:
-            json.dump(aggs, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-
-def read_records_csv(path) -> list[RunRecord]:
-    """Re-parse a CSV records file (the round-trip inverse of emit_results)."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    for row in rows[1:]:
-        out.append(RunRecord(int(row[0]), int(row[1]), row[2], float(row[3]), row[4]))
-    return out

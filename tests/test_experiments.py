@@ -334,6 +334,26 @@ class TestRunExperiment:
         assert [r for r in hit.records if r.seed != 4] == clean.records
         assert not [r for r in hit.records if r.seed == 4]
 
+    @pytest.mark.parametrize("case", ["fig7-B5", "das-select"])
+    def test_rounds_only_bound_the_round_loop(self, case):
+        # rounds also sizes each seed's factor block and the seeds a batch
+        # holds; neither may move a record of the rounds both runs play
+        if case == "das-select":
+            mapping = {**load_config_file(WORKLOADS / "das-select.cfg"),
+                       "policy": "max-variance,app-weighted"}
+        else:
+            mapping = {**PRESETS["fig7"], "B": "5"}
+
+        def records(rounds):
+            result = run_experiment(config_from_mapping({**mapping, "seeds": "1..20",
+                                                         "rounds": str(rounds)}))
+            assert not result.failures
+            return result.records
+
+        short, full = records(15), records(40)
+        assert len(short) == len(full) * 15 // 40
+        assert short == [r for r in full if r.round <= 15]
+
     def test_csv_experiment_holdout_metric(self, tmp_path):
         cfg = config_from_mapping({
             "experiment": "das-csv", "csv": station_csv(tmp_path, n=25), "sigma2": "0.01",
@@ -459,9 +479,14 @@ class TestCli:
             ("das", "experiment = das-1d\nL = 12\npolicy = app-weighted\napps = e:x\n"),
             ("das", "experiment = das-1d\nL = 20\npolicy = app-weighted\napps = e:500\n"),
             ("aloha", "L = 20\nT = 0\n"),
+            ("das", "experiment = das-1d\nL = 12\npolicy = random,max-variance,random\n"),
+            ("aloha", "L = 20\nB = 2,3,2\n"),
+            ("aloha", "L = 20\nQ = 5,5\n"),
+            ("aloha", "L = 20\nmode = modified,conventional,modified\n"),
         ],
         ids=["betas", "virtual", "B", "Q", "p_sleep", "mu", "mu_inf", "psi0_nan", "psi0_inf",
-             "length_scale", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T"],
+             "length_scale", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T",
+             "policy_repeated", "B_repeated", "Q_repeated", "mode_repeated"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "bad.cfg"

@@ -92,8 +92,9 @@ SEED_BATCH = """
 
 def test_seed_batch_memory_follows_the_in_flight_bound():
     # A seed batch holds each seed's factor (about 80 uploads x 200 sensors
-    # here), but only for the 8 seeds in flight: forty batches peak where one
-    # does, where all 320 seeds at once would need some 40 MB more.
+    # here), but only for the seeds in flight, the 12 that fit the 4 MB
+    # budget in this cell: 320 seeds play in 27 batches and peak where one
+    # batch of 8 does, where all 320 seeds at once would need some 40 MB more.
     one = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=8)) + textwrap.dedent(PEAK_MB)))
     many = float(run_fresh(textwrap.dedent(SEED_BATCH.format(seeds=320)) + textwrap.dedent(PEAK_MB)))
     assert many - one < 2, f"peak RSS {many:.1f} MB over 320 seeds, {one:.1f} MB over 8"
