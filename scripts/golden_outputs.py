@@ -2,8 +2,9 @@
 """Write the CLI outputs of a fixed run matrix, for a byte-for-byte comparison.
 
 Runs each case through ``python -m fieldsense`` on this checkout's ``src/``
-(one BLAS thread) and writes its records and ``.agg`` file into OUTDIR.
-Two checkouts compare with ``diff -r``:
+(one BLAS thread) and writes its records and ``.agg`` file into OUTDIR, and
+its exit code, stdout and stderr into ``<name>.log``.  Two checkouts compare
+with ``diff -r``:
 
     python scripts/golden_outputs.py /tmp/before    # in the old checkout
     python scripts/golden_outputs.py /tmp/after     # in the new checkout
@@ -28,7 +29,10 @@ holdout records:
   successes of a seed, so its uploads are observed in slots three or four
   deep;
 - ``--format json``: ``aloha --preset fig7`` at seeds 1..5 and
-  ``das-select.cfg`` at seeds 20,3,9,1.
+  ``das-select.cfg`` at seeds 20,3,9,1;
+- das-csv as above with ``apps = mean,e:500``, naming no station: every
+  seed of app-weighted fails, so the run exits 3 with one failure line per
+  seed and the other policies' records.
 
 Uses the standard library only.
 """
@@ -51,6 +55,8 @@ policy = max-variance,random,app-weighted
 apps = mean,e:7
 betas = 1,1
 """
+
+BAD_APP_CONFIG = CSV_CONFIG.replace("apps = mean,e:7", "apps = mean,e:500")
 
 SLEEP_CONFIG = """\
 experiment = aloha
@@ -89,6 +95,7 @@ def cases():
     for fig in ("fig6", "fig7", "fig8"):
         yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
+    yield "das-csv-bad-app", ["das", "--config", "das-csv-bad-app.cfg", "--seed", "1..3"]
     yield "aloha-sleep", ["aloha", "--config", "aloha-sleep.cfg", "--seed", "1..40"]
     yield "aloha-wide", ["aloha", "--config", "aloha-wide.cfg", "--seed", "1..30"]
     yield "fig7-json", ["aloha", "--preset", "fig7", "--seed", "1..5", "--format", "json"]
@@ -108,18 +115,21 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
 
-    def run(argv):
-        subprocess.run(argv, cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
-
-    run([sys.executable, str(ROOT / "scripts" / "make_station_csv.py"),
-         "stations.csv", "--n", "120"])
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_station_csv.py"),
+                    "stations.csv", "--n", "120"],
+                   cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
     (out / "das-csv.cfg").write_text(CSV_CONFIG, encoding="utf-8")
     (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
     (out / "aloha-wide.cfg").write_text(WIDE_CONFIG, encoding="utf-8")
+    (out / "das-csv-bad-app.cfg").write_text(BAD_APP_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
         path = f"{name}.json" if "json" in fs_args else f"{name}.csv"
-        run([sys.executable, "-m", "fieldsense", *fs_args, "--out", path])
-        print(f"{name}: {out / path}", flush=True)
+        proc = subprocess.run([sys.executable, "-m", "fieldsense", *fs_args, "--out", path],
+                              cwd=out, env=env, capture_output=True, text=True)
+        (out / f"{name}.log").write_text(
+            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
+            encoding="utf-8")
+        print(f"{name}: exit {proc.returncode}, {out / path}", flush=True)
     return 0
 
 

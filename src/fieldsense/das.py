@@ -75,7 +75,7 @@ class DasState:
         both = np.concatenate([order, rest])
         if n and not (0 <= both.min() and both.max() < n):
             raise ValueError(f"sensor indices must lie in [0, {n})")
-        if np.unique(both).size != n:
+        if np.any(np.bincount(both, minlength=n) != 1):  # each sensor exactly once
             raise ValueError("uploaded and remaining sensors must partition the field")
         if values.size != order.size:
             raise ValueError(f"{order.size} uploads but {values.size} values")

@@ -29,10 +29,8 @@ from .fields import FieldSpec, load_csv
 from .gp import KernelParams
 from .records import (  # noqa: F401 - the records' own names are this module's too
     AggRecord,
-    RecordBlock,
     RunRecord,
     RunResult,
-    aggregate,
     build_block,
     constant_block,
     emit_results,
@@ -82,8 +80,8 @@ _ALOHA_KEYS = {"experiment", "rounds", "seeds", "L", "sigma2", "T",
 
 DEFAULT_VIRTUAL_1D = ((1.0,), (3.0,), (5.0,), (7.0,), (9.0,))
 
-# The most bytes of fields an ALOHA sweep keeps, in each of its processes,
-# to build each seed's field once for all of its cells.
+# The most bytes of fields a run keeps, in each of its processes, to build
+# each seed's field once for all of its cells.
 _BUILT_BYTES = 16 * 2**20
 
 
@@ -352,58 +350,6 @@ def check_app_indices(config: ExperimentConfig):
         _build_apps(config, config.L)
 
 
-def _run_das_records(config: ExperimentConfig) -> tuple[list[RecordBlock], list, list]:
-    """One block of records for each policy, their aggregates, and the
-    failures of every policy."""
-    blocks, aggs, failures = [], [], []
-    params = config.kernel_params
-    spec = config.field_spec
-    # csv fields are the same for every seed; parse once
-    csv_field = load_csv(spec.path, spec.noise_variance) if spec.kind == "csv" else None
-    make_field = spec.build if csv_field is None else (lambda rng: csv_field)
-    n_sensors = config.L if csv_field is None else csv_field.n_sensors
-    rounds = min(config.rounds, n_sensors)
-    want_holdout = csv_field is not None
-    seeds = sorted(config.seeds)
-    at = {seed: i * rounds - 1 for i, seed in enumerate(seeds)}  # + t: round t's slot
-    for policy in config.policies:
-        mse, holdout = f"mse.{policy}", f"holdout-mse.{policy}"
-        mse_values, hold_values = [0.0] * (len(seeds) * rounds), [0.0] * (len(seeds) * rounds)
-        extras = [""] * (len(seeds) * rounds)
-        failed, done = {}, set()
-        try:
-            apps = None
-            if policy == "app-weighted":
-                apps = ([app.weights for app in _build_apps(config, n_sensors)], config.betas)
-            runs = das_mod.run_das_seeds(
-                config.seeds, make_field, policy, rounds, params,
-                virtual_locs=config.virtual, log_estimates=want_holdout, apps=apps,
-            )
-            for seed, field, t, log in runs:
-                if isinstance(log, ValueError):
-                    failed[seed] = str(log)
-                    continue
-                i = at[seed] + t
-                extras[i] = f"selected={log.selected}"
-                mse_values[i] = log.mse
-                if want_holdout:
-                    hold_values[i] = _holdout_mse(field, log.estimate)
-                if t == rounds:
-                    done.add(seed)
-        except Exception as exc:  # noqa: BLE001 - reported for every seed it stopped
-            for seed in config.seeds:
-                if seed not in done:
-                    failed.setdefault(seed, str(exc))
-        columns = {mse: (mse_values, extras)}
-        if want_holdout:
-            columns[holdout] = (hold_values, extras)
-        block, block_aggs = build_block(seeds, rounds, columns, failed)
-        blocks.append(block)
-        aggs += block_aggs
-        failures += [(seed, policy, failed[seed]) for seed in config.seeds if seed in failed]
-    return blocks, aggs, failures
-
-
 def _holdout_mse(field, est) -> float:
     held = est.per_sensor_variance > 0
     if not np.any(held):
@@ -433,51 +379,75 @@ class _Cell:
         return f"B={self.b} Q={self.q} {self.mode}"
 
 
-def _aloha_cell(config: ExperimentConfig, cell: _Cell, make_field) -> tuple:
-    """Every seed's records of one cell as a :class:`RecordBlock`, their
-    aggregates, and the cell's per-seed failures in seed order."""
-    settings = config.aloha
-    metric = _aloha_metric(cell.mode, settings, cell.b, cell.q)
-    seeds, rounds = sorted(config.seeds), config.rounds
+def _run_cell(config: ExperimentConfig, make_field, n_sensors: int, cell) -> tuple:
+    """Every seed's records of one cell as a record block, their aggregates,
+    and the cell's per-seed failures in the config's seed order.
+
+    A cell is a DAS policy, which labels its failures, or an ALOHA
+    :class:`_Cell`, whose metric labels them.  A seed whose run raises
+    ``ValueError`` fails alone; so does every seed of ``app-weighted`` if an
+    app names no sensor of the field.
+    """
+    if isinstance(cell, _Cell):
+        rounds, label = config.rounds, _aloha_metric(cell.mode, config.aloha, cell.b, cell.q)
+        metrics, row = (label,), _aloha_row
+        runs = aloha_mod.run_aloha_seeds(config.seeds, make_field,
+                                         config.aloha.contention(cell.b, cell.q, cell.mode),
+                                         rounds, config.kernel_params)
+    else:
+        rounds, label = min(config.rounds, n_sensors), cell
+        holdout = config.experiment == "das-csv"
+        metrics, row = (f"mse.{cell}", f"holdout-mse.{cell}")[:1 + holdout], _das_row
+        try:
+            apps = (([app.weights for app in _build_apps(config, n_sensors)], config.betas)
+                    if cell == "app-weighted" else None)
+        except ConfigError as exc:  # an app names no sensor: every seed fails alike
+            runs = [(seed, None, 1, exc) for seed in config.seeds]
+        else:
+            runs = das_mod.run_das_seeds(config.seeds, make_field, cell, rounds,
+                                         config.kernel_params, virtual_locs=config.virtual,
+                                         log_estimates=holdout, apps=apps)
+    seeds = sorted(config.seeds)
     at = {seed: i * rounds - 1 for i, seed in enumerate(seeds)}  # + t: round t's slot
-    values, extras, failed = [0.0] * (len(seeds) * rounds), [""] * (len(seeds) * rounds), {}
-    runs = aloha_mod.run_aloha_seeds(config.seeds, make_field,
-                                     settings.contention(cell.b, cell.q, cell.mode),
-                                     rounds, config.kernel_params)
-    for seed, _, t, log in runs:
+    columns = [[0.0] * (len(seeds) * rounds) for _ in metrics]
+    extras, failed = [""] * (len(seeds) * rounds), {}
+    for seed, field, t, log in runs:
         if isinstance(log, ValueError):
             failed[seed] = str(log)
             continue
-        succ = "|".join(map(str, log.successes))
-        k = len(log.successes) + len(log.collided)  # the active count
-        values[at[seed] + t] = log.sse
-        extras[at[seed] + t] = f"succ={succ};psi={log.psi!r};k={k}"
-    block, aggs = build_block(seeds, rounds, {metric: (values, extras)}, failed)
-    return block, aggs, [(seed, metric, failed[seed]) for seed in config.seeds if seed in failed]
+        i = at[seed] + t
+        values, extras[i] = row(field, log)
+        for column, value in zip(columns, values):
+            column[i] = value
+    block, aggs = build_block(seeds, rounds, {metric: (column, extras) for metric, column
+                                              in zip(metrics, columns)}, failed)
+    return block, aggs, [(seed, label, failed[seed]) for seed in config.seeds if seed in failed]
 
 
-def _run_aloha_records(config: ExperimentConfig) -> tuple[list[RecordBlock], list, list]:
-    """One block of records for each (B, Q, mode) cell and each (B, Q)'s
-    bound, with their aggregates, and the cells' failures."""
-    settings = config.aloha
-    cells = [_Cell(b, q, mode) for b, q, mode in
-             itertools.product(settings.b_values, settings.q_values, settings.modes)]
-    # one cache of fields for each process's cells, dropped with the function
-    done = iter(_map_in_shares(functools.partial(
-        _aloha_cell, config, make_field=_built_once(config.field_spec.build)), cells))
-    blocks, aggs, failures = [], [], []
-    for b, q in itertools.product(settings.b_values, settings.q_values):
-        for _ in settings.modes:
-            block, cell_aggs, cell_failures = next(done)
-            blocks.append(block)
-            aggs += cell_aggs
-            failures += cell_failures
-        bound = aloha_mod.sse_lower_bound(config.sigma_sq, q, b)
-        metric = _aloha_metric("lower-bound", settings, b, q)
-        block, bound_aggs = constant_block(sorted(config.seeds), config.rounds, metric, bound)
-        blocks.append(block)
-        aggs += bound_aggs
-    return blocks, aggs, failures
+def _das_row(field, log) -> tuple:
+    """A DAS round's MSE, with its holdout MSE if it logged its estimate."""
+    mse = (log.mse,) if log.estimate is None else (log.mse, _holdout_mse(field, log.estimate))
+    return mse, f"selected={log.selected}"
+
+
+def _aloha_row(field, log) -> tuple:
+    """An ALOHA round's SSE, with its successes, psi and active count."""
+    k = len(log.successes) + len(log.collided)
+    return (log.sse,), f"succ={'|'.join(map(str, log.successes))};psi={log.psi!r};k={k}"
+
+
+def _field_source(config: ExperimentConfig, n_cells: int) -> tuple:
+    """How ``n_cells`` cells get each seed's field, and its number of sensors.
+
+    A CSV field, the same for every seed, is parsed once.  A synthetic field
+    is built once per seed in each process if more than one cell uses it,
+    and afresh for each call otherwise, so a one-cell run keeps no field.
+    """
+    spec = config.field_spec
+    if spec.kind == "csv":
+        field = load_csv(spec.path, spec.noise_variance)
+        return (lambda rng: field), field.n_sensors
+    return (_built_once(spec.build) if n_cells > 1 else spec.build), config.L
 
 
 def _built_once(make_field):
@@ -612,15 +582,32 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     batches can be split and concatenated without changing any record.  An
     ALOHA sweep's (B, Q, mode) cells are shared out between this process and
     forked children, one per further usable CPU, with the same records
-    however they are split.  Each cell formats its records' lines and
-    reduces their aggregates where it runs.  Per-seed failures are collected
-    rather than aborting the batch.
+    however they are split; a DAS run's policies run here.  Each cell
+    formats its records' lines and reduces their aggregates where it runs.
+    A seed's failure is collected rather than aborting the batch; any other
+    error in a cell raises, naming the cell.
     """
-    if config.experiment == "aloha":
-        blocks, aggs, failures = _run_aloha_records(config)
+    settings = config.aloha
+    if settings is None:  # one cell for each DAS policy, all run here
+        cells, run_cells = list(config.policies), _run_share
     else:
-        blocks, aggs, failures = _run_das_records(config)
+        cells = [_Cell(b, q, mode) for b, q, mode in
+                 itertools.product(settings.b_values, settings.q_values, settings.modes)]
+        run_cells = _map_in_shares
+    # only run_cells holds the field source, so _map_in_shares drops the fields
+    # it keeps before the children's results arrive
+    done = run_cells(functools.partial(_run_cell, config, *_field_source(config, len(cells))),
+                     cells)
+    blocks = [block for block, _, _ in done]
+    aggs = [agg for _, cell_aggs, _ in done for agg in cell_aggs]
+    failures = [failure for _, _, cell_failures in done for failure in cell_failures]
+    if settings is not None:
+        seeds = sorted(config.seeds)
+        for b, q in itertools.product(settings.b_values, settings.q_values):
+            block, bound_aggs = constant_block(
+                seeds, config.rounds, _aloha_metric("lower-bound", settings, b, q),
+                aloha_mod.sse_lower_bound(config.sigma_sq, q, b))
+            blocks.append(block)
+            aggs += bound_aggs
     aggs.sort(key=attrgetter("metric"))  # stable: each metric's rounds stay ascending
     return RunResult(blocks, aggs, failures)
-
-

@@ -9,12 +9,9 @@ the read-side view of the same records.
 """
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 
 import numpy as np
 
@@ -133,23 +130,6 @@ def _agg_rows(metric: str, rounds, block: np.ndarray) -> list[AggRecord]:
             zip(rounds, block.mean(axis=1).tolist(), block.std(axis=1).tolist())]
 
 
-def aggregate(records: list[RunRecord]) -> list[AggRecord]:
-    """Per-(metric, round) mean and population standard deviation, each
-    round's values reduced in record order."""
-    groups: dict[tuple[str, int], list[float]] = {}
-    for rec in records:
-        groups.setdefault((rec.metric, rec.round), []).append(rec.value)
-    out = []
-    for metric, keys in itertools.groupby(sorted(groups), key=itemgetter(0)):
-        rounds, rows = zip(*((t, groups[metric, t]) for _, t in keys))
-        if all(len(row) == len(rows[0]) for row in rows):
-            out += _agg_rows(metric, rounds, np.array(rows))
-        else:
-            for t, row in zip(rounds, rows):
-                out += _agg_rows(metric, (t,), np.array([row]))
-    return out
-
-
 # About how many records the merge orders and writes at a time.  It holds
 # each as a string object meanwhile, so runs of this size keep the writer's
 # memory below what the cells freed before it.
@@ -188,40 +168,36 @@ def _merged_lines(blocks):
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json_records(fh, blocks, indent: str):
+def _write_json_records(fh, blocks):
     """Write the records as ``json.dump(..., sort_keys=True, indent=1)``
-    writes their list of objects, nested ``len(indent) - 1`` levels deep."""
+    writes their list of objects."""
     sep = "[\n"
     for lines in _merged_lines(blocks):
         items = []
         for line in lines:
             seed, rnd, metric, value, extra = line.split(",", 4)
-            items.append(f'{indent}{{\n{indent} "extra": {_json_str(extra)},\n'
-                         f'{indent} "metric": {_json_str(metric)},\n{indent} "round": {rnd},\n'
-                         f'{indent} "seed": {seed},\n'
-                         f'{indent} "value": {_JSON_FLOAT.get(value, value)}\n{indent}}}')
+            items.append(f' {{\n  "extra": {_json_str(extra)},\n  "metric": {_json_str(metric)},\n'
+                         f'  "round": {rnd},\n  "seed": {seed},\n'
+                         f'  "value": {_JSON_FLOAT.get(value, value)}\n }}')
         fh.write(sep + ",\n".join(items))
         sep = ",\n"
-    fh.write("[]" if sep == "[\n" else f"\n{indent[:-1]}]")
+    fh.write("[]" if sep == "[\n" else "\n]")
 
 
-def emit_results(result: RunResult, fmt: str, path, timestamp: bool = False):
+def emit_results(result: RunResult, fmt: str, path):
     """Write records to ``path`` and aggregates to ``path + '.agg'``.
 
     CSV columns: seed,round,metric,value,extra (aggregates:
     metric,round,mean,std,n).  JSON mirrors the same rows as object lists.
     Records come in (seed, round, metric) order.  The bytes are those of
     ``csv.writer`` and ``json.dump(..., sort_keys=True, indent=1)`` over the
-    rows, and deterministic unless ``timestamp`` is set.
+    rows, so identical results write identical files.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    stamp = datetime.now(timezone.utc).isoformat() if timestamp else None
     agg_path = str(path) + ".agg"
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if stamp:
-                fh.write(f"# generated {stamp}\n")
             fh.write("seed,round,metric,value,extra\n")
             for lines in _merged_lines(result.blocks):
                 fh.write("\n".join(lines) + "\n")
@@ -231,12 +207,7 @@ def emit_results(result: RunResult, fmt: str, path, timestamp: bool = False):
                              for a in result.aggregates))
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            if stamp:
-                fh.write(f'{{\n "generated": {_json_str(stamp)},\n "records": ')
-                _write_json_records(fh, result.blocks, "  ")
-                fh.write("\n}")
-            else:
-                _write_json_records(fh, result.blocks, " ")
+            _write_json_records(fh, result.blocks)
             fh.write("\n")
         aggs = [
             {"metric": a.metric, "round": a.round, "mean": a.mean,
@@ -256,5 +227,5 @@ def _record(row) -> RunRecord:
 def read_records_csv(path) -> list[RunRecord]:
     """Re-parse a CSV records file (the round-trip inverse of emit_results)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        rows = [row for row in csv.reader(fh) if row]
     return [_record(row) for row in rows[1:]]

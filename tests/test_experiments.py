@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import fieldsense.aloha
+import fieldsense.das
 import fieldsense.experiments
+import fieldsense.fields
 import fieldsense.gp
 from fieldsense.cli import main
 from fieldsense.das import run_das
@@ -26,7 +28,7 @@ from fieldsense.experiments import (
     RunResult,
     _build_apps,
     _holdout_mse,
-    aggregate,
+    build_block,
     config_from_mapping,
     emit_results,
     load_config_file,
@@ -258,6 +260,21 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(field.measurements, want[0].measurements)
                 np.testing.assert_array_equal(draws, want[1])
 
+    def test_each_seed_field_is_built_once_for_all_policies(self, monkeypatch):
+        # das-select's two policies share each seed's field, as an ALOHA
+        # sweep's cells do
+        built, real = [], fieldsense.fields.FieldSpec.build
+
+        def build(spec, rng):
+            built.append(rng.bit_generator.state["state"]["state"])
+            return real(spec, rng)
+
+        monkeypatch.setattr(fieldsense.fields.FieldSpec, "build", build)
+        mapping = load_config_file(WORKLOADS / "das-select.cfg")
+        result = run_experiment(config_from_mapping({**mapping, "seeds": "1..4"}))
+        assert not result.failures and len(result.records) == 4 * 30 * 2
+        assert len(built) == len(set(built)) == 4
+
     def test_failed_aloha_seed_leaves_the_others_records_alone(self, monkeypatch):
         # two cells, so with more than one share the modified one fails in a
         # child, which inherits the poisoned observe
@@ -407,27 +424,20 @@ class TestEmit:
         with pytest.raises(OSError):
             emit_results(result, "csv", tmp_path / "missing" / "r.csv")
 
-    def test_aggregate_matches_spec_example(self):
-        records = [RunRecord(1, 1, "m", 2.0), RunRecord(2, 1, "m", 4.0)]
-        aggs = aggregate(records)
-        assert aggs[0].mean == 3.0 and aggs[0].n == 2
-
     def test_aggregate_equals_the_per_group_reduction_bitwise(self):
-        # "full" has 300 values in each of its 7 rounds (past numpy's 128-value
-        # pairwise block, so the block reduction's row sums are pairwise too);
-        # "ragged" has rounds of different sizes; records come shuffled
+        # 300 kept seeds in each of 7 rounds (past numpy's 128-value pairwise
+        # block, so the block reduction's row sums are pairwise too), with
+        # failed seeds dropped from between them
         rng = np.random.default_rng(11)
-        records = [RunRecord(seed, rnd, "full", float(rng.normal()))
-                   for seed in range(300) for rnd in range(1, 8)]
-        records += [RunRecord(seed, rnd, "ragged", float(rng.lognormal()))
-                    for rnd in range(1, 6) for seed in range(10 * rnd)]
-        records = [records[i] for i in rng.permutation(len(records))]
-        groups = {}
-        for rec in records:
-            groups.setdefault((rec.metric, rec.round), []).append(rec.value)
-        want = [AggRecord(metric, rnd, float(np.mean(vals)), float(np.std(vals)), len(vals))
-                for (metric, rnd), vals in sorted(groups.items())]
-        assert aggregate(records) == want
+        seeds, rounds = list(range(310)), 7
+        values = rng.normal(size=len(seeds) * rounds).tolist()
+        failed = {int(seed): "boom" for seed in rng.choice(310, size=10, replace=False)}
+        _, aggs = build_block(seeds, rounds, {"full": (values, [""] * len(values))}, failed)
+        grid = np.array(values).reshape(len(seeds), rounds)
+        kept = [i for i in seeds if i not in failed]
+        want = [AggRecord("full", t, float(np.mean(grid[kept, t - 1])),
+                          float(np.std(grid[kept, t - 1])), 300) for t in range(1, rounds + 1)]
+        assert aggs == want
 
 
 class TestCli:
@@ -615,6 +625,23 @@ class TestForkedCells:
         assert fieldsense.experiments._child_results(payload, 0, cells) == [([], [])]
         with pytest.raises(RuntimeError, match=r"^cells B=2 Q=10 modified: .*exit status 0"):
             fieldsense.experiments._child_results(payload[:-3], 0, cells)
+
+    def test_a_failed_das_cell_is_a_run_error(self, tmp_path, capsys, monkeypatch):
+        # a DAS run's policies run in this process, and fail as a forked cell does
+        real = fieldsense.das.run_das_seeds
+
+        def run_das_seeds(seeds, make_field, policy, *args, **kwargs):
+            if policy == "virtual":
+                raise RuntimeError("boom")
+            return real(seeds, make_field, policy, *args, **kwargs)
+
+        monkeypatch.setattr(fieldsense.das, "run_das_seeds", run_das_seeds)
+        code = main(["das", "--config", str(WORKLOADS / "das-select.cfg"), "--seed", "1..2",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert "fieldsense: run: cell virtual: boom" in err and not out
+        assert not (tmp_path / "x.csv").exists()
 
 
 def load_run_figures():

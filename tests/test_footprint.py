@@ -6,8 +6,8 @@ to uploads times sensors, not sensors squared (at L = 20000 a dense prior
 alone would take 3.2 GB); a factor block sized up front holds only the rows
 written; a seed batch keeps only as many seeds in flight as its bound
 allows; an ALOHA sweep's forked children peak below their
-parent; and the package runs on numpy alone, with scipy needed by the tests
-only.
+parent; the package runs on numpy alone, with scipy needed by the tests
+only; and a das-csv run leaves numpy.ma unimported.
 """
 
 import os
@@ -195,3 +195,21 @@ def test_forked_cells_with_blas_threads(tmp_path):
         assert proc.stdout.count("wrote") == 1, proc.stdout
         outputs.append((out.read_bytes(), pathlib.Path(f"{out}.agg").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_das_csv_run_leaves_numpy_ma_out(tmp_path):
+    # np.unique in its plain form imports numpy.ma, tens of ms in a fresh
+    # interpreter; a das-csv run checks its stations and uploads without it
+    rows = "".join(f"{i % 7},{i // 7},{i * 0.1}\n" for i in range(40))
+    (tmp_path / "stations.csv").write_text("x,y,value\n" + rows)
+    (tmp_path / "run.cfg").write_text(
+        f"experiment = das-csv\ncsv = {tmp_path / 'stations.csv'}\nrounds = 10\n"
+        "policy = max-variance,random,app-weighted\napps = mean,e:3\nbetas = 1,1\n")
+    out = run_fresh(f"""
+        import sys
+        from fieldsense.cli import main
+        assert main(["das", "--config", {str(tmp_path / "run.cfg")!r}, "--seed", "1..3",
+                     "--out", {str(tmp_path / "r.csv")!r}]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    assert out.split()[-1] == "False"
