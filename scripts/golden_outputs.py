@@ -19,6 +19,9 @@ holdout records:
   1..40, which span several seed batches;
 - ``das-select.cfg`` at seeds 20,3,9,1: out of order and not contiguous;
 - ``aloha --preset fig6|fig7|fig8`` at seeds 1..30;
+- ``aloha --preset fig7`` at 25 seeds out of order and not contiguous
+  (``SCATTERED``), which play in three seed batches: each batch seed's
+  records land in that seed's slots;
 - das-csv on 120 stations from ``make_station_csv.py``, max-variance, random
   and app-weighted (``apps = mean,e:7``, unit betas), 40 rounds, seeds 1..3;
 - ALOHA with sleep and pool exhaustion (L = 30, B = 4, Q = 10,
@@ -69,6 +72,9 @@ p_sleep = 0.3
 mode = conventional,modified
 """
 
+# 25 seeds, neither ascending nor contiguous
+SCATTERED = "41,7,30,2,19,55,13,26,3,48,11,37,22,9,60,5,33,17,44,28,1,52,15,39,24"
+
 WIDE_CONFIG = """\
 experiment = aloha
 L = 60
@@ -94,6 +100,7 @@ def cases():
                                    "--seed", "20,3,9,1"]
     for fig in ("fig6", "fig7", "fig8"):
         yield fig, ["aloha", "--preset", fig, "--seed", "1..30"]
+    yield "aloha-scattered", ["aloha", "--preset", "fig7", "--seed", SCATTERED]
     yield "das-csv", ["das", "--config", "das-csv.cfg", "--seed", "1..3"]
     yield "das-csv-bad-app", ["das", "--config", "das-csv-bad-app.cfg", "--seed", "1..3"]
     yield "aloha-sleep", ["aloha", "--config", "aloha-sleep.cfg", "--seed", "1..40"]

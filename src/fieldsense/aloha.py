@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState, _in_flight, play_seed_batches
+from .das import DasState, _in_flight, play_seed_batches, seed_by_seed
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
@@ -167,11 +167,49 @@ def _alone(active, draws, channels: int) -> np.ndarray:
     return active & (counts[draws] == 1)
 
 
-def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalConditioner,
-                rngs) -> tuple[list[AlohaRound], dict[int, str]]:
+class AlohaBatchRound:
+    """One contention round of a seed batch, as columns: entry or row s is seed s's.
+
+    ``candidates`` (S, width) holds each seed's candidates in its first
+    ``lens[s]`` entries; ``predictions``, ``errors``, ``probabilities``,
+    ``activity``, ``draws`` (the channels drawn) and ``success`` are
+    (S, width) arrays over them, a shorter row's padding never active.
+    ``successes``, ``sse``, ``psi`` and ``active`` hold each seed's
+    successes in candidate order, its SSE, the dual value it used and its
+    active count.  :meth:`logs` builds the per-seed :class:`AlohaRound` views.
+    """
+
+    __slots__ = ("candidates", "lens", "predictions", "errors", "probabilities", "activity",
+                 "draws", "success", "successes", "sse", "psi", "active")
+
+    def __init__(self, candidates, lens, predictions, errors, probabilities, activity, draws,
+                 success, successes, sse, psi, active):
+        self.candidates, self.lens, self.predictions = candidates, lens, predictions
+        self.errors, self.probabilities, self.activity = errors, probabilities, activity
+        self.draws, self.success, self.successes = draws, success, successes
+        self.sse, self.psi, self.active = sse, psi, active
+
+    def logs(self) -> list[AlohaRound]:
+        """Each seed's round log, its arrays views of its rows cut to its candidates."""
+        channel = np.where(self.activity, self.draws, -1)
+        rows = [[row[:k] for row, k in zip(x, self.lens)] for x in (
+            self.candidates, self.predictions, self.errors, self.probabilities, self.activity,
+            channel, self.success)]
+        logs = []
+        for s, (cand, pred, err, prob, act, chan, ok) in enumerate(zip(*rows)):
+            cands = cand.tolist()
+            collided = [c for c, a, won in zip(cands, act.tolist(), ok.tolist()) if a and not won]
+            logs.append(AlohaRound(cands, pred, err, prob, act, chan, self.successes[s],
+                                   collided, self.sse[s], self.psi[s]))
+        return logs
+
+
+def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalConditioner,
+                rngs) -> tuple[AlohaBatchRound, dict[int, str]]:
     """One contention round for every seed of a batch, one row per seed.
 
-    ``cands`` holds each seed's candidate list, ``meas`` (S, n) its field's
+    ``cand`` (S, width) holds each seed's candidates in its first ``lens[s]``
+    entries (the rest are padding, any sensor), ``meas`` (S, n) its field's
     measurements and ``mask`` (S, n) its record of which sensors have
     uploaded; ``psi`` (S,) is each seed's dual variable and ``rngs`` its
     generator.  Each generator draws sleep, activity and channels for its
@@ -180,41 +218,42 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
     then observed on ``cond`` slot by slot, slot j holding each seed's j-th
     success in candidate order; a seed whose observation fails takes no
     further one.  ``mask``, ``psi`` and ``cond`` are updated in place.  Each
-    candidate list must name distinct sensors that have not uploaded; it is
+    seed's candidates must be distinct sensors that have not uploaded; it is
     not checked here.
 
-    Returns each seed's round log and, for the seeds whose upload the
+    Returns the batch's round and, for the seeds whose upload the
     conditioner could not take, their messages by row.
     """
-    n_seeds = mask.shape[0]
-    lens = [len(c) for c in cands]
-    width = max(lens)
-    ragged = lens.count(width) != n_seeds  # some seed has fewer candidates: pad its row
-    cand = _padded(cands, width, ragged, 0, int)
-    valid = np.arange(width) < np.array(lens)[:, None] if ragged else True
+    n_seeds, width = cand.shape
+    valid = np.arange(width) < np.array(lens)[:, None] if min(lens) < width else True
     seeds = np.arange(n_seeds)[:, None]
 
-    # Each seed's own draws, in its generator's order; padding never transmits.
-    # One draw of 2k uniforms is the sleep draw of k then the activity draw of
-    # k: a generator hands out doubles one after another, keeping nothing back.
-    sleep, act, chan = [], [], []
-    for rng, k in zip(rngs, lens):
-        u = rng.random(2 * k)
-        sleep.append(u[:k])
-        act.append(u[k:])
-        chan.append(rng.integers(0, cfg.channels, size=k))
-    u_sleep, u_active = _padded(sleep, width, ragged, 1.0), _padded(act, width, ragged, 1.0)
-    draws = _padded(chan, width, ragged, 0, int)
+    # Each seed's own draws, in its generator's order, into its rows; padding
+    # never transmits.  One draw of 2k uniforms is the sleep draw of k then the
+    # activity draw of k: a generator hands out doubles one after another,
+    # keeping nothing back, so a short row draws them as two.
+    u = np.ones((n_seeds, 2 * width))
+    u_sleep, u_active = u[:, :width], u[:, width:]
+    draws = np.zeros((n_seeds, width), dtype=int)
+    for s, (rng, k) in enumerate(zip(rngs, lens)):
+        if k == width:
+            rng.random(out=u[s])
+        else:
+            rng.random(out=u_sleep[s, :k])
+            rng.random(out=u_active[s, :k])
+        draws[s, :k] = rng.integers(0, cfg.channels, size=k)
 
     predictions = cond.mean[seeds, cand]
     errors = predictions - meas[seeds, cand]
+    err_sq = errors**2
     if cfg.mode == "conventional":
         probabilities = np.full((n_seeds, width), equal_upload_probability(cfg))
     else:
-        probabilities = upload_probabilities(errors**2, psi[:, None])
-    active = u_active < np.where(u_sleep < cfg.p_sleep, 0.0, probabilities)
+        probabilities = upload_probabilities(err_sq, psi[:, None])
+    # uniforms lie in [0, 1): without sleep, no sensor sleeps
+    awake = np.where(u_sleep < cfg.p_sleep, 0.0, probabilities) if cfg.p_sleep else probabilities
+    active = u_active < awake
     success = _alone(active, draws, cfg.channels)
-    channel = np.where(active, draws, -1)
 
     who, where = success.nonzero()  # row-major: each seed's successes in candidate order
     sensors = cand[who, where]
@@ -230,35 +269,45 @@ def _play_round(cands, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalCondi
             failed.update(cond.observe(sensors[take], values[take], who[take]))
 
     psi_used = psi.tolist()
+    k = active.sum(axis=1)
     if cfg.mode == "modified":
-        psi += cfg.mu * (active.sum(axis=1) - cfg.channels)
+        psi += cfg.mu * (k - cfg.channels)
     missed = valid & ~success
-    lost = (errors**2)[missed]  # row-major: seed s's squared errors are lost[ends[s]:ends[s + 1]]
-    ends = [0, *np.cumsum(missed.sum(axis=1)).tolist()]
-    succ = _grouped(n_seeds, who, sensors)
-    hit_w, hit_q = (active & ~success).nonzero()
-    coll = _grouped(n_seeds, hit_w, cand[hit_w, hit_q])
-    logs = []
-    for s, (pred, err, prob, act_s, chan_s) in enumerate(zip(*(
-            _rows(x, lens, ragged) for x in (predictions, errors, probabilities, active, channel)))):
-        logs.append(AlohaRound(cands[s], pred, err, prob, act_s, chan_s, succ[s], coll[s],
-                               float(lost[ends[s] : ends[s + 1]].sum()), psi_used[s]))
-    return logs, failed
+    lost = err_sq[missed]  # row-major: each seed's squared errors are one run
+    ends = np.cumsum(missed.sum(axis=1)).tolist()
+    sse = [float(lost[a:b].sum()) for a, b in zip([0, *ends], ends)]
+    return AlohaBatchRound(cand, lens, predictions, errors, probabilities, active, draws, success,
+                           _grouped(n_seeds, who, sensors), sse, psi_used, k.tolist()), failed
 
 
-def _padded(rows, width: int, ragged: bool, fill, dtype=float) -> np.ndarray:
-    """Per-seed rows as one (S, width) array; shorter rows padded with ``fill``."""
-    if not ragged:
-        return np.array(rows, dtype=dtype).reshape(len(rows), width)
-    out = np.full((len(rows), width), fill, dtype=dtype)
+def _padded(rows, width: int) -> np.ndarray:
+    """Per-seed candidate lists as one (S, width) array, shorter rows padded with 0."""
+    out = np.zeros((len(rows), width), dtype=int)
     for dst, src in zip(out, rows):
         dst[: len(src)] = src
     return out
 
 
-def _rows(arr: np.ndarray, lens: list, ragged: bool) -> list:
-    """Each seed's row of an (S, width) array, cut to its own length (views)."""
-    return [row[:k] for row, k in zip(arr, lens)] if ragged else list(arr)
+def _drawn(mask, q: int, rngs, ended) -> tuple[np.ndarray, list[int]]:
+    """Each seed's candidates: a uniform random subset of at most ``q`` of its
+    sensors still waiting (all of them once fewer remain), drawn from its
+    generator, ascending.  Returns them as the rows of one array, padded
+    with any sensor, and each row's length; a seed in ``ended`` draws none.
+
+    A seed draws positions among its waiting sensors, ``choice`` over their
+    count: the draw and its stream are those of ``choice`` over the sensors
+    themselves, which returns the sensors at those positions.
+    """
+    _, rest = (~mask).nonzero()  # each seed's sensors still waiting, ascending, one run a seed
+    left = (mask.shape[1] - mask.sum(axis=1)).tolist()
+    lens = [0 if s in ended else min(q, k) for s, k in enumerate(left)]
+    pick = np.full((len(rngs), max(lens)), mask.shape[1])  # padding sorts last
+    for s, (rng, k) in enumerate(zip(rngs, lens)):
+        if k:
+            pick[s, :k] = rng.choice(left[s], size=k, replace=False)
+    pick.sort(axis=1)
+    starts = np.cumsum([0, *left[:-1]])
+    return rest.take(pick + starts[:, None], mode="clip"), lens
 
 
 def _grouped(n_seeds: int, who: np.ndarray, items: np.ndarray) -> list[list[int]]:
@@ -311,10 +360,10 @@ def run_aloha(
     seed.
     """
     logs = []
-    for (log,), failed in _play([field], [rng], cfg, rounds, params, candidate_policy):
+    for rnd, failed in _play([field], [rng], cfg, rounds, params, candidate_policy):
         if failed:
             raise ValueError(failed[0])
-        logs.append(log)
+        logs += rnd.logs()
     return logs
 
 
@@ -334,6 +383,17 @@ def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: Ke
     seed, round by round through a batch, seeds in order within a round.
     A seed whose run fails yields ``(seed, field, t, error)`` with the
     ``ValueError`` instead, and nothing after it; the others play on.
+    The logs are views of :func:`run_aloha_batches`' columns.
+    """
+    return seed_by_seed(run_aloha_batches(seeds, make_field, cfg, rounds, params))
+
+
+def run_aloha_batches(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
+    """The rounds of :func:`run_aloha_seeds` as columns, a seed batch at a time.
+
+    Yields ``(batch, fields, t, round, failed)`` for each round t of each
+    batch, as :func:`fieldsense.das.play_seed_batches` does: ``round`` is
+    the batch's :class:`AlohaBatchRound`.
     """
     return play_seed_batches(
         seeds, make_field, lambda field: _in_flight(field.n_sensors, _capacity(field, cfg, rounds)),
@@ -349,10 +409,10 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
           candidate_policy=None):
     """Play ``rounds`` rounds on each field with its generator, all fields at once.
 
-    After each round, yields every field's round log (None once its run has
-    failed) and the fields (rows) whose run failed in that round, with
-    messages.  A failed row draws and observes nothing afterwards; the others
-    play on, unchanged by it.
+    After each round, yields the batch's :class:`AlohaBatchRound` and the
+    fields (rows) whose run failed in that round, with messages.  A failed
+    row draws and observes nothing afterwards, with no candidates; the
+    others play on, unchanged by it.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
@@ -369,30 +429,20 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
     states = [DasState.fresh(first.n_sensors) for _ in fields] if candidate_policy else None
     ended: set[int] = set()
     for _ in range(rounds):
-        # each seed's sensors still waiting, ascending: rest[ends[s]:ends[s + 1]]
-        _, rest = (~mask).nonzero()
-        ends = [0, *np.cumsum(mask.shape[1] - mask.sum(axis=1)).tolist()]
-        cands = []
-        for s, rng in enumerate(rngs):
-            if s in ended:
-                cands.append([])
-            elif states:
-                cands.append(_checked(candidate_policy(fields[s], states[s], rng), mask[s]))
-            elif ends[s] < ends[s + 1]:
-                rem = rest[ends[s] : ends[s + 1]]
-                k = min(cfg.candidates, rem.size)
-                cands.append(sorted(rng.choice(rem, size=k, replace=False).tolist()))
-            else:
-                cands.append([])
-        logs, failed = _play_round(cands, meas, mask, psi, cfg, cond, rngs)
-        ended.update(failed)
-        for s in ended:
-            logs[s] = None
         if states:
-            for s, log in enumerate(logs):
-                if log is not None:
-                    states[s] = states[s].with_uploads(log.successes, meas[s, log.successes])
-        yield logs, failed
+            lists = [[] if s in ended else _checked(candidate_policy(fields[s], states[s], rng),
+                                                    mask[s]) for s, rng in enumerate(rngs)]
+            lens = [len(c) for c in lists]
+            cand = _padded(lists, max(lens))
+        else:
+            cand, lens = _drawn(mask, cfg.candidates, rngs, ended)
+        rnd, failed = _play_round(cand, lens, meas, mask, psi, cfg, cond, rngs)
+        ended.update(failed)
+        if states:
+            for s, succ in enumerate(rnd.successes):
+                if s not in ended:
+                    states[s] = states[s].with_uploads(succ, meas[s, succ])
+        yield rnd, failed
 
 
 def _checked(candidates, mask) -> list[int]:

@@ -292,6 +292,22 @@ class DasRound:
     estimate: FieldEstimate | None = None
 
 
+class DasBatchRound:
+    """One round of the collection loop on a seed batch, as columns: entry s
+    is seed s's pick, its MSE and, if the loop logs them, its field estimate
+    (``estimates`` is None otherwise).  :meth:`logs` builds the per-seed
+    :class:`DasRound` views."""
+
+    __slots__ = ("round", "picks", "mse", "estimates")
+
+    def __init__(self, round: int, picks: list, mse: list, estimates: list | None):
+        self.round, self.picks, self.mse, self.estimates = round, picks, mse, estimates
+
+    def logs(self) -> list[DasRound]:
+        estimates = self.estimates or [None] * len(self.picks)
+        return [DasRound(self.round, *entry) for entry in zip(self.picks, self.mse, estimates)]
+
+
 def run_das(
     field: SensorField,
     policy,
@@ -315,11 +331,11 @@ def run_das(
     if policy == "random" and rng is None:
         rng = np.random.default_rng()
     logs = []
-    for (log,), failed in _play([field], [rng], policy, rounds, params, virtual_locs,
-                                log_estimates, apps):
+    for rnd, failed in _play([field], [rng], policy, rounds, params, virtual_locs,
+                             log_estimates, apps):
         if failed:
             raise ValueError(failed[0])
-        logs.append(log)
+        logs += rnd.logs()
     return logs
 
 
@@ -341,6 +357,19 @@ def run_das_seeds(seeds, make_field, policy, rounds: int, params: KernelParams,
     seed, round by round through a batch, seeds in order within a round.
     A seed whose run fails yields ``(seed, field, t, error)`` with the
     ``ValueError`` instead, and nothing after it; the others play on.
+    The logs are views of :func:`run_das_batches`' columns.
+    """
+    return seed_by_seed(run_das_batches(seeds, make_field, policy, rounds, params,
+                                        virtual_locs, log_estimates, apps))
+
+
+def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams,
+                    virtual_locs=None, log_estimates: bool = False, apps=None):
+    """The rounds of :func:`run_das_seeds` as columns, a seed batch at a time.
+
+    Yields ``(batch, fields, t, round, failed)`` for each round t of each
+    batch, as :func:`play_seed_batches` does: ``round`` is the batch's
+    :class:`DasBatchRound`.
     """
     def in_flight(field: SensorField) -> int:
         n = field.n_sensors
@@ -363,21 +392,22 @@ def _in_flight(n_targets: int, rows: int, scored: bool = False) -> int:
 
 
 def play_seed_batches(seeds, make_field, in_flight, play):
-    """Play every seed's run, the seeds in lockstep batches, and yield its rounds.
+    """Play every seed's run, the seeds in lockstep batches, and yield each
+    batch's rounds.
 
     Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
     builds its field through ``make_field(rng)``.  ``in_flight(field)``,
     given the first seed's field, bounds the seeds of a batch, so memory
     follows that number, not the number of seeds; the batches are of
     near-equal size, so none pays a round's shared cost for a few seeds.
-    ``play(fields, rngs)`` plays one batch: after each round it yields every
-    field's log (None once its run has failed) and the fields (rows) whose
-    run failed in that round, with messages.
+    ``play(fields, rngs)`` plays one batch: after each round it yields the
+    batch's round, as columns with one entry per field, and the fields
+    (rows) whose run failed in that round, with messages.  A failed row's
+    entries, from the round it fails on, belong to no run.
 
-    Yields ``(seed, field, t, log)`` for each round t of each seed, round by
-    round through a batch, seeds in order within a round.  A seed whose run
-    fails yields ``(seed, field, t, error)`` with the ``ValueError`` instead,
-    and nothing after it.
+    Yields ``(batch, fields, t, round, failed)`` for each round t of each
+    batch: ``batch`` lists its seeds in the order given and ``fields`` their
+    fields, row by row.
     """
     seeds = list(seeds)
     if not seeds:
@@ -389,12 +419,28 @@ def play_seed_batches(seeds, make_field, in_flight, play):
     for i in range(n_batches):
         batch = seeds[i * len(seeds) // n_batches : (i + 1) * len(seeds) // n_batches]
         rngs, fields = map(list, zip(*itertools.islice(made, len(batch))))
-        for t, (logs, failed) in enumerate(play(fields, rngs), start=1):
-            for row, (seed, field, log) in enumerate(zip(batch, fields, logs)):
-                if row in failed:
-                    yield seed, field, t, ValueError(failed[row])
-                elif log is not None:
-                    yield seed, field, t, log
+        for t, (rnd, failed) in enumerate(play(fields, rngs), start=1):
+            yield batch, fields, t, rnd, failed
+
+
+def seed_by_seed(batch_rounds):
+    """The rounds of :func:`play_seed_batches` seed by seed, each batch
+    round's per-seed logs built by its ``logs()``.
+
+    Yields ``(seed, field, t, log)`` for each round t of each seed, round by
+    round through a batch, seeds in order within a round.  A seed whose run
+    fails yields ``(seed, field, t, error)`` with the ``ValueError`` instead,
+    and nothing after it.
+    """
+    for batch, fields, t, rnd, failed in batch_rounds:
+        if t == 1:
+            ended = set()
+        for row, (seed, field, log) in enumerate(zip(batch, fields, rnd.logs())):
+            if row in failed:
+                ended.add(row)
+                yield seed, field, t, ValueError(failed[row])
+            elif row not in ended:
+                yield seed, field, t, log
 
 
 def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=None,
@@ -405,11 +451,11 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     One conditioner with a seed axis carries every field's posterior, each
     factor sized to ``rounds`` rows; max-variance and the scored policies
     pick for the whole batch at once, the random and callable policies seed
-    by seed.  After each round, yields every field's round log (None once
-    its run has failed) and the fields (rows) whose run failed in that
-    round, with messages.  A failed row observes nothing afterwards; its
-    picks go on, unlogged, so the rows keep one length of sensors left, and
-    the others play on, unchanged by it.
+    by seed.  After each round, yields the batch's :class:`DasBatchRound`
+    and the fields (rows) whose run failed in that round, with messages.  A
+    failed row observes nothing afterwards; its picks go on, unlogged, so
+    the rows keep one length of sensors left, and the others play on,
+    unchanged by it.
     """
     first = fields[0]
     n = first.n_sensors
@@ -474,14 +520,10 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
             weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error
         flat = np.flatnonzero(waiting).reshape(n_seeds, n - t - 1)
         var = cond.variance.take(flat)
-        logs = []
-        for s, (idx, mse) in enumerate(zip(picks.tolist(), var.sum(axis=1).tolist())):
-            est = None
-            if log_estimates and s not in ended:
-                rem_s = flat[s] - offsets[s]
-                est = _pack_estimate(fields[s], rem_s, cond.mean[s, rem_s], var[s])
-            logs.append(None if s in ended else DasRound(t + 1, idx, mse, est))
-        yield logs, failed
+        estimates = [_pack_estimate(fields[s], flat[s] - offsets[s],
+                                    cond.mean.take(flat[s]), var[s])
+                     for s in range(n_seeds)] if log_estimates else None
+        yield DasBatchRound(t + 1, picks.tolist(), var.sum(axis=1).tolist(), estimates), failed
 
 
 def _called_pick(policy, field: SensorField, params: KernelParams, rng, mask, order,

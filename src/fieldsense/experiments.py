@@ -384,16 +384,19 @@ def _run_cell(config: ExperimentConfig, make_field, n_sensors: int, cell) -> tup
     and the cell's per-seed failures in the config's seed order.
 
     A cell is a DAS policy, which labels its failures, or an ALOHA
-    :class:`_Cell`, whose metric labels them.  A seed whose run raises
-    ``ValueError`` fails alone; so does every seed of ``app-weighted`` if an
-    app names no sensor of the field.
+    :class:`_Cell`, whose metric labels them.  Its seed batches' rounds
+    arrive as columns, one entry per seed, and a batch's record slots are
+    written once it has played; no per-seed round log is built.  A seed
+    whose run raises ``ValueError`` fails alone; so does every seed of
+    ``app-weighted`` if an app names no sensor of the field.
     """
+    failed = {}
     if isinstance(cell, _Cell):
         rounds, label = config.rounds, _aloha_metric(cell.mode, config.aloha, cell.b, cell.q)
         metrics, row = (label,), _aloha_row
-        runs = aloha_mod.run_aloha_seeds(config.seeds, make_field,
-                                         config.aloha.contention(cell.b, cell.q, cell.mode),
-                                         rounds, config.kernel_params)
+        runs = aloha_mod.run_aloha_batches(config.seeds, make_field,
+                                           config.aloha.contention(cell.b, cell.q, cell.mode),
+                                           rounds, config.kernel_params)
     else:
         rounds, label = min(config.rounds, n_sensors), cell
         holdout = config.experiment == "das-csv"
@@ -402,38 +405,44 @@ def _run_cell(config: ExperimentConfig, make_field, n_sensors: int, cell) -> tup
             apps = (([app.weights for app in _build_apps(config, n_sensors)], config.betas)
                     if cell == "app-weighted" else None)
         except ConfigError as exc:  # an app names no sensor: every seed fails alike
-            runs = [(seed, None, 1, exc) for seed in config.seeds]
+            runs, failed = (), dict.fromkeys(config.seeds, str(exc))
         else:
-            runs = das_mod.run_das_seeds(config.seeds, make_field, cell, rounds,
-                                         config.kernel_params, virtual_locs=config.virtual,
-                                         log_estimates=holdout, apps=apps)
+            runs = das_mod.run_das_batches(config.seeds, make_field, cell, rounds,
+                                           config.kernel_params, virtual_locs=config.virtual,
+                                           log_estimates=holdout, apps=apps)
     seeds = sorted(config.seeds)
-    at = {seed: i * rounds - 1 for i, seed in enumerate(seeds)}  # + t: round t's slot
-    columns = [[0.0] * (len(seeds) * rounds) for _ in metrics]
-    extras, failed = [""] * (len(seeds) * rounds), {}
-    for seed, field, t, log in runs:
-        if isinstance(log, ValueError):
-            failed[seed] = str(log)
-            continue
-        i = at[seed] + t
-        values, extras[i] = row(field, log)
-        for column, value in zip(columns, values):
-            column[i] = value
-    block, aggs = build_block(seeds, rounds, {metric: (column, extras) for metric, column
-                                              in zip(metrics, columns)}, failed)
+    place = {seed: i for i, seed in enumerate(seeds)}
+    # each metric's (seed, round) grid and the extras', seeds ascending
+    values = np.zeros((len(metrics), len(seeds), rounds))
+    extras = np.full((len(seeds), rounds), "", dtype=object)
+    played = []  # the current batch's rows, round by round
+    for batch, fields, t, rnd, batch_failed in runs:
+        for r, message in batch_failed.items():
+            failed[batch[r]] = message
+        played.append(row(fields, rnd))
+        if t == rounds:  # a batch plays every round: its slots are all known
+            at = [place[seed] for seed in batch]
+            values[:, at] = np.array([vals for vals, _ in played]).transpose(1, 2, 0)
+            extras[at] = np.array([extra for _, extra in played], dtype=object).T
+            played = []
+    extras = extras.ravel().tolist()
+    block, aggs = build_block(seeds, rounds, {metric: (grid.ravel().tolist(), extras)
+                                              for metric, grid in zip(metrics, values)}, failed)
     return block, aggs, [(seed, label, failed[seed]) for seed in config.seeds if seed in failed]
 
 
-def _das_row(field, log) -> tuple:
-    """A DAS round's MSE, with its holdout MSE if it logged its estimate."""
-    mse = (log.mse,) if log.estimate is None else (log.mse, _holdout_mse(field, log.estimate))
-    return mse, f"selected={log.selected}"
+def _das_row(fields, rnd) -> tuple:
+    """A DAS batch round's MSEs, with holdout MSEs if it logged its estimates,
+    and each seed's extra."""
+    mse = (rnd.mse,) if rnd.estimates is None else (
+        rnd.mse, list(map(_holdout_mse, fields, rnd.estimates)))
+    return mse, [f"selected={pick}" for pick in rnd.picks]
 
 
-def _aloha_row(field, log) -> tuple:
-    """An ALOHA round's SSE, with its successes, psi and active count."""
-    k = len(log.successes) + len(log.collided)
-    return (log.sse,), f"succ={'|'.join(map(str, log.successes))};psi={log.psi!r};k={k}"
+def _aloha_row(fields, rnd) -> tuple:
+    """An ALOHA batch round's SSEs, with each seed's successes, psi and active count."""
+    return (rnd.sse,), [f"succ={'|'.join(map(str, succ))};psi={psi!r};k={k}"
+                        for succ, psi, k in zip(rnd.successes, rnd.psi, rnd.active)]
 
 
 def _field_source(config: ExperimentConfig, n_cells: int) -> tuple:

@@ -95,12 +95,18 @@ def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
 
     The squared distance is summed one coordinate at a time, in order: for
     the few coordinates a location has this is the left-to-right sum a
-    reduction over them gives, bit for bit, at a fraction of its cost.
+    reduction over them gives, bit for bit, at a fraction of its cost.  The
+    values are computed in ``diff``, which this overwrites, and returned as
+    the view ``diff[0]``.  Dividing by -2 l^2 gives the bits of negating
+    first: IEEE rounding is symmetric in sign.
     """
-    d2 = diff[0] * diff[0]
+    d2 = np.multiply(diff[0], diff[0], out=diff[0])
     for dk in diff[1:]:
-        d2 += dk * dk
-    return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
+        d2 += np.multiply(dk, dk, out=dk)
+    np.divide(d2, -2.0 * params.length_scale**2, out=d2)
+    np.exp(d2, out=d2)
+    d2 *= params.signal_variance
+    return d2
 
 
 def kernel(a, b, params: KernelParams) -> float:
@@ -109,7 +115,7 @@ def kernel(a, b, params: KernelParams) -> float:
     bv = np.atleast_1d(np.asarray(b, dtype=float)).ravel()
     if av.shape != bv.shape or not av.size:
         raise ValueError(f"need two points of one dimension, got {av.shape} and {bv.shape}")
-    return float(_sq_exp(av - bv, params))
+    return float(_sq_exp((av - bv)[:, None], params)[0])
 
 
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
@@ -368,7 +374,8 @@ class IncrementalConditioner:
         d = np.sqrt(pivot)
         row = resid / d[:, None]
         old = self._variance[rows]
-        variance = old - row * row
+        variance = np.multiply(row, row)
+        np.subtract(old, variance, out=variance)
         failed = {}
         low = variance.min(axis=1).tolist()
         for r in [r for r, x in enumerate(low) if x < VARIANCE_CLAMP]:
@@ -392,11 +399,11 @@ class IncrementalConditioner:
         self._c[seed, t] = c
         for s in seed.tolist():
             self._t[s] += 1
-        self._mean[rows] += row * c[:, None]
+        self._mean[rows] += np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
         if isinstance(rows, slice):
             np.maximum(variance, 0.0, out=old)
         else:
-            self._variance[rows] = np.maximum(variance, 0.0)
+            self._variance[rows] = np.maximum(variance, 0.0, out=variance)
         if one and failed:
             raise ValueError(failed.popitem()[1])
         return None if one else failed
@@ -433,7 +440,9 @@ class IncrementalConditioner:
             w = w[None].repeat(n_seeds, axis=0)
         if self._prior is None:
             c = self._coords
-            self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
+            prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
+            # with more than one coordinate, the view would hold d times its size
+            self._prior = prior.copy() if c.shape[0] > 1 else prior
         a = self._a[:, : max(self._t)]
         s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
         # flat positions of each seed's candidates in each of its rows

@@ -22,6 +22,7 @@ from fieldsense.aloha import (
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
+    _padded,
     _play_round,
 )
 from fieldsense.das import DasState
@@ -47,13 +48,20 @@ def fresh_batch(fields, uploaded=()):
     return cond, mask
 
 
+def play_round(cands, meas, mask, psi, cfg, cond, rngs):
+    """The batch round on each seed's candidate list, padded as the round loop pads them."""
+    lens = [len(c) for c in cands]
+    return _play_round(_padded(cands, max(lens)), lens, meas, mask, psi, cfg, cond, rngs)
+
+
 def one_round(field, cands, cfg, rng, uploaded=(), psi=0.0):
     """The batch round on a batch of one: ``field`` with ``uploaded`` observed
     plays ``cands``; returns the round's log, the mask and psi after it."""
     cond, mask = fresh_batch([field], uploaded)
     psi = np.array([psi])
-    (log,), failed = _play_round([cands], field.measurements[None], mask, psi, cfg, cond, [rng])
+    rnd, failed = play_round([cands], field.measurements[None], mask, psi, cfg, cond, [rng])
     assert not failed
+    (log,) = rnd.logs()
     return log, mask[0], float(psi[0])
 
 
@@ -184,8 +192,8 @@ class TestDualAscent:
         for _ in range(200):
             cands = [sorted(rng.choice(200, size=10, replace=False).tolist()) for rng in rngs]
             cond, mask = fresh_batch(fields)
-            logs, _ = _play_round(cands, meas, mask, psi, cfg, cond, rngs)
-            ks.append([int(log.activity.sum()) for log in logs])
+            rnd, _ = play_round(cands, meas, mask, psi, cfg, cond, rngs)
+            ks.append([int(log.activity.sum()) for log in rnd.logs()])
         mean_k = np.mean(ks[-20:], axis=0)
         assert abs(np.mean(mean_k) - 3) < 1.0
 
@@ -254,10 +262,10 @@ class TestSimulateRound:
         total = 0
         for _ in range(n_rounds):
             cond, mask = fresh_batch([field] * n_seeds)
-            logs, _ = _play_round([list(range(10))] * n_seeds,
-                                  np.tile(field.measurements, (n_seeds, 1)), mask,
-                                  np.zeros(n_seeds), cfg, cond, [rng] * n_seeds)
-            total += sum(len(log.successes) for log in logs)
+            rnd, _ = play_round([list(range(10))] * n_seeds,
+                                np.tile(field.measurements, (n_seeds, 1)), mask,
+                                np.zeros(n_seeds), cfg, cond, [rng] * n_seeds)
+            total += sum(len(log.successes) for log in rnd.logs())
         want = expected_throughput(0.3, cfg)
         assert total / (n_seeds * n_rounds) == pytest.approx(want, rel=0.02)
 
@@ -270,9 +278,10 @@ class TestSimulateRound:
         for _ in range(15):
             rem = np.flatnonzero(~mask[0])
             cand = sorted(rng.choice(rem, size=min(10, rem.size), replace=False).tolist())
-            (log,), failed = _play_round([cand], field.measurements[None], mask, psi, cfg,
-                                         cond, [rng])
+            rnd, failed = play_round([cand], field.measurements[None], mask, psi, cfg,
+                                     cond, [rng])
             assert not failed
+            (log,) = rnd.logs()
             active_set = {c for c, a in zip(log.candidates, log.activity) if a}
             assert set(log.successes) | set(log.collided) == active_set
             assert set(log.successes) & set(log.collided) == set()

@@ -380,6 +380,27 @@ class TestRunExperiment:
         metrics = {r.metric for r in result.records}
         assert metrics == {"mse.max-variance", "holdout-mse.max-variance"}
 
+    def test_cells_build_no_round_objects(self, monkeypatch):
+        # a cell writes its records from each batch round's columns; the
+        # per-seed round logs are only for the per-seed API
+        configs = [config_from_mapping({**PRESETS["fig7"], "seeds": "1..5"}),
+                   config_from_mapping({**load_config_file(WORKLOADS / "das-select.cfg"),
+                                        "seeds": "1..5"})]
+        want = [run_experiment(config) for config in configs]
+
+        def built(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for cls in (fieldsense.aloha.AlohaRound, fieldsense.das.DasRound):
+            monkeypatch.setattr(cls, "__init__", built)
+        with pytest.raises(AssertionError, match="a DasRound was built"):
+            run_das(fieldsense.fields.gen_1d(5, 0.1, np.random.default_rng(1)),
+                    "max-variance", 2, fieldsense.gp.KernelParams())
+        for config, result in zip(configs, want):
+            got = run_experiment(config)
+            assert not got.failures
+            assert got.records == result.records and got.aggregates == result.aggregates
+
 
 class TestEmit:
     def test_csv_round_trip_bitwise(self, tmp_path):
@@ -569,16 +590,16 @@ class TestForkedCells:
     def fail_at(self, monkeypatch, where, fate):
         """Make the B=2 cell run in ``where`` (a child or this process) end by
         ``fate``: its process exits at once, or the cell raises."""
-        parent, real = os.getpid(), fieldsense.aloha.run_aloha_seeds
+        parent, real = os.getpid(), fieldsense.aloha.run_aloha_batches
 
-        def run_aloha_seeds(seeds, make_field, cfg, rounds, params):
+        def run_aloha_batches(seeds, make_field, cfg, rounds, params):
             if cfg.channels == 2 and (os.getpid() == parent) == (where == "parent"):
                 if fate == "exit":
                     os._exit(1)
                 raise RuntimeError("boom")
             return real(seeds, make_field, cfg, rounds, params)
 
-        monkeypatch.setattr(fieldsense.aloha, "run_aloha_seeds", run_aloha_seeds)
+        monkeypatch.setattr(fieldsense.aloha, "run_aloha_batches", run_aloha_batches)
 
     @pytest.mark.parametrize("where,fate,named", [
         ("child", "exit", "cells B=2 Q=10 conventional, B=3 Q=10 modified, "
@@ -628,14 +649,14 @@ class TestForkedCells:
 
     def test_a_failed_das_cell_is_a_run_error(self, tmp_path, capsys, monkeypatch):
         # a DAS run's policies run in this process, and fail as a forked cell does
-        real = fieldsense.das.run_das_seeds
+        real = fieldsense.das.run_das_batches
 
-        def run_das_seeds(seeds, make_field, policy, *args, **kwargs):
+        def run_das_batches(seeds, make_field, policy, *args, **kwargs):
             if policy == "virtual":
                 raise RuntimeError("boom")
             return real(seeds, make_field, policy, *args, **kwargs)
 
-        monkeypatch.setattr(fieldsense.das, "run_das_seeds", run_das_seeds)
+        monkeypatch.setattr(fieldsense.das, "run_das_batches", run_das_batches)
         code = main(["das", "--config", str(WORKLOADS / "das-select.cfg"), "--seed", "1..2",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
