@@ -231,16 +231,12 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     # Each seed's own draws, in its generator's order, into its rows; padding
     # never transmits.  One draw of 2k uniforms is the sleep draw of k then the
     # activity draw of k: a generator hands out doubles one after another,
-    # keeping nothing back, so a short row draws them as two.
-    u = np.ones((n_seeds, 2 * width))
-    u_sleep, u_active = u[:, :width], u[:, width:]
+    # keeping nothing back, so each row draws them as two.
+    u_sleep, u_active = np.ones((n_seeds, width)), np.ones((n_seeds, width))
     draws = np.zeros((n_seeds, width), dtype=int)
     for s, (rng, k) in enumerate(zip(rngs, lens)):
-        if k == width:
-            rng.random(out=u[s])
-        else:
-            rng.random(out=u_sleep[s, :k])
-            rng.random(out=u_active[s, :k])
+        rng.random(out=u_sleep[s, :k])
+        rng.random(out=u_active[s, :k])
         draws[s, :k] = rng.integers(0, cfg.channels, size=k)
 
     predictions = cond.mean[seeds, cand]
@@ -251,7 +247,7 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     else:
         probabilities = upload_probabilities(err_sq, psi[:, None])
     # uniforms lie in [0, 1): without sleep, no sensor sleeps
-    awake = np.where(u_sleep < cfg.p_sleep, 0.0, probabilities) if cfg.p_sleep else probabilities
+    awake = np.where(u_sleep < cfg.p_sleep, 0.0, probabilities)
     active = u_active < awake
     success = _alone(active, draws, cfg.channels)
 

@@ -96,13 +96,12 @@ def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
     The squared distance is summed one coordinate at a time, in order: for
     the few coordinates a location has this is the left-to-right sum a
     reduction over them gives, bit for bit, at a fraction of its cost.  The
-    values are computed in ``diff``, which this overwrites, and returned as
-    the view ``diff[0]``.  Dividing by -2 l^2 gives the bits of negating
-    first: IEEE rounding is symmetric in sign.
+    rest is computed in place in the one result array.  Dividing by -2 l^2
+    gives the bits of negating first: IEEE rounding is symmetric in sign.
     """
-    d2 = np.multiply(diff[0], diff[0], out=diff[0])
+    d2 = np.multiply(diff[0], diff[0])
     for dk in diff[1:]:
-        d2 += np.multiply(dk, dk, out=dk)
+        d2 += dk * dk
     np.divide(d2, -2.0 * params.length_scale**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= params.signal_variance
@@ -440,9 +439,7 @@ class IncrementalConditioner:
             w = w[None].repeat(n_seeds, axis=0)
         if self._prior is None:
             c = self._coords
-            prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
-            # with more than one coordinate, the view would hold d times its size
-            self._prior = prior.copy() if c.shape[0] > 1 else prior
+            self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
         a = self._a[:, : max(self._t)]
         s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
         # flat positions of each seed's candidates in each of its rows
