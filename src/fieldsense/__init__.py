@@ -16,7 +16,7 @@ from .aloha import (
     expected_throughput,
     per_sensor_success_probability,
     run_aloha,
-    run_aloha_seeds,
+    run_aloha_batches,
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
@@ -38,7 +38,7 @@ from .das import (
     FieldEstimate,
     estimate,
     run_das,
-    run_das_seeds,
+    run_das_batches,
     select_max_variance,
     select_random,
     select_virtual_target,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState, _in_flight, play_seed_batches, seed_by_seed
+from .das import DasState, _in_flight, play_seed_batches
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
@@ -352,7 +352,7 @@ def run_aloha(
     Once the pool is exhausted, rounds proceed with empty candidate sets and
     zero SSE.
     One conditioner over the sensors carries the predictions across rounds.
-    This runs the round loop of :func:`run_aloha_seeds` on a batch of one
+    This runs the round loop of :func:`run_aloha_batches` on a batch of one
     seed.
     """
     logs = []
@@ -363,33 +363,26 @@ def run_aloha(
     return logs
 
 
-def run_aloha_seeds(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
-    """:func:`run_aloha` for every seed, the seeds played in lockstep batches.
+def run_aloha_batches(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
+    """:func:`run_aloha` for every seed, the seeds played in lockstep batches,
+    each round yielded as the batch's columns.
 
     Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
     builds its field through ``make_field(rng)`` and then draws its rounds,
-    exactly as a run of its own would, so every seed's logs are
+    exactly as a run of its own would, so every seed's numbers are
     bit-identical to its own :func:`run_aloha`.  The seeds play in batches
-    of near-equal size, each holding as many seeds as fit the byte budget of
-    :func:`fieldsense.das._in_flight` at their worst case, ``min(L, rounds *
-    B)`` factor rows each (B successes a round at most), so memory follows
-    that bound, not the number of seeds.
-
-    Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
-    seed, round by round through a batch, seeds in order within a round.
-    A seed whose run fails yields ``(seed, field, t, error)`` with the
-    ``ValueError`` instead, and nothing after it; the others play on.
-    The logs are views of :func:`run_aloha_batches`' columns.
-    """
-    return seed_by_seed(run_aloha_batches(seeds, make_field, cfg, rounds, params))
-
-
-def run_aloha_batches(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
-    """The rounds of :func:`run_aloha_seeds` as columns, a seed batch at a time.
+    of near-equal size, each holding as many seeds as fit the 4 MB budget
+    of :func:`fieldsense.das._in_flight` at their worst case, ``min(L,
+    rounds * B)`` factor rows each (B successes a round at most), so memory
+    follows that bound, not the number of seeds.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`fieldsense.das.play_seed_batches` does: ``round`` is
-    the batch's :class:`AlohaBatchRound`.
+    the batch's :class:`AlohaBatchRound`, whose ``logs()`` gives each seed's
+    :class:`AlohaRound`.  ``failed`` maps the row of each seed whose run
+    failed in round t to the ``ValueError`` message its own
+    :func:`run_aloha` would raise; that row's entries, from round t on,
+    belong to no run, and the other seeds play on.
     """
     return play_seed_batches(
         seeds, make_field, lambda field: _in_flight(field.n_sensors, _capacity(field, cfg, rounds)),

@@ -30,11 +30,11 @@ _QUANTUM = 1e-12
 
 POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 
-# The most bytes the seeds of one batch of run_das_seeds or
-# aloha.run_aloha_seeds may hold at their worst case (see _in_flight).  A small
-# field's round is mostly numpy call overhead, which a batch pays once; a large
-# field's is its own O(t * L) products, which batching does not share, so it
-# plays alone and memory stays that of one seed.
+# The most bytes the seeds of one batch of run_das_batches or
+# aloha.run_aloha_batches may hold at their worst case (see _in_flight).  A
+# small field's round is mostly numpy call overhead, which a batch pays once;
+# a large field's is its own O(t * L) products, which batching does not
+# share, so it plays alone and memory stays that of one seed.
 _BATCH_BYTES = 4 * 2**20
 
 
@@ -325,7 +325,7 @@ def run_das(
     ``(weights, betas)`` the app-weighted policy needs: one weight row per
     application over the sensors, and the positive betas that sum their
     output MSEs.  One incremental conditioner carries the posterior and
-    scores every policy.  This runs the round loop of :func:`run_das_seeds`
+    scores every policy.  This runs the round loop of :func:`run_das_batches`
     on a batch of one field.
     """
     if policy == "random" and rng is None:
@@ -339,37 +339,28 @@ def run_das(
     return logs
 
 
-def run_das_seeds(seeds, make_field, policy, rounds: int, params: KernelParams,
-                  virtual_locs=None, log_estimates: bool = False, apps=None):
-    """:func:`run_das` for every seed, the seeds played in lockstep batches.
+def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams,
+                    virtual_locs=None, log_estimates: bool = False, apps=None):
+    """:func:`run_das` for every seed, the seeds played in lockstep batches,
+    each round yielded as the batch's columns.
 
     Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
     builds its field through ``make_field(rng)`` and then draws the random
-    policy's picks, exactly as a run of its own would, so every seed's logs
-    are bit-identical to its own :func:`run_das`.  The fields must share
-    their number of sensors and noise variance.  A batch holds as many seeds
-    as fit a 4 MB budget (:func:`_in_flight`) over their factors (``rounds``
-    rows over the targets each) and, for the scored policies, their priors
-    (targets squared), so a large field plays one seed at a time; batches
-    are of near-equal size.
-
-    Yields ``(seed, field, t, log)`` for each round t = 1..rounds of each
-    seed, round by round through a batch, seeds in order within a round.
-    A seed whose run fails yields ``(seed, field, t, error)`` with the
-    ``ValueError`` instead, and nothing after it; the others play on.
-    The logs are views of :func:`run_das_batches`' columns.
-    """
-    return seed_by_seed(run_das_batches(seeds, make_field, policy, rounds, params,
-                                        virtual_locs, log_estimates, apps))
-
-
-def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams,
-                    virtual_locs=None, log_estimates: bool = False, apps=None):
-    """The rounds of :func:`run_das_seeds` as columns, a seed batch at a time.
+    policy's picks, exactly as a run of its own would, so every seed's
+    numbers are bit-identical to its own :func:`run_das`.  The fields must
+    share their number of sensors and noise variance.  A batch holds as many
+    seeds as fit a 4 MB budget (:func:`_in_flight`) over their factors
+    (``rounds`` rows over the targets each) and, for the scored policies,
+    their priors (targets squared), so a large field plays one seed at a
+    time; batches are of near-equal size.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`play_seed_batches` does: ``round`` is the batch's
-    :class:`DasBatchRound`.
+    :class:`DasBatchRound`, whose ``logs()`` gives each seed's
+    :class:`DasRound`.  ``failed`` maps the row of each seed whose run failed
+    in round t to the ``ValueError`` message its own :func:`run_das` would
+    raise; that row's entries, from round t on, belong to no run, and the
+    other seeds play on.
     """
     def in_flight(field: SensorField) -> int:
         n = field.n_sensors
@@ -421,26 +412,6 @@ def play_seed_batches(seeds, make_field, in_flight, play):
         rngs, fields = map(list, zip(*itertools.islice(made, len(batch))))
         for t, (rnd, failed) in enumerate(play(fields, rngs), start=1):
             yield batch, fields, t, rnd, failed
-
-
-def seed_by_seed(batch_rounds):
-    """The rounds of :func:`play_seed_batches` seed by seed, each batch
-    round's per-seed logs built by its ``logs()``.
-
-    Yields ``(seed, field, t, log)`` for each round t of each seed, round by
-    round through a batch, seeds in order within a round.  A seed whose run
-    fails yields ``(seed, field, t, error)`` with the ``ValueError`` instead,
-    and nothing after it.
-    """
-    for batch, fields, t, rnd, failed in batch_rounds:
-        if t == 1:
-            ended = set()
-        for row, (seed, field, log) in enumerate(zip(batch, fields, rnd.logs())):
-            if row in failed:
-                ended.add(row)
-                yield seed, field, t, ValueError(failed[row])
-            elif row not in ended:
-                yield seed, field, t, log
 
 
 def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=None,

@@ -19,10 +19,11 @@ from fieldsense.aloha import (
     contend,
     expected_throughput,
     per_sensor_success_probability,
-    run_aloha_seeds,
+    run_aloha,
+    run_aloha_batches,
     sse_lower_bound,
 )
-from fieldsense.das import DasState, estimate, run_das, run_das_seeds, select_max_variance
+from fieldsense.das import DasState, estimate, run_das, run_das_batches, select_max_variance
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
@@ -47,35 +48,98 @@ class AlohaCurves(NamedTuple):
     missed: np.ndarray  # candidates that did not upload
 
 
-def aloha_mean_curves(mode, B, Q, n_seeds, rounds=40, L=200, sigma_sq=0.1, mu=0.5):
-    """Round-by-round ALOHA outcomes over paired per-seed fields.
+def aloha_mean_curves(mode, B, Q, seeds, rounds=40, L=200, sigma_sq=0.1, mu=0.5):
+    """Round-by-round ALOHA outcomes over paired per-seed fields, row i
+    holding ``seeds[i]``'s.
 
-    Seeds 1..n_seeds play in lockstep batches, each exactly as its own
-    ``run_aloha`` on ``gen_random_sinusoid`` would.  The floor replaces each
-    non-uploaded candidate's prediction by its true mean, so it sums that
-    candidate's squared measurement noise; it reads the same round logs and
-    draws nothing from the generator.
+    The seeds play in lockstep batches, each exactly as its own
+    ``run_aloha`` on ``gen_random_sinusoid`` would, and every round is read
+    from the batch's columns.  The floor replaces each non-uploaded
+    candidate's prediction by its true mean, so it sums that candidate's
+    squared measurement noise; it reads the same rounds and draws nothing
+    from the generator.  Each seed's floor, like its SSE, is the ``.sum()``
+    of its own missed candidates' values, in candidate order.
     """
-    curves = AlohaCurves(*(np.empty((n_seeds, rounds)) for _ in range(4)))
+    seeds = list(seeds)
+    curves = AlohaCurves(*(np.empty((len(seeds), rounds)) for _ in range(4)))
+    row_of = {seed: i for i, seed in enumerate(seeds)}
     cfg = AlohaConfig(channels=B, candidates=Q, mu=mu, psi0=0.0, mode=mode)
-    noise_sq = {}
-    runs = run_aloha_seeds(range(1, n_seeds + 1),
-                           lambda rng: gen_random_sinusoid(L, 10, sigma_sq, rng),
-                           cfg, rounds, UNIT)
-    for seed, field, t, log in runs:
-        if isinstance(log, Exception):
-            raise log
-        i, r = seed - 1, t - 1
+    runs = run_aloha_batches(seeds, lambda rng: gen_random_sinusoid(L, 10, sigma_sq, rng),
+                             cfg, rounds, UNIT)
+    for batch, fields, t, rnd, failed in runs:
+        if failed:
+            raise ValueError(failed)
         if t == 1:
-            noise_sq[seed] = (field.measurements - field.true_means) ** 2
-        missed = [c for c in log.candidates if c not in log.successes]
-        curves.sse[i, r] = log.sse
-        curves.active[i, r] = int(log.activity.sum())
-        curves.floor[i, r] = noise_sq[seed][missed].sum()
-        curves.missed[i, r] = len(missed)
-        if t == rounds:
-            del noise_sq[seed]
+            at = [row_of[seed] for seed in batch]
+            noise_sq = np.stack([(f.measurements - f.true_means) ** 2 for f in fields])
+        width = rnd.candidates.shape[1]
+        missed = (np.arange(width) < np.array(rnd.lens)[:, None]) & ~rnd.success
+        lost = noise_sq[np.arange(len(batch))[:, None], rnd.candidates][missed]
+        counts = missed.sum(axis=1)
+        ends = np.cumsum(counts).tolist()  # each seed's values are one run
+        r = t - 1
+        curves.sse[at, r] = rnd.sse
+        curves.active[at, r] = rnd.active
+        curves.floor[at, r] = [lost[a:b].sum() for a, b in zip([0, *ends], ends)]
+        curves.missed[at, r] = counts
     return curves
+
+
+class CurveStore:
+    """Criteria 7-10's ALOHA curves: one 40-round :class:`AlohaCurves` per
+    (mode, B, Q) over seeds 1..n, played once and extended to more seeds on
+    demand.  A request is a cut of it by seeds; a caller cuts rounds itself.
+    Both cuts are exact: seeds by the seed-batch partition property, rounds
+    by tests/test_experiments.py's test_rounds_only_bound_the_round_loop."""
+
+    def __init__(self):
+        self._curves = {}
+
+    def __call__(self, mode, B, Q, n_seeds) -> AlohaCurves:
+        have = self._curves.get((mode, B, Q))
+        done = 0 if have is None else have.sse.shape[0]
+        if done < n_seeds:
+            more = aloha_mean_curves(mode, B, Q, range(done + 1, n_seeds + 1))
+            have = more if have is None else AlohaCurves(*map(np.concatenate, zip(have, more)))
+            self._curves[(mode, B, Q)] = have
+        return AlohaCurves(*(a[:n_seeds] for a in have))
+
+
+@pytest.fixture(scope="module")
+def aloha_curves():
+    """One :class:`CurveStore` for the module's criteria; a criterion run
+    alone plays what it needs."""
+    return CurveStore()
+
+
+def own_run_curves(mode, B, Q, seeds):
+    """:func:`aloha_mean_curves`' arrays at its defaults, built from each
+    seed's own ``run_aloha`` logs."""
+    cfg = AlohaConfig(channels=B, candidates=Q, mu=0.5, psi0=0.0, mode=mode)
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        field = gen_random_sinusoid(200, 10, 0.1, rng)
+        noise_sq = (field.measurements - field.true_means) ** 2
+        row = []
+        for log in run_aloha(field, cfg, 40, UNIT, rng):
+            missed = [c for c in log.candidates if c not in log.successes]
+            row.append((log.sse, int(log.activity.sum()), noise_sq[missed].sum(), len(missed)))
+        rows.append(row)
+    return AlohaCurves(*np.array(rows).transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("mode", ["conventional", "modified"])
+def test_curves_match_each_seeds_own_run(mode):
+    # 30 seeds at B = 3, L = 200 play in two batches of 15 (21 fit the
+    # budget); the store then extends to 45 seeds, and both its reads are
+    # the per-seed logs' numbers bit for bit
+    want = own_run_curves(mode, 3, 10, range(1, 46))
+    store = CurveStore()
+    for n_seeds in (30, 45):
+        got = store(mode, 3, 10, n_seeds)
+        for name, g, w in zip(AlohaCurves._fields, got, want):
+            np.testing.assert_array_equal(g, w[:n_seeds], err_msg=name)
 
 
 def test_criterion_01_gpr_oracle_equivalence():
@@ -167,9 +231,11 @@ def test_criterion_04_mean_mse_ordering():
     # a fresh default_rng(i): the field is built from a copy of the stream
     field_of = lambda rng: gen_1d(30, 0.1, copy.deepcopy(rng))  # noqa: E731
     for policy, mses in (("max-variance", das), ("random", rand)):
-        for seed, _, t, log in run_das_seeds(range(1, n_seeds + 1), field_of, policy,
-                                             rounds, UNIT):
-            mses[seed - 1, t - 1] = log.mse
+        for batch, _, t, rnd, failed in run_das_batches(range(1, n_seeds + 1), field_of,
+                                                        policy, rounds, UNIT):
+            if failed:
+                raise ValueError(failed)
+            mses[np.array(batch) - 1, t - 1] = rnd.mse
     span = slice(2, 25)  # rounds 3..25
     dominated = bool(np.all(das.mean(0)[span] < rand.mean(0)[span]))
     tighter = das[:, 9].std() < rand[:, 9].std()
@@ -220,7 +286,7 @@ def test_criterion_06_throughput_and_per_sensor_rates():
           f"heterogeneous within 3 SE: {het_ok}")
 
 
-def test_criterion_07_modified_vs_conventional_sse():
+def test_criterion_07_modified_vs_conventional_sse(aloha_curves):
     # Contention uploading, L = 200, Q = 10, B = 3, sigma^2 = 0.1, mu = 0.5,
     # 1000 paired runs of 40 rounds.
     # (a) sigma^2 (Q - B/e) is the floor left when predictions are perfect:
@@ -232,8 +298,8 @@ def test_criterion_07_modified_vs_conventional_sse():
     # test_conventional_sse_approaches_bound_late); at round 40 its excess
     # squared error of the mean is still about the size of the noise.
     n_seeds = 1000
-    conv = aloha_mean_curves("conventional", 3, 10, n_seeds)
-    mod = aloha_mean_curves("modified", 3, 10, n_seeds).sse
+    conv = aloha_curves("conventional", 3, 10, n_seeds)
+    mod = aloha_curves("modified", 3, 10, n_seeds).sse
     bound = sse_lower_bound(0.1, 10, 3)
     late = slice(29, 40)
     conv_late = float(conv.sse.mean(0)[late].mean())
@@ -257,7 +323,7 @@ def test_criterion_07_modified_vs_conventional_sse():
     check(7, within and above and ordered, detail)
 
 
-def test_criterion_08_sse_non_increasing_in_channels():
+def test_criterion_08_sse_non_increasing_in_channels(aloha_curves):
     # Q = 10, sigma^2 = 0.1, 40 rounds, B in {1..5}: mean SSE at round 40
     # non-increasing in B for both modes (adjacent ties allowed within 1 SE
     # of the difference).  300 seeds per point.
@@ -267,7 +333,7 @@ def test_criterion_08_sse_non_increasing_in_channels():
     for mode in ("conventional", "modified"):
         finals = []
         for B in (1, 2, 3, 4, 5):
-            sses = aloha_mean_curves(mode, B, 10, n_seeds).sse
+            sses = aloha_curves(mode, B, 10, n_seeds).sse
             finals.append((sses[:, 39].mean(), sses[:, 39].std(ddof=0) / math.sqrt(n_seeds)))
         for (m_lo, se_lo), (m_hi, se_hi) in zip(finals, finals[1:]):
             if m_hi > m_lo + math.hypot(se_lo, se_hi):
@@ -276,7 +342,7 @@ def test_criterion_08_sse_non_increasing_in_channels():
     check(8, ok, "round-40 mean SSE vs B=1..5 | " + " | ".join(lines))
 
 
-def test_criterion_09_sse_non_decreasing_in_candidates():
+def test_criterion_09_sse_non_decreasing_in_candidates(aloha_curves):
     # B = 4, sigma^2 = 0.1, 40 rounds, Q in {4, 6, 8, 10, 12}: mean SSE at
     # round 40 non-decreasing in Q, and modified <= conventional at every Q
     # (both within 1 SE of the difference).  300 seeds per point.
@@ -286,7 +352,7 @@ def test_criterion_09_sse_non_decreasing_in_candidates():
     ses = {}
     for mode in ("conventional", "modified"):
         for q in q_values:
-            sses = aloha_mean_curves(mode, 4, q, n_seeds).sse
+            sses = aloha_curves(mode, 4, q, n_seeds).sse
             means[(mode, q)] = sses[:, 39].mean()
             ses[(mode, q)] = sses[:, 39].std(ddof=0) / math.sqrt(n_seeds)
     ok = True
@@ -306,11 +372,11 @@ def test_criterion_09_sse_non_decreasing_in_candidates():
     check(9, ok, detail)
 
 
-def test_criterion_10_dual_ascent_regulation():
+def test_criterion_10_dual_ascent_regulation(aloha_curves):
     # Modified mode with the Fig.-6-style parameters: early rounds have
     # persistent prediction error, so the mean active count over rounds 5-15
     # must sit within 1.5 of B, averaged over 200 seeds.
-    ks = aloha_mean_curves("modified", 3, 10, 200, rounds=15).active
+    ks = aloha_curves("modified", 3, 10, 200).active  # rounds 1-15 of 40-round runs
     mean_k = float(ks[:, 4:15].mean())
     check(10, abs(mean_k - 3) < 1.5, f"mean K over rounds 5-15 = {mean_k:.2f} (B = 3)")
 

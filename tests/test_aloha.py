@@ -18,7 +18,7 @@ from fieldsense.aloha import (
     expected_throughput,
     per_sensor_success_probability,
     run_aloha,
-    run_aloha_seeds,
+    run_aloha_batches,
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
@@ -232,7 +232,7 @@ def perfect_prediction_setup():
 
 
 class TestSimulateRound:
-    """The round that ``run_aloha`` and ``run_aloha_seeds`` play on a seed batch."""
+    """The round that ``run_aloha`` and ``run_aloha_batches`` play on a seed batch."""
 
     def test_zero_errors_keep_everyone_silent(self):
         field, state = perfect_prediction_setup()
@@ -515,7 +515,7 @@ class TestRunAlohaSeeds:
     def test_each_seed_equals_its_own_run(self, L, B, Q, mode, p_sleep):
         cfg = AlohaConfig(channels=B, candidates=Q, mode=mode, p_sleep=p_sleep)
         seeds = range(1, 41)  # batches of 20 (B = 3), 10 (B = 5) or all 40 (L = 30)
-        runs = by_seed(run_aloha_seeds(seeds, sinusoid(L), cfg, 40, UNIT))
+        runs = by_seed(run_aloha_batches(seeds, sinusoid(L), cfg, 40, UNIT))
         assert list(runs) == list(seeds)
         dry = set()
         for seed, (field, logs) in runs.items():
@@ -530,7 +530,7 @@ class TestRunAlohaSeeds:
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_from_scratch_loop(self, mode):
         cfg = AlohaConfig(channels=4, candidates=10, mode=mode, p_sleep=0.3)
-        runs = by_seed(run_aloha_seeds(range(1, 37), sinusoid(30), cfg, 40, UNIT))
+        runs = by_seed(run_aloha_batches(range(1, 37), sinusoid(30), cfg, 40, UNIT))
         for seed, (field, logs) in runs.items():
             rng = np.random.default_rng(seed)
             want = oracle.run_aloha(gen_random_sinusoid(30, 10, 0.1, rng), cfg, 40, UNIT, rng)
@@ -554,11 +554,15 @@ class TestRunAlohaSeeds:
             rng = np.random.default_rng(5)
             run_aloha(make(rng), cfg, 40, UNIT, rng)
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
-        runs = by_seed(run_aloha_seeds(range(1, 9), make, cfg, 40, UNIT))
+        stream = list(run_aloha_batches(range(1, 9), make, cfg, 40, UNIT))
+        # one row is reported failed, seed 5's, with its own run's message
+        assert [(batch[row], message) for batch, _, _, _, failed in stream
+                for row, message in failed.items()] == [(5, str(alone.value))]
+        runs = by_seed(stream)
         field, error = runs.pop(5)
         assert isinstance(error, ValueError) and str(error) == str(alone.value)
         monkeypatch.undo()
-        clean = by_seed(run_aloha_seeds([1, 2, 3, 4, 6, 7, 8], make, cfg, 40, UNIT))
+        clean = by_seed(run_aloha_batches([1, 2, 3, 4, 6, 7, 8], make, cfg, 40, UNIT))
         assert list(runs) == list(clean)
         for seed in runs:
             assert_logs_equal(runs[seed][1], clean[seed][1])
@@ -579,7 +583,7 @@ class TestRunAlohaSeeds:
                           mu=0.5, psi0=psi0 / 2, mode="modified")
         rng = np.random.default_rng(seed)
         alone = run_aloha(gen_random_sinusoid(L, 10, 0.1, rng), cfg, rounds, UNIT, rng)
-        batch = by_seed(run_aloha_seeds([seed, seed + 1], sinusoid(L), cfg, rounds, UNIT))
+        batch = by_seed(run_aloha_batches([seed, seed + 1], sinusoid(L), cfg, rounds, UNIT))
         for logs in (alone, batch[seed][1], batch[seed + 1][1]):
             for r, log in enumerate(logs, start=1):
                 assert len(log.candidates) == min(Q, L)

@@ -13,7 +13,7 @@ from fieldsense.das import (
     DasState,
     estimate,
     run_das,
-    run_das_seeds,
+    run_das_batches,
     select_max_variance,
     select_random,
     select_virtual_target,
@@ -78,16 +78,20 @@ def brute_force_min_next_mse(field, state, params):
     return best_idx
 
 
-def by_seed(events):
-    """The events of run_das_seeds or run_aloha_seeds as {seed: (field, [log, ...] or the error)}."""
+def by_seed(batch_rounds):
+    """The batch stream of run_das_batches or run_aloha_batches as
+    {seed: (field, [log, ...] or the error)}: each seed's logs, built by its
+    batch rounds' ``logs()``, until its row is reported failed, and then the
+    ``ValueError`` its own run would raise."""
     out = {}
-    for seed, field, t, log in events:
-        _, logs = out.setdefault(seed, (field, []))
-        if isinstance(log, Exception):
-            out[seed] = (field, log)
-        else:
-            assert t == len(logs) + 1
-            logs.append(log)
+    for batch, fields, t, rnd, failed in batch_rounds:
+        for row, (seed, field, log) in enumerate(zip(batch, fields, rnd.logs())):
+            _, logs = out.setdefault(seed, (field, []))
+            if row in failed:
+                out[seed] = (field, ValueError(failed[row]))
+            elif isinstance(logs, list):
+                assert t == len(logs) + 1
+                logs.append(log)
     return out
 
 
@@ -495,7 +499,7 @@ class TestRunDasSeeds:
 
         seeds = [int(s) for s in base.choice(10_000, size=n_seeds, replace=False)]
         kwargs = dict(virtual_locs=virtual, log_estimates=True, apps=apps)
-        runs = by_seed(run_das_seeds(seeds, make, policy, rounds, UNIT, **kwargs))
+        runs = by_seed(run_das_batches(seeds, make, policy, rounds, UNIT, **kwargs))
         assert list(runs) == seeds
         for s, (field, logs) in runs.items():
             rng = np.random.default_rng(s)
@@ -511,7 +515,7 @@ class TestRunDasSeeds:
             last = field.locations[state.order[-1]]
             return int(rem[np.argmax(np.abs(field.locations[rem, 0] - last[0]))])
 
-        runs = by_seed(run_das_seeds(range(1, 11), field_1d(25), policy, 20, UNIT))
+        runs = by_seed(run_das_batches(range(1, 11), field_1d(25), policy, 20, UNIT))
         assert list(runs) == list(range(1, 11))
         for seed, (field, logs) in runs.items():
             rng = np.random.default_rng(seed)
@@ -527,11 +531,16 @@ class TestRunDasSeeds:
         with pytest.raises(ValueError, match="below round-off") as alone:
             run_das(make(np.random.default_rng(5)), "max-variance", 20, UNIT)
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
-        runs = by_seed(run_das_seeds(range(1, 9), make, "max-variance", 20, UNIT))
+        stream = list(run_das_batches(range(1, 9), make, "max-variance", 20, UNIT))
+        # one row is reported failed, seed 5's, on its third upload, with its
+        # own run's message
+        assert [(batch[row], t, message) for batch, _, t, _, failed in stream
+                for row, message in failed.items()] == [(5, 3, str(alone.value))]
+        runs = by_seed(stream)
         field, error = runs.pop(5)
         assert isinstance(error, ValueError) and str(error) == str(alone.value)
         monkeypatch.undo()
-        clean = by_seed(run_das_seeds([1, 2, 3, 4, 6, 7, 8], make, "max-variance", 20, UNIT))
+        clean = by_seed(run_das_batches([1, 2, 3, 4, 6, 7, 8], make, "max-variance", 20, UNIT))
         assert list(runs) == list(clean)
         for seed in runs:
             assert_das_logs_equal(runs[seed][1], clean[seed][1])
@@ -559,8 +568,8 @@ class TestRunDasSeeds:
         monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
                             lambda self, index, value, seed=0: {})
         apps = ([np.full(L, 1.0 / L)], [1.0])
-        for _ in run_das_seeds(range(1, 21), field_1d(L), policy, rounds, UNIT,
-                               virtual_locs=[(2.0,), (6.0,)], apps=apps):
+        for _ in run_das_batches(range(1, 21), field_1d(L), policy, rounds, UNIT,
+                                 virtual_locs=[(2.0,), (6.0,)], apps=apps):
             pass
         assert made == sizes
 
@@ -568,4 +577,4 @@ class TestRunDasSeeds:
         sizes = iter([3, 2])
         make = lambda rng: make_field(np.arange(float(next(sizes))))  # noqa: E731
         with pytest.raises(ValueError, match="one size"):
-            list(run_das_seeds([1, 2], make, "max-variance", 2, UNIT))
+            list(run_das_batches([1, 2], make, "max-variance", 2, UNIT))

@@ -79,14 +79,14 @@ def test_peak_memory(body, limit_mb):
 
 
 SEED_BATCH = """
-    from fieldsense.aloha import AlohaConfig, run_aloha_seeds
+    from fieldsense.aloha import AlohaConfig, run_aloha_batches
     from fieldsense.fields import gen_random_sinusoid
     from fieldsense.gp import KernelParams
     cfg = AlohaConfig(channels=5, candidates=10, mode="conventional")  # fig7's largest cell
-    runs = run_aloha_seeds(range(1, {seeds} + 1),
-                           lambda rng: gen_random_sinusoid(200, 10, 0.1, rng), cfg, 40,
-                           KernelParams())
-    total = sum(log.sse for _, _, _, log in runs)
+    runs = run_aloha_batches(range(1, {seeds} + 1),
+                             lambda rng: gen_random_sinusoid(200, 10, 0.1, rng), cfg, 40,
+                             KernelParams())
+    total = sum(sum(rnd.sse) for _, _, _, rnd, _ in runs)
 """
 
 
@@ -126,12 +126,12 @@ def test_block_sized_up_front_peaks_with_the_rows_written():
 
 
 DAS_SEED_BATCH = """
-    from fieldsense.das import run_das_seeds
+    from fieldsense.das import run_das_batches
     from fieldsense.fields import gen_2d
     from fieldsense.gp import KernelParams
-    runs = run_das_seeds(range(1, {seeds} + 1), lambda rng: gen_2d(20000, 0.1, rng),
-                         "max-variance", 200, KernelParams())
-    total = sum(log.mse for _, _, _, log in runs)
+    runs = run_das_batches(range(1, {seeds} + 1), lambda rng: gen_2d(20000, 0.1, rng),
+                           "max-variance", 200, KernelParams())
+    total = sum(sum(rnd.mse) for _, _, _, rnd, _ in runs)
 """
 
 
