@@ -9,8 +9,6 @@ dual-ascent load control.
 from .aloha import (
     AlohaConfig,
     AlohaRound,
-    DualState,
-    contend,
     dual_ascent_step,
     equal_upload_probability,
     expected_throughput,
@@ -27,7 +25,6 @@ from .apps import (
     application_output,
     build_candidate_set,
     estimate_covariance,
-    select_for_application,
     select_max_value_app,
     select_weighted_sum,
     uniform_mean_application,
@@ -70,8 +67,6 @@ from .gp import (
     IncrementalConditioner,
     KernelParams,
     gram,
-    kernel,
-    pointwise_conditional,
     posterior,
     posterior_mean_and_variance,
 )

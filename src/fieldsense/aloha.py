@@ -49,14 +49,6 @@ class AlohaConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class DualState:
-    """The shared dual variable and its update history."""
-
-    psi: float
-    history: tuple[tuple[int, int, float], ...] = ()  # (round, K, psi after update)
-
-
 @dataclass
 class AlohaRound:
     """Everything that happened in one contention round."""
@@ -130,32 +122,19 @@ def upload_probabilities(err_sq, psi: float) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-def dual_ascent_step(state: DualState, K: int, channels: int, mu: float) -> DualState:
-    """One dual-ascent update: psi += mu * (K - B), K the observed active count."""
-    if K < 0:
-        raise ValueError(f"active count must be nonnegative, got {K}")
-    psi = state.psi + mu * (K - channels)
-    return DualState(psi, state.history + ((len(state.history) + 1, int(K), psi),))
+def dual_ascent_step(psi, K, channels: int, mu: float):
+    """One dual-ascent update, psi + mu * (K - B), K the observed active count.
 
-
-def contend(p_vec, channels: int, rng: np.random.Generator):
-    """One slotted contention: activity draws, then channel draws.
-
-    Returns (active, channel, success) arrays; ``channel`` is -1 for
-    inactive sensors.  Both random vectors are drawn at full length so the
-    stream position never depends on the outcomes.
+    ``psi`` and ``K`` are floats, or arrays with one entry per seed.
     """
-    p = np.asarray(p_vec, dtype=float).ravel()
-    n = p.size
-    active = rng.random(n) < p
-    draws = rng.integers(0, channels, size=n)
-    success = _alone(active, draws, channels)
-    channel = np.where(active, draws, -1)
-    return active, channel, success
+    if np.min(K) < 0:
+        raise ValueError(f"active count must be nonnegative, got {np.min(K)}")
+    return psi + mu * (K - channels)
 
 
 def _alone(active, draws, channels: int) -> np.ndarray:
-    """The active sensors that have their drawn channel to themselves.
+    """The contention rule: the active sensors that have their drawn channel
+    to themselves.  A channel drawn by two or more active sensors loses them all.
 
     On a 2-D batch each row contends on channels of its own.
     """
@@ -267,7 +246,7 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     psi_used = psi.tolist()
     k = active.sum(axis=1)
     if cfg.mode == "modified":
-        psi += cfg.mu * (k - cfg.channels)
+        psi[:] = dual_ascent_step(psi, k, cfg.channels, cfg.mu)
     missed = valid & ~success
     lost = err_sq[missed]  # row-major: each seed's squared errors are one run
     ends = np.cumsum(missed.sum(axis=1)).tolist()

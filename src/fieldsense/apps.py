@@ -85,13 +85,6 @@ def application_mse(app: LinearApplication, cov: np.ndarray) -> float:
     return max(value, 0.0)
 
 
-def select_for_application(
-    app: LinearApplication, field: SensorField, state: DasState, params: KernelParams
-) -> int:
-    """Candidate whose upload minimizes this application's next-round MSE."""
-    return select_weighted_sum([app], [1.0], field, state, params)
-
-
 def select_weighted_sum(
     apps, betas, field: SensorField, state: DasState, params: KernelParams
 ) -> int:

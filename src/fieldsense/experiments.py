@@ -549,10 +549,13 @@ def _map_in_shares(fn, cells: list) -> list:
         for w, pid in enumerate(list(children), start=1):
             read_fd, children[pid] = children[pid], None
             with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
+                try:  # unpickled from the pipe as it arrives: the bytes are never held
+                    payload = pickle.load(fh)
+                except Exception:  # noqa: BLE001 - a truncated payload
+                    payload = None
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            out[w::shares] = _child_results(data, status, cells[w::shares])
+            out[w::shares] = _child_results(payload, status, cells[w::shares])
         return out
     finally:
         if children:
@@ -568,13 +571,11 @@ def _map_in_shares(fn, cells: list) -> list:
                 os.waitpid(pid, 0)
 
 
-def _child_results(data: bytes, status: int, cells) -> list:
-    """A child's results from its payload and exit status (as
-    ``os.waitstatus_to_exitcode`` gives it); raises if it did not finish."""
-    try:
-        kind, value = pickle.loads(data) if status == 0 else (None, None)
-    except Exception:  # noqa: BLE001 - a truncated payload
-        kind = value = None
+def _child_results(payload, status: int, cells) -> list:
+    """A child's results from its unpickled payload (None if it was
+    truncated) and exit status (as ``os.waitstatus_to_exitcode`` gives it);
+    raises if it did not finish."""
+    kind, value = payload if status == 0 and payload is not None else (None, None)
     if kind == "ok":
         return value
     if kind == "error":

@@ -82,14 +82,6 @@ def as_points(locs, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_single_point(loc) -> np.ndarray:
-    """Normalize one location (scalar or coordinate vector) to shape (1, d)."""
-    arr = np.atleast_1d(np.asarray(loc, dtype=float)).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("location contains non-finite coordinates")
-    return arr.reshape(1, -1)
-
-
 def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
     """Kernel values for coordinate differences along the first axis of ``diff``.
 
@@ -108,17 +100,8 @@ def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
     return d2
 
 
-def kernel(a, b, params: KernelParams) -> float:
-    """Covariance between two locations under the squared-exponential kernel."""
-    av = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
-    bv = np.atleast_1d(np.asarray(b, dtype=float)).ravel()
-    if av.shape != bv.shape or not av.size:
-        raise ValueError(f"need two points of one dimension, got {av.shape} and {bv.shape}")
-    return float(_sq_exp((av - bv)[:, None], params)[0])
-
-
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
-    """Kernel matrix with entry (i, j) = kernel(rows[i], cols[j]).
+    """Kernel matrix with entry (i, j) = k(rows[i], cols[j]).
 
     Empty inputs are allowed and produce a correspondingly empty matrix.
     When ``rows`` and ``cols`` are the same list the result is exactly
@@ -193,20 +176,6 @@ def posterior_mean_and_variance(
     """
     cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
     return cond.mean[n:], cond.variance[n:]
-
-
-def pointwise_conditional(
-    observed_locs,
-    observed_values,
-    target,
-    params: KernelParams,
-    noise_variance: float,
-) -> tuple[float, float]:
-    """Posterior mean and variance of the field at a single location."""
-    mean, var = posterior_mean_and_variance(
-        observed_locs, observed_values, as_single_point(target), params, noise_variance
-    )
-    return float(mean[0]), float(var[0])
 
 
 def _zeros(shape) -> np.ndarray:

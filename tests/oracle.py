@@ -12,6 +12,7 @@ incremental conditioner and scores all candidates at once by a rank-one
 update, so these are the oracles its fast paths are tested against.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -19,9 +20,6 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from fieldsense.aloha import (
     AlohaRound,
-    DualState,
-    contend,
-    dual_ascent_step,
     equal_upload_probability,
     upload_probabilities,
 )
@@ -244,9 +242,10 @@ def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
 
 
 def run_aloha(field, cfg, rounds, params, rng):
-    """The contention loop of ``fieldsense.aloha.run_aloha``, re-solving predictions every round."""
+    """The contention loop of ``fieldsense.aloha.run_aloha``, re-solving predictions
+    every round and counting each channel's transmitters to find the collisions."""
     state = DasState.fresh(field.n_sensors)
-    dual = DualState(cfg.psi0)
+    psi = cfg.psi0
     logs = []
     for _ in range(rounds):
         cand = []
@@ -264,19 +263,20 @@ def run_aloha(field, cfg, rounds, params, rng):
         if cfg.mode == "conventional":
             probabilities = np.full(len(cand), equal_upload_probability(cfg))
         else:
-            probabilities = upload_probabilities(errors**2, dual.psi)
+            probabilities = upload_probabilities(errors**2, psi)
         dormant = rng.random(len(cand)) < cfg.p_sleep
-        active, channel, success = contend(
-            np.where(dormant, 0.0, probabilities), cfg.channels, rng
-        )
+        active = rng.random(len(cand)) < np.where(dormant, 0.0, probabilities)
+        channel = np.where(active, rng.integers(0, cfg.channels, size=len(cand)), -1)
+        on_channel = collections.Counter(channel[active].tolist())  # no entry for -1
+        success = np.array([on_channel[c] == 1 for c in channel.tolist()], dtype=bool)
         cand_arr = np.asarray(cand, dtype=int)
         successes = [int(i) for i in cand_arr[success]]
         collided = [int(i) for i in cand_arr[active & ~success]]
-        psi = dual.psi
+        psi_used = psi
         if cfg.mode == "modified":
-            dual = dual_ascent_step(dual, int(active.sum()), cfg.channels, cfg.mu)
+            psi = psi + cfg.mu * (int(active.sum()) - cfg.channels)
         state = state.with_uploads(successes, field.measurements[successes])
         sse = float(np.sum(errors[~success] ** 2))
         logs.append(AlohaRound(cand, predictions, errors, probabilities, active, channel,
-                               successes, collided, sse, psi))
+                               successes, collided, sse, psi_used))
     return logs

@@ -16,7 +16,6 @@ from scipy.spatial.distance import pdist
 
 from fieldsense.aloha import (
     AlohaConfig,
-    contend,
     expected_throughput,
     per_sensor_success_probability,
     run_aloha,
@@ -28,6 +27,7 @@ from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, 
 from fieldsense.gp import KernelParams, posterior
 
 import oracle
+from test_aloha import contention_rounds
 from test_das import brute_force_min_next_mse, random_small_field, upload_some
 from test_gp import naive_posterior, random_instance
 
@@ -37,6 +37,12 @@ UNIT = KernelParams(1.0, 1.0)
 def check(criterion, ok, detail):
     print(f"\n[acceptance] criterion {criterion:>2} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def over_time(elapsed, limit):
+    """A criterion line's note on its wall time: empty within ``limit`` seconds,
+    so the line reads the same on every run that passes."""
+    return "" if elapsed < limit else f" in {elapsed:.1f}s, over the {limit}s limit"
 
 
 class AlohaCurves(NamedTuple):
@@ -159,7 +165,7 @@ def test_criterion_01_gpr_oracle_equivalence():
         )
     elapsed = time.time() - start
     check(1, worst < 1e-8 and elapsed < 10,
-          f"max |Cholesky - naive| = {worst:.2e} over 500 instances in {elapsed:.1f}s")
+          f"max |Cholesky - naive| = {worst:.2e} over 500 instances{over_time(elapsed, 10)}")
 
 
 def test_criterion_02_lemma1_equivalence():
@@ -180,7 +186,7 @@ def test_criterion_02_lemma1_equivalence():
             mismatches += 1
     elapsed = time.time() - start
     check(2, mismatches == 0 and elapsed < 30,
-          f"{mismatches} mismatches over 200 instances in {elapsed:.1f}s")
+          f"{mismatches} mismatches over 200 instances{over_time(elapsed, 30)}")
 
 
 def test_criterion_03_mse_identity():
@@ -263,21 +269,16 @@ def test_criterion_05_consecutive_selections_spread():
 def test_criterion_06_throughput_and_per_sensor_rates():
     # 1e5 contention rounds at p = B/Q: mean successes within 2% of the
     # closed form; heterogeneous upload probabilities within 3 SE per sensor.
+    # Each set of rounds is one batch of draws, played by the round loop's
+    # contention rule.
     rng = np.random.default_rng(1006)
     B, Q, n = 3, 10, 100_000
-    p_equal = np.full(Q, 0.3)
-    total = 0
-    for _ in range(n):
-        _, _, success = contend(p_equal, B, rng)
-        total += int(success.sum())
+    total = int(contention_rounds(np.full(Q, 0.3), B, n, rng).sum())
     want = expected_throughput(0.3, AlohaConfig(B, Q))
     rel_err = abs(total / n - want) / want
 
     p_het = np.array([0.95, 0.8, 0.6, 0.45, 0.3, 0.3, 0.2, 0.1, 0.05, 0.7])
-    hits = np.zeros(Q)
-    for _ in range(n):
-        _, _, success = contend(p_het, B, rng)
-        hits += success
+    hits = contention_rounds(p_het, B, n, rng).sum(axis=0)
     s_want = per_sensor_success_probability(p_het, B)
     se = np.sqrt(s_want * (1 - s_want) / n)
     het_ok = bool(np.all(np.abs(hits / n - s_want) < 3 * se))

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldsense.aloha
 import fieldsense.gp
 from fieldsense.aloha import (
     MODES,
     AlohaConfig,
-    DualState,
-    contend,
     dual_ascent_step,
     equal_upload_probability,
     expected_throughput,
@@ -22,6 +21,7 @@ from fieldsense.aloha import (
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
+    _alone,
     _padded,
     _play_round,
 )
@@ -33,6 +33,16 @@ import oracle
 from test_das import by_seed, make_field, poisoning_observe
 
 UNIT = KernelParams(1.0, 1.0)
+
+
+def contention_rounds(p, channels, n, rng):
+    """``n`` contention rounds among ``len(p)`` sensors, drawn as one batch
+    with a row per round: each sensor transmits with its probability in
+    ``p`` and draws a channel, and the round loop's rule, ``_alone``, keeps
+    the transmitters alone on theirs.  Returns the (n, len(p)) successes."""
+    shape = (n, len(p))
+    active = rng.random(shape) < p
+    return _alone(active, rng.integers(0, channels, size=shape), channels)
 
 
 def fresh_batch(fields, uploaded=()):
@@ -123,10 +133,7 @@ class TestPerSensorSuccessProbability:
         p = np.array([0.9, 0.5, 0.3, 0.3, 0.1, 0.7])
         B = 3
         n = 30_000
-        hits = np.zeros(len(p))
-        for _ in range(n):
-            _, _, success = contend(p, B, rng)
-            hits += success
+        hits = contention_rounds(p, B, n, rng).sum(axis=0)
         want = per_sensor_success_probability(p, B)
         se = np.sqrt(want * (1 - want) / n)
         assert np.all(np.abs(hits / n - want) < 3 * se)
@@ -164,21 +171,47 @@ class TestUploadProbabilityFromError:
 
 class TestDualAscent:
     def test_equilibrium_leaves_psi(self):
-        dual = dual_ascent_step(DualState(0.4), K=3, channels=3, mu=0.5)
-        assert dual.psi == 0.4
+        assert dual_ascent_step(0.4, K=3, channels=3, mu=0.5) == 0.4
+        np.testing.assert_array_equal(
+            dual_ascent_step(np.array([0.4, -1.0]), np.array([3, 3]), 3, 0.5), [0.4, -1.0])
 
     def test_step_arithmetic(self):
-        dual = dual_ascent_step(DualState(0.0), K=5, channels=3, mu=0.5)
-        assert dual.psi == pytest.approx(1.0)
-        dual = dual_ascent_step(DualState(0.0), K=0, channels=3, mu=0.5)
-        assert dual.psi == pytest.approx(-1.5)
+        assert dual_ascent_step(0.0, K=5, channels=3, mu=0.5) == pytest.approx(1.0)
+        assert dual_ascent_step(0.0, K=0, channels=3, mu=0.5) == pytest.approx(-1.5)
+        # one entry per seed, each stepped as a float of its own
+        psi, K = np.array([0.0, 0.0, 0.3]), np.array([5, 0, 4])
+        np.testing.assert_array_equal(
+            dual_ascent_step(psi, K, 3, 0.7),
+            [dual_ascent_step(float(p), int(k), 3, 0.7) for p, k in zip(psi, K)])
 
-    def test_history_appends(self):
-        dual = DualState(0.0)
-        for k in (5, 3, 0):
-            dual = dual_ascent_step(dual, k, 3, 0.5)
-        assert [h[1] for h in dual.history] == [5, 3, 0]
-        assert [h[0] for h in dual.history] == [1, 2, 3]
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dual_ascent_step(0.0, K=-1, channels=3, mu=0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dual_ascent_step(np.zeros(2), np.array([2, -1]), 3, 0.5)
+
+    def test_round_loop_runs_the_public_step(self, monkeypatch):
+        # every modified round hands each seed's active count to
+        # dual_ascent_step, and the next round's sensors use its result
+        cfg = AlohaConfig(channels=3, candidates=10, mu=0.5, psi0=0.2, mode="modified")
+        real, calls = dual_ascent_step, []
+
+        def spy(psi, K, channels, mu):
+            out = real(psi, K, channels, mu)
+            calls.append((np.array(K), np.array(out), channels, mu))
+            return out
+
+        monkeypatch.setattr(fieldsense.aloha, "dual_ascent_step", spy)
+        stepped = None
+        for _, _, t, rnd, failed in run_aloha_batches(
+                range(1, 6), lambda rng: gen_random_sinusoid(60, 10, 0.1, rng), cfg, 8, UNIT):
+            assert not failed and len(calls) == t  # rounds count from 1
+            K, out, channels, mu = calls[-1]
+            assert (channels, mu) == (3, 0.5)
+            np.testing.assert_array_equal(K, rnd.active)
+            assert rnd.psi == ([cfg.psi0] * 5 if t == 1 else stepped)
+            stepped = out.tolist()
+        assert len(calls) == 8
 
     def test_regulates_active_count_with_stationary_errors(self):
         # A fresh upload state each round keeps error statistics stationary;
@@ -199,25 +232,29 @@ class TestDualAscent:
 
 
 class TestContend:
+    """The contention rule the round loop runs, ``_alone``, against a
+    from-scratch count of each channel's transmitters."""
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
     def test_collision_rule_replay(self, seed, B, n):
         rng = np.random.default_rng(seed)
         p = np.random.default_rng(seed + 1).uniform(0, 1, n)
-        active, channel, success = contend(p, B, rng)
-        assert np.all(channel[~active] == -1)
-        for q in range(n):
-            if not active[q]:
-                assert not success[q]
-                continue
-            alone = sum(
-                1 for t in range(n) if active[t] and channel[t] == channel[q]
-            ) == 1
-            assert success[q] == alone
+        active = rng.random((3, n)) < p
+        channel = rng.integers(0, B, size=(3, n))
+        batch = _alone(active, channel, B)  # each row contends on channels of its own
+        for row in range(3):
+            act, chan = active[row], channel[row]
+            success = _alone(act, chan, B)
+            np.testing.assert_array_equal(batch[row], success)
+            for q in range(n):
+                alone = act[q] and sum(
+                    1 for t in range(n) if act[t] and chan[t] == chan[q]) == 1
+                assert success[q] == alone
 
     def test_empty(self):
-        active, channel, success = contend([], 3, np.random.default_rng(0))
-        assert active.size == channel.size == success.size == 0
+        assert _alone(np.zeros(0, bool), np.zeros(0, int), 3).size == 0
+        assert _alone(np.zeros((4, 0), bool), np.zeros((4, 0), int), 3).shape == (4, 0)
 
 
 def perfect_prediction_setup():

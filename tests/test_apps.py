@@ -13,13 +13,12 @@ from fieldsense.apps import (
     application_output,
     build_candidate_set,
     estimate_covariance,
-    select_for_application,
     select_max_value_app,
     select_weighted_sum,
     uniform_mean_application,
 )
 from fieldsense.das import DasState, estimate, select_max_variance
-from fieldsense.gp import KernelParams, pointwise_conditional
+from fieldsense.gp import KernelParams, posterior_mean_and_variance
 
 import oracle
 from test_das import make_field, random_small_field, upload_some
@@ -129,6 +128,8 @@ class TestApplicationMse:
 
 
 class TestSelectForApplication:
+    """One application's pick: ``select_weighted_sum`` with that application alone."""
+
     def test_basis_weight_selects_its_sensor(self):
         rng = np.random.default_rng(3)
         field = make_field(rng.uniform(0, 4, 6), rng=rng)
@@ -136,7 +137,7 @@ class TestSelectForApplication:
         for l in state.remaining:
             w = np.zeros(6)
             w[l] = 1.0
-            assert select_for_application(LinearApplication(w), field, state, UNIT) == l
+            assert select_weighted_sum([LinearApplication(w)], [1.0], field, state, UNIT) == l
 
     def test_uniform_weights_match_brute_force(self):
         rng = np.random.default_rng(4)
@@ -146,13 +147,13 @@ class TestSelectForApplication:
                                 int(rng.integers(0, field.n_sensors - 1)))
             app = uniform_mean_application(field.n_sensors)
             want = brute_force_weighted_pick([app], [1.0], field, state)
-            assert select_for_application(app, field, state, UNIT) == want
+            assert select_weighted_sum([app], [1.0], field, state, UNIT) == want
 
     def test_single_remaining(self):
         field = make_field([0.0, 1.0])
         state = DasState.fresh(2).with_uploads([0], [0.0])
         app = uniform_mean_application(2)
-        assert select_for_application(app, field, state, UNIT) == 1
+        assert select_weighted_sum([app], [1.0], field, state, UNIT) == 1
 
     def test_agrees_with_max_variance_when_sensors_distant(self):
         # Pairwise separations of >= 10 length scales zero out cross terms, so
@@ -164,19 +165,11 @@ class TestSelectForApplication:
         state = DasState.fresh(6).with_uploads([0], [field.measurements[0]])
         state = state.with_uploads([2], [field.measurements[2]])
         app = uniform_mean_application(6)
-        assert select_for_application(app, field, state, UNIT) == \
+        assert select_weighted_sum([app], [1.0], field, state, UNIT) == \
             select_max_variance(field, state, UNIT)
 
 
 class TestSelectWeightedSum:
-    def test_single_app_reduces_to_select_for_application(self):
-        rng = np.random.default_rng(5)
-        field = random_small_field(rng, max_L=8)
-        state = upload_some(field, DasState.fresh(field.n_sensors), rng, 2)
-        app = uniform_mean_application(field.n_sensors)
-        assert select_weighted_sum([app], [1.0], field, state, UNIT) == \
-            select_for_application(app, field, state, UNIT)
-
     def test_duplicate_apps_any_beta(self):
         rng = np.random.default_rng(6)
         field = random_small_field(rng, max_L=8)
@@ -260,8 +253,8 @@ class TestBuildCandidateSet:
         field = make_field([0.0, 0.1, 5.0, 9.0])
         state = DasState.fresh(4).with_uploads([0], [field.measurements[0]])
         got = build_candidate_set([], field, state, UNIT, 2)
-        v1 = pointwise_conditional([0.0], [0.0], [0.1], UNIT, field.noise_variance)[1]
-        v2 = pointwise_conditional([0.0], [0.0], [5.0], UNIT, field.noise_variance)[1]
+        _, (v1, v2) = posterior_mean_and_variance([0.0], [0.0], [0.1, 5.0], UNIT,
+                                                  field.noise_variance)
         assert v2 > v1
         assert got == [2, 3] or got == [3, 2]
         assert got[0] == select_max_variance(field, state, UNIT)

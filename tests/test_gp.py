@@ -18,8 +18,6 @@ from fieldsense.gp import (
     KernelParams,
     _sq_exp,
     gram,
-    kernel,
-    pointwise_conditional,
     posterior,
     posterior_mean_and_variance,
 )
@@ -59,41 +57,46 @@ def random_instance(rng, max_obs=12, max_targets=12):
     return obs, values, targets, noise
 
 
+def kernel_value(a, b, params):
+    """The kernel value between two points: ``gram`` on one-point sets."""
+    return float(gram([a], [b], params)[0, 0])
+
+
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
-        assert kernel([0.3], [0.3], UNIT) == 1.0
-        assert kernel([0.3], [0.3], KernelParams(2.0, 3.5)) == 3.5
+        assert kernel_value([0.3], [0.3], UNIT) == 1.0
+        assert kernel_value([0.3], [0.3], KernelParams(2.0, 3.5)) == 3.5
 
     def test_unit_separation(self):
-        assert kernel([0.0], [1.0], UNIT) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert kernel_value([0.0], [1.0], UNIT) == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_2d_three_four_five(self):
-        assert kernel([0.0, 0.0], [3.0, 4.0], UNIT) == pytest.approx(
+        assert kernel_value([0.0, 0.0], [3.0, 4.0], UNIT) == pytest.approx(
             math.exp(-12.5), rel=1e-12
         )
 
     def test_rejects_points_without_coordinates(self):
         with pytest.raises(ValueError):
-            kernel([], [], UNIT)
+            kernel_value([], [], UNIT)
         with pytest.raises(ValueError):
             gram(np.zeros((2, 0)), np.zeros((3, 0)), UNIT)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel([0.0], [1.0, 2.0], UNIT)
+            kernel_value([0.0], [1.0, 2.0], UNIT)
 
     @given(st.integers(0, 2**32 - 1))
     def test_symmetry_exact(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(-10, 10, size=(2, 2))
-        assert kernel(a, b, UNIT) == kernel(b, a, UNIT)
+        assert kernel_value(a, b, UNIT) == kernel_value(b, a, UNIT)
 
     def test_range(self):
         params = KernelParams(0.7, 2.0)
         rng = np.random.default_rng(1)
         for _ in range(50):
             a, b = rng.uniform(-3, 3, size=(2, 1))
-            v = kernel(a, b, params)
+            v = kernel_value(a, b, params)
             assert 0 < v <= params.signal_variance
 
 
@@ -263,27 +266,32 @@ class TestPosterior:
         np.testing.assert_allclose(base.covariance, shuffled.covariance, atol=1e-10)
 
 
+def at_one_point(obs, values, target, noise):
+    """Posterior mean and variance at one location, ``target`` (a coordinate
+    vector): ``posterior_mean_and_variance`` with one target."""
+    mean, var = posterior_mean_and_variance(obs, values, [target], UNIT, noise)
+    return float(mean[0]), float(var[0])
+
+
 class TestPointwiseConditional:
     def test_prior(self):
-        assert pointwise_conditional([], [], [0.0], UNIT, 0.01) == (0.0, 1.0)
+        assert at_one_point([], [], [0.0], 0.01) == (0.0, 1.0)
 
     def test_observed_at_target(self):
-        _, var = pointwise_conditional([0.0], [1.0], [0.0], UNIT, 0.01)
+        _, var = at_one_point([0.0], [1.0], [0.0], 0.01)
         assert var == pytest.approx(1 - 1 / 1.01, rel=1e-10)
 
     def test_agrees_with_posterior(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             obs, values, targets, noise = random_instance(rng, max_obs=6, max_targets=1)
-            mean, var = pointwise_conditional(obs, values, targets[0], UNIT, noise)
+            mean, var = at_one_point(obs, values, targets[0], noise)
             post = posterior(obs, values, targets, UNIT, noise)
             assert mean == pytest.approx(post.mean[0], abs=1e-12)
             assert var == pytest.approx(post.covariance[0, 0], abs=1e-12)
 
     def test_flat_2d_coordinate_is_one_point(self):
-        mean, var = pointwise_conditional(
-            [[0.0, 0.0]], [1.0], (0.0, 0.0), UNIT, 0.01
-        )
+        _, var = at_one_point([[0.0, 0.0]], [1.0], (0.0, 0.0), 0.01)
         assert var == pytest.approx(1 - 1 / 1.01, rel=1e-10)
 
 
@@ -641,7 +649,7 @@ class TestKernelRow:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(gram(rows, cols, self.PARAMS), want)
         for i, j in ((0, 0), (3, 7), (39, 32)):
-            assert kernel(rows[i], cols[j], self.PARAMS) == want[i, j]
+            assert kernel_value(rows[i], cols[j], self.PARAMS) == want[i, j]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_observe_row_equals_gram_row_bitwise(self, d, monkeypatch):
