@@ -37,10 +37,17 @@ holdout records:
   seed of app-weighted fails, so the run exits 3 with one failure line per
   seed and the other policies' records.
 
-Uses the standard library only.
+``tests/test_golden.py`` runs the same matrix in-process and compares the
+files' digests with a committed manifest.
+
+Uses the standard library, and numpy for the station file.
 """
 
 import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -110,33 +117,72 @@ def cases():
                                         "--seed", "20,3,9,1", "--format", "json"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory for the records (created if missing)")
-    args = parser.parse_args(argv)
-    out = Path(args.outdir).resolve()
-    out.mkdir(parents=True, exist_ok=True)
-
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_station_csv.py"),
-                    "stations.csv", "--n", "120"],
-                   cwd=out, env=env, check=True, stdout=subprocess.DEVNULL)
+def write_matrix(out: Path, run) -> None:
+    """Write the matrix's inputs and, for each case, its records and log into
+    ``out``.  ``run(args, cwd)`` runs fieldsense with ``args`` in ``cwd`` and
+    returns its exit code, stdout and stderr."""
+    spec = importlib.util.spec_from_file_location("make_station_csv",
+                                                  ROOT / "scripts" / "make_station_csv.py")
+    stations = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stations)
+    with contextlib.redirect_stdout(io.StringIO()):
+        stations.main([str(out / "stations.csv"), "--n", "120"])
     (out / "das-csv.cfg").write_text(CSV_CONFIG, encoding="utf-8")
     (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
     (out / "aloha-wide.cfg").write_text(WIDE_CONFIG, encoding="utf-8")
     (out / "das-csv-bad-app.cfg").write_text(BAD_APP_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
         path = f"{name}.json" if "json" in fs_args else f"{name}.csv"
-        proc = subprocess.run([sys.executable, "-m", "fieldsense", *fs_args, "--out", path],
-                              cwd=out, env=env, capture_output=True, text=True)
+        code, stdout, stderr = run([*fs_args, "--out", path], out)
         (out / f"{name}.log").write_text(
-            f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
-            encoding="utf-8")
-        print(f"{name}: exit {proc.returncode}, {out / path}", flush=True)
+            f"exit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}", encoding="utf-8")
+        print(f"{name}: exit {code}, {out / path}", flush=True)
+
+
+def blas_env() -> dict:
+    """This environment with one BLAS thread and this checkout's ``src/`` first
+    on the path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(args, cwd):
+    """Run ``python -m fieldsense args`` in a fresh interpreter (one BLAS thread)."""
+    proc = subprocess.run([sys.executable, "-m", "fieldsense", *args],
+                          cwd=cwd, env=blas_env(), capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(args, cwd):
+    """Run ``fieldsense.cli.main(args)`` in this interpreter, in ``cwd``."""
+    from fieldsense.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+    finally:
+        os.chdir(here)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digests(out: Path) -> dict:
+    """The SHA-256 of every file in ``out``, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory for the records (created if missing)")
+    args = parser.parse_args(argv)
+    out = Path(args.outdir).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out, run_fresh)
     return 0
 
 

@@ -211,10 +211,11 @@ def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
 
 
 def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights,
-                       betas) -> np.ndarray:
+                       betas, unit: bool = False) -> np.ndarray:
     """For each row of ``rem`` (S, m), the candidate minimizing the beta-weighted
-    residual variance of that seed's weight rows; ties go to the lowest index."""
-    scores = betas @ cond.residual_variance(weights, rem)
+    residual variance of that seed's weight rows (unit rows on the targets
+    ``weights`` if ``unit``); ties go to the lowest index."""
+    scores = betas @ cond.residual_variance(weights, rem, unit)
     return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
 
 
@@ -253,13 +254,12 @@ def select_random(state: DasState, rng: np.random.Generator) -> int:
     return int(rem[int(rng.integers(rem.size))])
 
 
-def _virtual_rows(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual points, and unit weight rows on them as targets after the sensors."""
+def _virtual_targets(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual points, and their indices as targets after the sensors."""
     virtual = as_points(virtual_locs, dim=field.dim)
     if virtual.shape[0] == 0:
         raise ValueError("virtual location set is empty")
-    k = virtual.shape[0]
-    return virtual, np.hstack([np.zeros((k, field.n_sensors)), np.eye(k)])
+    return virtual, np.arange(field.n_sensors, field.n_sensors + virtual.shape[0])
 
 
 def select_virtual_target(
@@ -277,9 +277,10 @@ def select_virtual_target(
     state.check_against(field)
     if not state.remaining_index.size:
         raise ValueError("no sensors remaining")
-    virtual, rows = _virtual_rows(field, virtual_locs)
+    virtual, targets = _virtual_targets(field, virtual_locs)
     cond = _conditioner(field, state, params, virtual)
-    return int(_min_residual_pick(cond, state.remaining_index[None], rows, np.ones(len(rows)))[0])
+    return int(_min_residual_pick(cond, state.remaining_index[None], targets,
+                                  np.ones(targets.size), unit=True)[0])
 
 
 @dataclass
@@ -351,8 +352,9 @@ def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams
     share their number of sensors and noise variance.  A batch holds as many
     seeds as fit a 4 MB budget (:func:`_in_flight`) over their factors
     (``rounds`` rows over the targets each) and, for the scored policies,
-    their priors (targets squared), so a large field plays one seed at a
-    time; batches are of near-equal size.
+    the kernel rows they score from (app-weighted: the prior, targets
+    squared; virtual: one row over the targets per virtual point), so a
+    large field plays one seed at a time; batches are of near-equal size.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`play_seed_batches` does: ``round`` is the batch's
@@ -365,20 +367,21 @@ def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams
     def in_flight(field: SensorField) -> int:
         n = field.n_sensors
         if policy == "virtual" and virtual_locs is not None:
-            n += as_points(virtual_locs, dim=field.dim).shape[0]
-        return _in_flight(n, rounds, policy in ("app-weighted", "virtual"))
+            k = as_points(virtual_locs, dim=field.dim).shape[0]
+            return _in_flight(n + k, rounds, k)
+        return _in_flight(n, rounds, n if policy == "app-weighted" else 0)
 
     return play_seed_batches(seeds, make_field, in_flight, lambda fields, rngs: _play(
         fields, rngs, policy, rounds, params, virtual_locs, log_estimates, apps))
 
 
-def _in_flight(n_targets: int, rows: int, scored: bool = False) -> int:
+def _in_flight(n_targets: int, rows: int, kernel_rows: int = 0) -> int:
     """Most seeds a batch may play at once: as many as fit ``_BATCH_BYTES``
-    at each seed's worst case, ``rows`` factor rows and a posterior mean and
-    variance over ``n_targets`` targets, and a prior over them (targets
-    squared) if ``scored``.  Factor rows become resident only once written,
+    at each seed's worst case, ``rows`` factor rows, a posterior mean and
+    variance and ``kernel_rows`` kernel rows to score from, all over
+    ``n_targets`` targets.  Factor rows become resident only once written,
     so a batch holds less than this until its seeds fill their rows."""
-    per_seed = 8 * n_targets * (rows + 2 + (n_targets if scored else 0))
+    per_seed = 8 * n_targets * (rows + 2 + kernel_rows)
     return max(1, _BATCH_BYTES // per_seed)
 
 
@@ -441,10 +444,10 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     if policy == "virtual":
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
-        virtual, weights = _virtual_rows(first, virtual_locs)
+        virtual, weights = _virtual_targets(first, virtual_locs)
         targets = np.concatenate(
             [targets, np.broadcast_to(virtual, (n_seeds, *virtual.shape))], axis=1)
-        betas = np.ones(len(weights))
+        betas = np.ones(weights.size)
     elif policy == "app-weighted":
         if apps is None:
             raise ValueError("app-weighted policy needs apps")
@@ -479,13 +482,16 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
                 picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
                                   for s, rng in enumerate(rngs)])
             else:
-                picks = _min_residual_pick(cond, rem, weights, betas)
+                picks = _min_residual_pick(cond, rem, weights, betas, policy == "virtual")
         measured = meas[seeds, picks]
         waiting[seeds, picks] = False
         order[:, t] = picks
         values[:, t] = measured
-        live = [s for s in range(n_seeds) if s not in ended] if ended else seeds
-        failed = cond.observe(picks[live], measured[live], live)  # a failed seed's run ends
+        if ended:  # a failed seed's run has ended: the others' slot
+            live = [s for s in range(n_seeds) if s not in ended]
+            failed = cond.observe(picks[live], measured[live], live)
+        else:
+            failed = cond.observe(picks, measured)
         ended.update(failed)
         if policy == "app-weighted":
             weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error

@@ -202,9 +202,11 @@ class IncrementalConditioner:
     current at O(n_obs * n_targets) cost and memory per round.  ``observe``
     computes the kernel rows it needs, from a coordinate-major copy of the
     targets (one contiguous row per coordinate), so they are the
-    matrix-vector products' minor cost; the target kernel matrix is built
-    only when :meth:`residual_variance` first needs it, and ``observe`` then
-    reads its rows, which are bit-identical.
+    matrix-vector products' minor cost.  The target kernel matrix, the
+    prior, is built only when :meth:`residual_variance` first scores dense
+    weight rows, and ``observe`` then reads its rows, which are
+    bit-identical; unit weight rows, given as the targets they select,
+    score from those targets' kernel rows alone.
 
     Seed axis: given an (S, n, d) array, one instance carries S fields, each
     with its own target locations, factor and observations, and ``mean`` and
@@ -212,9 +214,10 @@ class IncrementalConditioner:
     at once; (n, d) locations are the batch of one, whose ``mean`` and
     ``variance`` are its row, of shape (n,).  ``observe`` takes one
     observation of one seed, or a slot: one observation each of distinct
-    seeds, updated together.  Every seed is conditioned on its own rows, so
-    its numbers are bit-identical to a conditioner of its own, and
-    :meth:`residual_variance` scores every seed at once.
+    seeds, updated together, or of every seed (a lockstep round).  Every
+    seed is conditioned on its own rows, so its numbers are bit-identical to
+    a conditioner of its own, and :meth:`residual_variance` scores every
+    seed at once.
 
     Every seed's factor rows live in one (S, capacity, n) block, allocated
     once; the rows a seed has not written are zero.  ``capacity`` is the
@@ -250,6 +253,9 @@ class IncrementalConditioner:
         self._coords = np.ascontiguousarray(
             np.moveaxis(targets.reshape(n_seeds, n, targets.shape[1]), -1, 0))
         self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
+        self._unit = None  # what unit rows on some targets score from: see _unit_rows
+        self._seeds = np.arange(n_seeds)
+        self._at = {}  # k -> flat offsets of each seed's and weight row's first entry
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
         # _c[s] is L^-1 y; _t[s] counts the rows in use.
         self._a = _zeros((n_seeds, capacity, n))
@@ -275,44 +281,52 @@ class IncrementalConditioner:
         """Observations held: an int, or a tuple with one count per seed on a batch."""
         return tuple(self._t) if self._batch else self._t[0]
 
-    def observe(self, index, value, seed=0):
+    def observe(self, index, value, seed=None):
         """Condition seeds on (noisy) measurements at their targets.
 
-        Scalars observe ``value`` at target ``index`` of seed ``seed`` (the
-        only one of a one-field conditioner), and raise ``ValueError``,
-        leaving the conditioner unchanged, if even the largest pivot jitter
-        leaves a variance below ``VARIANCE_CLAMP``.
+        With ``seed`` omitted, a full slot: ``index`` and ``value`` hold one
+        target and one measurement for every seed, in seed order (scalars for
+        a one-field conditioner).  Given ``seed``, a slot of distinct seeds:
+        equal-length sequences, or scalars for one seed.  Scalars raise
+        ``ValueError``, leaving the conditioner unchanged, if even the
+        largest pivot jitter leaves a variance below ``VARIANCE_CLAMP``.
 
-        Equal-length sequences observe a slot: one measurement each of
-        distinct seeds.  The kernel rows, pivots and updates run as (m, n)
-        array operations; each seed's product with its own factor rows runs
-        on its own, so its numbers are those of a one-seed call.  A seed
-        whose pivot needs jitter is retried alone; a seed that no jitter
-        saves is left unchanged while the others apply.  Returns
-        ``{seed: message}`` for those seeds.
+        The kernel rows, pivots and updates run as (m, n) array operations.
+        Each seed's product with its own factor rows keeps the operands of a
+        one-seed call, so its numbers are those of that call: on their own,
+        or, on a full slot whose seeds hold equally many rows, in one stacked
+        product whose left operand has the one-seed call's stride, writing
+        the new rows in place.  A seed whose pivot needs jitter is retried
+        alone; a seed that no jitter saves is left unchanged while the others
+        apply.  Sequences return ``{seed: message}`` for those seeds.
 
         Bad seeds, targets or values raise before anything changes.
         """
         one = np.ndim(index) == 0
-        index, seed = np.atleast_1d(index), np.atleast_1d(seed)
+        index = np.atleast_1d(index)
         value = np.atleast_1d(np.asarray(value, dtype=float))
         n_seeds, n = self._mean.shape
+        full = seed is None
+        seed = self._seeds if full else np.atleast_1d(seed)
         m = seed.size
         if not index.size == value.size == m:
             raise ValueError(f"a slot needs one target and value per seed, got "
                              f"{index.size}, {value.size} and {m}")
         if not m:
             return {}
-        seeds, idx = seed.tolist(), index.tolist()
-        for name, got, size in (("seed", seeds, n_seeds), ("target index", idx, n)):
+        seeds, idx = range(m) if full else seed.tolist(), index.tolist()
+        checks = [("seed", seeds, n_seeds)] if not full else []
+        for name, got, size in checks + [("target index", idx, n)]:
             if not (0 <= min(got) and max(got) < size):
                 bad = next(x for x in got if not 0 <= x < size)
                 raise IndexError(f"{name} {bad} out of range")
         if not all(map(math.isfinite, value.tolist())):
             raise ValueError("observed value is not finite")
-        if len(set(seeds)) != m:
+        if not full and len(set(seeds)) != m:
             raise ValueError(f"a slot's seeds must be distinct, got {seeds}")
         ts = [self._t[s] for s in seeds]
+        t0 = ts[0]
+        lockstep = full and ts.count(t0) == m
         if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
             cap = self._c.shape[1]
             grown = _zeros((n_seeds, max(2 * cap, 8), n))
@@ -322,25 +336,34 @@ class IncrementalConditioner:
                                      axis=1)
         # a run of consecutive seeds (every seed of a lockstep DAS round) is a
         # slice, whose rows are views: a batch of one makes no copy of its rows
-        rows = slice(seeds[0], seeds[0] + m) if seeds == list(
+        rows = slice(seeds[0], seeds[0] + m) if full or seeds == list(
             range(seeds[0], seeds[0] + m)) else seed
         if self._prior is not None:
             k_rows = self._prior[seed, index]
         else:  # targets are validated: skip gram's checks
             k_rows = _sq_exp(self._coords[:, rows] - self._coords[:, seed, index, None],
                              self.params)
-        # each seed's t-row products, on its own: stacked, they differ in the last bits
         prod = np.empty((m, n))
-        lc = np.empty(m)
-        for r, (s, i, t) in enumerate(zip(seeds, idx, ts)):
-            a = self._a[s, :t]
-            lvec = a[:, i]
-            np.matmul(lvec, a, out=prod[r])
-            lc[r] = lvec @ self._c[s, :t]
+        if lockstep:
+            # one stacked product: each seed's column gathered at the stride
+            # n > 1 gives the one-seed call's own column view (contiguous, as
+            # that view is, at n = 1); a contiguous copy differs in the last bits
+            a = self._a[:, :t0]
+            lvec = np.empty((m, t0)) if n == 1 else np.empty((m, t0, 2))[..., 0]
+            lvec[...] = a[seed, :, index]
+            np.matmul(lvec[:, None], a, out=prod[:, None])
+            lc = np.matmul(lvec[:, None], self._c[:, :t0, None])[:, 0, 0]
+        else:  # each seed's t-row products on its own
+            lc = np.empty(m)
+            for r, (s, i, t) in enumerate(zip(seeds, idx, ts)):
+                a = self._a[s, :t]
+                lvec = a[:, i]
+                np.matmul(lvec, a, out=prod[r])
+                lc[r] = lvec @ self._c[s, :t]
         resid = np.subtract(k_rows, prod, out=prod)
         pivot = self._variance[seed, index] + self.noise_variance
         d = np.sqrt(pivot)
-        row = resid / d[:, None]
+        row = np.divide(resid, d[:, None], out=self._a[:, t0] if lockstep else None)
         old = self._variance[rows]
         variance = np.multiply(row, row)
         np.subtract(old, variance, out=variance)
@@ -357,13 +380,15 @@ class IncrementalConditioner:
             else:
                 failed[seeds[r]] = (f"posterior variance {low[r]:g} below round-off "
                                     f"tolerance {VARIANCE_CLAMP:g}")
+                row[r] = 0.0  # a factor row written in place is unwritten
         c = (value - lc) / d
         t = np.array(ts)
         if failed:  # apply the others only
             keep = np.array([s not in failed for s in seeds])
             seed = rows = seed[keep]
             t, row, variance, c = t[keep], row[keep], variance[keep], c[keep]
-        self._a[seed, t] = row
+        if not lockstep:  # else the rows are in place
+            self._a[seed, t] = row
         self._c[seed, t] = c
         for s in seed.tolist():
             self._t[s] += 1
@@ -376,7 +401,7 @@ class IncrementalConditioner:
             raise ValueError(failed.popitem()[1])
         return None if one else failed
 
-    def residual_variance(self, weights, candidates) -> np.ndarray:
+    def residual_variance(self, weights, candidates, unit: bool = False) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
 
         Entry (r, j) is w'S w for weight row r once target ``candidates[j]``
@@ -394,29 +419,77 @@ class IncrementalConditioner:
         a seed holding as many observations as the fullest one (every seed
         of a lockstep round loop) scores bit-identically to a conditioner of
         its own field, and each seed's prior is built from its own targets.
+
+        With ``unit``, ``weights`` is k target indices, standing for the unit
+        rows on them, shared by every seed.  Their products with the prior
+        and the factor are the prior's rows and the factor's columns at
+        those targets, so the scores are the dense rows' bit for bit, from
+        k kernel rows built once (no (n, n) prior).
         """
         n_seeds, n = self._mean.shape
-        w = np.asarray(weights, dtype=float)
         cand = np.asarray(candidates, dtype=int)
         if not self._batch:
-            w, cand = np.atleast_2d(w), cand[None] if cand.ndim == 1 else cand
+            cand = cand[None] if cand.ndim == 1 else cand
         if cand.ndim != 2 or cand.shape[0] != n_seeds:
             raise ValueError(f"need one row of candidates per seed, got shape {cand.shape}")
-        if cand.size and not (0 <= cand.min() and cand.max() < n):
+        lo, hi = (int(cand.min()), int(cand.max())) if cand.size else (0, -1)
+        if not (0 <= lo and hi < n):
             raise IndexError(f"candidate targets must lie in [0, {n})")
-        if w.ndim == 2:  # one set for every seed
-            w = w[None].repeat(n_seeds, axis=0)
-        if self._prior is None:
-            c = self._coords
-            self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
         a = self._a[:, : max(self._t)]
-        s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
+        if unit:
+            v = np.asarray(weights, dtype=int).ravel()
+            if self._unit is None or self._unit[0] != v.tobytes():
+                self._unit = self._unit_rows(v)
+            _, cols, k_rows, own_at, (first, last) = self._unit
+            # W A' as a contiguous copy, laid out as the dense rows' product is:
+            # a strided view gives other last bits
+            s = k_rows - np.ascontiguousarray(a.mT[:, cols]) @ a  # rows of W Sigma, (S, k, n)
+            own = s.take(own_at)[..., None]
+            # a candidate among the targets: the dense rows' entry there is 1
+            wc = None if hi < first or last < lo else (
+                cand[:, None, :] == v[:, None]).astype(float)
+        else:
+            w = np.asarray(weights, dtype=float)
+            if not self._batch:
+                w = np.atleast_2d(w)
+            if w.ndim == 2:  # one set for every seed
+                w = w[None].repeat(n_seeds, axis=0)
+            if self._prior is None:
+                c = self._coords
+                self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
+            s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
+            own = np.einsum("...ij,...ij->...i", w, s)[..., None]
         # flat positions of each seed's candidates in each of its rows
-        at = cand[:, None, :] + np.arange(0, s.size, n).reshape(*s.shape[:2], 1)
-        wc, sc = w.take(at), s.take(at)
-        dc = self._variance.take(cand + np.arange(0, n_seeds * n, n)[:, None])[:, None, :]
-        wd = wc * dc
-        own = np.einsum("...ij,...ij->...i", w, s)[..., None] - wc * (2.0 * sc - wd)
-        cross = sc - wd
-        out = own - cross * cross / (dc + self.noise_variance)
+        at = cand[:, None, :] + self._offsets(s.shape[1])
+        sc = s.take(at)
+        dc = self._variance.take(cand + self._offsets(1)[:, 0])[:, None, :]
+        if not unit:
+            wc = w.take(at)
+        if wc is not None:  # each candidate's own weight, zeroed once it uploads
+            wd = wc * dc
+            own = own - wc * (2.0 * sc - wd)
+            sc = sc - wd
+        out = own - sc * sc / (dc + self.noise_variance)
         return out if self._batch else out[0]
+
+    def _unit_rows(self, v: np.ndarray) -> tuple:
+        """What unit rows on the targets ``v`` score from: ``v``'s bytes, the
+        factor columns to take (a slice where ``v`` is a run), each seed's
+        kernel rows K[v, :] (S, k, n), the flat positions of each row's own
+        target in an (S, k, n) array, and the least and greatest target."""
+        n = self._mean.shape[1]
+        k = v.size
+        if not (k and 0 <= v.min() and v.max() < n):
+            raise IndexError(f"unit targets must be given and lie in [0, {n})")
+        run = np.array_equal(v, np.arange(v[0], v[0] + k))
+        c = self._coords
+        return (v.tobytes(), slice(v[0], v[0] + k) if run else v,
+                _sq_exp(c[:, :, v, None] - c[:, :, None, :], self.params),
+                self._offsets(k)[..., 0] + v, (int(v.min()), int(v.max())))
+
+    def _offsets(self, k: int) -> np.ndarray:
+        """(S, k, 1) flat offsets of each seed's k rows of n entries, cached."""
+        if k not in self._at:
+            n_seeds, n = self._mean.shape
+            self._at[k] = np.arange(0, n_seeds * k * n, n).reshape(n_seeds, k, 1)
+        return self._at[k]

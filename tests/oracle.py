@@ -214,6 +214,33 @@ def hypothetical_mses(weights, field, state, params):
     return out
 
 
+def dense_residual_variance(cond, weights, candidates):
+    """``IncrementalConditioner.residual_variance`` by the dense form: each
+    seed's (n, n) prior built by ``gram`` from its own targets, and the weight
+    rows multiplied through it and through the conditioner's factor.  With
+    unit rows (``np.eye(n)[targets]``) this is the oracle of the exact unit
+    form, which builds only the targets' kernel rows: the products of unit
+    rows are the rows and columns they select, so the two agree bit for bit.
+    Returns (S, k, m) scores for (S, m) ``candidates``."""
+    locs = cond.target_locations
+    locs = locs if locs.ndim == 3 else locs[None]
+    prior = np.stack([gram(seed_locs, seed_locs, cond.params) for seed_locs in locs])
+    n_seeds, n = prior.shape[:2]
+    w = np.asarray(weights, dtype=float)
+    w = np.repeat(w[None], n_seeds, axis=0) if w.ndim == 2 else w
+    cand = np.asarray(candidates, dtype=int)
+    a = cond._a[:, : max(cond._t)]
+    s = w @ prior - (w @ a.mT) @ a  # rows of W Sigma
+    seeds, rows = np.ogrid[:n_seeds, : w.shape[1]]
+    sc = s[seeds[..., None], rows[..., None], cand[:, None, :]]
+    wc = w[seeds[..., None], rows[..., None], cand[:, None, :]]
+    dc = cond._variance[seeds, cand][:, None, :]  # the posterior variances, clamped
+    wd = wc * dc
+    own = np.einsum("...ij,...ij->...i", w, s)[..., None] - wc * (2.0 * sc - wd)
+    cross = sc - wd
+    return own - cross * cross / (dc + cond.noise_variance)
+
+
 def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
             log_estimates=False, apps=None):
     """The collection loop of ``fieldsense.das.run_das``, from scratch every round."""

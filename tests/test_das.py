@@ -99,13 +99,15 @@ def poisoning_observe(locations, at):
     """IncrementalConditioner.observe that, on the ``at``-th observation of
     the field at ``locations`` by each conditioner, first zeroes that field's
     variance at the observed target, so the real update fails for that field
-    alone.  Like observe, it takes one observation or a slot of them."""
+    alone.  Like observe, it takes one observation, a slot of them or, with
+    ``seed`` omitted, a full slot: one observation of every seed, in order."""
     real = fieldsense.gp.IncrementalConditioner.observe
     calls = {}  # id -> [conditioner, observations]; holding it keeps its id unused
 
-    def observe(self, index, value, seed=0):
+    def observe(self, index, value, seed=None):
         locs = self.target_locations
-        for i, s in zip(np.atleast_1d(index).tolist(), np.atleast_1d(seed).tolist()):
+        seeds = range(len(self._t)) if seed is None else np.atleast_1d(seed).tolist()
+        for i, s in zip(np.atleast_1d(index).tolist(), seeds):
             field = locs[s] if locs.ndim == 3 else locs
             if np.array_equal(field, locations):
                 count = calls.setdefault(id(self), [self, 0])
@@ -545,15 +547,18 @@ class TestRunDasSeeds:
         for seed in runs:
             assert_das_logs_equal(runs[seed][1], clean[seed][1])
 
-    # A seed's worst case is 8 * n * (rounds + 2 + n if scored) bytes of 4 MB,
-    # n its targets (the sensors, and the 2 virtual points of the virtual policy).
+    # A seed's worst case is 8 * n * (rounds + 2 + r) bytes of 4 MB, n its
+    # targets (the sensors, and the 2 virtual points of the virtual policy) and
+    # r the kernel rows it scores from: the prior's n for app-weighted, one per
+    # virtual point for virtual, none for max-variance.
     @pytest.mark.parametrize("L,rounds,policy,sizes", [
         (30, 30, "max-variance", [20]),  # 7.7 kB a seed: all 20 seeds at once
-        (60, 30, "virtual", [20]),  # 47 kB a seed
+        (60, 30, "virtual", [20]),  # 17 kB a seed
         (3000, 200, "max-variance", [1] * 20),  # 4.8 MB of factor a seed
         (500, 12, "app-weighted", [2] * 10),  # 2 MB of prior and factor a seed
         (300, 220, "max-variance", [6, 7, 7]),  # 533 kB a seed: 7 at most
-        (240, 30, "virtual", [6, 7, 7]),  # 530 kB a seed
+        (240, 30, "virtual", [20]),  # 66 kB a seed; a prior would make it 530 kB
+        (2000, 30, "virtual", [6, 7, 7]),  # 545 kB a seed
     ])
     def test_batches_follow_the_byte_budget(self, monkeypatch, L, rounds, policy, sizes):
         made = []

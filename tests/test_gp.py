@@ -624,6 +624,138 @@ class TestSeedAxis:
                 batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1], [bad, 1]])
 
 
+class TestFullSlot:
+    """A full slot, one observation of every seed in seed order (``seed``
+    omitted), runs every seed's product in one stacked call and writes the new
+    factor rows in place while the seeds hold equally many rows; it holds
+    exactly what the same slot, seed by seed, holds."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for arr in ("_a", "_c", "_mean", "_variance"):
+            np.testing.assert_array_equal(getattr(got, arr), getattr(want, arr))
+        assert got.n_observations == want.n_observations
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_stacked_slot_matches_the_seed_loop(self, n, d):
+        # from t = 0 (no rows), t = 1 and up; factors sized short so they grow
+        rng = np.random.default_rng(100 + n + d)
+        for n_seeds in (1, 3, 10):
+            locs = rng.uniform(0, 5, size=(n_seeds, n, d))
+            stacked = IncrementalConditioner(locs, UNIT, 0.05, capacity=3)
+            looped = IncrementalConditioner(locs, UNIT, 0.05, capacity=3)
+            for _ in range(min(n, 12)):
+                idx = rng.integers(n, size=n_seeds)
+                vals = rng.normal(size=n_seeds)
+                assert stacked.observe(idx, vals) == {}
+                assert looped.observe(idx, vals, list(range(n_seeds))) == {}
+                self.assert_same(stacked, looped)
+
+    def test_failing_seed_keeps_a_zero_row(self):
+        # seed 2's update fails at every rung mid-slot: its factor row, written
+        # in place with the others', is zeroed again and it is left unchanged
+        rng = np.random.default_rng(110)
+        locs = rng.uniform(0, 5, size=(4, 20, 1))
+        stacked = IncrementalConditioner(locs, UNIT, 0.1, capacity=5)
+        for step in range(3):
+            stacked.observe(np.full(4, step), rng.normal(size=4))
+        looped = copy.deepcopy(stacked)
+        before = copy.deepcopy(stacked)
+        for cond in (stacked, looped):
+            cond.variance[2, 9] = 0.0  # an understated variance overshoots any update
+        vals = rng.normal(size=4)
+        failed = stacked.observe(np.full(4, 9), vals)
+        assert failed == looped.observe(np.full(4, 9), vals, [0, 1, 2, 3])
+        assert list(failed) == [2] and "below round-off" in failed[2]
+        self.assert_same(stacked, looped)
+        np.testing.assert_array_equal(stacked._a[2, 3], 0.0)
+        assert stacked._c[2, 3] == 0.0 and stacked.n_observations == (4, 4, 3, 4)
+        for arr in ("_a", "_c", "_mean"):
+            np.testing.assert_array_equal(getattr(stacked, arr)[2], getattr(before, arr)[2])
+        # the next full slot holds ragged counts: the seed loop takes it
+        vals = rng.normal(size=4)
+        stacked.observe(np.full(4, 11), vals)
+        looped.observe(np.full(4, 11), vals, [0, 1, 2, 3])
+        self.assert_same(stacked, looped)
+
+    def test_one_field_scalar_is_its_full_slot(self):
+        rng = np.random.default_rng(120)
+        pts = rng.uniform(0, 5, size=(15, 2))
+        one, slot = (IncrementalConditioner(pts, UNIT, 0.1) for _ in range(2))
+        for i in (3, 8, 0):
+            v = float(rng.normal())
+            assert one.observe(i, v) is None
+            assert slot.observe([i], [v], [0]) == {}
+        self.assert_same(one, slot)
+
+    def test_rejects_bad_input_and_changes_nothing(self):
+        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        for args, err, match in [
+            (([1, 2], [0.5, 0.5]), ValueError, "one target and value per seed, got 2, 2 and 3"),
+            (([1, 2, 3], [0.5, 0.5]), ValueError, "one target and value per seed"),
+            ((1, 0.5), ValueError, "one target and value per seed, got 1, 1 and 3"),
+            (([1, 4, 2], [0.5, 0.5, 0.5]), IndexError, "target index 4 out of range"),
+            (([1, -1, 2], [0.5, 0.5, 0.5]), IndexError, "target index -1 out of range"),
+            (([1, 2, 3], [0.5, np.nan, 0.5]), ValueError, "observed value is not finite"),
+            (([1, 2, 3], [0.5, 0.5, -np.inf]), ValueError, "observed value is not finite"),
+        ]:
+            with pytest.raises(err, match=match):
+                batch.observe(*args)
+        assert batch.n_observations == (0, 0, 0)
+        np.testing.assert_array_equal(batch._a, 0.0)
+        np.testing.assert_array_equal(batch._c, 0.0)
+        np.testing.assert_array_equal(batch.mean, 0.0)
+        np.testing.assert_array_equal(batch.variance, 1.0)
+
+
+class TestUnitScores:
+    """Unit weight rows given as the targets they select score from those
+    targets' kernel rows alone, bit for bit as the dense rows score through
+    each seed's (n, n) prior (tests/oracle.py)."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    def test_unit_scores_equal_the_dense_rows_bitwise(self, n, d):
+        rng = np.random.default_rng(130 + n + d)
+        for n_seeds in (1, 2, 4):
+            k = min(5, n - 1)
+            locs = rng.uniform(0, 5, size=(n_seeds, n, d))
+            cond = IncrementalConditioner(locs, UNIT, 0.05, capacity=36)
+            order = [rng.permutation(n - k) for _ in range(n_seeds)]
+            run = np.arange(n - k, n)  # targets after the sensors, as virtual points are
+            scattered = np.sort(rng.choice(n, size=k, replace=False))[::-1]
+            for step in range(min(36, n - k)):
+                rem = np.sort([o[step:] for o in order], axis=1)
+                everywhere = np.tile(np.arange(n), (n_seeds, 1))  # targets among them
+                # up to 35 rows: a strided operand's bits differ mostly past 20
+                checks = ((run, rem), (scattered, rem), (scattered, everywhere))
+                for targets, cand in checks if step in (0, 1, 7, 22, 29, 35) else ():
+                    got = cond.residual_variance(targets, cand, unit=True)
+                    want = oracle.dense_residual_variance(cond, np.eye(n)[targets], cand)
+                    np.testing.assert_array_equal(got, want)
+                cond.observe(np.array([o[step] for o in order]), rng.normal(size=n_seeds))
+            assert cond._prior is None  # no (n, n) prior was built
+
+    def test_one_field_and_the_dense_path_agree(self):
+        rng = np.random.default_rng(140)
+        pts = rng.uniform(0, 5, size=(30, 2))
+        cond = IncrementalConditioner(pts, UNIT, 0.1)
+        for i in (4, 17, 9):
+            cond.observe(i, float(rng.normal()))
+        cand = np.array([0, 1, 2, 5, 6, 25, 29])
+        targets = [25, 26, 27]
+        got = cond.residual_variance(targets, cand, unit=True)
+        assert got.shape == (3, cand.size)
+        np.testing.assert_array_equal(got, cond.residual_variance(np.eye(30)[targets], cand))
+
+    def test_rejects_bad_targets(self):
+        cond = IncrementalConditioner(np.arange(5.0), UNIT, 0.1)
+        for bad in ([], [5], [-1, 2]):
+            with pytest.raises(IndexError, match="unit targets"):
+                cond.residual_variance(bad, [0, 1], unit=True)
+
+
 class TestKernelRow:
     """The kernel sums squared coordinate differences one coordinate at a time;
     for the few coordinates a location has, that is the left-to-right sum the
