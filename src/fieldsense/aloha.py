@@ -193,10 +193,10 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     uploaded; ``psi`` (S,) is each seed's dual variable and ``rngs`` its
     generator.  Each generator draws sleep, activity and channels for its
     own candidates; predictions, upload probabilities, contention, SSE and
-    the dual step are computed for the batch at once.  The successes are
-    then observed on ``cond`` slot by slot, slot j holding each seed's j-th
-    success in candidate order; a seed whose observation fails takes no
-    further one.  ``mask``, ``psi`` and ``cond`` are updated in place.  Each
+    the dual step are computed for the batch at once.  Every success is
+    then observed on ``cond`` in one call, each seed's in candidate order; a
+    seed whose observation fails takes no further one.  ``mask``, ``psi``
+    and ``cond`` are updated in place.  Each
     seed's candidates must be distinct sensors that have not uploaded; it is
     not checked here.
 
@@ -233,15 +233,7 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     who, where = success.nonzero()  # row-major: each seed's successes in candidate order
     sensors = cand[who, where]
     mask[who, sensors] = True
-    failed: dict[int, str] = {}
-    if who.size:
-        slot = np.arange(who.size) - np.searchsorted(who, who)  # its rank in its seed
-        values = meas[who, sensors]
-        for j in range(int(slot.max()) + 1):
-            take = slot == j
-            if failed:  # a failed seed's run ends; the others go on
-                take &= ~np.isin(who, list(failed))
-            failed.update(cond.observe(sensors[take], values[take], who[take]))
+    failed = cond.observe(sensors, meas[who, sensors], who)
 
     psi_used = psi.tolist()
     k = active.sum(axis=1)

@@ -198,8 +198,9 @@ def _conditioner(field: SensorField, state: DasState, params: KernelParams,
     targets = field.locations if extra_locs is None else np.vstack([field.locations, extra_locs])
     cond = IncrementalConditioner(targets, params, field.noise_variance,
                                   capacity=state.order.size)
-    for idx, value in zip(state.order.tolist(), state.values.tolist()):
-        cond.observe(idx, value)
+    failed = cond.observe(state.order, state.values, np.zeros_like(state.order))
+    if failed:
+        raise ValueError(failed[0])
     return cond
 
 
@@ -469,6 +470,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     flat = np.flatnonzero(waiting).reshape(n_seeds, n)  # each row's sensors still waiting
     var = cond.variance.take(flat)  # and their variances
     ended: set[int] = set()
+    live = seeds
     for t in range(rounds):
         if policy == "max-variance":
             picks = _max_variance_pick(var, flat) - offsets
@@ -487,12 +489,10 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
         waiting[seeds, picks] = False
         order[:, t] = picks
         values[:, t] = measured
-        if ended:  # a failed seed's run has ended: the others' slot
-            live = [s for s in range(n_seeds) if s not in ended]
-            failed = cond.observe(picks[live], measured[live], live)
-        else:
-            failed = cond.observe(picks, measured)
-        ended.update(failed)
+        failed = cond.observe(picks[live], measured[live], live)
+        if failed:  # a failed seed's run has ended
+            ended.update(failed)
+            live = np.setdiff1d(seeds, list(ended))
         if policy == "app-weighted":
             weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error
         flat = np.flatnonzero(waiting).reshape(n_seeds, n - t - 1)

@@ -130,11 +130,12 @@ def _condition(observed_locs, observed_values, target_locs, params: KernelParams
         raise ValueError(
             f"{obs.shape[0]} observed locations but {values.shape[0]} values"
         )
-    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance,
-                                  capacity=obs.shape[0])
-    for i, value in enumerate(values):
-        cond.observe(i, float(value))
-    return cond, obs.shape[0]
+    n = obs.shape[0]
+    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance, capacity=n)
+    failed = cond.observe(np.arange(n), values, np.zeros(n, dtype=int))
+    if failed:
+        raise ValueError(failed[0])
+    return cond, n
 
 
 def posterior(
@@ -212,12 +213,11 @@ class IncrementalConditioner:
     with its own target locations, factor and observations, and ``mean`` and
     ``variance`` have shape (S, n), so a batch reads every seed's posterior
     at once; (n, d) locations are the batch of one, whose ``mean`` and
-    ``variance`` are its row, of shape (n,).  ``observe`` takes one
-    observation of one seed, or a slot: one observation each of distinct
-    seeds, updated together, or of every seed (a lockstep round).  Every
-    seed is conditioned on its own rows, so its numbers are bit-identical to
-    a conditioner of its own, and :meth:`residual_variance` scores every
-    seed at once.
+    ``variance`` are its row, of shape (n,).  ``observe`` takes every
+    upload a caller has at once: any seeds, in any order, each as often as
+    it uploads.  Every seed is conditioned on its own rows, so its numbers
+    are bit-identical to a conditioner of its own, and
+    :meth:`residual_variance` scores every seed at once.
 
     Every seed's factor rows live in one (S, capacity, n) block, allocated
     once; the rows a seed has not written are zero.  ``capacity`` is the
@@ -254,7 +254,6 @@ class IncrementalConditioner:
             np.moveaxis(targets.reshape(n_seeds, n, targets.shape[1]), -1, 0))
         self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
         self._unit = None  # what unit rows on some targets score from: see _unit_rows
-        self._seeds = np.arange(n_seeds)
         self._at = {}  # k -> flat offsets of each seed's and weight row's first entry
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
         # _c[s] is L^-1 y; _t[s] counts the rows in use.
@@ -284,90 +283,114 @@ class IncrementalConditioner:
     def observe(self, index, value, seed=None):
         """Condition seeds on (noisy) measurements at their targets.
 
-        With ``seed`` omitted, a full slot: ``index`` and ``value`` hold one
-        target and one measurement for every seed, in seed order (scalars for
-        a one-field conditioner).  Given ``seed``, a slot of distinct seeds:
-        equal-length sequences, or scalars for one seed.  Scalars raise
-        ``ValueError``, leaving the conditioner unchanged, if even the
-        largest pivot jitter leaves a variance below ``VARIANCE_CLAMP``.
+        ``index``, ``value`` and ``seed`` hold one target, measurement and
+        seed per upload, the seeds in any order, a repeated seed taking its
+        uploads in the order given.  With ``seed`` omitted, one upload of
+        every seed in seed order (scalars for a one-field conditioner).
+        Scalars are one upload, and raise ``ValueError``, leaving the
+        conditioner unchanged, if even the largest pivot jitter leaves a
+        variance below ``VARIANCE_CLAMP``.
 
-        The kernel rows, pivots and updates run as (m, n) array operations.
-        Each seed's product with its own factor rows keeps the operands of a
-        one-seed call, so its numbers are those of that call: on their own,
-        or, on a full slot whose seeds hold equally many rows, in one stacked
-        product whose left operand has the one-seed call's stride, writing
-        the new rows in place.  A seed whose pivot needs jitter is retried
-        alone; a seed that no jitter saves is left unchanged while the others
-        apply.  Sequences return ``{seed: message}`` for those seeds.
-
-        Bad seeds, targets or values raise before anything changes.
+        The kernel rows are built at once; then slot j, each seed's j-th
+        upload, runs as (m, n) array operations.  Each seed's product with
+        its own factor rows keeps a one-upload call's operands, and so its
+        numbers: alone, or stacked over a run of consecutive seeds holding
+        equally many rows, the left operand at the one-seed call's stride.
+        A seed whose pivot needs jitter is retried alone; a seed no jitter
+        saves is left as that upload found it and takes none of its later
+        ones.  Sequences return ``{seed: message}`` for those seeds.  Bad
+        seeds, targets or values raise before anything changes.
         """
         one = np.ndim(index) == 0
         index = np.atleast_1d(index)
         value = np.atleast_1d(np.asarray(value, dtype=float))
         n_seeds, n = self._mean.shape
-        full = seed is None
-        seed = self._seeds if full else np.atleast_1d(seed)
+        seed = np.arange(n_seeds) if seed is None else np.atleast_1d(seed)
         m = seed.size
         if not index.size == value.size == m:
-            raise ValueError(f"a slot needs one target and value per seed, got "
+            raise ValueError(f"observe needs one target and value per seed, got "
                              f"{index.size}, {value.size} and {m}")
         if not m:
             return {}
-        seeds, idx = range(m) if full else seed.tolist(), index.tolist()
-        checks = [("seed", seeds, n_seeds)] if not full else []
-        for name, got, size in checks + [("target index", idx, n)]:
+        seeds = seed.tolist()
+        for name, got, size in (("seed", seeds, n_seeds), ("target index", index.tolist(), n)):
             if not (0 <= min(got) and max(got) < size):
                 bad = next(x for x in got if not 0 <= x < size)
                 raise IndexError(f"{name} {bad} out of range")
         if not all(map(math.isfinite, value.tolist())):
             raise ValueError("observed value is not finite")
-        if not full and len(set(seeds)) != m:
-            raise ValueError(f"a slot's seeds must be distinct, got {seeds}")
-        ts = [self._t[s] for s in seeds]
-        t0 = ts[0]
-        lockstep = full and ts.count(t0) == m
-        if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
-            cap = self._c.shape[1]
-            grown = _zeros((n_seeds, max(2 * cap, 8), n))
-            grown[:, :cap] = self._a
-            self._a = grown
-            self._c = np.concatenate([self._c, np.zeros((n_seeds, grown.shape[1] - cap))],
-                                     axis=1)
-        # a run of consecutive seeds (every seed of a lockstep DAS round) is a
-        # slice, whose rows are views: a batch of one makes no copy of its rows
-        rows = slice(seeds[0], seeds[0] + m) if full or seeds == list(
-            range(seeds[0], seeds[0] + m)) else seed
+        # a run of consecutive seeds (every seed of a DAS round) is a slice,
+        # whose rows are views: a batch of one makes no copy of its rows
+        at = slice(seeds[0], seeds[0] + m) if seeds[-1] - seeds[0] == m - 1 else seed
+        ends = [m]
+        if seeds != sorted(set(seeds)):  # slot j: each seed's j-th upload, in seed order
+            by_seed = np.argsort(seed, kind="stable")
+            rank = np.empty(m, dtype=int)
+            rank[by_seed] = np.arange(m) - np.searchsorted(seed[by_seed], seed[by_seed])
+            order = np.lexsort((seed, rank))
+            seed, index, value = seed[order], index[order], value[order]
+            seeds, ends, at = seed.tolist(), np.cumsum(np.bincount(rank)).tolist(), seed
         if self._prior is not None:
             k_rows = self._prior[seed, index]
         else:  # targets are validated: skip gram's checks
-            k_rows = _sq_exp(self._coords[:, rows] - self._coords[:, seed, index, None],
+            k_rows = _sq_exp(self._coords[:, at] - self._coords[:, seed, index, None],
                              self.params)
+        failed = {}
+        if len(ends) == 1:
+            self._slot(seed, index, value, k_rows, failed)
+        else:
+            for a, b in zip([0, *ends], ends):  # a failed seed takes none of its later uploads
+                take = slice(a, b) if not failed else np.array(
+                    [r for r, s in enumerate(seeds[a:b], start=a) if s not in failed], int)
+                if seed[take].size:
+                    self._slot(seed[take], index[take], value[take], k_rows[take], failed)
+        if one and failed:
+            raise ValueError(failed.popitem()[1])
+        return None if one else failed
+
+    def _slot(self, seed, index, value, k_rows, failed: dict) -> None:
+        """One upload each of ascending distinct seeds; those no jitter saves go to ``failed``."""
+        n = self._mean.shape[1]
+        seeds, idx = seed.tolist(), index.tolist()
+        ts = [self._t[s] for s in seeds]
+        m = len(seeds)
+        if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
+            cap, n_seeds = self._c.shape[1], len(self._t)
+            grown = _zeros((n_seeds, max(2 * cap, 8), n))
+            grown[:, :cap] = self._a
+            self._a = grown
+            self._c = np.concatenate([self._c, np.zeros((n_seeds, grown.shape[1] - cap))], 1)
+        rows = slice(seeds[0], seeds[0] + m) if seeds[-1] - seeds[0] == m - 1 else seed
+        lockstep = isinstance(rows, slice) and ts.count(ts[0]) == m  # the slot is one run
+        # each maximal run of consecutive seeds at one row count
+        runs = [0, m] if lockstep else [0, *[r for r in range(1, m) if seeds[r] - seeds[r - 1] != 1
+                                             or ts[r] != ts[r - 1]], m]
         prod = np.empty((m, n))
-        if lockstep:
-            # one stacked product: each seed's column gathered at the stride
-            # n > 1 gives the one-seed call's own column view (contiguous, as
-            # that view is, at n = 1); a contiguous copy differs in the last bits
-            a = self._a[:, :t0]
-            lvec = np.empty((m, t0)) if n == 1 else np.empty((m, t0, 2))[..., 0]
-            lvec[...] = a[seed, :, index]
-            np.matmul(lvec[:, None], a, out=prod[:, None])
-            lc = np.matmul(lvec[:, None], self._c[:, :t0, None])[:, 0, 0]
-        else:  # each seed's t-row products on its own
-            lc = np.empty(m)
-            for r, (s, i, t) in enumerate(zip(seeds, idx, ts)):
-                a = self._a[s, :t]
-                lvec = a[:, i]
-                np.matmul(lvec, a, out=prod[r])
-                lc[r] = lvec @ self._c[s, :t]
+        lc = np.empty(m)
+        for a, b in zip(runs, runs[1:]):
+            s, t = seeds[a], ts[a]
+            f = self._a[s : s + b - a, :t]
+            if b - a == 1:  # one seed's t-row products on their own
+                lvec = f[0, :, idx[a]]
+                np.matmul(lvec, f[0], out=prod[a])
+                lc[a] = lvec @ self._c[s, :t]
+            else:
+                # one stacked product: each seed's column gathered at the
+                # stride n > 1 gives the one-seed call's own column view
+                # (contiguous, as that view is, at n = 1); a contiguous copy
+                # differs in the last bits
+                lvec = np.empty((b - a, t)) if n == 1 else np.empty((b - a, t, 2))[..., 0]
+                lvec[...] = self._a[seed[a:b], :t, index[a:b]]
+                np.matmul(lvec[:, None], f, out=prod[a:b, None])
+                lc[a:b] = np.matmul(lvec[:, None], self._c[s : s + b - a, :t, None])[:, 0, 0]
         resid = np.subtract(k_rows, prod, out=prod)
         pivot = self._variance[seed, index] + self.noise_variance
         d = np.sqrt(pivot)
-        row = np.divide(resid, d[:, None], out=self._a[:, t0] if lockstep else None)
+        # one run's new factor rows are written in place
+        row = np.divide(resid, d[:, None], out=self._a[rows, ts[0]] if lockstep else None)
         old = self._variance[rows]
         variance = np.multiply(row, row)
         np.subtract(old, variance, out=variance)
-        failed = {}
         low = variance.min(axis=1).tolist()
         for r in [r for r, x in enumerate(low) if x < VARIANCE_CLAMP]:
             for jitter in _PIVOT_JITTER[1:]:  # this seed alone, up the ladder
@@ -387,7 +410,7 @@ class IncrementalConditioner:
             keep = np.array([s not in failed for s in seeds])
             seed = rows = seed[keep]
             t, row, variance, c = t[keep], row[keep], variance[keep], c[keep]
-        if not lockstep:  # else the rows are in place
+        if not lockstep:
             self._a[seed, t] = row
         self._c[seed, t] = c
         for s in seed.tolist():
@@ -397,9 +420,6 @@ class IncrementalConditioner:
             np.maximum(variance, 0.0, out=old)
         else:
             self._variance[rows] = np.maximum(variance, 0.0, out=variance)
-        if one and failed:
-            raise ValueError(failed.popitem()[1])
-        return None if one else failed
 
     def residual_variance(self, weights, candidates, unit: bool = False) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
@@ -454,9 +474,12 @@ class IncrementalConditioner:
                 w = np.atleast_2d(w)
             if w.ndim == 2:  # one set for every seed
                 w = w[None].repeat(n_seeds, axis=0)
-            if self._prior is None:
+            if self._prior is None:  # in row blocks, so the build holds about one prior
                 c = self._coords
-                self._prior = _sq_exp(c[..., :, None] - c[..., None, :], self.params)
+                self._prior = np.empty((n_seeds, n, n))
+                for r in range(0, n, 128):
+                    self._prior[:, r : r + 128] = _sq_exp(
+                        c[..., r : r + 128, None] - c[..., None, :], self.params)
             s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
             own = np.einsum("...ij,...ij->...i", w, s)[..., None]
         # flat positions of each seed's candidates in each of its rows

@@ -23,6 +23,7 @@ from fieldsense.aloha import (
     sse_lower_bound,
 )
 from fieldsense.das import DasState, estimate, run_das, run_das_batches, select_max_variance
+from fieldsense.experiments import _map_in_shares
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
@@ -94,21 +95,28 @@ def aloha_mean_curves(mode, B, Q, seeds, rounds=40, L=200, sigma_sq=0.1, mu=0.5)
 class CurveStore:
     """Criteria 7-10's ALOHA curves: one 40-round :class:`AlohaCurves` per
     (mode, B, Q) over seeds 1..n, played once and extended to more seeds on
-    demand.  A request is a cut of it by seeds; a caller cuts rounds itself.
-    Both cuts are exact: seeds by the seed-batch partition property, rounds
-    by tests/test_experiments.py's test_rounds_only_bound_the_round_loop."""
+    demand.  A request names its cells and a seed count and gets a cut of
+    each by seeds; a caller cuts rounds itself.  The seeds a request lacks
+    are played cell by cell, the cells dealt out between this process and
+    forked children by ``experiments._map_in_shares``, and their columns
+    read back here.  Both cuts are exact: seeds by the seed-batch partition
+    property, rounds by tests/test_experiments.py's
+    test_rounds_only_bound_the_round_loop."""
 
     def __init__(self):
         self._curves = {}
 
-    def __call__(self, mode, B, Q, n_seeds) -> AlohaCurves:
-        have = self._curves.get((mode, B, Q))
-        done = 0 if have is None else have.sse.shape[0]
-        if done < n_seeds:
-            more = aloha_mean_curves(mode, B, Q, range(done + 1, n_seeds + 1))
-            have = more if have is None else AlohaCurves(*map(np.concatenate, zip(have, more)))
-            self._curves[(mode, B, Q)] = have
-        return AlohaCurves(*(a[:n_seeds] for a in have))
+    def __call__(self, cells, n_seeds) -> list[AlohaCurves]:
+        done = {cell: 0 if cell not in self._curves else self._curves[cell].sse.shape[0]
+                for cell in cells}
+        missing = [cell for cell in cells if done[cell] < n_seeds]
+        played = _map_in_shares(lambda cell: tuple(aloha_mean_curves(
+            *cell, range(done[cell] + 1, n_seeds + 1))), missing)
+        for cell, more in zip(missing, played):
+            have = self._curves.get(cell)
+            self._curves[cell] = AlohaCurves(*more) if have is None else AlohaCurves(
+                *map(np.concatenate, zip(have, more)))
+        return [AlohaCurves(*(a[:n_seeds] for a in self._curves[cell])) for cell in cells]
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +151,7 @@ def test_curves_match_each_seeds_own_run(mode):
     want = own_run_curves(mode, 3, 10, range(1, 46))
     store = CurveStore()
     for n_seeds in (30, 45):
-        got = store(mode, 3, 10, n_seeds)
+        (got,) = store([(mode, 3, 10)], n_seeds)
         for name, g, w in zip(AlohaCurves._fields, got, want):
             np.testing.assert_array_equal(g, w[:n_seeds], err_msg=name)
 
@@ -299,8 +307,8 @@ def test_criterion_07_modified_vs_conventional_sse(aloha_curves):
     # test_conventional_sse_approaches_bound_late); at round 40 its excess
     # squared error of the mean is still about the size of the noise.
     n_seeds = 1000
-    conv = aloha_curves("conventional", 3, 10, n_seeds)
-    mod = aloha_curves("modified", 3, 10, n_seeds).sse
+    conv, mod = aloha_curves([("conventional", 3, 10), ("modified", 3, 10)], n_seeds)
+    mod = mod.sse
     bound = sse_lower_bound(0.1, 10, 3)
     late = slice(29, 40)
     conv_late = float(conv.sse.mean(0)[late].mean())
@@ -331,10 +339,12 @@ def test_criterion_08_sse_non_increasing_in_channels(aloha_curves):
     n_seeds = 300
     ok = True
     lines = []
+    cells = [(mode, B, 10) for mode in ("conventional", "modified") for B in (1, 2, 3, 4, 5)]
+    curves = iter(aloha_curves(cells, n_seeds))
     for mode in ("conventional", "modified"):
         finals = []
         for B in (1, 2, 3, 4, 5):
-            sses = aloha_curves(mode, B, 10, n_seeds).sse
+            sses = next(curves).sse
             finals.append((sses[:, 39].mean(), sses[:, 39].std(ddof=0) / math.sqrt(n_seeds)))
         for (m_lo, se_lo), (m_hi, se_hi) in zip(finals, finals[1:]):
             if m_hi > m_lo + math.hypot(se_lo, se_hi):
@@ -351,11 +361,11 @@ def test_criterion_09_sse_non_decreasing_in_candidates(aloha_curves):
     q_values = (4, 6, 8, 10, 12)
     means = {}
     ses = {}
-    for mode in ("conventional", "modified"):
-        for q in q_values:
-            sses = aloha_curves(mode, 4, q, n_seeds).sse
-            means[(mode, q)] = sses[:, 39].mean()
-            ses[(mode, q)] = sses[:, 39].std(ddof=0) / math.sqrt(n_seeds)
+    cells = [(mode, 4, q) for mode in ("conventional", "modified") for q in q_values]
+    for (mode, _, q), curves in zip(cells, aloha_curves(cells, n_seeds)):
+        sses = curves.sse
+        means[(mode, q)] = sses[:, 39].mean()
+        ses[(mode, q)] = sses[:, 39].std(ddof=0) / math.sqrt(n_seeds)
     ok = True
     for mode in ("conventional", "modified"):
         for q_lo, q_hi in zip(q_values, q_values[1:]):
@@ -377,7 +387,7 @@ def test_criterion_10_dual_ascent_regulation(aloha_curves):
     # Modified mode with the Fig.-6-style parameters: early rounds have
     # persistent prediction error, so the mean active count over rounds 5-15
     # must sit within 1.5 of B, averaged over 200 seeds.
-    ks = aloha_curves("modified", 3, 10, 200).active  # rounds 1-15 of 40-round runs
+    ks = aloha_curves([("modified", 3, 10)], 200)[0].active  # rounds 1-15 of 40-round runs
     mean_k = float(ks[:, 4:15].mean())
     check(10, abs(mean_k - 3) < 1.5, f"mean K over rounds 5-15 = {mean_k:.2f} (B = 3)")
 

@@ -96,24 +96,32 @@ def by_seed(batch_rounds):
 
 
 def poisoning_observe(locations, at):
-    """IncrementalConditioner.observe that, on the ``at``-th observation of
-    the field at ``locations`` by each conditioner, first zeroes that field's
-    variance at the observed target, so the real update fails for that field
-    alone.  Like observe, it takes one observation, a slot of them or, with
-    ``seed`` omitted, a full slot: one observation of every seed, in order."""
+    """IncrementalConditioner.observe that, on the ``at``-th upload of the
+    field at ``locations`` to each conditioner, counted in call order, first
+    zeroes that field's variance at the uploaded target, so the real update
+    fails for that field alone.  A call holding uploads before that one
+    applies them first, in a call of their own, so the zeroed variance meets
+    that upload and no earlier one.  Like observe, it takes one upload, a
+    sequence of them or, with ``seed`` omitted, one upload of every seed."""
     real = fieldsense.gp.IncrementalConditioner.observe
-    calls = {}  # id -> [conditioner, observations]; holding it keeps its id unused
+    calls = {}  # id -> [conditioner, uploads]; holding it keeps its id unused
 
     def observe(self, index, value, seed=None):
         locs = self.target_locations
-        seeds = range(len(self._t)) if seed is None else np.atleast_1d(seed).tolist()
-        for i, s in zip(np.atleast_1d(index).tolist(), seeds):
+        seeds = np.arange(len(self._t)) if seed is None else np.atleast_1d(seed)
+        idx, vals = np.atleast_1d(index), np.atleast_1d(value)
+        for u, (i, s) in enumerate(zip(idx.tolist(), seeds.tolist())):
             field = locs[s] if locs.ndim == 3 else locs
             if np.array_equal(field, locations):
                 count = calls.setdefault(id(self), [self, 0])
                 count[1] += 1
-                if count[1] == at:
+                if count[1] == at:  # the uploads before this one first, then the poison
+                    head = real(self, idx[:u], vals[:u], seeds[:u]) if u else {}
                     self.variance.reshape(-1, self.variance.shape[-1])[s, i] = 0.0
+                    if not u:  # the call as made, so scalars still raise
+                        return real(self, index, value, seed)
+                    rest = [r for r in range(u, seeds.size) if seeds[r] not in head]
+                    return {**head, **real(self, idx[rest], vals[rest], seeds[rest])}
         return real(self, index, value, seed)
 
     return observe

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky
 
 import fieldsense.gp
-from fieldsense.das import DasState, run_das
+from fieldsense.das import DasState, run_das, run_das_batches
 from fieldsense.fields import SensorField, gen_2d
 from fieldsense.gp import (
     VARIANCE_CLAMP,
@@ -594,7 +594,6 @@ class TestSeedAxis:
     def test_slot_rejects_bad_input_and_changes_nothing(self):
         batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
         for args, err, match in [
-            (([1, 2], [0.5, 0.5], [0, 0]), ValueError, "distinct"),
             (([1, 2], [0.5], [0, 1]), ValueError, "one target and value per seed"),
             (([1, 2, 3], [0.5, 0.5, 0.5], [0, 3, 1]), IndexError, "seed 3"),
             (([1, 4], [0.5, 0.5], [0, 1]), IndexError, "target index 4"),
@@ -625,16 +624,29 @@ class TestSeedAxis:
 
 
 class TestFullSlot:
-    """A full slot, one observation of every seed in seed order (``seed``
-    omitted), runs every seed's product in one stacked call and writes the new
-    factor rows in place while the seeds hold equally many rows; it holds
-    exactly what the same slot, seed by seed, holds."""
+    """One observe call takes every upload its caller has: a full slot, one
+    upload of every seed in seed order (``seed`` omitted), or seeds in any
+    order, repeated or not.  Each run of consecutive seeds holding equally
+    many rows takes one stacked product; the call holds exactly what the
+    same uploads, one at a time, hold."""
 
     @staticmethod
     def assert_same(got, want):
         for arr in ("_a", "_c", "_mean", "_variance"):
             np.testing.assert_array_equal(getattr(got, arr), getattr(want, arr))
         assert got.n_observations == want.n_observations
+
+    @staticmethod
+    def assert_singles(batch, singles):
+        """Every seed of ``batch`` holds its own conditioner's factor rows and
+        posterior, and its rows past them are zero."""
+        TestSeedAxis.assert_seeds_match(batch, singles)
+        for s, single in enumerate(singles):
+            t = single.n_observations
+            np.testing.assert_array_equal(batch._a[s, :t], single._a[0, :t])
+            np.testing.assert_array_equal(batch._c[s, :t], single._c[0, :t])
+            np.testing.assert_array_equal(batch._a[s, t:], 0.0)
+            np.testing.assert_array_equal(batch._c[s, t:], 0.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
@@ -649,12 +661,13 @@ class TestFullSlot:
                 idx = rng.integers(n, size=n_seeds)
                 vals = rng.normal(size=n_seeds)
                 assert stacked.observe(idx, vals) == {}
-                assert looped.observe(idx, vals, list(range(n_seeds))) == {}
+                for s in range(n_seeds):  # one call a seed: the per-seed loop
+                    assert looped.observe(idx[s:s + 1], vals[s:s + 1], [s]) == {}
                 self.assert_same(stacked, looped)
 
     def test_failing_seed_keeps_a_zero_row(self):
-        # seed 2's update fails at every rung mid-slot: its factor row, written
-        # in place with the others', is zeroed again and it is left unchanged
+        # seed 2's update fails at every rung mid-slot: its factor row stays
+        # zero and it is left unchanged
         rng = np.random.default_rng(110)
         locs = rng.uniform(0, 5, size=(4, 20, 1))
         stacked = IncrementalConditioner(locs, UNIT, 0.1, capacity=5)
@@ -666,18 +679,111 @@ class TestFullSlot:
             cond.variance[2, 9] = 0.0  # an understated variance overshoots any update
         vals = rng.normal(size=4)
         failed = stacked.observe(np.full(4, 9), vals)
-        assert failed == looped.observe(np.full(4, 9), vals, [0, 1, 2, 3])
+        want = {}
+        for s in range(4):  # one call a seed: the per-seed loop
+            want.update(looped.observe([9], vals[s:s + 1], [s]))
+        assert failed == want
         assert list(failed) == [2] and "below round-off" in failed[2]
         self.assert_same(stacked, looped)
         np.testing.assert_array_equal(stacked._a[2, 3], 0.0)
         assert stacked._c[2, 3] == 0.0 and stacked.n_observations == (4, 4, 3, 4)
         for arr in ("_a", "_c", "_mean"):
             np.testing.assert_array_equal(getattr(stacked, arr)[2], getattr(before, arr)[2])
-        # the next full slot holds ragged counts: the seed loop takes it
+        # the next full slot holds ragged counts: seeds 0 and 1 stack, 2 and 3 loop
         vals = rng.normal(size=4)
         stacked.observe(np.full(4, 11), vals)
-        looped.observe(np.full(4, 11), vals, [0, 1, 2, 3])
+        for s in range(4):
+            looped.observe([11], vals[s:s + 1], [s])
         self.assert_same(stacked, looped)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_repeated_seeds_match_one_scalar_call_at_a_time(self, n, d):
+        # calls of 1 to 3S uploads, seeds drawn with repeats in any order, up to
+        # 40 rows a seed, factors sized short so they grow; from the fourth
+        # call on, the batch's kernel rows come from its prior
+        rng = np.random.default_rng(150 + n + d)
+        for n_seeds in (1, 3, 10):
+            locs = rng.uniform(0, 5, size=(n_seeds, n, d))
+            batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=3)
+            singles = [IncrementalConditioner(f, UNIT, 0.05, capacity=3) for f in locs]
+            for call in range(8):
+                if call == 3:
+                    batch.residual_variance(np.ones((1, n)), np.tile(np.arange(n), (n_seeds, 1)))
+                room = [40 - t for t in batch.n_observations]
+                seeds = rng.choice(np.repeat(np.arange(n_seeds), room),
+                                   size=min(int(rng.integers(1, 3 * n_seeds + 1)), sum(room)),
+                                   replace=False)
+                idx, vals = rng.integers(n, size=seeds.size), rng.normal(size=seeds.size)
+                assert batch.observe(idx, vals, seeds) == {}
+                for s, i, v in zip(seeds.tolist(), idx.tolist(), vals.tolist()):
+                    singles[s].observe(i, v)
+                self.assert_singles(batch, singles)
+            assert batch._prior is not None
+
+    def test_failing_seed_takes_none_of_its_later_uploads(self):
+        # seed 2's first upload of the call applies and its second fails at
+        # every rung; like its own run, which raises there, it takes none of
+        # its later uploads, while seeds 0, 1 and 3 apply all of theirs
+        rng = np.random.default_rng(160)
+        locs = rng.uniform(0, 5, size=(4, 20, 1))
+        batch = IncrementalConditioner(locs, UNIT, 0.1)
+        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        for s in range(4):
+            batch.observe(0, 0.3, s)
+            singles[s].observe(0, 0.3)
+        seeds = [2, 1, 0, 3, 2, 1, 3, 2, 0]
+        idx = [5, 6, 7, 8, 9, 10, 11, 12, 13]
+        vals = rng.normal(size=9).tolist()
+        probe = copy.deepcopy(singles[2])
+        probe.observe(5, vals[0])
+        drop = singles[2].variance - probe.variance  # row * row of seed 2's first upload
+        # target 9 left just inside the bounds after it: the next update overshoots
+        batch.variance[2, 9] = singles[2].variance[9] = drop[9] + 1e-3
+        failed = batch.observe(idx, vals, seeds)
+        singles[2].observe(5, vals[0])
+        with pytest.raises(ValueError, match="below round-off") as want:
+            singles[2].observe(9, vals[4])
+        assert failed == {2: str(want.value)}
+        for s, i, v in zip(seeds, idx, vals):
+            if s != 2:
+                singles[s].observe(i, v)
+        self.assert_singles(batch, singles)
+        assert batch.n_observations == (3, 3, 2, 3)
+
+    def test_das_batch_stacks_each_run_of_live_seeds(self, monkeypatch):
+        # a DAS batch of 6 seeds loses its third (seed 3) on its third upload;
+        # every later round observes seeds 0-1 and 3-5, two runs at one row
+        # count, so no product takes the per-seed loop, whose 1-D operand the
+        # spy on gp's matmul would see
+        from test_das import by_seed, poisoning_observe
+
+        class Spy:
+            def __init__(self):
+                self.ndims = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, **kwargs):
+                self.ndims.append(np.ndim(a))
+                return np.matmul(a, b, **kwargs)
+
+        make = lambda rng: gen_2d(40, 0.1, rng)  # noqa: E731
+        clean = by_seed(run_das_batches([1, 2, 4, 5, 6], make, "max-variance", 12, UNIT))
+        spy = Spy()
+        monkeypatch.setattr(fieldsense.gp, "np", spy)
+        monkeypatch.setattr(IncrementalConditioner, "observe",
+                            poisoning_observe(make(np.random.default_rng(3)).locations, at=3))
+        stream = list(run_das_batches(range(1, 7), make, "max-variance", 12, UNIT))
+        monkeypatch.undo()
+        assert [(t, list(failed)) for _, _, t, _, failed in stream if failed] == [(3, [2])]
+        assert spy.ndims and set(spy.ndims) == {3}
+        runs = by_seed(stream)
+        assert isinstance(runs.pop(3)[1], ValueError)
+        for seed, (_, logs) in clean.items():
+            assert [(l.selected, l.mse) for l in runs[seed][1]] == [
+                (l.selected, l.mse) for l in logs]
 
     def test_one_field_scalar_is_its_full_slot(self):
         rng = np.random.default_rng(120)
