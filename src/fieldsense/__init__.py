@@ -19,16 +19,6 @@ from .aloha import (
     sse_lower_bound,
     upload_probabilities,
 )
-from .apps import (
-    LinearApplication,
-    application_mse,
-    application_output,
-    build_candidate_set,
-    estimate_covariance,
-    select_max_value_app,
-    select_weighted_sum,
-    uniform_mean_application,
-)
 from .das import (
     DasRound,
     DasState,
@@ -39,6 +29,7 @@ from .das import (
     select_max_variance,
     select_random,
     select_virtual_target,
+    select_weighted_sum,
 )
 from .experiments import (
     PRESETS,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .das import DasState, _in_flight, play_seed_batches
+from .das import _in_flight, play_seed_batches
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams
 
@@ -247,14 +247,6 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
                            _grouped(n_seeds, who, sensors), sse, psi_used, k.tolist()), failed
 
 
-def _padded(rows, width: int) -> np.ndarray:
-    """Per-seed candidate lists as one (S, width) array, shorter rows padded with 0."""
-    out = np.zeros((len(rows), width), dtype=int)
-    for dst, src in zip(out, rows):
-        dst[: len(src)] = src
-    return out
-
-
 def _drawn(mask, q: int, rngs, ended) -> tuple[np.ndarray, list[int]]:
     """Each seed's candidates: a uniform random subset of at most ``q`` of its
     sensors still waiting (all of them once fewer remain), drawn from its
@@ -312,22 +304,19 @@ def run_aloha(
     rounds: int,
     params: KernelParams,
     rng: np.random.Generator,
-    candidate_policy=None,
 ) -> list[AlohaRound]:
     """Simulate ``rounds`` contention rounds on one field.
 
-    Candidates default to a uniform random subset of size Q from the sensors
-    that have not uploaded yet (all of them once fewer than Q remain); a
-    callable ``(field, state, rng) -> index list`` overrides that, and a list
-    that repeats a sensor or names one not waiting raises ``ValueError``.
-    Once the pool is exhausted, rounds proceed with empty candidate sets and
-    zero SSE.
+    Each round's candidates are a uniform random subset of size Q of the
+    sensors that have not uploaded yet, drawn from ``rng`` (all of them once
+    fewer than Q remain).  Once the pool is exhausted, rounds proceed with
+    empty candidate sets and zero SSE.
     One conditioner over the sensors carries the predictions across rounds.
     This runs the round loop of :func:`run_aloha_batches` on a batch of one
     seed.
     """
     logs = []
-    for rnd, failed in _play([field], [rng], cfg, rounds, params, candidate_policy):
+    for rnd, failed in _play([field], [rng], cfg, rounds, params):
         if failed:
             raise ValueError(failed[0])
         logs += rnd.logs()
@@ -365,10 +354,11 @@ def _capacity(field: SensorField, cfg: AlohaConfig, rounds: int) -> int:
     return min(field.n_sensors, rounds * cfg.channels)
 
 
-def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
-          candidate_policy=None):
+def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams):
     """Play ``rounds`` rounds on each field with its generator, all fields at once.
 
+    Each round, every seed draws its candidates from its own generator
+    (:func:`_drawn`) and the batch contends in one :func:`_play_round`.
     After each round, yields the batch's :class:`AlohaBatchRound` and the
     fields (rows) whose run failed in that round, with messages.  A failed
     row draws and observes nothing afterwards, with no candidates; the
@@ -385,32 +375,9 @@ def _play(fields, rngs, cfg: AlohaConfig, rounds: int, params: KernelParams,
     meas = np.stack([f.measurements for f in fields])
     mask = np.zeros(meas.shape, dtype=bool)  # the one record of the uploads
     psi = np.full(len(fields), float(cfg.psi0))
-    # a candidate policy reads each seed's uploads as a DasState
-    states = [DasState.fresh(first.n_sensors) for _ in fields] if candidate_policy else None
     ended: set[int] = set()
     for _ in range(rounds):
-        if states:
-            lists = [[] if s in ended else _checked(candidate_policy(fields[s], states[s], rng),
-                                                    mask[s]) for s, rng in enumerate(rngs)]
-            lens = [len(c) for c in lists]
-            cand = _padded(lists, max(lens))
-        else:
-            cand, lens = _drawn(mask, cfg.candidates, rngs, ended)
+        cand, lens = _drawn(mask, cfg.candidates, rngs, ended)
         rnd, failed = _play_round(cand, lens, meas, mask, psi, cfg, cond, rngs)
         ended.update(failed)
-        if states:
-            for s, succ in enumerate(rnd.successes):
-                if s not in ended:
-                    states[s] = states[s].with_uploads(succ, meas[s, succ])
         yield rnd, failed
-
-
-def _checked(candidates, mask) -> list[int]:
-    """A candidate policy's list, as ints, checked against one seed's upload ``mask``."""
-    cands = [int(c) for c in candidates]
-    if len(set(cands)) != len(cands):
-        raise ValueError(f"duplicate candidates: {cands}")
-    for c in cands:
-        if not 0 <= c < mask.size or mask[c]:
-            raise ValueError(f"candidate {c} is not a remaining sensor")
-    return cands

@@ -2,18 +2,20 @@
 the reconstruction of the whole field improves as fast as possible.
 
 The round loop plays a batch of seeds in lockstep on one conditioner with a
-seed axis; a run of one field is the batch of one.  Its round state is one
-array record of the batch's uploads (a mask of the sensors still waiting,
-the upload order and the measured values), and it indexes the conditioner
-with the flat positions of each seed's sensors still missing, ascending.  The field estimate copies
-uploaded measurements verbatim and fills the rest with GP posterior means;
-its MSE is the sum of the posterior variances of the sensors still missing.
-Selection policies pick the largest current variance (which minimizes
-next-round MSE in Lemma 1's sense: the current variances minus the picked
-sensor's own term), pick by uniform chance, or minimize the variance left at
-virtual target locations or in application outputs.  All of them score
-every candidate of every seed at once from the conditioner, by the rank-one
-update the candidate's upload would make to the posterior covariance.
+seed axis; a run of one field is the batch of one.  Its round state is a
+mask of the sensors still waiting, and it indexes the conditioner with the
+flat positions of each seed's sensors still missing, ascending.  The field
+estimate copies uploaded measurements verbatim and fills the rest with GP
+posterior means; its MSE is the sum of the posterior variances of the
+sensors still missing.  Selection policies pick the largest current variance
+(which minimizes next-round MSE in Lemma 1's sense: the current variances
+minus the picked sensor's own term), pick by uniform chance, or minimize the
+variance left at virtual target locations or in application outputs.  An
+application is a linear functional of the field, one weight row over the
+sensors, and the app-weighted policy sums the output MSEs of several with
+positive betas.  All of them score every candidate of every seed at once
+from the conditioner, by the rank-one update the candidate's upload would
+make to the posterior covariance.
 """
 
 import itertools
@@ -220,14 +222,26 @@ def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights,
     return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
 
 
+def _positive_betas(betas) -> np.ndarray:
+    """``betas`` as a flat float array, checked finite and positive."""
+    betas = np.asarray(betas, dtype=float).ravel()
+    if not np.all(np.isfinite(betas) & (betas > 0)):
+        raise ValueError(f"betas must be finite and positive, got {betas.tolist()}")
+    return betas
+
+
 def _app_rows(weights, betas, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
     """Validated application weight rows (a fresh copy) and their betas."""
-    betas = np.asarray(betas, dtype=float).ravel()
+    betas = _positive_betas(betas)
     if len(weights) != betas.shape[0]:
         raise ValueError(f"{len(weights)} applications but {betas.shape[0]} betas")
-    if not np.all(betas > 0):
-        raise ValueError("betas must be positive")
-    return np.array(weights, dtype=float).reshape(len(betas), n_sensors), betas
+    rows = [np.asarray(w, dtype=float).ravel() for w in weights]
+    for i, w in enumerate(rows):
+        if w.size != n_sensors:
+            raise ValueError(f"application {i} has {w.size} weights for {n_sensors} sensors")
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"application {i} has non-finite weights")
+    return np.array(rows).reshape(len(betas), n_sensors), betas
 
 
 def select_max_variance(field: SensorField, state: DasState, params: KernelParams) -> int:
@@ -255,11 +269,17 @@ def select_random(state: DasState, rng: np.random.Generator) -> int:
     return int(rem[int(rng.integers(rem.size))])
 
 
-def _virtual_targets(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual points, and their indices as targets after the sensors."""
-    virtual = as_points(virtual_locs, dim=field.dim)
+def _virtual_points(virtual_locs, dim: int) -> np.ndarray:
+    """The virtual locations as ``dim``-dimensional points; there must be one."""
+    virtual = as_points(virtual_locs, dim=dim)
     if virtual.shape[0] == 0:
         raise ValueError("virtual location set is empty")
+    return virtual
+
+
+def _virtual_targets(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual points, and their indices as targets after the sensors."""
+    virtual = _virtual_points(virtual_locs, field.dim)
     return virtual, np.arange(field.n_sensors, field.n_sensors + virtual.shape[0])
 
 
@@ -282,6 +302,24 @@ def select_virtual_target(
     cond = _conditioner(field, state, params, virtual)
     return int(_min_residual_pick(cond, state.remaining_index[None], targets,
                                   np.ones(targets.size), unit=True)[0])
+
+
+def select_weighted_sum(weights, betas, field: SensorField, state: DasState,
+                        params: KernelParams) -> int:
+    """Candidate minimizing the beta-weighted sum of application output MSEs.
+
+    ``weights`` and ``betas`` are the application rows :func:`run_das` takes.
+    Each output's MSE after a candidate's upload is w'Sigma'w over the
+    sensors still missing, scored for all candidates at once by
+    :meth:`IncrementalConditioner.residual_variance`.
+    """
+    state.check_against(field)
+    weights, betas = _app_rows(weights, betas, field.n_sensors)
+    if not state.remaining_index.size:
+        raise ValueError("no sensors remaining")
+    weights[:, state.mask] = 0.0  # uploaded entries carry no error
+    cond = _conditioner(field, state, params)
+    return int(_min_residual_pick(cond, state.remaining_index[None], weights, betas)[0])
 
 
 @dataclass
@@ -322,12 +360,12 @@ def run_das(
 ) -> list[DasRound]:
     """Run the collection loop for ``rounds`` rounds and log each round.
 
-    ``policy`` is one of ``POLICIES`` or a callable
-    ``(field, state, params, rng) -> sensor index``.  ``apps`` is the pair
-    ``(weights, betas)`` the app-weighted policy needs: one weight row per
-    application over the sensors, and the positive betas that sum their
-    output MSEs.  One incremental conditioner carries the posterior and
-    scores every policy.  This runs the round loop of :func:`run_das_batches`
+    ``policy`` is one of ``POLICIES``.  ``virtual_locs`` are the points the
+    virtual policy scores at.  ``apps`` is the pair ``(weights, betas)`` the
+    app-weighted policy needs: one finite weight row per application over
+    the sensors, and the finite positive betas that sum their output MSEs.
+    One incremental conditioner carries the posterior and scores every
+    policy.  This runs the round loop of :func:`run_das_batches`
     on a batch of one field.
     """
     if policy == "random" and rng is None:
@@ -368,7 +406,7 @@ def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams
     def in_flight(field: SensorField) -> int:
         n = field.n_sensors
         if policy == "virtual" and virtual_locs is not None:
-            k = as_points(virtual_locs, dim=field.dim).shape[0]
+            k = _virtual_points(virtual_locs, field.dim).shape[0]
             return _in_flight(n + k, rounds, k)
         return _in_flight(n, rounds, n if policy == "app-weighted" else 0)
 
@@ -425,18 +463,18 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
 
     One conditioner with a seed axis carries every field's posterior, each
     factor sized to ``rounds`` rows; max-variance and the scored policies
-    pick for the whole batch at once, the random and callable policies seed
-    by seed.  After each round, yields the batch's :class:`DasBatchRound`
-    and the fields (rows) whose run failed in that round, with messages.  A
-    failed row observes nothing afterwards; its picks go on, unlogged, so
-    the rows keep one length of sensors left, and the others play on,
-    unchanged by it.
+    pick for the whole batch at once, the random policy seed by seed from
+    each seed's generator.  After each round, yields the batch's
+    :class:`DasBatchRound` and the fields (rows) whose run failed in that
+    round, with messages.  A failed row observes nothing afterwards; its
+    picks go on, unlogged, so the rows keep one length of sensors left, and
+    the others play on, unchanged by it.
     """
     first = fields[0]
     n = first.n_sensors
     if not 1 <= rounds <= n:
         raise ValueError(f"rounds must be in [1, {n}], got {rounds}")
-    if isinstance(policy, str) and policy not in POLICIES:
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if any(f.n_sensors != n or f.noise_variance != first.noise_variance for f in fields):
         raise ValueError("a seed batch needs fields of one size and noise variance")
@@ -459,12 +497,10 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     meas = np.stack([f.measurements for f in fields])
     # The one record of the uploads: which sensors are still waiting, laid over
     # every target so that its flat positions index the conditioner's (S, n_t)
-    # arrays; the upload order; the measured values.
+    # arrays.
     n_t = targets.shape[1]
     waiting = np.zeros((n_seeds, n_t), dtype=bool)
     waiting[:, :n] = True
-    order = np.zeros((n_seeds, rounds), dtype=int)
-    values = np.zeros((n_seeds, rounds))
     seeds = np.arange(n_seeds)
     offsets = seeds * n_t  # flat position of each row's first target
     flat = np.flatnonzero(waiting).reshape(n_seeds, n)  # each row's sensors still waiting
@@ -476,19 +512,13 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
             picks = _max_variance_pick(var, flat) - offsets
         else:
             rem = flat - offsets[:, None]
-            if callable(policy):
-                picks = np.array([rem[s, 0] if s in ended else _called_pick(
-                    policy, fields[s], params, rngs[s], ~waiting[s, :n], order[s, :t],
-                    values[s, :t]) for s in range(n_seeds)])
-            elif policy == "random":
+            if policy == "random":
                 picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
                                   for s, rng in enumerate(rngs)])
             else:
                 picks = _min_residual_pick(cond, rem, weights, betas, policy == "virtual")
         measured = meas[seeds, picks]
         waiting[seeds, picks] = False
-        order[:, t] = picks
-        values[:, t] = measured
         failed = cond.observe(picks[live], measured[live], live)
         if failed:  # a failed seed's run has ended
             ended.update(failed)
@@ -501,15 +531,3 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
                                     cond.mean.take(flat[s]), var[s])
                      for s in range(n_seeds)] if log_estimates else None
         yield DasBatchRound(t + 1, picks.tolist(), var.sum(axis=1).tolist(), estimates), failed
-
-
-def _called_pick(policy, field: SensorField, params: KernelParams, rng, mask, order,
-                 values) -> int:
-    """A callable policy's pick for one seed, given that seed's row of the
-    upload record (``mask`` a fresh array) as a :class:`DasState`, checked
-    against its uploads."""
-    state = DasState._of(mask, order.copy(), values.copy(), order.size)
-    idx = int(policy(field, state, params, rng))
-    if not 0 <= idx < state.n_sensors or state.mask[idx]:
-        raise ValueError(f"sensor {idx} is not awaiting upload")
-    return idx

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import aloha as aloha_mod
 from . import das as das_mod
-from .apps import LinearApplication, uniform_mean_application
 from .fields import FieldSpec, load_csv
 from .gp import KernelParams
 from .records import (  # noqa: F401 - the records' own names are this module's too
@@ -180,6 +179,13 @@ class ExperimentConfig:
             )
         for spec in self.app_specs:
             _app_index(spec)
+        try:
+            das_mod._positive_betas(self.betas)
+            domain = self.field_spec.domain  # None for a CSV field: its file sets the dimension
+            if self.virtual is not None and domain is not None:
+                das_mod._virtual_points(self.virtual, len(domain))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def kernel_params(self) -> KernelParams:
@@ -328,19 +334,21 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 # running
 
 
-def _build_apps(config: ExperimentConfig, n_sensors: int) -> list[LinearApplication]:
-    apps = []
+def _build_apps(config: ExperimentConfig, n_sensors: int) -> list[np.ndarray]:
+    """One weight row over the sensors per app spec: 1/L everywhere for the
+    field mean, a unit entry for ``e:<index>``."""
+    rows = []
     for spec in config.app_specs:
         idx = _app_index(spec)
         if idx is None:
-            apps.append(uniform_mean_application(n_sensors))
+            rows.append(np.full(n_sensors, 1.0 / n_sensors))
         elif not 0 <= idx < n_sensors:
             raise ConfigError(f"app {spec!r} names no sensor of the L = {n_sensors} field")
         else:
             w = np.zeros(n_sensors)
             w[idx] = 1.0
-            apps.append(LinearApplication(w, spec))
-    return apps
+            rows.append(w)
+    return rows
 
 
 def check_app_indices(config: ExperimentConfig):
@@ -402,7 +410,7 @@ def _run_cell(config: ExperimentConfig, make_field, n_sensors: int, cell) -> tup
         holdout = config.experiment == "das-csv"
         metrics, row = (f"mse.{cell}", f"holdout-mse.{cell}")[:1 + holdout], _das_row
         try:
-            apps = (([app.weights for app in _build_apps(config, n_sensors)], config.betas)
+            apps = ((_build_apps(config, n_sensors), config.betas)
                     if cell == "app-weighted" else None)
         except ConfigError as exc:  # an app names no sensor: every seed fails alike
             runs, failed = (), dict.fromkeys(config.seeds, str(exc))

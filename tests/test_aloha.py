@@ -22,7 +22,6 @@ from fieldsense.aloha import (
     sse_lower_bound,
     upload_probabilities,
     _alone,
-    _padded,
     _play_round,
 )
 from fieldsense.das import DasState
@@ -59,9 +58,13 @@ def fresh_batch(fields, uploaded=()):
 
 
 def play_round(cands, meas, mask, psi, cfg, cond, rngs):
-    """The batch round on each seed's candidate list, padded as the round loop pads them."""
+    """The batch round on each seed's candidate list, the lists as the rows of
+    one array, shorter rows padded with sensor 0."""
     lens = [len(c) for c in cands]
-    return _play_round(_padded(cands, max(lens)), lens, meas, mask, psi, cfg, cond, rngs)
+    padded = np.zeros((len(cands), max(lens)), dtype=int)
+    for row, c in zip(padded, cands):
+        row[: len(c)] = c
+    return _play_round(padded, lens, meas, mask, psi, cfg, cond, rngs)
 
 
 def one_round(field, cands, cfg, rng, uploaded=(), psi=0.0):
@@ -329,20 +332,6 @@ class TestSimulateRound:
             assert np.sum(log.probabilities) <= cfg.candidates + 1e-12
             assert log.sse >= 0.0
 
-    def test_rejects_bad_candidates(self):
-        # a candidate policy's list is checked where it enters the round loop
-        field = make_field([0.0, 1.0])
-        cfg = AlohaConfig(channels=1, candidates=1, mode="conventional")
-        for bad, match in (([1, 1], "duplicate"), ([2], "not a remaining"),
-                           ([-1], "not a remaining")):
-            with pytest.raises(ValueError, match=match):
-                run_aloha(field, cfg, 1, UNIT, np.random.default_rng(0),
-                          candidate_policy=lambda f, s, r, bad=bad: bad)
-        # one candidate on one channel uploads for sure, then is offered again
-        with pytest.raises(ValueError, match="candidate 0 is not a remaining sensor"):
-            run_aloha(field, cfg, 2, UNIT, np.random.default_rng(0),
-                      candidate_policy=lambda f, s, r: [0])
-
     def test_conventional_leaves_dual_untouched(self):
         field = make_field(np.linspace(0, 9, 10), noise=0.1)
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
@@ -413,16 +402,6 @@ class TestRunAloha:
 
         assert total_active(0.8) < total_active(0.0)
 
-    def test_custom_candidate_policy(self):
-        rng = np.random.default_rng(15)
-        field = gen_random_sinusoid(20, 10, 0.1, rng)
-        cfg = AlohaConfig(channels=2, candidates=4, mode="conventional")
-        logs = run_aloha(
-            field, cfg, 3, UNIT, rng,
-            candidate_policy=lambda f, s, r: sorted(s.remaining)[:4],
-        )
-        assert logs[0].candidates == [0, 1, 2, 3]
-
 
 class TestRunAlohaMatchesOracle:
     """One conditioner carried across rounds predicts what a from-scratch
@@ -482,43 +461,33 @@ class TestRunAlohaProperties:
     def test_run_invariants(self, seed, L, B, Q, p_sleep, mode, rounds):
         cfg = AlohaConfig(channels=B, candidates=Q, p_sleep=p_sleep, mode=mode)
 
-        def play(loop, **kwargs):
+        def play(loop):
             rng = np.random.default_rng(seed)
             field = gen_random_sinusoid(L, 10, 0.1, rng)
-            return loop(field, cfg, rounds, UNIT, rng, **kwargs)
-
-        states = []
-
-        def default_draw(field, state, rng):
-            """run_aloha's own candidate draw, recording the state it is given."""
-            states.append(state)
-            rem = state.remaining_index
-            if not rem.size:
-                return []
-            return sorted(int(i) for i in rng.choice(rem, size=min(Q, rem.size),
-                                                     replace=False))
+            return loop(field, cfg, rounds, UNIT, rng)
 
         logs = play(run_aloha)
-        recorded = play(run_aloha, candidate_policy=default_draw)
         want = play(oracle.run_aloha)
-        uploaded: list[int] = []
-        for r, (log, again, ref, state) in enumerate(
-                zip(logs, recorded, want, states, strict=True)):
-            assert state.round == r
-            assert state.uploaded == tuple(uploaded)  # the concatenated successes
+        uploaded: list[int] = []  # the successes of the rounds so far, concatenated
+        for log, ref in zip(logs, want, strict=True):
+            waiting = L - len(uploaded)
+            # only waiting sensors contend: Q of them, and once no more than Q
+            # remain, every sensor the successes so far leave
+            assert len(set(log.candidates)) == len(log.candidates) == min(Q, waiting)
+            assert not set(log.candidates) & set(uploaded)
+            if waiting <= Q:
+                assert set(log.candidates) == set(range(L)) - set(uploaded)
             assert set(log.successes) <= set(log.candidates)
-            assert not set(log.successes) & set(uploaded)  # nobody succeeds twice
-            if not state.remaining_index.size:  # pool exhausted
+            if not waiting:  # pool exhausted
                 assert log.candidates == [] and log.sse == 0.0
             uploaded += log.successes
-            for other in (again, ref):
-                assert other.candidates == log.candidates
-                assert other.successes == log.successes
-                assert other.collided == log.collided
-                np.testing.assert_array_equal(other.activity, log.activity)
-                np.testing.assert_array_equal(other.channel_choice, log.channel_choice)
-                assert other.psi == log.psi
-            assert again.sse == log.sse
+            assert len(set(uploaded)) == len(uploaded)  # nobody succeeds twice
+            assert ref.candidates == log.candidates
+            assert ref.successes == log.successes
+            assert ref.collided == log.collided
+            np.testing.assert_array_equal(ref.activity, log.activity)
+            np.testing.assert_array_equal(ref.channel_choice, log.channel_choice)
+            assert ref.psi == log.psi
             np.testing.assert_allclose(log.predictions, ref.predictions, rtol=0, atol=1e-10)
             assert abs(log.sse - ref.sse) <= 1e-12
 

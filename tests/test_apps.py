@@ -1,33 +1,26 @@
-"""Application-driven selection: outputs, error quadratic forms, candidate sets."""
-
-import math
+"""Application-weighted selection: the beta-weighted sum of application
+output MSEs, each application a weight row over the sensors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldsense.apps import (
-    LinearApplication,
-    application_mse,
-    application_output,
-    build_candidate_set,
-    estimate_covariance,
-    select_max_value_app,
-    select_weighted_sum,
-    uniform_mean_application,
-)
-from fieldsense.das import DasState, estimate, select_max_variance
-from fieldsense.gp import KernelParams, posterior_mean_and_variance
+from fieldsense.das import DasState, run_das, select_max_variance, select_weighted_sum
+from fieldsense.gp import KernelParams
 
-import oracle
 from test_das import make_field, random_small_field, upload_some
 from test_gp import naive_posterior
 
 UNIT = KernelParams(1.0, 1.0)
 
 
-def brute_force_weighted_pick(apps, betas, field, state):
+def mean_row(n):
+    """The field-average application: every sensor weighted 1/L."""
+    return np.full(n, 1.0 / n)
+
+
+def brute_force_weighted_pick(weights, betas, field, state):
     """Re-derive the weighted-sum pick with the explicit-inverse solver."""
     best_idx, best_cost = None, None
     for cand in state.remaining:
@@ -39,92 +32,14 @@ def brute_force_weighted_pick(apps, betas, field, state):
                 field.locations[rest], UNIT, field.noise_variance,
             )
             cost = 0.0
-            for app, beta in zip(apps, betas):
-                w = app.weights[rest]
+            for row, beta in zip(weights, betas):
+                w = row[rest]
                 cost += beta * float(w @ cov @ w)
         else:
             cost = 0.0
         if best_cost is None or cost < best_cost - 1e-13:
             best_idx, best_cost = cand, cost
     return best_idx
-
-
-class TestApplicationOutput:
-    def test_uniform_weights_give_sample_mean(self):
-        field = make_field([0.0, 1.0, 2.0], values=[1.0, 2.0, 6.0])
-        state = DasState.fresh(3)
-        for i in range(3):
-            state = state.with_uploads([i], [field.measurements[i]])
-        est = estimate(field, state, UNIT)
-        app = uniform_mean_application(3)
-        assert application_output(app, est) == pytest.approx(3.0, rel=1e-12)
-
-    def test_basis_vector_picks_entry(self):
-        field = make_field([0.0, 1.0, 2.0], values=[1.0, 2.0, 6.0])
-        est = estimate(field, DasState.fresh(3), UNIT)
-        w = np.zeros(3)
-        w[1] = 1.0
-        assert application_output(LinearApplication(w), est) == est.values[1]
-
-    def test_zero_weights(self):
-        field = make_field([0.0, 1.0])
-        est = estimate(field, DasState.fresh(2), UNIT)
-        assert application_output(LinearApplication(np.zeros(2)), est) == 0.0
-
-    def test_length_mismatch(self):
-        field = make_field([0.0, 1.0])
-        est = estimate(field, DasState.fresh(2), UNIT)
-        with pytest.raises(ValueError):
-            application_output(LinearApplication(np.ones(3)), est)
-
-
-class TestEstimateCovariance:
-    def test_uploaded_rows_exactly_zero_and_symmetric(self):
-        rng = np.random.default_rng(1)
-        field = make_field(rng.uniform(0, 4, 7), rng=rng)
-        state = upload_some(field, DasState.fresh(7), rng, 3)
-        cov = estimate_covariance(field, state, UNIT)
-        for i in state.uploaded:
-            assert np.all(cov[i, :] == 0.0) and np.all(cov[:, i] == 0.0)
-        assert np.max(np.abs(cov - cov.T)) < 1e-10
-
-    def test_all_uploaded_is_zero_matrix(self):
-        field = make_field([0.0, 1.0])
-        state = DasState.fresh(2).with_uploads([0], [0.0]).with_uploads([1], [0.0])
-        np.testing.assert_array_equal(estimate_covariance(field, state, UNIT), np.zeros((2, 2)))
-
-
-class TestApplicationMse:
-    def test_zero_when_all_uploaded(self):
-        app = uniform_mean_application(2)
-        assert application_mse(app, np.zeros((2, 2))) == 0.0
-
-    def test_basis_weight_reads_per_sensor_variance(self):
-        rng = np.random.default_rng(2)
-        field = make_field(rng.uniform(0, 4, 6), rng=rng)
-        state = upload_some(field, DasState.fresh(6), rng, 2)
-        cov = estimate_covariance(field, state, UNIT)
-        for l in state.remaining:
-            w = np.zeros(6)
-            w[l] = 1.0
-            _, (var,) = oracle.posterior_mean_and_variance(
-                field.locations[list(state.uploaded)],
-                np.asarray(state.uploaded_values),
-                field.locations[l], UNIT, field.noise_variance,
-            )
-            assert application_mse(LinearApplication(w), cov) == pytest.approx(var, abs=1e-10)
-
-    def test_two_sensor_hand_value(self):
-        # uniform weights, nothing uploaded, unit kernel, sensors 1 apart:
-        # (1/4) (2 + 2 e^{-1/2})
-        field = make_field([0.0, 1.0])
-        cov = estimate_covariance(field, DasState.fresh(2), UNIT)
-        want = 0.25 * (2 + 2 * math.exp(-0.5))
-        assert application_mse(uniform_mean_application(2), cov) == pytest.approx(want, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            application_mse(uniform_mean_application(3), np.zeros((2, 2)))
 
 
 class TestSelectForApplication:
@@ -137,7 +52,7 @@ class TestSelectForApplication:
         for l in state.remaining:
             w = np.zeros(6)
             w[l] = 1.0
-            assert select_weighted_sum([LinearApplication(w)], [1.0], field, state, UNIT) == l
+            assert select_weighted_sum([w], [1.0], field, state, UNIT) == l
 
     def test_uniform_weights_match_brute_force(self):
         rng = np.random.default_rng(4)
@@ -145,15 +60,14 @@ class TestSelectForApplication:
             field = random_small_field(rng, max_L=10)
             state = upload_some(field, DasState.fresh(field.n_sensors), rng,
                                 int(rng.integers(0, field.n_sensors - 1)))
-            app = uniform_mean_application(field.n_sensors)
-            want = brute_force_weighted_pick([app], [1.0], field, state)
-            assert select_weighted_sum([app], [1.0], field, state, UNIT) == want
+            w = mean_row(field.n_sensors)
+            want = brute_force_weighted_pick([w], [1.0], field, state)
+            assert select_weighted_sum([w], [1.0], field, state, UNIT) == want
 
     def test_single_remaining(self):
         field = make_field([0.0, 1.0])
         state = DasState.fresh(2).with_uploads([0], [0.0])
-        app = uniform_mean_application(2)
-        assert select_weighted_sum([app], [1.0], field, state, UNIT) == 1
+        assert select_weighted_sum([mean_row(2)], [1.0], field, state, UNIT) == 1
 
     def test_agrees_with_max_variance_when_sensors_distant(self):
         # Pairwise separations of >= 10 length scales zero out cross terms, so
@@ -164,8 +78,7 @@ class TestSelectForApplication:
         field = make_field(locs, noise=0.01)
         state = DasState.fresh(6).with_uploads([0], [field.measurements[0]])
         state = state.with_uploads([2], [field.measurements[2]])
-        app = uniform_mean_application(6)
-        assert select_weighted_sum([app], [1.0], field, state, UNIT) == \
+        assert select_weighted_sum([mean_row(6)], [1.0], field, state, UNIT) == \
             select_max_variance(field, state, UNIT)
 
 
@@ -174,9 +87,9 @@ class TestSelectWeightedSum:
         rng = np.random.default_rng(6)
         field = random_small_field(rng, max_L=8)
         state = upload_some(field, DasState.fresh(field.n_sensors), rng, 1)
-        app = uniform_mean_application(field.n_sensors)
-        single = select_weighted_sum([app], [1.0], field, state, UNIT)
-        assert select_weighted_sum([app, app], [0.3, 2.0], field, state, UNIT) == single
+        w = mean_row(field.n_sensors)
+        single = select_weighted_sum([w], [1.0], field, state, UNIT)
+        assert select_weighted_sum([w, w], [0.3, 2.0], field, state, UNIT) == single
 
     def test_two_apps_match_brute_force(self):
         rng = np.random.default_rng(7)
@@ -184,11 +97,10 @@ class TestSelectWeightedSum:
             field = random_small_field(rng, max_L=10)
             state = upload_some(field, DasState.fresh(field.n_sensors), rng,
                                 int(rng.integers(0, field.n_sensors - 1)))
-            w2 = rng.normal(size=field.n_sensors)
-            apps = [uniform_mean_application(field.n_sensors), LinearApplication(w2)]
+            weights = [mean_row(field.n_sensors), rng.normal(size=field.n_sensors)]
             betas = [float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))]
-            want = brute_force_weighted_pick(apps, betas, field, state)
-            assert select_weighted_sum(apps, betas, field, state, UNIT) == want
+            want = brute_force_weighted_pick(weights, betas, field, state)
+            assert select_weighted_sum(weights, betas, field, state, UNIT) == want
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=20, deadline=None)
@@ -196,97 +108,32 @@ class TestSelectWeightedSum:
         rng = np.random.default_rng(8)
         field = random_small_field(rng, max_L=8)
         state = upload_some(field, DasState.fresh(field.n_sensors), rng, 1)
-        apps = [uniform_mean_application(field.n_sensors),
-                LinearApplication(np.linspace(0, 1, field.n_sensors))]
+        weights = [mean_row(field.n_sensors), np.linspace(0, 1, field.n_sensors)]
         betas = np.array([0.7, 1.3])
-        base = select_weighted_sum(apps, betas, field, state, UNIT)
-        assert select_weighted_sum(apps, betas * scale, field, state, UNIT) == base
+        base = select_weighted_sum(weights, betas, field, state, UNIT)
+        assert select_weighted_sum(weights, betas * scale, field, state, UNIT) == base
 
     def test_rejects_bad_betas(self):
+        # select_weighted_sum and run_das's app-weighted policy check alike
         field = make_field([0.0, 1.0])
-        state = DasState.fresh(2)
-        app = uniform_mean_application(2)
-        with pytest.raises(ValueError):
-            select_weighted_sum([app], [1.0, 2.0], field, state, UNIT)
-        with pytest.raises(ValueError):
-            select_weighted_sum([app], [-1.0], field, state, UNIT)
+        for weights, betas, match in (
+            ([mean_row(2)], [1.0, 2.0], "1 applications but 2 betas"),
+            ([mean_row(2)], [-1.0], "finite and positive"),
+            ([mean_row(2)], [0.0], "finite and positive"),
+            ([mean_row(2)], [np.nan], "finite and positive"),
+            ([mean_row(2), mean_row(2)], [np.inf, 1.0], "finite and positive"),
+            ([np.ones(3)], [1.0], "application 0 has 3 weights for 2 sensors"),
+            ([mean_row(2), np.ones(1)], [1.0, 1.0], "application 1 has 1 weights for 2 sensors"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                select_weighted_sum(weights, betas, field, DasState.fresh(2), UNIT)
+            with pytest.raises(ValueError, match=match):
+                run_das(field, "app-weighted", 1, UNIT, apps=(weights, betas))
 
-
-class TestSelectMaxValueApp:
-    def test_max_already_uploaded(self):
-        field = make_field([0.0, 5.0, 10.0], values=[9.0, 1.0, 2.0], noise=0.01)
-        state = DasState.fresh(3).with_uploads([0], [9.0])
-        est = estimate(field, state, UNIT)
-        assert select_max_value_app(field, state, est) is None
-
-    def test_max_is_predicted(self):
-        # two equal high uploads bracket sensor 1; the GP mean between them
-        # overshoots 5.0, so the field maximum is a predicted entry
-        field = make_field([0.0, 0.2, 0.4, 10.0], values=[5.0, 5.0, 5.0, 0.0], noise=0.01)
-        state = DasState.fresh(4).with_uploads([0], [5.0]).with_uploads([2], [5.0])
-        est = estimate(field, state, UNIT)
-        assert int(np.argmax(est.values)) == 1
-        assert select_max_value_app(field, state, est) == 1
-
-    def test_all_uploaded(self):
-        field = make_field([0.0, 1.0], values=[1.0, 2.0])
-        state = DasState.fresh(2).with_uploads([0], [1.0]).with_uploads([1], [2.0])
-        est = estimate(field, state, UNIT)
-        assert select_max_value_app(field, state, est) is None
-
-
-class TestBuildCandidateSet:
-    def test_three_distinct_picks(self):
-        rng = np.random.default_rng(9)
-        field = make_field(rng.uniform(0, 5, 6), rng=rng)
-        state = DasState.fresh(6)
-        assert build_candidate_set([1, 3, 5], field, state, UNIT, 3) == [1, 3, 5]
-
-    def test_duplicate_picks_fill_with_max_variance(self):
-        field = make_field([0.0, 0.1, 5.0])
-        state = DasState.fresh(3).with_uploads([0], [field.measurements[0]])
-        got = build_candidate_set([2, 2], field, state, UNIT, 2)
-        assert got[0] == 2
-        assert got == [2, 1]  # only sensor 1 is left to fill with
-
-    def test_fill_order_follows_variance_ranking(self):
-        field = make_field([0.0, 0.1, 5.0, 9.0])
-        state = DasState.fresh(4).with_uploads([0], [field.measurements[0]])
-        got = build_candidate_set([], field, state, UNIT, 2)
-        _, (v1, v2) = posterior_mean_and_variance([0.0], [0.0], [0.1, 5.0], UNIT,
-                                                  field.noise_variance)
-        assert v2 > v1
-        assert got == [2, 3] or got == [3, 2]
-        assert got[0] == select_max_variance(field, state, UNIT)
-
-    def test_clamps_to_remaining(self):
+    def test_rejects_non_finite_weights(self):
         field = make_field([0.0, 1.0, 2.0])
-        state = DasState.fresh(3).with_uploads([1], [field.measurements[1]])
-        got = build_candidate_set([0], field, state, UNIT, 10)
-        assert sorted(got) == [0, 2]
-
-    def test_none_entries_skipped(self):
-        field = make_field([0.0, 1.0, 2.0])
-        state = DasState.fresh(3)
-        got = build_candidate_set([None, 1, None], field, state, UNIT, 2)
-        assert got[0] == 1 and len(got) == 2
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-    @settings(max_examples=25, deadline=None)
-    def test_always_duplicate_free_subset(self, seed, Q):
-        rng = np.random.default_rng(seed)
-        field = random_small_field(rng, max_L=9)
-        state = upload_some(field, DasState.fresh(field.n_sensors), rng,
-                            int(rng.integers(0, field.n_sensors)))
-        if not state.remaining:
-            return
-        picks = [int(rng.choice(state.remaining)) for _ in range(int(rng.integers(0, 3)))]
-        got = build_candidate_set(picks, field, state, UNIT, Q)
-        assert len(got) == len(set(got)) == min(Q, len(state.remaining))
-        assert set(got) <= set(state.remaining)
-
-    def test_rejects_pick_outside_remaining(self):
-        field = make_field([0.0, 1.0])
-        state = DasState.fresh(2).with_uploads([0], [0.0])
-        with pytest.raises(ValueError):
-            build_candidate_set([0], field, state, UNIT, 1)
+        weights = [mean_row(3), np.array([1.0, np.nan, 0.0])]
+        with pytest.raises(ValueError, match="application 1 has non-finite weights"):
+            select_weighted_sum(weights, [1.0, 1.0], field, DasState.fresh(3), UNIT)
+        with pytest.raises(ValueError, match="application 1 has non-finite weights"):
+            run_das(field, "app-weighted", 2, UNIT, apps=(weights, [1.0, 1.0]))

@@ -463,11 +463,8 @@ class TestRunDas:
             run_das(field, "maximal", 1, UNIT)
         with pytest.raises(ValueError):
             run_das(field, "virtual", 1, UNIT)
-
-    def test_callable_policy(self):
-        field = make_field([0.0, 1.0, 2.0])
-        logs = run_das(field, lambda f, s, p, r: max(s.remaining), 3, UNIT)
-        assert [l.selected for l in logs] == [2, 1, 0]
+        with pytest.raises(ValueError, match="unknown policy"):
+            run_das(field, lambda f, s, p, r: max(s.remaining), 1, UNIT)
 
 
 def assert_das_logs_equal(got, want):
@@ -514,24 +511,6 @@ class TestRunDasSeeds:
         for s, (field, logs) in runs.items():
             rng = np.random.default_rng(s)
             assert_das_logs_equal(logs, run_das(make(rng), policy, rounds, UNIT, rng=rng, **kwargs))
-
-    def test_callable_policy_reads_each_seeds_state(self):
-        # alternates a draw from the seed's own generator with the sensor
-        # farthest from its last upload, so every pick reads the seed's state
-        def policy(field, state, params, rng):
-            rem = state.remaining_index
-            if state.round % 2 == 0:
-                return int(rem[int(rng.integers(rem.size))])
-            last = field.locations[state.order[-1]]
-            return int(rem[np.argmax(np.abs(field.locations[rem, 0] - last[0]))])
-
-        runs = by_seed(run_das_batches(range(1, 11), field_1d(25), policy, 20, UNIT))
-        assert list(runs) == list(range(1, 11))
-        for seed, (field, logs) in runs.items():
-            rng = np.random.default_rng(seed)
-            own = gen_1d(25, 0.1, rng)
-            np.testing.assert_array_equal(field.locations, own.locations)
-            assert_das_logs_equal(logs, run_das(own, policy, 20, UNIT, rng=rng))
 
     def test_failing_seed_leaves_its_batch_alone(self, monkeypatch):
         make = field_1d(30)

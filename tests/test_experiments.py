@@ -326,7 +326,7 @@ class TestRunExperiment:
                 field = config.field_spec.build(rng)
                 apps = None
                 if policy == "app-weighted":
-                    apps = ([a.weights for a in _build_apps(config, field.n_sensors)], config.betas)
+                    apps = (_build_apps(config, field.n_sensors), config.betas)
                 for log in run_das(field, policy, min(config.rounds, field.n_sensors),
                                    config.kernel_params, rng=rng, virtual_locs=config.virtual,
                                    log_estimates=holdout, apps=apps):
@@ -514,10 +514,19 @@ class TestCli:
             ("aloha", "L = 20\nB = 2,3,2\n"),
             ("aloha", "L = 20\nQ = 5,5\n"),
             ("aloha", "L = 20\nmode = modified,conventional,modified\n"),
+            ("das", "experiment = das-1d\nL = 20\npolicy = app-weighted\napps = mean,e:3\n"
+                    "betas = -1,1\n"),
+            ("das", "experiment = das-1d\nL = 20\npolicy = app-weighted\napps = mean,e:3\n"
+                    "betas = nan,1\n"),
+            ("das", "experiment = das-1d\nL = 20\npolicy = app-weighted\napps = mean,e:3\n"
+                    "betas = inf,1\n"),
+            ("das", "experiment = das-virtual\nL = 20\nvirtual =\n"),
+            ("das", "experiment = das-1d\nL = 20\npolicy = virtual\nvirtual = 1,2;3,4\n"),
         ],
         ids=["betas", "virtual", "B", "Q", "p_sleep", "mu", "mu_inf", "psi0_nan", "psi0_inf",
              "length_scale", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T",
-             "policy_repeated", "B_repeated", "Q_repeated", "mode_repeated"],
+             "policy_repeated", "B_repeated", "Q_repeated", "mode_repeated",
+             "betas_negative", "betas_nan", "betas_inf", "virtual_empty", "virtual_dim"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "bad.cfg"

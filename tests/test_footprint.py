@@ -61,7 +61,6 @@ PEAK_MB = """
     """, 160),
     ("""
     import numpy as np
-    from fieldsense.apps import build_candidate_set
     from fieldsense.das import DasState, select_max_variance
     from fieldsense.fields import gen_2d
     from fieldsense.gp import KernelParams
@@ -70,7 +69,6 @@ PEAK_MB = """
     up = [int(i) for i in rng.choice(3000, size=20, replace=False)]
     state = DasState.fresh(3000).with_uploads(up, field.measurements[up])
     select_max_variance(field, state, KernelParams())
-    build_candidate_set([], field, state, KernelParams(), 10)
     """, 100),
 ], ids=["run_das-L5000-200", "run_das-L20000-200", "select-L3000-20"])
 def test_peak_memory(body, limit_mb):

@@ -22,7 +22,6 @@ import pytest
 import fieldsense.experiments
 import fieldsense.gp
 from fieldsense.aloha import AlohaConfig, run_aloha
-from fieldsense.apps import uniform_mean_application
 from fieldsense.cli import main
 from fieldsense.das import run_das
 from fieldsense.experiments import (
@@ -91,7 +90,7 @@ def own_das_records(config):
                 weights = []
                 for app in config.app_specs:
                     if app == "mean":
-                        weights.append(uniform_mean_application(n).weights)
+                        weights.append(np.full(n, 1.0 / n))
                     else:
                         w = np.zeros(n)
                         w[int(app[2:])] = 1.0
