@@ -21,15 +21,9 @@ from .aloha import (
 )
 from .das import (
     DasRound,
-    DasState,
     FieldEstimate,
-    estimate,
     run_das,
     run_das_batches,
-    select_max_variance,
-    select_random,
-    select_virtual_target,
-    select_weighted_sum,
 )
 from .experiments import (
     PRESETS,
@@ -59,7 +53,6 @@ from .gp import (
     KernelParams,
     gram,
     posterior,
-    posterior_mean_and_variance,
 )
 
 __version__ = "0.1.0"

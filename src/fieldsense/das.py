@@ -45,124 +45,6 @@ def quantize(values):
     return np.round(np.asarray(values, dtype=float) / _QUANTUM) * _QUANTUM
 
 
-def _appended(arr: np.ndarray, items: list) -> np.ndarray:
-    """A new array: ``arr`` followed by ``items``, in ``arr``'s dtype."""
-    out = np.empty(arr.size + len(items), dtype=arr.dtype)
-    out[: arr.size] = arr
-    out[arr.size :] = items
-    return out
-
-
-class DasState:
-    """Upload bookkeeping: which sensors have reported, in what order.
-
-    One array record backs the state: ``mask`` (length n, True once a sensor
-    has uploaded), ``order`` (the uploaded indices in upload order) and
-    ``values`` (their measurements).  ``remaining_index`` is the ascending
-    array of sensors still waiting.  The library reads these arrays; the
-    tuple views ``uploaded``, ``remaining`` and ``uploaded_values`` are built
-    on first access.  All of them are cached and read-only, and a state never
-    changes: :meth:`with_uploads` returns a new one.
-
-    The constructor takes the tuple form and raises ``ValueError`` unless
-    ``uploaded`` and ``remaining`` partition ``range(n)`` and every upload
-    has a value.
-    """
-
-    def __init__(self, uploaded, remaining, uploaded_values, round: int = 0):
-        order = np.array(uploaded, dtype=int).ravel()
-        rest = np.array(remaining, dtype=int).ravel()
-        values = np.array(uploaded_values, dtype=float).ravel()
-        n = order.size + rest.size
-        both = np.concatenate([order, rest])
-        if n and not (0 <= both.min() and both.max() < n):
-            raise ValueError(f"sensor indices must lie in [0, {n})")
-        if np.any(np.bincount(both, minlength=n) != 1):  # each sensor exactly once
-            raise ValueError("uploaded and remaining sensors must partition the field")
-        if values.size != order.size:
-            raise ValueError(f"{order.size} uploads but {values.size} values")
-        mask = np.zeros(n, dtype=bool)
-        mask[order] = True
-        self._set(mask, order, values, round)
-
-    def _set(self, mask, order, values, round):
-        for arr in (mask, order, values):
-            arr.setflags(write=False)
-        self.mask, self.order, self.values, self.round = mask, order, values, round
-        self._remaining = None
-        self._views = {}
-
-    @classmethod
-    def fresh(cls, n_sensors: int) -> "DasState":
-        if n_sensors < 1:
-            raise ValueError("need at least one sensor")
-        return cls._of(np.zeros(n_sensors, dtype=bool), np.empty(0, dtype=int),
-                       np.empty(0), 0)
-
-    @classmethod
-    def _of(cls, mask, order, values, round) -> "DasState":
-        state = cls.__new__(cls)
-        state._set(mask, order, values, round)
-        return state
-
-    @property
-    def n_sensors(self) -> int:
-        return self.mask.size
-
-    @property
-    def remaining_index(self) -> np.ndarray:
-        """Ascending indices of the sensors that have not uploaded."""
-        if self._remaining is None:
-            self._remaining = (~self.mask).nonzero()[0]
-            self._remaining.setflags(write=False)
-        return self._remaining
-
-    @property
-    def uploaded(self) -> tuple[int, ...]:
-        return self._tuple("uploaded", self.order)
-
-    @property
-    def remaining(self) -> tuple[int, ...]:
-        """Sorted ascending."""
-        return self._tuple("remaining", self.remaining_index)
-
-    @property
-    def uploaded_values(self) -> tuple[float, ...]:
-        return self._tuple("uploaded_values", self.values)
-
-    def _tuple(self, name: str, arr: np.ndarray) -> tuple:
-        """The tuple view ``name`` of ``arr``, built on first use."""
-        if name not in self._views:
-            self._views[name] = tuple(arr.tolist())
-        return self._views[name]
-
-    def __repr__(self):
-        return (f"DasState(uploaded={self.uploaded}, remaining={self.remaining}, "
-                f"uploaded_values={self.uploaded_values}, round={self.round})")
-
-    def with_uploads(self, indices, values) -> "DasState":
-        """New state after the given sensors upload; advances the round counter."""
-        indices = [int(i) for i in indices]
-        values = [float(v) for v in values]
-        if len(indices) != len(values):
-            raise ValueError("indices and values disagree in length")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate upload indices: {indices}")
-        mask = self.mask.copy()
-        for i in indices:
-            if not 0 <= i < mask.size or mask[i]:
-                raise ValueError(f"sensor {i} is not awaiting upload")
-            mask[i] = True
-        return DasState._of(mask, _appended(self.order, indices),
-                            _appended(self.values, values), self.round + 1)
-
-    def check_against(self, field: SensorField):
-        if self.n_sensors != field.n_sensors:
-            raise ValueError(
-                f"state tracks {self.n_sensors} sensors, field has {field.n_sensors}"
-            )
-
-
 @dataclass
 class FieldEstimate:
     """Full-field reconstruction at some round.
@@ -184,26 +66,6 @@ def _pack_estimate(field: SensorField, rem: np.ndarray, mean, var) -> FieldEstim
     values[rem] = mean
     variance[rem] = var
     return FieldEstimate(values, variance, float(np.sum(variance)))
-
-
-def estimate(field: SensorField, state: DasState, params: KernelParams) -> FieldEstimate:
-    """Reconstruct the full field from the uploads recorded in ``state``."""
-    state.check_against(field)
-    cond = _conditioner(field, state, params)
-    rem = state.remaining_index
-    return _pack_estimate(field, rem, cond.mean[rem], cond.variance[rem])
-
-
-def _conditioner(field: SensorField, state: DasState, params: KernelParams,
-                 extra_locs=None) -> IncrementalConditioner:
-    """Conditioner over the sensors (then ``extra_locs``) holding ``state``'s uploads."""
-    targets = field.locations if extra_locs is None else np.vstack([field.locations, extra_locs])
-    cond = IncrementalConditioner(targets, params, field.noise_variance,
-                                  capacity=state.order.size)
-    failed = cond.observe(state.order, state.values, np.zeros_like(state.order))
-    if failed:
-        raise ValueError(failed[0])
-    return cond
 
 
 def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
@@ -244,82 +106,12 @@ def _app_rows(weights, betas, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows).reshape(len(betas), n_sensors), betas
 
 
-def select_max_variance(field: SensorField, state: DasState, params: KernelParams) -> int:
-    """Sensor with the largest posterior variance among those not yet uploaded.
-
-    This choice minimizes the next-round MSE in Lemma 1's sense: the current
-    per-sensor variances summed, minus the uploaded sensor's own term.  (It
-    need not minimize the variance sum after re-conditioning on the upload.)
-    It depends only on locations, never on measured values.  Ties break
-    toward the lowest sensor index.
-    """
-    state.check_against(field)
-    if not state.remaining_index.size:
-        raise ValueError("no sensors remaining")
-    rem = state.remaining_index
-    var = _conditioner(field, state, params).variance[rem]
-    return int(_max_variance_pick(var[None], rem[None])[0])
-
-
-def select_random(state: DasState, rng: np.random.Generator) -> int:
-    """Uniform pick among the sensors that have not uploaded yet."""
-    rem = state.remaining_index
-    if not rem.size:
-        raise ValueError("no sensors remaining")
-    return int(rem[int(rng.integers(rem.size))])
-
-
 def _virtual_points(virtual_locs, dim: int) -> np.ndarray:
     """The virtual locations as ``dim``-dimensional points; there must be one."""
     virtual = as_points(virtual_locs, dim=dim)
     if virtual.shape[0] == 0:
         raise ValueError("virtual location set is empty")
     return virtual
-
-
-def _virtual_targets(field: SensorField, virtual_locs) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual points, and their indices as targets after the sensors."""
-    virtual = _virtual_points(virtual_locs, field.dim)
-    return virtual, np.arange(field.n_sensors, field.n_sensors + virtual.shape[0])
-
-
-def select_virtual_target(
-    field: SensorField,
-    state: DasState,
-    virtual_locs,
-    params: KernelParams,
-) -> int:
-    """Candidate whose upload would most shrink uncertainty at virtual locations.
-
-    Scores each remaining sensor by the trace of the posterior covariance
-    over ``virtual_locs`` after hypothetically adding that sensor; the
-    covariance of a Gaussian is measurement-free, so no value is needed.
-    """
-    state.check_against(field)
-    if not state.remaining_index.size:
-        raise ValueError("no sensors remaining")
-    virtual, targets = _virtual_targets(field, virtual_locs)
-    cond = _conditioner(field, state, params, virtual)
-    return int(_min_residual_pick(cond, state.remaining_index[None], targets,
-                                  np.ones(targets.size), unit=True)[0])
-
-
-def select_weighted_sum(weights, betas, field: SensorField, state: DasState,
-                        params: KernelParams) -> int:
-    """Candidate minimizing the beta-weighted sum of application output MSEs.
-
-    ``weights`` and ``betas`` are the application rows :func:`run_das` takes.
-    Each output's MSE after a candidate's upload is w'Sigma'w over the
-    sensors still missing, scored for all candidates at once by
-    :meth:`IncrementalConditioner.residual_variance`.
-    """
-    state.check_against(field)
-    weights, betas = _app_rows(weights, betas, field.n_sensors)
-    if not state.remaining_index.size:
-        raise ValueError("no sensors remaining")
-    weights[:, state.mask] = 0.0  # uploaded entries carry no error
-    cond = _conditioner(field, state, params)
-    return int(_min_residual_pick(cond, state.remaining_index[None], weights, betas)[0])
 
 
 @dataclass
@@ -483,7 +275,8 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     if policy == "virtual":
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
-        virtual, weights = _virtual_targets(first, virtual_locs)
+        virtual = _virtual_points(virtual_locs, first.dim)
+        weights = np.arange(n, n + virtual.shape[0])  # the virtual points' targets
         targets = np.concatenate(
             [targets, np.broadcast_to(virtual, (n_seeds, *virtual.shape))], axis=1)
         betas = np.ones(weights.size)

@@ -116,10 +116,24 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
     return _sq_exp(r.T[:, :, None] - c.T[:, None, :], params)
 
 
-def _condition(observed_locs, observed_values, target_locs, params: KernelParams,
-               noise_variance: float) -> tuple["IncrementalConditioner", int]:
-    """Conditioner over the observed locations then the targets, holding the
-    observations; and n_obs, the index of the first target."""
+def posterior(
+    observed_locs,
+    observed_values,
+    target_locs,
+    params: KernelParams,
+    noise_variance: float,
+) -> GprPosterior:
+    """Posterior mean and covariance of the field at ``target_locs``.
+
+    mean = K(T, O) (K(O, O) + noise I)^-1 y
+    cov  = K(T, T) - K(T, O) (K(O, O) + noise I)^-1 K(O, T)
+
+    With no observations this degenerates to the zero-mean prior.  The
+    conditioner runs over the observed locations followed by the targets.
+    The returned covariance is symmetrized and its diagonal is the
+    conditioner's clamped variance (round-off negatives only; see
+    VARIANCE_CLAMP).
+    """
     targets = as_points(target_locs)
     if targets.shape[0] == 0:
         raise ValueError("target location set is empty")
@@ -135,48 +149,12 @@ def _condition(observed_locs, observed_values, target_locs, params: KernelParams
     failed = cond.observe(np.arange(n), values, np.zeros(n, dtype=int))
     if failed:
         raise ValueError(failed[0])
-    return cond, n
-
-
-def posterior(
-    observed_locs,
-    observed_values,
-    target_locs,
-    params: KernelParams,
-    noise_variance: float,
-) -> GprPosterior:
-    """Posterior mean and covariance of the field at ``target_locs``.
-
-    mean = K(T, O) (K(O, O) + noise I)^-1 y
-    cov  = K(T, T) - K(T, O) (K(O, O) + noise I)^-1 K(O, T)
-
-    With no observations this degenerates to the zero-mean prior.  The
-    returned covariance is symmetrized and its diagonal is the conditioner's
-    clamped variance (round-off negatives only; see VARIANCE_CLAMP).
-    """
-    cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
     targets = cond.target_locations[n:]
     v = cond._a[0, :n, n:]  # L^-1 K(O, T)
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, cond.variance[n:])
     return GprPosterior(cond.mean[n:], cov, targets)
-
-
-def posterior_mean_and_variance(
-    observed_locs,
-    observed_values,
-    target_locs,
-    params: KernelParams,
-    noise_variance: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal posterior means and variances at ``target_locs``.
-
-    Same conditioning as :func:`posterior` but computes only the diagonal of
-    the covariance, which is all the field estimate needs.
-    """
-    cond, n = _condition(observed_locs, observed_values, target_locs, params, noise_variance)
-    return cond.mean[n:], cond.variance[n:]
 
 
 def _zeros(shape) -> np.ndarray:
@@ -196,7 +174,7 @@ class IncrementalConditioner:
     """Conditions the GP on observations added one at a time.
 
     Targets are fixed up front; observations must be drawn from the target
-    set (the round loop observes sensors, the one-off posteriors condition
+    set (the round loop observes sensors, the one-off posterior conditions
     over the observed locations followed by the targets).  Appending an
     observation extends the Cholesky factor of the noise-augmented kernel
     matrix by one row, so per-target posterior means and variances stay

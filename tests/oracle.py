@@ -23,13 +23,7 @@ from fieldsense.aloha import (
     equal_upload_probability,
     upload_probabilities,
 )
-from fieldsense.das import (
-    DasRound,
-    DasState,
-    FieldEstimate,
-    quantize,
-    select_random,
-)
+from fieldsense.das import DasRound, FieldEstimate, quantize
 from fieldsense.gp import VARIANCE_CLAMP, GprPosterior, as_points, gram
 
 _JITTER_START = 1e-10
@@ -130,31 +124,35 @@ def posterior_mean_and_variance(observed_locs, observed_values, target_locs, par
     return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0))
 
 
-def estimate(field, state, params):
-    """The full-field estimate of ``fieldsense.das.estimate``, by one batch solve."""
-    rem = list(state.remaining)
+def remaining(field, uploaded):
+    """The sensors not in ``uploaded``, in ascending order."""
+    done = set(uploaded)
+    return [i for i in range(field.n_sensors) if i not in done]
+
+
+def _uploads(field, uploaded):
+    """Locations and measurements of the sensors in ``uploaded``, in upload order."""
+    uploaded = list(uploaded)
+    return field.locations[uploaded], field.measurements[uploaded]
+
+
+def estimate(field, uploaded, params):
+    """The full-field estimate ``fieldsense.das.run_das`` logs once the sensors
+    in ``uploaded`` (indices, in upload order) have reported, by one batch solve."""
+    rem = remaining(field, uploaded)
     values = field.measurements.copy()
     variance = np.zeros(field.n_sensors)
     if rem:
         values[rem], variance[rem] = posterior_mean_and_variance(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
-            field.locations[rem],
-            params,
-            field.noise_variance,
-        )
+            *_uploads(field, uploaded), field.locations[rem], params, field.noise_variance)
     return FieldEstimate(values, variance, float(np.sum(variance)))
 
 
-def remaining_variances(field, state, params):
-    """Posterior variance of each remaining sensor, ordered like ``state.remaining``."""
+def remaining_variances(field, uploaded, params):
+    """Posterior variance of each sensor not in ``uploaded``, in ascending order."""
     _, var = posterior_mean_and_variance(
-        field.locations[list(state.uploaded)],
-        np.asarray(state.uploaded_values),
-        field.locations[list(state.remaining)],
-        params,
-        field.noise_variance,
-    )
+        *_uploads(field, uploaded), field.locations[remaining(field, uploaded)], params,
+        field.noise_variance)
     return var
 
 
@@ -175,11 +173,13 @@ def hypothetical_reduction(target_locs, observed, index, params, noise):
     return variances(list(observed)) - variances(list(observed) + [index])
 
 
-def virtual_traces(field, state, virtual, params):
-    """Trace of the posterior covariance at ``virtual`` after each candidate uploads."""
-    obs = field.locations[list(state.uploaded)]
-    traces = np.empty(len(state.remaining))
-    for j, cand in enumerate(state.remaining):
+def virtual_traces(field, uploaded, virtual, params):
+    """Trace of the posterior covariance at ``virtual`` after each sensor not in
+    ``uploaded`` uploads, the candidates in ascending order."""
+    obs, _ = _uploads(field, uploaded)
+    rem = remaining(field, uploaded)
+    traces = np.empty(len(rem))
+    for j, cand in enumerate(rem):
         locs = np.vstack([obs, field.locations[cand : cand + 1]])
         _, var = posterior_mean_and_variance(
             locs, np.zeros(locs.shape[0]), virtual, params, field.noise_variance
@@ -188,19 +188,21 @@ def virtual_traces(field, state, virtual, params):
     return traces
 
 
-def hypothetical_mses(weights, field, state, params):
+def hypothetical_mses(weights, field, uploaded, params):
     """Error variance of each application after each candidate's upload.
 
-    ``weights`` holds one row per application over the sensors.  Returns an
-    array of shape (n_remaining, n_apps), rows ordered like
-    ``state.remaining``; the candidate and the uploaded sensors carry no
-    error, so only the other remaining sensors' weights count.
+    ``weights`` holds one row per application over the sensors, and the
+    candidates are the sensors not in ``uploaded``, in ascending order.
+    Returns an array of shape (n_candidates, n_apps); the candidate and the
+    uploaded sensors carry no error, so only the other candidates' weights
+    count.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    obs = field.locations[list(state.uploaded)]
-    out = np.empty((len(state.remaining), weights.shape[0]))
-    for j, cand in enumerate(state.remaining):
-        rest = [i for i in state.remaining if i != cand]
+    obs, _ = _uploads(field, uploaded)
+    rem = remaining(field, uploaded)
+    out = np.empty((len(rem), weights.shape[0]))
+    for j, cand in enumerate(rem):
+        rest = [i for i in rem if i != cand]
         if not rest:
             out[j] = 0.0
             continue
@@ -244,48 +246,46 @@ def dense_residual_variance(cond, weights, candidates):
 def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
             log_estimates=False, apps=None):
     """The collection loop of ``fieldsense.das.run_das``, from scratch every round."""
-    state = DasState.fresh(field.n_sensors)
     virtual = None if virtual_locs is None else as_points(virtual_locs, dim=field.dim)
+    uploaded = []
     logs = []
-    for _ in range(rounds):
-        rem = state.remaining
+    for t in range(rounds):
+        rem = remaining(field, uploaded)
         if policy == "random":
-            idx = select_random(state, rng)
+            idx = rem[rng.integers(len(rem))]
         elif policy == "max-variance":
-            idx = rem[int(np.argmax(quantize(remaining_variances(field, state, params))))]
+            idx = rem[int(np.argmax(quantize(remaining_variances(field, uploaded, params))))]
         elif policy == "virtual":
-            traces = virtual_traces(field, state, virtual, params)
+            traces = virtual_traces(field, uploaded, virtual, params)
             idx = rem[int(np.argmin(quantize(traces)))]
         elif policy == "app-weighted":
             weights, betas = apps
-            totals = hypothetical_mses(weights, field, state, params) @ np.asarray(betas)
+            totals = hypothetical_mses(weights, field, uploaded, params) @ np.asarray(betas)
             idx = rem[int(np.argmin(quantize(totals)))]
         else:
             raise ValueError(f"unknown policy {policy!r}")
-        state = state.with_uploads([idx], [float(field.measurements[idx])])
-        est = estimate(field, state, params)
-        logs.append(DasRound(state.round, int(idx), est.mse, est if log_estimates else None))
+        uploaded.append(int(idx))
+        est = estimate(field, uploaded, params)
+        logs.append(DasRound(t + 1, int(idx), est.mse, est if log_estimates else None))
     return logs
 
 
 def run_aloha(field, cfg, rounds, params, rng):
     """The contention loop of ``fieldsense.aloha.run_aloha``, re-solving predictions
     every round and counting each channel's transmitters to find the collisions."""
-    state = DasState.fresh(field.n_sensors)
+    uploaded = []
     psi = cfg.psi0
     logs = []
     for _ in range(rounds):
         cand = []
-        if state.remaining:
-            rem = np.asarray(state.remaining)
-            k = min(cfg.candidates, rem.size)
+        rem = remaining(field, uploaded)
+        if rem:
+            k = min(cfg.candidates, len(rem))
             cand = sorted(int(i) for i in rng.choice(rem, size=k, replace=False))
         predictions = np.zeros(0)
         if cand:
             predictions, _ = posterior_mean_and_variance(
-                field.locations[list(state.uploaded)], np.asarray(state.uploaded_values),
-                field.locations[cand], params, field.noise_variance,
-            )
+                *_uploads(field, uploaded), field.locations[cand], params, field.noise_variance)
         errors = predictions - field.measurements[cand]
         if cfg.mode == "conventional":
             probabilities = np.full(len(cand), equal_upload_probability(cfg))
@@ -302,7 +302,7 @@ def run_aloha(field, cfg, rounds, params, rng):
         psi_used = psi
         if cfg.mode == "modified":
             psi = psi + cfg.mu * (int(active.sum()) - cfg.channels)
-        state = state.with_uploads(successes, field.measurements[successes])
+        uploaded += successes
         sse = float(np.sum(errors[~success] ** 2))
         logs.append(AlohaRound(cand, predictions, errors, probabilities, active, channel,
                                successes, collided, sse, psi_used))

@@ -22,14 +22,14 @@ from fieldsense.aloha import (
     run_aloha_batches,
     sse_lower_bound,
 )
-from fieldsense.das import DasState, estimate, run_das, run_das_batches, select_max_variance
+from fieldsense.das import run_das, run_das_batches
 from fieldsense.experiments import _map_in_shares
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
 import oracle
 from test_aloha import contention_rounds
-from test_das import brute_force_min_next_mse, random_small_field, upload_some
+from test_das import brute_force_min_next_mse, random_small_field, uploads_before
 from test_gp import naive_posterior, random_instance
 
 UNIT = KernelParams(1.0, 1.0)
@@ -177,24 +177,23 @@ def test_criterion_01_gpr_oracle_equivalence():
 
 
 def test_criterion_02_lemma1_equivalence():
-    # 200 random instances with L <= 12: the max-variance pick must equal the
-    # brute-force argmin of next-round MSE (variance sum minus the candidate's
-    # own term, each recomputed by explicit inversion).
+    # 200 random instances with L <= 12: in every round of a max-variance run
+    # but the last (L - 1 rounds), the pick must equal the brute-force argmin
+    # of next-round MSE at that round's uploads (variance sum minus the
+    # candidate's own term, each recomputed by explicit inversion).
     start = time.time()
     rng = np.random.default_rng(1002)
-    mismatches = 0
+    mismatches = rounds = 0
     for _ in range(200):
         field = random_small_field(rng)
-        state = upload_some(
-            field, DasState.fresh(field.n_sensors), rng,
-            int(rng.integers(0, field.n_sensors - 1)),
-        )
-        if select_max_variance(field, state, UNIT) != \
-                brute_force_min_next_mse(field, state, UNIT):
-            mismatches += 1
+        logs = run_das(field, "max-variance", field.n_sensors - 1, UNIT)
+        for log, uploaded in uploads_before(logs):
+            mismatches += log.selected != brute_force_min_next_mse(field, uploaded, UNIT)
+            rounds += 1
     elapsed = time.time() - start
     check(2, mismatches == 0 and elapsed < 30,
-          f"{mismatches} mismatches over 200 instances{over_time(elapsed, 30)}")
+          f"{mismatches} mismatches over 200 instances ({rounds} rounds)"
+          f"{over_time(elapsed, 30)}")
 
 
 def test_criterion_03_mse_identity():
@@ -214,16 +213,13 @@ def test_criterion_03_mse_identity():
         for policy in ("max-variance", "random"):
             logs = run_das(field, policy, field.n_sensors, UNIT,
                            rng=np.random.default_rng(7))
-            state = DasState.fresh(field.n_sensors)
-            for log in logs:
-                state = state.with_uploads([log.selected],
-                                           [field.measurements[log.selected]])
-                if state.remaining:
+            for log, before in uploads_before(logs):
+                uploaded = before + [log.selected]
+                rest = oracle.remaining(field, uploaded)
+                if rest:
                     post = oracle.posterior(
-                        field.locations[list(state.uploaded)],
-                        np.asarray(state.uploaded_values),
-                        field.locations[list(state.remaining)],
-                        UNIT, field.noise_variance,
+                        field.locations[uploaded], field.measurements[uploaded],
+                        field.locations[rest], UNIT, field.noise_variance,
                     )
                     trace = float(np.trace(post.covariance))
                 else:

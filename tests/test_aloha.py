@@ -24,7 +24,6 @@ from fieldsense.aloha import (
     _alone,
     _play_round,
 )
-from fieldsense.das import DasState
 from fieldsense.fields import gen_random_sinusoid
 from fieldsense.gp import IncrementalConditioner, KernelParams
 
@@ -267,18 +266,17 @@ def perfect_prediction_setup():
     v = 1.3
     predicted = v / (1 + noise)  # posterior mean at the shared location
     field = make_field([0.0, 0.0], values=[v, predicted], noise=noise)
-    state = DasState.fresh(2).with_uploads([0], [v])
-    return field, state
+    return field
 
 
 class TestSimulateRound:
     """The round that ``run_aloha`` and ``run_aloha_batches`` play on a seed batch."""
 
     def test_zero_errors_keep_everyone_silent(self):
-        field, state = perfect_prediction_setup()
+        field = perfect_prediction_setup()
         cfg = AlohaConfig(channels=2, candidates=2, mode="modified")
         log, mask, _ = one_round(field, [1], cfg, np.random.default_rng(0),
-                                 uploaded=state.uploaded)
+                                 uploaded=(0,))
         assert log.errors[0] == pytest.approx(0.0, abs=1e-12)
         assert log.probabilities[0] == 0.0 or log.probabilities[0] < 1e-10
         assert not log.activity.any()

@@ -8,16 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldsense.gp
-from fieldsense.das import (
-    POLICIES,
-    DasState,
-    estimate,
-    run_das,
-    run_das_batches,
-    select_max_variance,
-    select_random,
-    select_virtual_target,
-)
+from fieldsense.das import POLICIES, run_das, run_das_batches
 from fieldsense.fields import SensorField, gen_1d, gen_2d
 from fieldsense.gp import KernelParams
 
@@ -46,36 +37,54 @@ def random_small_field(rng, max_L=12):
     return SensorField(locs, vals, vals + rng.normal(0, math.sqrt(noise), L), noise)
 
 
-def upload_some(field, state, rng, k):
-    for idx in rng.permutation(field.n_sensors)[:k]:
-        state = state.with_uploads([int(idx)], [float(field.measurements[idx])])
-    return state
+def uploads_before(logs):
+    """Each round's log, with the sensors uploaded before that round in upload order."""
+    picks = [log.selected for log in logs]
+    return [(log, picks[:i]) for i, log in enumerate(logs)]
 
 
-def brute_force_min_next_mse(field, state, params):
+def brute_force_min_next_mse(field, uploaded, params):
     """Next-round MSE per candidate, recomputed with the naive solver.
 
-    After candidate l uploads, the estimate error it contributed is gone and
-    the remaining terms are the other sensors' current conditional variances,
-    so next-MSE(l) = sum of per-sensor variances minus l's own (each variance
-    obtained one sensor at a time via the explicit-inverse oracle).
+    ``uploaded`` lists the sensors that have reported, in upload order; the
+    others, ascending, are the candidates.  After candidate l uploads, the
+    estimate error it contributed is gone and the remaining terms are the
+    other sensors' current conditional variances, so next-MSE(l) = sum of
+    per-sensor variances minus l's own (each variance obtained one sensor at
+    a time via the explicit-inverse oracle).
     """
+    rem = oracle.remaining(field, uploaded)
     variances = {}
-    for cand in state.remaining:
+    for cand in rem:
         _, cov = naive_posterior(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
+            field.locations[uploaded], field.measurements[uploaded],
             field.locations[[cand]], params, field.noise_variance,
         )
         # shared tie rule: scores live on a 1e-12 grid
         variances[cand] = round(float(cov[0, 0]) * 1e12) / 1e12
     total = sum(variances.values())
     best_idx, best_mse = None, None
-    for cand in state.remaining:  # ascending, so ties keep the lowest index
+    for cand in rem:  # ascending, so ties keep the lowest index
         mse = total - variances[cand]
         if best_mse is None or mse < best_mse:
             best_idx, best_mse = cand, mse
     return best_idx
+
+
+def brute_force_virtual_pick(field, uploaded, virtual):
+    """The candidate whose upload leaves the least posterior variance summed
+    over ``virtual``, recomputed with the naive solver; ties within 1e-13
+    keep the lowest index."""
+    best, best_trace = None, None
+    for cand in oracle.remaining(field, uploaded):
+        obs = uploaded + [cand]
+        _, cov = naive_posterior(
+            field.locations[obs], np.zeros(len(obs)), virtual, UNIT, field.noise_variance,
+        )
+        tr = float(np.trace(cov))
+        if best_trace is None or tr < best_trace - 1e-13:
+            best, best_trace = cand, tr
+    return best
 
 
 def by_seed(batch_rounds):
@@ -127,223 +136,149 @@ def poisoning_observe(locations, at):
     return observe
 
 
-class TestDasState:
-    def test_fresh(self):
-        s = DasState.fresh(4)
-        assert s.uploaded == () and s.remaining == (0, 1, 2, 3) and s.round == 0
-
-    def test_with_uploads_moves_indices(self):
-        s = DasState.fresh(4).with_uploads([2], [1.5])
-        assert s.uploaded == (2,) and s.remaining == (0, 1, 3)
-        assert s.uploaded_values == (1.5,) and s.round == 1
-
-    def test_rejects_double_upload(self):
-        s = DasState.fresh(4).with_uploads([2], [1.5])
-        with pytest.raises(ValueError):
-            s.with_uploads([2], [1.0])
-        with pytest.raises(ValueError):
-            s.with_uploads([1, 1], [1.0, 1.0])
-
-    def test_empty_upload_advances_round(self):
-        s = DasState.fresh(4).with_uploads([], [])
-        assert s.round == 1 and s.remaining == (0, 1, 2, 3)
-
-    @pytest.mark.parametrize("uploaded,remaining,values", [
-        ((0, 1, 2, 4, 5, 6), (7,), (0.0,) * 6),  # gap at 3, 7 out of range
-        ((0, 1, 2), (2, 3), (0.0,) * 3),  # 2 in both, 4 sensors listed 5 times
-        ((0, 5), (1, 2, 3), (0.0, 0.0)),  # 5 out of range for 5 sensors
-        ((0, 1), (2, 3), (0.0,)),  # one value for two uploads
-        ((0, 1), (1, 2, 3), (0.0, 0.0)),  # overlap and a gap at 4
-        ((-1, 1), (0, 2), (0.0, 0.0)),  # negative index
-    ])
-    def test_rejects_non_partition(self, uploaded, remaining, values):
-        with pytest.raises(ValueError):
-            DasState(uploaded, remaining, values, len(uploaded))
-
-    def test_accepts_a_partition(self):
-        s = DasState((3, 0), (1, 2, 4), (1.5, -2.0), 2)
-        assert s.n_sensors == 5 and s.uploaded == (3, 0) and s.remaining == (1, 2, 4)
-        assert s.uploaded_values == (1.5, -2.0)
-        np.testing.assert_array_equal(s.mask, [True, False, False, True, False])
-        np.testing.assert_array_equal(s.remaining_index, [1, 2, 4])
-
-    def test_array_record_matches_the_views_and_is_read_only(self):
-        s = DasState.fresh(5).with_uploads([3], [0.5]).with_uploads([0, 4], [1.0, 2.0])
-        assert s.uploaded == (3, 0, 4) and s.remaining == (1, 2)
-        assert s.uploaded_values == (0.5, 1.0, 2.0) and s.round == 2
-        np.testing.assert_array_equal(s.order, [3, 0, 4])
-        np.testing.assert_array_equal(s.values, [0.5, 1.0, 2.0])
-        for arr in (s.mask, s.order, s.values, s.remaining_index):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-
-    def test_with_uploads_rejects_out_of_range(self):
-        s = DasState.fresh(4)
-        for bad in (4, -1):
-            with pytest.raises(ValueError, match="not awaiting upload"):
-                s.with_uploads([bad], [0.0])
-
-
 class TestEstimate:
+    """The field estimates ``run_das`` logs, round by round."""
+
     def test_prior_mse_is_L(self):
-        field = make_field(np.linspace(0, 9, 7))
-        est = estimate(field, DasState.fresh(7), UNIT)
-        assert est.mse == pytest.approx(7.0, abs=1e-12)
-        np.testing.assert_allclose(est.per_sensor_variance, np.ones(7))
+        # sensors 100 length scales apart: one upload leaves every other
+        # sensor at its prior variance, 1 each
+        field = make_field(np.arange(7) * 100.0)
+        est = run_das(field, "max-variance", 1, UNIT, log_estimates=True)[0].estimate
+        assert est.mse == pytest.approx(6.0, abs=1e-12)
+        np.testing.assert_allclose(est.per_sensor_variance, [0.0] + [1.0] * 6)
 
     def test_all_uploaded(self):
         field = make_field([0.0, 1.0, 2.0])
-        state = DasState.fresh(3)
-        for i in range(3):
-            state = state.with_uploads([i], [field.measurements[i]])
-        est = estimate(field, state, UNIT)
+        est = run_das(field, "max-variance", 3, UNIT, log_estimates=True)[-1].estimate
         np.testing.assert_array_equal(est.values, field.measurements)
         assert est.mse == 0.0
 
     def test_mse_equals_trace_of_joint_covariance(self):
         rng = np.random.default_rng(7)
         field = make_field(rng.uniform(0, 5, 5), rng=rng)
-        state = upload_some(field, DasState.fresh(5), rng, 2)
-        est = estimate(field, state, UNIT)
-        rest = list(state.remaining)
-        post = oracle.posterior(
-            field.locations[list(state.uploaded)],
-            np.asarray(state.uploaded_values),
-            field.locations[rest], UNIT, field.noise_variance,
-        )
-        assert est.mse == pytest.approx(np.trace(post.covariance), abs=1e-9)
+        logs = run_das(field, "random", 5, UNIT, rng=rng, log_estimates=True)
+        for log, before in uploads_before(logs):
+            uploaded = before + [log.selected]
+            rest = oracle.remaining(field, uploaded)
+            if not rest:
+                assert log.estimate.mse == 0.0
+                continue
+            post = oracle.posterior(
+                field.locations[uploaded], field.measurements[uploaded],
+                field.locations[rest], UNIT, field.noise_variance,
+            )
+            assert log.estimate.mse == pytest.approx(np.trace(post.covariance), abs=1e-9)
 
     def test_uploaded_entries_bitwise(self):
         rng = np.random.default_rng(8)
         field = make_field(rng.uniform(0, 5, 9), rng=rng)
-        state = upload_some(field, DasState.fresh(9), rng, 4)
-        est = estimate(field, state, UNIT)
-        for i in state.uploaded:
-            assert est.values[i] == field.measurements[i]
-            assert est.per_sensor_variance[i] == 0.0
+        logs = run_das(field, "random", 9, UNIT, rng=rng, log_estimates=True)
+        for log, before in uploads_before(logs):
+            for i in before + [log.selected]:
+                assert log.estimate.values[i] == field.measurements[i]
+                assert log.estimate.per_sensor_variance[i] == 0.0
 
     def test_mse_is_sum_of_variances(self):
         rng = np.random.default_rng(9)
         field = make_field(rng.uniform(0, 5, 8), rng=rng)
-        state = upload_some(field, DasState.fresh(8), rng, 3)
-        est = estimate(field, state, UNIT)
-        assert est.mse == np.sum(est.per_sensor_variance)
+        for log in run_das(field, "random", 8, UNIT, rng=rng, log_estimates=True):
+            assert log.estimate.mse == np.sum(log.estimate.per_sensor_variance)
 
 
 class TestSelectMaxVariance:
     def test_prior_tie_breaks_low(self):
         field = make_field([0.0, 1.0, 2.0])
-        assert select_max_variance(field, DasState.fresh(3), UNIT) == 0
+        assert run_das(field, "max-variance", 1, UNIT)[0].selected == 0
 
     def test_farthest_sensor_wins(self):
+        # sensor 0 wins the prior tie; then 2, far from it, beats 1 beside it
         field = make_field([0.0, 0.1, 5.0])
-        state = DasState.fresh(3).with_uploads([0], [field.measurements[0]])
-        assert select_max_variance(field, state, UNIT) == 2
+        assert [l.selected for l in run_das(field, "max-variance", 2, UNIT)] == [0, 2]
 
     def test_equals_brute_force_next_mse(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             field = random_small_field(rng)
-            state = upload_some(
-                field, DasState.fresh(field.n_sensors), rng,
-                int(rng.integers(0, field.n_sensors - 1)),
-            )
-            assert select_max_variance(field, state, UNIT) == \
-                brute_force_min_next_mse(field, state, UNIT)
+            logs = run_das(field, "max-variance", field.n_sensors - 1, UNIT)
+            for log, uploaded in uploads_before(logs):
+                assert log.selected == brute_force_min_next_mse(field, uploaded, UNIT)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_value_independence(self, seed):
         rng = np.random.default_rng(seed)
         field = random_small_field(rng)
-        state = upload_some(field, DasState.fresh(field.n_sensors), rng, 2)
-        pick = select_max_variance(field, state, UNIT)
         other = SensorField(
             field.locations, field.true_means,
             rng.uniform(-100, 100, field.n_sensors), field.noise_variance,
         )
-        other_state = DasState(
-            state.uploaded, state.remaining,
-            tuple(float(other.measurements[i]) for i in state.uploaded),
-            state.round,
-        )
-        assert select_max_variance(other, other_state, UNIT) == pick
+        picks = [[l.selected for l in run_das(f, "max-variance", f.n_sensors, UNIT)]
+                 for f in (field, other)]
+        assert picks[0] == picks[1]
 
     def test_empty_remaining_rejected(self):
-        field = make_field([0.0])
-        state = DasState.fresh(1).with_uploads([0], [field.measurements[0]])
-        with pytest.raises(ValueError):
-            select_max_variance(field, state, UNIT)
+        with pytest.raises(ValueError, match="rounds must be in"):
+            run_das(make_field([0.0]), "max-variance", 2, UNIT)
 
 
 class TestSelectRandom:
     def test_singleton(self):
-        state = DasState((0, 1, 2, 3, 4, 5, 6), (7,), (0.0,) * 7, 7)
-        assert select_random(state, np.random.default_rng(0)) == 7
+        # the last round picks the one sensor left
+        logs = run_das(make_field(np.arange(8.0)), "random", 8, UNIT,
+                       rng=np.random.default_rng(0))
+        assert sorted(l.selected for l in logs) == list(range(8))
 
     def test_uniform_over_remaining(self):
-        state = DasState((0,), (1, 2, 3, 4), (0.0,), 1)
-        rng = np.random.default_rng(42)
-        n = 10**5
-        counts = np.zeros(5)
-        for _ in range(n):
-            counts[select_random(state, rng)] += 1
-        assert counts[0] == 0
-        three_sigma = 3 * math.sqrt(0.25 * 0.75 / n)
-        np.testing.assert_allclose(counts[1:] / n, 0.25, atol=three_sigma)
+        # the first pick is uniform over 5 sensors, the second over the 4 left
+        n = 20_000
+        field = make_field(np.arange(5.0))
+        picks = np.zeros((2, n), dtype=int)
+        for batch, _, t, rnd, _ in run_das_batches(range(n), lambda rng: field, "random",
+                                                   2, UNIT):
+            picks[t - 1, batch] = rnd.picks
+        first = np.bincount(picks[0], minlength=5) / n
+        np.testing.assert_allclose(first, 0.2, atol=3 * math.sqrt(0.2 * 0.8 / n))
+        offset = np.bincount((picks[1] - picks[0]) % 5, minlength=5) / n
+        assert offset[0] == 0
+        np.testing.assert_allclose(offset[1:], 0.25, atol=3 * math.sqrt(0.25 * 0.75 / n))
 
     def test_deterministic_given_seed(self):
-        state = DasState((), tuple(range(10)), (), 0)
-        picks = {select_random(state, np.random.default_rng(99)) for _ in range(5)}
+        field = make_field(np.arange(10.0))
+        picks = {tuple(l.selected for l in run_das(field, "random", 10, UNIT,
+                                                   rng=np.random.default_rng(99)))
+                 for _ in range(5)}
         assert len(picks) == 1
 
     def test_empty_remaining_rejected(self):
-        state = DasState((0,), (), (1.0,), 1)
-        with pytest.raises(ValueError):
-            select_random(state, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rounds must be in"):
+            run_das(make_field([0.0]), "random", 2, UNIT, rng=np.random.default_rng(0))
 
 
 class TestSelectVirtualTarget:
     def test_coincident_virtual_location(self):
         field = make_field([0.0, 2.0, 4.0])
-        pick = select_virtual_target(field, DasState.fresh(3), [(2.0,)], UNIT)
-        assert pick == 1
+        assert run_das(field, "virtual", 1, UNIT, virtual_locs=[(2.0,)])[0].selected == 1
 
     def test_nearest_of_two(self):
         field = make_field([0.4, 5.0])
-        pick = select_virtual_target(field, DasState.fresh(2), [(0.5,)], UNIT)
-        assert pick == 0
+        assert run_das(field, "virtual", 1, UNIT, virtual_locs=[(0.5,)])[0].selected == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             field = random_small_field(rng, max_L=10)
-            state = upload_some(
-                field, DasState.fresh(field.n_sensors), rng,
-                int(rng.integers(0, field.n_sensors - 1)),
-            )
             n_virtual = int(rng.integers(1, 4))
             virtual = rng.uniform(0, 6, size=(n_virtual, field.dim))
-            best, best_trace = None, None
-            for cand in state.remaining:
-                obs = list(state.uploaded) + [cand]
-                _, cov = naive_posterior(
-                    field.locations[obs], np.zeros(len(obs)), virtual,
-                    UNIT, field.noise_variance,
-                )
-                tr = float(np.trace(cov))
-                if best_trace is None or tr < best_trace - 1e-13:
-                    best, best_trace = cand, tr
-            assert select_virtual_target(field, state, virtual, UNIT) == best
+            logs = run_das(field, "virtual", field.n_sensors - 1, UNIT, virtual_locs=virtual)
+            for log, uploaded in uploads_before(logs):
+                assert log.selected == brute_force_virtual_pick(field, uploaded, virtual)
 
     def test_rejects_empty(self):
         field = make_field([0.0, 1.0])
-        with pytest.raises(ValueError):
-            select_virtual_target(field, DasState.fresh(2), [], UNIT)
-        exhausted = DasState.fresh(2)
-        exhausted = exhausted.with_uploads([0], [0.0]).with_uploads([1], [0.0])
-        with pytest.raises(ValueError):
-            select_virtual_target(field, exhausted, [(0.5,)], UNIT)
+        with pytest.raises(ValueError, match="virtual location set is empty"):
+            run_das(field, "virtual", 1, UNIT, virtual_locs=[])
+        with pytest.raises(ValueError, match="rounds must be in"):
+            run_das(field, "virtual", 3, UNIT, virtual_locs=[(0.5,)])
 
 
 class TestRunDas:
@@ -371,6 +306,15 @@ class TestRunDas:
         field = gen_1d(22, 0.05, np.random.default_rng(6))
         fast = run_das(field, "max-variance", 22, UNIT)
         slow = oracle.run_das(field, "max-variance", 22, UNIT)
+        assert [l.selected for l in fast] == [l.selected for l in slow]
+        np.testing.assert_allclose(
+            [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
+        )
+
+    def test_incremental_matches_baseline_random(self):
+        field = gen_1d(22, 0.05, np.random.default_rng(6))
+        fast = run_das(field, "random", 22, UNIT, rng=np.random.default_rng(6))
+        slow = oracle.run_das(field, "random", 22, UNIT, rng=np.random.default_rng(6))
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
             [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
@@ -414,12 +358,10 @@ class TestRunDas:
         # uploads, every 50 rounds of a long max-variance run
         field = make(L, 0.1, np.random.default_rng(13))
         logs = run_das(field, "max-variance", rounds, UNIT, log_estimates=True)
-        state = DasState.fresh(L)
-        for log in logs:
-            state = state.with_uploads([log.selected], [field.measurements[log.selected]])
+        for log, before in uploads_before(logs):
             if log.round % 50:
                 continue
-            want = oracle.estimate(field, state, UNIT)
+            want = oracle.estimate(field, before + [log.selected], UNIT)
             np.testing.assert_allclose(log.estimate.values, want.values, atol=1e-8)
             np.testing.assert_allclose(log.estimate.per_sensor_variance,
                                        want.per_sensor_variance, atol=1e-8)
@@ -461,8 +403,10 @@ class TestRunDas:
             run_das(field, "max-variance", 3, UNIT)
         with pytest.raises(ValueError):
             run_das(field, "maximal", 1, UNIT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs virtual_locs"):
             run_das(field, "virtual", 1, UNIT)
+        with pytest.raises(ValueError, match="app-weighted policy needs apps"):
+            run_das(field, "app-weighted", 1, UNIT)
         with pytest.raises(ValueError, match="unknown policy"):
             run_das(field, lambda f, s, p, r: max(s.remaining), 1, UNIT)
 

@@ -1,13 +1,13 @@
 """Peak memory and import footprint, each measured in a fresh interpreter.
 
 The conditioner computes kernel rows only as observations need them, so a
-max-variance run, a virtual-target run and the public selection helpers use
-memory in proportion to uploads times sensors, not sensors squared (at
-L = 20000 a dense prior alone would take 3.2 GB); a factor block sized up
-front holds only the rows written; a seed batch keeps only as many seeds
-in flight as its bound allows; an ALOHA sweep's forked children peak below
-their parent; the package runs on numpy alone, with scipy needed by the
-tests only; and a das-csv run leaves numpy.ma unimported.
+max-variance run and a virtual-target run use memory in proportion to
+uploads times sensors, not sensors squared (at L = 20000 a dense prior
+alone would take 3.2 GB); a factor block sized up front holds only the rows
+written; a seed batch keeps only as many seeds in flight as its bound
+allows; an ALOHA sweep's forked children peak below their parent; the
+package runs on numpy alone, with scipy needed by the tests only; and a
+das-csv run leaves numpy.ma unimported.
 """
 
 import os
@@ -59,18 +59,7 @@ PEAK_MB = """
     field = gen_2d(20000, 0.1, np.random.default_rng(1))
     run_das(field, "max-variance", 200, KernelParams())
     """, 160),
-    ("""
-    import numpy as np
-    from fieldsense.das import DasState, select_max_variance
-    from fieldsense.fields import gen_2d
-    from fieldsense.gp import KernelParams
-    rng = np.random.default_rng(1)
-    field = gen_2d(3000, 0.1, rng)
-    up = [int(i) for i in rng.choice(3000, size=20, replace=False)]
-    state = DasState.fresh(3000).with_uploads(up, field.measurements[up])
-    select_max_variance(field, state, KernelParams())
-    """, 100),
-], ids=["run_das-L5000-200", "run_das-L20000-200", "select-L3000-20"])
+], ids=["run_das-L5000-200", "run_das-L20000-200"])
 def test_peak_memory(body, limit_mb):
     peak = float(run_fresh(textwrap.dedent(body) + textwrap.dedent(PEAK_MB)))
     assert peak < limit_mb, f"peak RSS {peak:.0f} MB"

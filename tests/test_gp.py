@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky
 
 import fieldsense.gp
-from fieldsense.das import DasState, run_das, run_das_batches
+from fieldsense.das import run_das, run_das_batches
 from fieldsense.fields import SensorField, gen_2d
 from fieldsense.gp import (
     VARIANCE_CLAMP,
@@ -19,7 +19,6 @@ from fieldsense.gp import (
     _sq_exp,
     gram,
     posterior,
-    posterior_mean_and_variance,
 )
 
 import oracle
@@ -184,10 +183,8 @@ class TestPosterior:
         with pytest.raises(LinAlgError):
             cholesky(gram(locs, locs, UNIT) + noise * np.eye(5), lower=True)
         post = posterior(locs, values, locs, UNIT, noise)
-        mean, var = posterior_mean_and_variance(locs, values, locs, UNIT, noise)
-        for m, v in ((post.mean, post.variance), (mean, var)):
-            assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
-            assert np.all(v >= 0.0)
+        assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.variance))
+        assert np.all(post.variance >= 0.0)
 
     def test_singular_factor_variances_agree_with_oracle(self):
         # The case above: the batch oracle needs diagonal jitter and leaves
@@ -197,10 +194,10 @@ class TestPosterior:
         locs = [0.0, 0.0, 1e-9, 0.5, 0.5]
         values = [0.3, -0.1, 0.2, 1.0, 0.9]
         noise = 1e-16
-        _, var = posterior_mean_and_variance(locs, values, locs, UNIT, noise)
+        post = posterior(locs, values, locs, UNIT, noise)
         _, want = oracle.posterior_mean_and_variance(locs, values, locs, UNIT, noise)
-        np.testing.assert_allclose(var, want, rtol=0, atol=1e-10)
-        cov = posterior(locs, values, locs, UNIT, noise).covariance
+        np.testing.assert_allclose(post.variance, want, rtol=0, atol=1e-10)
+        cov = post.covariance
         want_cov = oracle.posterior(locs, values, locs, UNIT, noise).covariance
         np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-10)
 
@@ -224,11 +221,9 @@ class TestPosterior:
         values = rng.normal(size=len(locs)) * math.sqrt(s2)
         noise = s2 * 10.0**log_ratio
         targets = np.vstack([locs, rng.uniform(0, 3, size=(3, d))])
-        _, var = posterior_mean_and_variance(locs, values, targets, params, noise)
-        cov = posterior(locs, values, targets, params, noise).covariance
+        var = posterior(locs, values, targets, params, noise).variance
         _, want = oracle.posterior_mean_and_variance(locs, values, targets, params, noise)
         np.testing.assert_allclose(var, want, rtol=0, atol=1e-6 * s2)
-        np.testing.assert_array_equal(np.diag(cov), var)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -248,8 +243,8 @@ class TestPosterior:
         values = rng.normal(size=n)
         targets = rng.uniform(-4, 4, size=(5, d))
         noise = float(rng.uniform(1e-3, 1.0))
-        _, before = posterior_mean_and_variance(obs[:-1], values[:-1], targets, UNIT, noise)
-        _, after = posterior_mean_and_variance(obs, values, targets, UNIT, noise)
+        before = posterior(obs[:-1], values[:-1], targets, UNIT, noise).variance
+        after = posterior(obs, values, targets, UNIT, noise).variance
         assert np.all(after <= before + 1e-10)
 
     @given(st.integers(0, 2**32 - 1))
@@ -268,9 +263,9 @@ class TestPosterior:
 
 def at_one_point(obs, values, target, noise):
     """Posterior mean and variance at one location, ``target`` (a coordinate
-    vector): ``posterior_mean_and_variance`` with one target."""
-    mean, var = posterior_mean_and_variance(obs, values, [target], UNIT, noise)
-    return float(mean[0]), float(var[0])
+    vector): ``posterior`` with one target."""
+    post = posterior(obs, values, [target], UNIT, noise)
+    return float(post.mean[0]), float(post.variance[0])
 
 
 class TestPointwiseConditional:
@@ -471,25 +466,25 @@ class TestSeedAxis:
         virtual = np.array([[0.5], [2.5], [4.5]])
         locs = rng.uniform(0, 5, size=(n_seeds, n, 1))
         fields = [SensorField(l, v, v, 0.1) for l, v in zip(locs, rng.normal(size=(n_seeds, n)))]
-        states = [DasState.fresh(n) for _ in fields]
+        uploaded = [[] for _ in fields]
         targets = np.concatenate([locs, np.broadcast_to(virtual, (n_seeds, 3, 1))], axis=1)
         cond = IncrementalConditioner(targets, UNIT, 0.1, capacity=4)
         for _ in range(4):
             for s, field in enumerate(fields):
-                i = int(rng.choice(states[s].remaining_index))
+                i = int(rng.choice(oracle.remaining(field, uploaded[s])))
                 cond.observe(i, float(field.measurements[i]), s)
-                states[s] = states[s].with_uploads([i], [field.measurements[i]])
-        rem = np.stack([state.remaining_index for state in states])
+                uploaded[s].append(i)
+        rem = np.array([oracle.remaining(f, u) for f, u in zip(fields, uploaded)])
         traces = cond.residual_variance(np.hstack([np.zeros((3, n)), np.eye(3)]), rem).sum(axis=1)
         apps = np.concatenate([rng.normal(size=(n_seeds, 2, n)), np.zeros((n_seeds, 2, 3))], axis=2)
-        for s, state in enumerate(states):
-            apps[s][:, : n][:, state.mask] = 0.0  # uploaded entries carry no error
+        for s, done in enumerate(uploaded):
+            apps[s][:, done] = 0.0  # uploaded entries carry no error
         mses = cond.residual_variance(apps, rem)
-        for s, (field, state) in enumerate(zip(fields, states)):
-            np.testing.assert_allclose(traces[s], oracle.virtual_traces(field, state, virtual, UNIT),
+        for s, (field, done) in enumerate(zip(fields, uploaded)):
+            np.testing.assert_allclose(traces[s], oracle.virtual_traces(field, done, virtual, UNIT),
                                        rtol=0, atol=1e-10)
             np.testing.assert_allclose(mses[s].T, oracle.hypothetical_mses(apps[s, :, :n], field,
-                                                                           state, UNIT),
+                                                                           done, UNIT),
                                        rtol=0, atol=1e-10)
 
     def test_growth_leaves_unwritten_rows_zero(self):
