@@ -35,7 +35,10 @@ holdout records:
   ``das-select.cfg`` at seeds 20,3,9,1;
 - das-csv as above with ``apps = mean,e:500``, naming no station: every
   seed of app-weighted fails, so the run exits 3 with one failure line per
-  seed and the other policies' records.
+  seed and the other policies' records;
+- das-2d on 400 sensors, 60 rounds of app-weighted (``apps =
+  mean,e:7,e:350``, betas 1, 2 and 1), virtual (three points) and
+  max-variance, at seeds 1..6: long scored runs on a 2-D field.
 
 ``tests/test_golden.py`` runs the same matrix in-process and compares the
 files' digests with a committed manifest.
@@ -82,6 +85,17 @@ mode = conventional,modified
 # 25 seeds, neither ascending nor contiguous
 SCATTERED = "41,7,30,2,19,55,13,26,3,48,11,37,22,9,60,5,33,17,44,28,1,52,15,39,24"
 
+SCORED_2D_CONFIG = """\
+experiment = das-2d
+L = 400
+sigma2 = 0.1
+rounds = 60
+policy = app-weighted,virtual,max-variance
+apps = mean,e:7,e:350
+betas = 1,2,1
+virtual = 0.2,0.2;0.5,0.5;0.8,0.3
+"""
+
 WIDE_CONFIG = """\
 experiment = aloha
 L = 60
@@ -115,6 +129,7 @@ def cases():
     yield "fig7-json", ["aloha", "--preset", "fig7", "--seed", "1..5", "--format", "json"]
     yield "das-select-scattered-json", ["das", "--config", str(WORKLOADS / "das-select.cfg"),
                                         "--seed", "20,3,9,1", "--format", "json"]
+    yield "das-2d-scored", ["das", "--config", "das-2d-scored.cfg", "--seed", "1..6"]
 
 
 def write_matrix(out: Path, run) -> None:
@@ -131,6 +146,7 @@ def write_matrix(out: Path, run) -> None:
     (out / "aloha-sleep.cfg").write_text(SLEEP_CONFIG, encoding="utf-8")
     (out / "aloha-wide.cfg").write_text(WIDE_CONFIG, encoding="utf-8")
     (out / "das-csv-bad-app.cfg").write_text(BAD_APP_CONFIG, encoding="utf-8")
+    (out / "das-2d-scored.cfg").write_text(SCORED_2D_CONFIG, encoding="utf-8")
     for name, fs_args in cases():
         path = f"{name}.json" if "json" in fs_args else f"{name}.csv"
         code, stdout, stderr = run([*fs_args, "--out", path], out)

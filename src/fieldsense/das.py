@@ -75,12 +75,10 @@ def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
     return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
 
 
-def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights,
-                       betas, unit: bool = False) -> np.ndarray:
+def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights, betas):
     """For each row of ``rem`` (S, m), the candidate minimizing the beta-weighted
-    residual variance of that seed's weight rows (unit rows on the targets
-    ``weights`` if ``unit``); ties go to the lowest index."""
-    scores = betas @ cond.residual_variance(weights, rem, unit)
+    residual variance of the weight rows; ties go to the lowest index."""
+    scores = betas @ cond.residual_variance(weights, rem)
     return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
 
 
@@ -93,7 +91,7 @@ def _positive_betas(betas) -> np.ndarray:
 
 
 def _app_rows(weights, betas, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated application weight rows (a fresh copy) and their betas."""
+    """Validated application weight rows and their betas."""
     betas = _positive_betas(betas)
     if len(weights) != betas.shape[0]:
         raise ValueError(f"{len(weights)} applications but {betas.shape[0]} betas")
@@ -183,9 +181,9 @@ def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams
     share their number of sensors and noise variance.  A batch holds as many
     seeds as fit a 4 MB budget (:func:`_in_flight`) over their factors
     (``rounds`` rows over the targets each) and, for the scored policies,
-    the kernel rows they score from (app-weighted: the prior, targets
-    squared; virtual: one row over the targets per virtual point), so a
-    large field plays one seed at a time; batches are of near-equal size.
+    the weight rows they score and those rows' products with the prior (two
+    rows over the targets per application or virtual point), so a large
+    field plays one seed at a time; batches are of near-equal size.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`play_seed_batches` does: ``round`` is the batch's
@@ -199,20 +197,23 @@ def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams
         n = field.n_sensors
         if policy == "virtual" and virtual_locs is not None:
             k = _virtual_points(virtual_locs, field.dim).shape[0]
-            return _in_flight(n + k, rounds, k)
-        return _in_flight(n, rounds, n if policy == "app-weighted" else 0)
+            return _in_flight(n + k, rounds, 2 * k)
+        if policy == "app-weighted" and apps is not None:
+            return _in_flight(n, rounds, 2 * len(apps[0]))
+        return _in_flight(n, rounds)
 
     return play_seed_batches(seeds, make_field, in_flight, lambda fields, rngs: _play(
         fields, rngs, policy, rounds, params, virtual_locs, log_estimates, apps))
 
 
-def _in_flight(n_targets: int, rows: int, kernel_rows: int = 0) -> int:
+def _in_flight(n_targets: int, rows: int, score_rows: int = 0) -> int:
     """Most seeds a batch may play at once: as many as fit ``_BATCH_BYTES``
     at each seed's worst case, ``rows`` factor rows, a posterior mean and
-    variance and ``kernel_rows`` kernel rows to score from, all over
-    ``n_targets`` targets.  Factor rows become resident only once written,
-    so a batch holds less than this until its seeds fill their rows."""
-    per_seed = 8 * n_targets * (rows + 2 + kernel_rows)
+    variance and ``score_rows`` rows to score from (for k weight rows, the
+    rows and their products with the prior, 2k), all over ``n_targets``
+    targets.  Factor rows become resident only once written, so a batch
+    holds less than this until its seeds fill their rows."""
+    per_seed = 8 * n_targets * (rows + 2 + score_rows)
     return max(1, _BATCH_BYTES // per_seed)
 
 
@@ -276,15 +277,14 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
         virtual = _virtual_points(virtual_locs, first.dim)
-        weights = np.arange(n, n + virtual.shape[0])  # the virtual points' targets
+        k = virtual.shape[0]
+        weights, betas = np.eye(k, n + k, n), np.ones(k)  # one-hot on the virtual points
         targets = np.concatenate(
             [targets, np.broadcast_to(virtual, (n_seeds, *virtual.shape))], axis=1)
-        betas = np.ones(weights.size)
     elif policy == "app-weighted":
         if apps is None:
             raise ValueError("app-weighted policy needs apps")
-        rows, betas = _app_rows(*apps, n)
-        weights = np.repeat(rows[None], n_seeds, axis=0)  # each seed zeroes its own uploads
+        weights, betas = _app_rows(*apps, n)
 
     cond = IncrementalConditioner(targets, params, first.noise_variance, capacity=rounds)
     meas = np.stack([f.measurements for f in fields])
@@ -309,15 +309,13 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
                 picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
                                   for s, rng in enumerate(rngs)])
             else:
-                picks = _min_residual_pick(cond, rem, weights, betas, policy == "virtual")
+                picks = _min_residual_pick(cond, rem, weights, betas)
         measured = meas[seeds, picks]
         waiting[seeds, picks] = False
         failed = cond.observe(picks[live], measured[live], live)
         if failed:  # a failed seed's run has ended
             ended.update(failed)
             live = np.setdiff1d(seeds, list(ended))
-        if policy == "app-weighted":
-            weights[seeds, :, picks] = 0.0  # an uploaded entry carries no error
         flat = np.flatnonzero(waiting).reshape(n_seeds, n - t - 1)
         var = cond.variance.take(flat)
         estimates = [_pack_estimate(fields[s], flat[s] - offsets[s],

@@ -181,11 +181,12 @@ class IncrementalConditioner:
     current at O(n_obs * n_targets) cost and memory per round.  ``observe``
     computes the kernel rows it needs, from a coordinate-major copy of the
     targets (one contiguous row per coordinate), so they are the
-    matrix-vector products' minor cost.  The target kernel matrix, the
-    prior, is built only when :meth:`residual_variance` first scores dense
-    weight rows, and ``observe`` then reads its rows, which are
-    bit-identical; unit weight rows, given as the targets they select,
-    score from those targets' kernel rows alone.
+    matrix-vector products' minor cost.  :meth:`residual_variance` scores
+    any weight rows W from W K, the rows' products with the prior, which it
+    builds from kernel rows over the columns the rows weigh and then keeps
+    current by one rank-one downdate per upload: no (n, n) prior is ever
+    held, and one-hot rows on k consecutive targets (virtual points) cost k
+    kernel rows.
 
     Seed axis: given an (S, n, d) array, one instance carries S fields, each
     with its own target locations, factor and observations, and ``mean`` and
@@ -230,8 +231,8 @@ class IncrementalConditioner:
         # (d, S, n): one contiguous row per coordinate and seed
         self._coords = np.ascontiguousarray(
             np.moveaxis(targets.reshape(n_seeds, n, targets.shape[1]), -1, 0))
-        self._prior = None  # (S, n, n): each seed's K(targets, targets), built on demand
-        self._unit = None  # what unit rows on some targets score from: see _unit_rows
+        self._observed = np.zeros((n_seeds, n), dtype=bool)  # each seed's uploaded targets
+        self._given = self._w = self._span = self._wk = None  # the scored rows: see _weigh
         self._at = {}  # k -> flat offsets of each seed's and weight row's first entry
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
         # _c[s] is L^-1 y; _t[s] counts the rows in use.
@@ -308,11 +309,8 @@ class IncrementalConditioner:
             order = np.lexsort((seed, rank))
             seed, index, value = seed[order], index[order], value[order]
             seeds, ends, at = seed.tolist(), np.cumsum(np.bincount(rank)).tolist(), seed
-        if self._prior is not None:
-            k_rows = self._prior[seed, index]
-        else:  # targets are validated: skip gram's checks
-            k_rows = _sq_exp(self._coords[:, at] - self._coords[:, seed, index, None],
-                             self.params)
+        # targets are validated: skip gram's checks
+        k_rows = _sq_exp(self._coords[:, at] - self._coords[:, seed, index, None], self.params)
         failed = {}
         if len(ends) == 1:
             self._slot(seed, index, value, k_rows, failed)
@@ -388,41 +386,47 @@ class IncrementalConditioner:
             keep = np.array([s not in failed for s in seeds])
             seed = rows = seed[keep]
             t, row, variance, c = t[keep], row[keep], variance[keep], c[keep]
+            index, k_rows = index[keep], k_rows[keep]
         if not lockstep:
             self._a[seed, t] = row
         self._c[seed, t] = c
         for s in seed.tolist():
             self._t[s] += 1
+        self._observed[seed, index] = True
+        span = self._span
+        if span is not None and any(span.start <= i < span.stop for i in idx):
+            # an uploaded entry is exact: W K loses w[:, p] K[p, :]
+            self._wk[rows] -= self._w[seed, :, index][..., None] * k_rows[:, None]
+            self._w[seed, :, index] = 0.0
         self._mean[rows] += np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
         if isinstance(rows, slice):
             np.maximum(variance, 0.0, out=old)
         else:
             self._variance[rows] = np.maximum(variance, 0.0, out=variance)
 
-    def residual_variance(self, weights, candidates, unit: bool = False) -> np.ndarray:
+    def residual_variance(self, weights, candidates) -> np.ndarray:
         """Error variance of weighted sums of the targets after each candidate uploads.
 
         Entry (r, j) is w'S w for weight row r once target ``candidates[j]``
         (c) is observed, where S = Sigma - Sigma[:, c] Sigma[c, :] /
         (Sigma[c, c] + noise) is the rank-one Schur update of the current
-        posterior covariance Sigma, and w has c's own entry zeroed because
-        an uploaded entry is exact.  Every selection policy scores candidates
-        this way: unit rows give the variance left at single targets, an
-        application's weights the error variance of its output.  Value-free:
-        the covariance of a Gaussian does not depend on the measurement.
+        posterior covariance Sigma, and w has every observed target's entry,
+        c's included, zeroed because an uploaded entry is exact.  Every
+        selection policy scores candidates this way: one-hot rows give the
+        variance left at single targets, an application's weights the error
+        variance of its output.  Value-free: the covariance of a Gaussian
+        does not depend on the measurement.
 
-        On a batch, ``weights`` is (k, n), shared by every seed, or (S, k, n),
-        ``candidates`` is (S, m), one row of targets per seed, and entry
-        (s, r, j) is seed s's score.  The products run once over the batch;
-        a seed holding as many observations as the fullest one (every seed
-        of a lockstep round loop) scores bit-identically to a conditioner of
-        its own field, and each seed's prior is built from its own targets.
-
-        With ``unit``, ``weights`` is k target indices, standing for the unit
-        rows on them, shared by every seed.  Their products with the prior
-        and the factor are the prior's rows and the factor's columns at
-        those targets, so the scores are the dense rows' bit for bit, from
-        k kernel rows built once (no (n, n) prior).
+        ``weights`` is (k, n), shared by every seed, or (S, k, n) on a batch,
+        with k >= 1 and every entry finite; ``candidates`` is (S, m) on a
+        batch, one row of targets per seed, and entry (s, r, j) is seed s's
+        score.  The scores come from W Sigma = W K - (W A') A over the span
+        of the rows' nonzero columns, A the factor rows, once over the batch;
+        W K is kept and downdated per upload, and rebuilt only when
+        ``weights`` changes other than at observed targets.  A seed holding
+        as many observations as the fullest one (every seed of a lockstep
+        round loop) scores bit-identically to a conditioner of its own given
+        rows of the same span, and one-hot rows as through a dense prior.
         """
         n_seeds, n = self._mean.shape
         cand = np.asarray(candidates, dtype=int)
@@ -433,60 +437,56 @@ class IncrementalConditioner:
         lo, hi = (int(cand.min()), int(cand.max())) if cand.size else (0, -1)
         if not (0 <= lo and hi < n):
             raise IndexError(f"candidate targets must lie in [0, {n})")
+        if self._given is None or not np.array_equal(weights, self._given):
+            self._weigh(weights)
+        w, span = self._w, self._span
         a = self._a[:, : max(self._t)]
-        if unit:
-            v = np.asarray(weights, dtype=int).ravel()
-            if self._unit is None or self._unit[0] != v.tobytes():
-                self._unit = self._unit_rows(v)
-            _, cols, k_rows, own_at, (first, last) = self._unit
-            # W A' as a contiguous copy, laid out as the dense rows' product is:
-            # a strided view gives other last bits
-            s = k_rows - np.ascontiguousarray(a.mT[:, cols]) @ a  # rows of W Sigma, (S, k, n)
-            own = s.take(own_at)[..., None]
-            # a candidate among the targets: the dense rows' entry there is 1
-            wc = None if hi < first or last < lo else (
-                cand[:, None, :] == v[:, None]).astype(float)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if not self._batch:
-                w = np.atleast_2d(w)
-            if w.ndim == 2:  # one set for every seed
-                w = w[None].repeat(n_seeds, axis=0)
-            if self._prior is None:  # in row blocks, so the build holds about one prior
-                c = self._coords
-                self._prior = np.empty((n_seeds, n, n))
-                for r in range(0, n, 128):
-                    self._prior[:, r : r + 128] = _sq_exp(
-                        c[..., r : r + 128, None] - c[..., None, :], self.params)
-            s = w @ self._prior - (w @ a.mT) @ a  # rows of W Sigma, (S, k, n)
-            own = np.einsum("...ij,...ij->...i", w, s)[..., None]
+        s = (w[..., span] @ a[..., span].mT) @ a
+        np.subtract(self._wk, s, out=s)  # rows of W Sigma, (S, k, n)
+        own = np.vecdot(w[..., span], s[..., span])[..., None]
         # flat positions of each seed's candidates in each of its rows
-        at = cand[:, None, :] + self._offsets(s.shape[1])
+        at = cand[:, None, :] + self._offsets(w.shape[1])
         sc = s.take(at)
         dc = self._variance.take(cand + self._offsets(1)[:, 0])[:, None, :]
-        if not unit:
-            wc = w.take(at)
-        if wc is not None:  # each candidate's own weight, zeroed once it uploads
+        if lo < span.stop and span.start <= hi:  # a candidate may carry weight
+            wc = w.take(at)  # each candidate's own weight, zeroed once it uploads
             wd = wc * dc
             own = own - wc * (2.0 * sc - wd)
             sc = sc - wd
-        out = own - sc * sc / (dc + self.noise_variance)
+        sc *= sc  # in place: a fresh array costs its page faults
+        sc /= dc + self.noise_variance
+        out = np.subtract(own, sc, out=sc)
         return out if self._batch else out[0]
 
-    def _unit_rows(self, v: np.ndarray) -> tuple:
-        """What unit rows on the targets ``v`` score from: ``v``'s bytes, the
-        factor columns to take (a slice where ``v`` is a run), each seed's
-        kernel rows K[v, :] (S, k, n), the flat positions of each row's own
-        target in an (S, k, n) array, and the least and greatest target."""
-        n = self._mean.shape[1]
-        k = v.size
-        if not (k and 0 <= v.min() and v.max() < n):
-            raise IndexError(f"unit targets must be given and lie in [0, {n})")
-        run = np.array_equal(v, np.arange(v[0], v[0] + k))
+    def _weigh(self, weights) -> None:
+        """Check ``weights`` and keep what :meth:`residual_variance` scores them
+        from: the rows as given, their (S, k, n) copy W with every observed
+        target zeroed, the span of the rows' nonzero columns (first to last)
+        and W K, each seed's summed over 128-column blocks of its kernel rows
+        in the span, as a one-field conditioner sums it.  Rows that equal W
+        once zeroed keep W K."""
+        n_seeds, n = self._mean.shape
+        w = np.asarray(weights, dtype=float)
+        if (w.ndim not in (2, 3) or w.ndim == 3 and w.shape[0] != n_seeds
+                or not w.shape[-2] or w.shape[-1] != n):
+            raise ValueError(f"weights must be (k, {n}) or ({n_seeds}, k, {n}) rows with "
+                             f"k >= 1, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
+        self._given = w.copy()
+        zeroed = np.where(self._observed[:, None], 0.0, w)
+        if self._w is not None and np.array_equal(zeroed, self._w):
+            return
+        cols = np.flatnonzero(w.reshape(-1, n).any(axis=0))
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        self._w, self._span = zeroed, slice(lo, hi)
+        self._wk = np.zeros(zeroed.shape)
         c = self._coords
-        return (v.tobytes(), slice(v[0], v[0] + k) if run else v,
-                _sq_exp(c[:, :, v, None] - c[:, :, None, :], self.params),
-                self._offsets(k)[..., 0] + v, (int(v.min()), int(v.max())))
+        for s in range(n_seeds):
+            for r in range(lo, hi, 128):
+                blk = slice(r, min(r + 128, hi))
+                self._wk[s] += zeroed[s][:, blk] @ _sq_exp(
+                    c[:, s, blk, None] - c[:, s, None, :], self.params)
 
     def _offsets(self, k: int) -> np.ndarray:
         """(S, k, 1) flat offsets of each seed's k rows of n entries, cached."""

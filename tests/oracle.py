@@ -216,20 +216,25 @@ def hypothetical_mses(weights, field, uploaded, params):
     return out
 
 
-def dense_residual_variance(cond, weights, candidates):
+def dense_residual_variance(cond, weights, candidates, uploaded, prior=None):
     """``IncrementalConditioner.residual_variance`` by the dense form: each
-    seed's (n, n) prior built by ``gram`` from its own targets, and the weight
-    rows multiplied through it and through the conditioner's factor.  With
-    unit rows (``np.eye(n)[targets]``) this is the oracle of the exact unit
-    form, which builds only the targets' kernel rows: the products of unit
-    rows are the rows and columns they select, so the two agree bit for bit.
-    Returns (S, k, m) scores for (S, m) ``candidates``."""
+    seed's weight rows zeroed at the targets in its list of ``uploaded``
+    (an uploaded entry is exact), then multiplied through that seed's (n, n)
+    prior, built by ``gram`` from its own targets unless ``prior`` (S, n, n)
+    is given, and through the conditioner's factor.  The library keeps the
+    rows' products with the prior and downdates them per upload, where this
+    multiplies the zeroed rows through the whole prior every call; with
+    one-hot rows both products are the rows they select, so the two agree
+    bit for bit.  Returns (S, k, m) scores for (S, m) ``candidates``."""
     locs = cond.target_locations
     locs = locs if locs.ndim == 3 else locs[None]
-    prior = np.stack([gram(seed_locs, seed_locs, cond.params) for seed_locs in locs])
+    if prior is None:
+        prior = np.stack([gram(seed_locs, seed_locs, cond.params) for seed_locs in locs])
     n_seeds, n = prior.shape[:2]
     w = np.asarray(weights, dtype=float)
-    w = np.repeat(w[None], n_seeds, axis=0) if w.ndim == 2 else w
+    w = np.array(np.broadcast_to(w, (n_seeds, *w.shape[-2:])))
+    for s, done in enumerate(uploaded):
+        w[s][:, list(done)] = 0.0
     cand = np.asarray(candidates, dtype=int)
     a = cond._a[:, : max(cond._t)]
     s = w @ prior - (w @ a.mT) @ a  # rows of W Sigma

@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldsense.gp
-from fieldsense.das import POLICIES, run_das, run_das_batches
+from fieldsense.das import POLICIES, quantize, run_das, run_das_batches
 from fieldsense.fields import SensorField, gen_1d, gen_2d
-from fieldsense.gp import KernelParams
+from fieldsense.gp import IncrementalConditioner, KernelParams, gram
 
 import oracle
 from test_gp import naive_posterior
 
 UNIT = KernelParams(1.0, 1.0)
+
+# Largest gap between the library's application scores and the dense
+# oracle's, relative to each application's largest score in that round.
+SCORE_RTOL = 1e-10
 
 
 def make_field(locations, noise=0.1, rng=None, values=None):
@@ -341,6 +345,38 @@ class TestRunDas:
             [l.mse for l in fast], [l.mse for l in slow], atol=1e-8
         )
 
+    @pytest.mark.parametrize("make,L", [(gen_1d, 1000), (gen_2d, 2000)], ids=["1d-L1000", "2d-L2000"])
+    def test_long_run_app_weighted_scores_match_the_dense_oracle(self, monkeypatch, make, L):
+        # every round of a 150-round run: the scores, kept as the rows'
+        # products with the prior downdated per upload, against the zeroed
+        # rows multiplied through the whole prior, within SCORE_RTOL of each
+        # application's largest score; and the pick is the oracle's
+        rng = np.random.default_rng(14)
+        field = make(L, 0.1, rng)
+        weights = np.vstack([np.full(L, 1.0 / L), np.eye(L)[7], np.eye(L)[L // 2],
+                             rng.normal(size=L)])
+        betas = np.array([1.0, 2.0, 1.0, 0.5])
+        locs = field.locations
+        prior = np.vstack([gram(locs[r : r + 250], locs, UNIT) for r in range(0, L, 250)])[None]
+        score = IncrementalConditioner.residual_variance
+        gaps = []
+
+        def checked(cond, w, rem):
+            got = score(cond, w, rem)
+            uploaded = [np.setdiff1d(np.arange(L), rem[0])]
+            want = oracle.dense_residual_variance(cond, w, rem, uploaded, prior)
+            # an application whose one sensor has uploaded scores 0 on both sides
+            scale = np.maximum(np.abs(want).max(axis=-1, keepdims=True), np.finfo(float).tiny)
+            gaps.append(float(np.max(np.abs(got - want) / scale)))
+            assert np.argmin(quantize(betas @ got)) == np.argmin(quantize(betas @ want))
+            return got
+
+        monkeypatch.setattr(IncrementalConditioner, "residual_variance", checked)
+        run_das(field, "app-weighted", 150, UNIT, apps=(weights, betas))
+        assert len(gaps) == 150
+        print(f"{make.__name__} L={L}: largest relative score gap {max(gaps):.2g}")
+        assert max(gaps) < SCORE_RTOL
+
     def test_long_run_virtual_matches_oracle(self):
         field = gen_1d(120, 0.1, np.random.default_rng(12))
         virtual = [(0.5,), (2.5,), (5.0,), (7.5,), (9.5,)]
@@ -480,16 +516,18 @@ class TestRunDasSeeds:
 
     # A seed's worst case is 8 * n * (rounds + 2 + r) bytes of 4 MB, n its
     # targets (the sensors, and the 2 virtual points of the virtual policy) and
-    # r the kernel rows it scores from: the prior's n for app-weighted, one per
-    # virtual point for virtual, none for max-variance.
+    # r the rows it scores from: for the scored policies the weight rows and
+    # their products with the prior, two per application (one here) or virtual
+    # point; none for max-variance.
     @pytest.mark.parametrize("L,rounds,policy,sizes", [
         (30, 30, "max-variance", [20]),  # 7.7 kB a seed: all 20 seeds at once
-        (60, 30, "virtual", [20]),  # 17 kB a seed
+        (60, 30, "virtual", [20]),  # 18 kB a seed
         (3000, 200, "max-variance", [1] * 20),  # 4.8 MB of factor a seed
-        (500, 12, "app-weighted", [2] * 10),  # 2 MB of prior and factor a seed
+        (500, 12, "app-weighted", [20]),  # 64 kB a seed; a prior would make it 2 MB
         (300, 220, "max-variance", [6, 7, 7]),  # 533 kB a seed: 7 at most
-        (240, 30, "virtual", [20]),  # 66 kB a seed; a prior would make it 530 kB
-        (2000, 30, "virtual", [6, 7, 7]),  # 545 kB a seed
+        (240, 30, "virtual", [20]),  # 69 kB a seed; a prior would make it 530 kB
+        (2000, 30, "virtual", [6, 7, 7]),  # 577 kB a seed
+        (1000, 66, "app-weighted", [6, 7, 7]),  # 560 kB a seed
     ])
     def test_batches_follow_the_byte_budget(self, monkeypatch, L, rounds, policy, sizes):
         made = []

@@ -1,10 +1,10 @@
 """Peak memory and import footprint, each measured in a fresh interpreter.
 
-The conditioner computes kernel rows only as observations need them, so a
-max-variance run and a virtual-target run use memory in proportion to
-uploads times sensors, not sensors squared (at L = 20000 a dense prior
-alone would take 3.2 GB); a factor block sized up front holds only the rows
-written; a seed batch keeps only as many seeds in flight as its bound
+The conditioner computes kernel rows only as observations and weight rows
+need them, so max-variance, virtual-target and app-weighted runs use memory
+in proportion to uploads times sensors, not sensors squared (at L = 20000 a
+dense prior alone would take 3.2 GB); a factor block sized up front holds
+only the rows written; a seed batch keeps only as many seeds in flight as its bound
 allows; an ALOHA sweep's forked children peak below their parent; the
 package runs on numpy alone, with scipy needed by the tests only; and a
 das-csv run leaves numpy.ma unimported.
@@ -71,17 +71,21 @@ SCORED_RUN = """
     from fieldsense.fields import gen_1d
     from fieldsense.gp import KernelParams
     field = gen_1d(4000, 0.1, np.random.default_rng(1))
-    run_das(field, {policy!r}, 50, KernelParams(), virtual_locs=[1.0, 3.0, 5.0, 7.0, 9.0])
+    run_das(field, {policy!r}, 50, KernelParams(), virtual_locs=[1.0, 3.0, 5.0, 7.0, 9.0],
+            apps=([np.full(4000, 1 / 4000)], [1.0]))
 """
 
 
-def test_virtual_policy_peaks_where_max_variance_does():
+@pytest.mark.parametrize("policy", ["virtual", "app-weighted"])
+def test_scored_policy_peaks_where_max_variance_does(policy):
     # the virtual policy scores from its 5 targets' kernel rows (5 x 4005
-    # floats), where a prior over every target would hold 128 MB
-    peaks = {policy: float(run_fresh(textwrap.dedent(SCORED_RUN.format(policy=policy))
-                                     + textwrap.dedent(PEAK_MB)))
-             for policy in ("max-variance", "virtual")}
-    assert peaks["virtual"] - peaks["max-variance"] < 10, f"peak RSS {peaks}"
+    # floats) and the mean application from its row's products with the
+    # prior, built from 128 kernel rows at a time and downdated per upload,
+    # where a prior over every target would hold 128 MB
+    peaks = {p: float(run_fresh(textwrap.dedent(SCORED_RUN.format(policy=p))
+                                + textwrap.dedent(PEAK_MB)))
+             for p in ("max-variance", policy)}
+    assert peaks[policy] - peaks["max-variance"] < 10, f"peak RSS {peaks}"
 
 
 SEED_BATCH = """

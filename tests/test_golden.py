@@ -1,6 +1,6 @@
 """Byte identity: the golden run matrix's outputs against a committed manifest.
 
-``scripts/golden_outputs.py`` writes 56 files (17 CLI cases, their inputs
+``scripts/golden_outputs.py`` writes 60 files (18 CLI cases, their inputs
 and logs).  This test runs the same matrix through ``fieldsense.cli.main``
 in-process, at the default share count, and once more in a fresh
 interpreter pinned to one CPU (one share), and compares every file's SHA-256

@@ -324,8 +324,9 @@ class TestIncrementalConditioner:
         np.testing.assert_allclose(before - cond.variance, predicted, atol=1e-12)
 
     def test_residual_variance_matches_commit(self):
-        # w'Sigma'w after each candidate, with the candidate's own weight
-        # zeroed, against a from-scratch posterior that includes it
+        # w'Sigma'w after each candidate, with the weights of the observed
+        # targets and the candidate zeroed, against a from-scratch posterior
+        # that includes it
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 5, size=(14, 2))
         cond = IncrementalConditioner(pts, UNIT, 0.1)
@@ -338,7 +339,7 @@ class TestIncrementalConditioner:
         for j, c in enumerate(cands):
             cov = oracle.posterior(pts[[2, 9, 5, c]], np.zeros(4), pts, UNIT, 0.1).covariance
             w = weights.copy()
-            w[:, c] = 0.0
+            w[:, [2, 9, 5, c]] = 0.0
             np.testing.assert_allclose(got[:, j], np.einsum("ij,jk,ik->i", w, cov, w),
                                        atol=1e-10)
 
@@ -430,10 +431,10 @@ class TestSeedAxis:
     @pytest.mark.parametrize("k", [1, 5])
     def test_batched_scores_match_one_conditioner_per_field(self, k, d):
         # seeds in lockstep, one observation each a step as the DAS loop plays
-        # them; scoring starts at step 5, so each prior is built mid-run and
-        # later kernel rows come from it; weights shared by every seed and one
-        # set per seed; factors sized to the run, short of it (they grow) and
-        # unsized
+        # them; scoring starts at step 5, so the rows' products with the prior
+        # are built mid-run, and rebuilt on every call as the weights switch
+        # between a set shared by every seed and one set per seed; factors
+        # sized to the run, short of it (they grow) and unsized
         rng = np.random.default_rng(60 + 10 * d + k)
         n, steps = 25, 12
         for n_seeds in range(1, 9):
@@ -533,7 +534,7 @@ class TestSeedAxis:
     def test_slot_matches_one_conditioner_per_field(self, d):
         # slots of distinct seeds, in any order or a run of consecutive seeds,
         # over seeds holding ragged observation counts; from step 6 on the
-        # batch's prior is built, so its kernel rows come from it
+        # batch also downdates its weight rows' products with the prior
         rng = np.random.default_rng(85 + d)
         n_seeds, n = 6, 30
         locs = rng.uniform(0, 5, size=(n_seeds, n, d))
@@ -617,6 +618,56 @@ class TestSeedAxis:
             with pytest.raises(IndexError, match="candidate"):
                 batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1], [bad, 1]])
 
+    def test_rejects_bad_weights(self):
+        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        cand = [[0, 1]] * 3
+        shape = r"weights must be \(k, 4\) or \(3, k, 4\) rows with k >= 1, got shape "
+        for bad, match in [
+            (np.ones(4), shape + r"\(4,\)"),
+            (np.ones((0, 4)), shape + r"\(0, 4\)"),
+            (np.ones((1, 5)), shape + r"\(1, 5\)"),
+            (np.ones((2, 1, 4)), shape + r"\(2, 1, 4\)"),
+            (np.ones((3, 0, 4)), shape + r"\(3, 0, 4\)"),
+            (np.ones((1, 3, 1, 4)), shape + r"\(1, 3, 1, 4\)"),
+            ([[1.0, np.nan, 1.0, 1.0]], "weights must be finite, got nan"),
+            (np.array([[[1.0, 1.0, 1.0, -np.inf]]] * 3), "weights must be finite, got -inf"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                batch.residual_variance(bad, cand)
+        # the rows are checked whenever they change, also after good ones
+        assert batch.residual_variance(np.ones((1, 4)), cand).shape == (3, 1, 2)
+        with pytest.raises(ValueError, match="weights must be finite, got inf"):
+            batch.residual_variance([[1.0, 1.0, np.inf, 1.0]], cand)
+        one = IncrementalConditioner(np.arange(4.0), UNIT, 0.1)
+        with pytest.raises(ValueError, match=r"\(k, 4\) or \(1, k, 4\) .* got shape \(4,\)"):
+            one.residual_variance(np.ones(4), [0, 1])
+
+    def test_observed_weights_need_not_be_zeroed(self):
+        # the conditioner zeroes every observed target's weight itself: rows
+        # with nonzero weights there score exactly as the rows zeroed, in
+        # either order, and both agree with the dense oracle
+        rng = np.random.default_rng(90)
+        n_seeds, n = 4, 30
+        locs = rng.uniform(0, 5, size=(n_seeds, n, 2))
+        raw = rng.normal(size=(3, n))
+        uploaded = [rng.permutation(n)[:6].tolist() for _ in range(n_seeds)]
+        zeroed = np.repeat(raw[None], n_seeds, axis=0)
+        for s, done in enumerate(uploaded):
+            zeroed[s][:, done] = 0.0
+        rem = np.array([np.setdiff1d(np.arange(n), done) for done in uploaded])
+        for first, second in ((raw, zeroed), (zeroed, raw)):
+            cond = IncrementalConditioner(locs, UNIT, 0.05)
+            for step in range(6):
+                cond.observe(np.array([done[step] for done in uploaded]),
+                             rng.normal(size=n_seeds))
+                if step == 1:  # build the products midway, and downdate them after
+                    cond.residual_variance(first, rem)
+            got = cond.residual_variance(first, rem)
+            np.testing.assert_array_equal(cond.residual_variance(second, rem), got)
+            np.testing.assert_array_equal(cond.residual_variance(first, rem), got)
+            want = oracle.dense_residual_variance(cond, raw, rem, uploaded)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
 
 class TestFullSlot:
     """One observe call takes every upload its caller has: a full slot, one
@@ -696,15 +747,18 @@ class TestFullSlot:
     def test_repeated_seeds_match_one_scalar_call_at_a_time(self, n, d):
         # calls of 1 to 3S uploads, seeds drawn with repeats in any order, up to
         # 40 rows a seed, factors sized short so they grow; from the fourth
-        # call on, the batch's kernel rows come from its prior
+        # call on, the batch downdates its weight rows' products with the
+        # prior, which then score as the dense oracle does
         rng = np.random.default_rng(150 + n + d)
         for n_seeds in (1, 3, 10):
             locs = rng.uniform(0, 5, size=(n_seeds, n, d))
             batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=3)
             singles = [IncrementalConditioner(f, UNIT, 0.05, capacity=3) for f in locs]
+            weights, every = rng.normal(size=(2, n)), np.tile(np.arange(n), (n_seeds, 1))
+            uploaded = [[] for _ in range(n_seeds)]
             for call in range(8):
                 if call == 3:
-                    batch.residual_variance(np.ones((1, n)), np.tile(np.arange(n), (n_seeds, 1)))
+                    batch.residual_variance(weights, every)
                 room = [40 - t for t in batch.n_observations]
                 seeds = rng.choice(np.repeat(np.arange(n_seeds), room),
                                    size=min(int(rng.integers(1, 3 * n_seeds + 1)), sum(room)),
@@ -713,8 +767,11 @@ class TestFullSlot:
                 assert batch.observe(idx, vals, seeds) == {}
                 for s, i, v in zip(seeds.tolist(), idx.tolist(), vals.tolist()):
                     singles[s].observe(i, v)
+                    uploaded[s].append(i)
                 self.assert_singles(batch, singles)
-            assert batch._prior is not None
+            want = oracle.dense_residual_variance(batch, weights, every, uploaded)
+            np.testing.assert_allclose(batch.residual_variance(weights, every), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_failing_seed_takes_none_of_its_later_uploads(self):
         # seed 2's first upload of the call applies and its second fails at
@@ -811,9 +868,10 @@ class TestFullSlot:
 
 
 class TestUnitScores:
-    """Unit weight rows given as the targets they select score from those
-    targets' kernel rows alone, bit for bit as the dense rows score through
-    each seed's (n, n) prior (tests/oracle.py)."""
+    """Unit (one-hot) weight rows on k targets score through the one path from
+    those targets' k kernel rows, bit for bit as the dense rows score through
+    each seed's (n, n) prior (tests/oracle.py), also once their targets are
+    observed and their rows zeroed."""
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [3, 40, 300])
@@ -822,39 +880,41 @@ class TestUnitScores:
         for n_seeds in (1, 2, 4):
             k = min(5, n - 1)
             locs = rng.uniform(0, 5, size=(n_seeds, n, d))
-            cond = IncrementalConditioner(locs, UNIT, 0.05, capacity=36)
             order = [rng.permutation(n - k) for _ in range(n_seeds)]
             run = np.arange(n - k, n)  # targets after the sensors, as virtual points are
             scattered = np.sort(rng.choice(n, size=k, replace=False))[::-1]
+            # one conditioner per set of rows, so each keeps and downdates its products
+            conds = {key: IncrementalConditioner(locs, UNIT, 0.05, capacity=36)
+                     for key in ("run", "scattered")}
+            rows = {"run": np.eye(n)[run], "scattered": np.eye(n)[scattered]}
             for step in range(min(36, n - k)):
                 rem = np.sort([o[step:] for o in order], axis=1)
                 everywhere = np.tile(np.arange(n), (n_seeds, 1))  # targets among them
+                uploaded = [o[:step] for o in order]
                 # up to 35 rows: a strided operand's bits differ mostly past 20
-                checks = ((run, rem), (scattered, rem), (scattered, everywhere))
-                for targets, cand in checks if step in (0, 1, 7, 22, 29, 35) else ():
-                    got = cond.residual_variance(targets, cand, unit=True)
-                    want = oracle.dense_residual_variance(cond, np.eye(n)[targets], cand)
+                checks = (("run", rem), ("scattered", rem), ("scattered", everywhere))
+                for key, cand in checks if step in (0, 1, 7, 22, 29, 35) else ():
+                    got = conds[key].residual_variance(rows[key], cand)
+                    want = oracle.dense_residual_variance(conds[key], rows[key], cand, uploaded)
                     np.testing.assert_array_equal(got, want)
-                cond.observe(np.array([o[step] for o in order]), rng.normal(size=n_seeds))
-            assert cond._prior is None  # no (n, n) prior was built
+                picks, vals = np.array([o[step] for o in order]), rng.normal(size=n_seeds)
+                for cond in conds.values():
+                    cond.observe(picks, vals)
 
     def test_one_field_and_the_dense_path_agree(self):
+        # target 4 is observed, so its row is zeroed
         rng = np.random.default_rng(140)
         pts = rng.uniform(0, 5, size=(30, 2))
         cond = IncrementalConditioner(pts, UNIT, 0.1)
         for i in (4, 17, 9):
             cond.observe(i, float(rng.normal()))
         cand = np.array([0, 1, 2, 5, 6, 25, 29])
-        targets = [25, 26, 27]
-        got = cond.residual_variance(targets, cand, unit=True)
+        rows = np.eye(30)[[4, 26, 27]]
+        got = cond.residual_variance(rows, cand)
         assert got.shape == (3, cand.size)
-        np.testing.assert_array_equal(got, cond.residual_variance(np.eye(30)[targets], cand))
-
-    def test_rejects_bad_targets(self):
-        cond = IncrementalConditioner(np.arange(5.0), UNIT, 0.1)
-        for bad in ([], [5], [-1, 2]):
-            with pytest.raises(IndexError, match="unit targets"):
-                cond.residual_variance(bad, [0, 1], unit=True)
+        np.testing.assert_array_equal(
+            got, oracle.dense_residual_variance(cond, rows, cand[None], [[4, 17, 9]])[0])
+        np.testing.assert_array_equal(got[0], 0.0)
 
 
 class TestKernelRow:
@@ -905,24 +965,26 @@ class TestKernelRow:
         for idx, row in zip(order, rows):  # a one-seed slot's (1, n) rows
             np.testing.assert_array_equal(row, full[[idx]])
 
-    def test_cached_prior_midway_leaves_run_das_unchanged(self, monkeypatch):
+    def test_products_built_midway_leave_run_das_unchanged(self, monkeypatch):
+        # the run's conditioner first builds its weight rows' products with
+        # the prior after 15 uploads (rounds 1-15 score on a copy of it, built
+        # afresh each round) and downdates them from there; the picks and
+        # MSEs are those of the run that builds them in round 1
         field = gen_2d(300, 0.1, np.random.default_rng(4))
         params = KernelParams()
-        plain = run_das(field, "max-variance", 40, params)
+        weights = np.vstack([np.full(300, 1.0 / 300), np.eye(300)[7], np.eye(300)[150]])
+        apps = (weights, [1.0, 2.0, 1.0])
+        plain = run_das(field, "app-weighted", 40, params, apps=apps)
 
-        observe = IncrementalConditioner.observe
-        seen = []
+        score = IncrementalConditioner.residual_variance
+        calls = []
 
-        def score_and_observe(cond, index, value, seed=0):
-            if len(seen) == 15:  # builds the prior; later rows come from it
-                rem = np.setdiff1d(np.arange(field.n_sensors), seen)[None]
-                cond.residual_variance(np.ones((1, field.n_sensors)), rem)
-                assert cond._prior is not None
-            seen.append(index)
-            return observe(cond, index, value, seed)
+        def late_score(cond, weights, candidates):
+            calls.append(cond._wk is None)
+            return score(copy.deepcopy(cond) if len(calls) <= 15 else cond, weights, candidates)
 
-        monkeypatch.setattr(IncrementalConditioner, "observe", score_and_observe)
-        switched = run_das(field, "max-variance", 40, params)
-        assert len(seen) == 40
+        monkeypatch.setattr(IncrementalConditioner, "residual_variance", late_score)
+        switched = run_das(field, "app-weighted", 40, params, apps=apps)
+        assert calls == [True] * 16 + [False] * 24
         assert [log.selected for log in switched] == [log.selected for log in plain]
         assert [log.mse for log in switched] == [log.mse for log in plain]
