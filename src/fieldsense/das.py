@@ -75,10 +75,10 @@ def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
     return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
 
 
-def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, weights, betas):
+def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, betas):
     """For each row of ``rem`` (S, m), the candidate minimizing the beta-weighted
-    residual variance of the weight rows; ties go to the lowest index."""
-    scores = betas @ cond.residual_variance(weights, rem)
+    residual variance of the conditioner's weight rows; ties go to the lowest index."""
+    scores = betas @ cond.residual_variance(rem)
     return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
 
 
@@ -273,6 +273,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
         raise ValueError("a seed batch needs fields of one size and noise variance")
     n_seeds = len(fields)
     targets = np.stack([f.locations for f in fields])
+    weights = None
     if policy == "virtual":
         if virtual_locs is None:
             raise ValueError("virtual policy needs virtual_locs")
@@ -286,7 +287,8 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
             raise ValueError("app-weighted policy needs apps")
         weights, betas = _app_rows(*apps, n)
 
-    cond = IncrementalConditioner(targets, params, first.noise_variance, capacity=rounds)
+    cond = IncrementalConditioner(targets, params, first.noise_variance, capacity=rounds,
+                                  weights=weights)
     meas = np.stack([f.measurements for f in fields])
     # The one record of the uploads: which sensors are still waiting, laid over
     # every target so that its flat positions index the conditioner's (S, n_t)
@@ -309,7 +311,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
                 picks = np.array([rem[s, 0] if s in ended else rem[s, int(rng.integers(n - t))]
                                   for s, rng in enumerate(rngs)])
             else:
-                picks = _min_residual_pick(cond, rem, weights, betas)
+                picks = _min_residual_pick(cond, rem, betas)
         measured = meas[seeds, picks]
         waiting[seeds, picks] = False
         failed = cond.observe(picks[live], measured[live], live)

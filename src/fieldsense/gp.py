@@ -9,7 +9,9 @@ noise-augmented kernel matrix one observation at a time (never an explicit
 inverse), with pivot jitter as a fallback for nearly singular systems.
 
 Locations are represented as rows of a float array of shape (n, d); 1-D
-inputs (scalars, flat lists) are promoted to shape (n, 1).
+inputs (scalars, flat lists) are promoted to shape (n, 1).  The conditioner
+takes a seed batch of S such sets, an (S, n, d) array; one field is the
+batch of one.
 """
 
 import math
@@ -82,18 +84,24 @@ def as_points(locs, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _sq_exp(diff: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel values for coordinate differences along the first axis of ``diff``.
+def _sq_exp(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Kernel values between points ``a`` and ``b``, coordinate-major (d, ...)
+    arrays that broadcast against each other.
 
     The squared distance is summed one coordinate at a time, in order: for
     the few coordinates a location has this is the left-to-right sum a
-    reduction over them gives, bit for bit, at a fraction of its cost.  The
-    rest is computed in place in the one result array.  Dividing by -2 l^2
-    gives the bits of negating first: IEEE rounding is symmetric in sign.
+    reduction over them gives, bit for bit, at a fraction of its cost.  Each
+    coordinate's difference is formed and squared on its own, so no (d, ...)
+    array of differences is held, and the rest is computed in place in the
+    one result array.  Dividing by -2 l^2 gives the bits of negating first:
+    IEEE rounding is symmetric in sign.
     """
-    d2 = np.multiply(diff[0], diff[0])
-    for dk in diff[1:]:
-        d2 += dk * dk
+    d2 = np.subtract(a[0], b[0])
+    d2 *= d2
+    for ak, bk in zip(a[1:], b[1:]):
+        dk = np.subtract(ak, bk)
+        dk *= dk
+        d2 += dk
     np.divide(d2, -2.0 * params.length_scale**2, out=d2)
     np.exp(d2, out=d2)
     d2 *= params.signal_variance
@@ -113,7 +121,7 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     if r.shape[0] == 0 or c.shape[0] == 0:
         return np.zeros((r.shape[0], c.shape[0]))
-    return _sq_exp(r.T[:, :, None] - c.T[:, None, :], params)
+    return _sq_exp(r.T[:, :, None], c.T[:, None, :], params)
 
 
 def posterior(
@@ -145,16 +153,17 @@ def posterior(
             f"{obs.shape[0]} observed locations but {values.shape[0]} values"
         )
     n = obs.shape[0]
-    cond = IncrementalConditioner(np.vstack([obs, targets]), params, noise_variance, capacity=n)
+    cond = IncrementalConditioner(np.vstack([obs, targets])[None], params, noise_variance,
+                                  capacity=n)
     failed = cond.observe(np.arange(n), values, np.zeros(n, dtype=int))
     if failed:
         raise ValueError(failed[0])
-    targets = cond.target_locations[n:]
+    targets = cond.target_locations[0, n:]
     v = cond._a[0, :n, n:]  # L^-1 K(O, T)
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
-    np.fill_diagonal(cov, cond.variance[n:])
-    return GprPosterior(cond.mean[n:], cov, targets)
+    np.fill_diagonal(cov, cond.variance[0, n:])
+    return GprPosterior(cond.mean[0, n:], cov, targets)
 
 
 def _zeros(shape) -> np.ndarray:
@@ -171,32 +180,30 @@ def _zeros(shape) -> np.ndarray:
 
 
 class IncrementalConditioner:
-    """Conditions the GP on observations added one at a time.
+    """Conditions S GP fields, a seed batch, on observations added one at a time.
 
-    Targets are fixed up front; observations must be drawn from the target
-    set (the round loop observes sensors, the one-off posterior conditions
-    over the observed locations followed by the targets).  Appending an
-    observation extends the Cholesky factor of the noise-augmented kernel
-    matrix by one row, so per-target posterior means and variances stay
-    current at O(n_obs * n_targets) cost and memory per round.  ``observe``
-    computes the kernel rows it needs, from a coordinate-major copy of the
-    targets (one contiguous row per coordinate), so they are the
-    matrix-vector products' minor cost.  :meth:`residual_variance` scores
-    any weight rows W from W K, the rows' products with the prior, which it
-    builds from kernel rows over the columns the rows weigh and then keeps
-    current by one rank-one downdate per upload: no (n, n) prior is ever
-    held, and one-hot rows on k consecutive targets (virtual points) cost k
-    kernel rows.
+    Targets are fixed up front, an (S, n, d) array with each seed's own
+    target locations; observations must be drawn from a seed's targets (the
+    round loop observes sensors, the one-off posterior, a batch of one,
+    conditions over the observed locations followed by the targets).
+    Appending an observation extends the seed's Cholesky factor of the
+    noise-augmented kernel matrix by one row, so ``mean`` and ``variance``,
+    (S, n) arrays of every seed's posterior, stay current at O(n_obs *
+    n_targets) cost and memory per round; ``n_observations`` counts each
+    seed's observations.  ``observe`` computes the kernel rows it needs,
+    from a coordinate-major copy of the targets (one contiguous row per
+    coordinate and seed), so they are the matrix-vector products' minor
+    cost.  ``observe`` takes every upload a caller has at once: any seeds,
+    in any order, each as often as it uploads.  Every seed is conditioned
+    on its own rows, so its numbers are bit-identical to a batch of one.
 
-    Seed axis: given an (S, n, d) array, one instance carries S fields, each
-    with its own target locations, factor and observations, and ``mean`` and
-    ``variance`` have shape (S, n), so a batch reads every seed's posterior
-    at once; (n, d) locations are the batch of one, whose ``mean`` and
-    ``variance`` are its row, of shape (n,).  ``observe`` takes every
-    upload a caller has at once: any seeds, in any order, each as often as
-    it uploads.  Every seed is conditioned on its own rows, so its numbers
-    are bit-identical to a conditioner of its own, and
-    :meth:`residual_variance` scores every seed at once.
+    ``weights``, the rows :meth:`residual_variance` scores, are given once
+    at construction: (k, n), shared by every seed, or (S, k, n), with k >= 1
+    and every entry finite.  The conditioner keeps their products with the
+    prior, W K, built from kernel rows over the columns the rows weigh and
+    kept current by one rank-one downdate per upload: no (n, n) prior is
+    ever held, and one-hot rows on k consecutive targets (virtual points)
+    cost k kernel rows.
 
     Every seed's factor rows live in one (S, capacity, n) block, allocated
     once; the rows a seed has not written are zero.  ``capacity`` is the
@@ -213,62 +220,42 @@ class IncrementalConditioner:
     """
 
     def __init__(self, target_locs, params: KernelParams, noise_variance: float,
-                 capacity: int | None = None):
+                 capacity: int | None = None, weights=None):
         locs = np.asarray(target_locs, dtype=float)
-        batch = locs.ndim == 3
-        targets = as_points(locs.reshape(-1, locs.shape[-1]) if batch else locs)
+        if locs.ndim != 3:
+            raise ValueError(f"target locations must be an (S, n, d) array, got shape "
+                             f"{locs.shape}")
+        targets = as_points(locs.reshape(-1, locs.shape[-1]))
         if not (noise_variance > 0 and math.isfinite(noise_variance)):
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-        n_seeds, n = locs.shape[:2] if batch else (1, targets.shape[0])
+        n_seeds, n = locs.shape[:2]
         if capacity is None:
             capacity = n
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.params = params
         self.noise_variance = noise_variance
-        self._batch = batch
-        self.target_locations = targets.reshape(locs.shape) if batch else targets
+        self.target_locations = targets.reshape(locs.shape)
         # (d, S, n): one contiguous row per coordinate and seed
-        self._coords = np.ascontiguousarray(
-            np.moveaxis(targets.reshape(n_seeds, n, targets.shape[1]), -1, 0))
-        self._observed = np.zeros((n_seeds, n), dtype=bool)  # each seed's uploaded targets
-        self._given = self._w = self._span = self._wk = None  # the scored rows: see _weigh
-        self._at = {}  # k -> flat offsets of each seed's and weight row's first entry
+        self._coords = np.ascontiguousarray(np.moveaxis(self.target_locations, -1, 0))
         # Row t of _a[s] is the t-th row of L^-1 K(obs, targets) for seed s;
-        # _c[s] is L^-1 y; _t[s] counts the rows in use.
+        # _c[s] is L^-1 y.
         self._a = _zeros((n_seeds, capacity, n))
         self._c = np.zeros((n_seeds, capacity))
-        self._t = [0] * n_seeds
+        self.n_observations = [0] * n_seeds
         # (S, n) posterior means and variances, updated in place
-        self._mean = np.zeros((n_seeds, n))
-        self._variance = np.full((n_seeds, n), params.signal_variance)
+        self.mean = np.zeros((n_seeds, n))
+        self.variance = np.full((n_seeds, n), params.signal_variance)
+        self._w = self._span = None  # the scored rows: see _weigh
+        if weights is not None:
+            self._weigh(weights)
 
-    # Views taken on each read: a stored view would lose its base in a copy.
-    @property
-    def mean(self) -> np.ndarray:
-        """Posterior means, (S, n) on a batch and (n,) for one field; writable."""
-        return self._mean if self._batch else self._mean[0]
-
-    @property
-    def variance(self) -> np.ndarray:
-        """Posterior variances, shaped as :attr:`mean`; writable."""
-        return self._variance if self._batch else self._variance[0]
-
-    @property
-    def n_observations(self):
-        """Observations held: an int, or a tuple with one count per seed on a batch."""
-        return tuple(self._t) if self._batch else self._t[0]
-
-    def observe(self, index, value, seed=None):
+    def observe(self, index, value, seed) -> dict:
         """Condition seeds on (noisy) measurements at their targets.
 
         ``index``, ``value`` and ``seed`` hold one target, measurement and
         seed per upload, the seeds in any order, a repeated seed taking its
-        uploads in the order given.  With ``seed`` omitted, one upload of
-        every seed in seed order (scalars for a one-field conditioner).
-        Scalars are one upload, and raise ``ValueError``, leaving the
-        conditioner unchanged, if even the largest pivot jitter leaves a
-        variance below ``VARIANCE_CLAMP``.
+        uploads in the order given; scalars are one upload.
 
         The kernel rows are built at once; then slot j, each seed's j-th
         upload, runs as (m, n) array operations.  Each seed's product with
@@ -277,14 +264,13 @@ class IncrementalConditioner:
         equally many rows, the left operand at the one-seed call's stride.
         A seed whose pivot needs jitter is retried alone; a seed no jitter
         saves is left as that upload found it and takes none of its later
-        ones.  Sequences return ``{seed: message}`` for those seeds.  Bad
-        seeds, targets or values raise before anything changes.
+        ones.  Returns ``{seed: message}`` for those seeds.  Bad seeds,
+        targets or values raise before anything changes.
         """
-        one = np.ndim(index) == 0
         index = np.atleast_1d(index)
         value = np.atleast_1d(np.asarray(value, dtype=float))
-        n_seeds, n = self._mean.shape
-        seed = np.arange(n_seeds) if seed is None else np.atleast_1d(seed)
+        seed = np.atleast_1d(seed)
+        n_seeds, n = self.mean.shape
         m = seed.size
         if not index.size == value.size == m:
             raise ValueError(f"observe needs one target and value per seed, got "
@@ -310,7 +296,7 @@ class IncrementalConditioner:
             seed, index, value = seed[order], index[order], value[order]
             seeds, ends, at = seed.tolist(), np.cumsum(np.bincount(rank)).tolist(), seed
         # targets are validated: skip gram's checks
-        k_rows = _sq_exp(self._coords[:, at] - self._coords[:, seed, index, None], self.params)
+        k_rows = _sq_exp(self._coords[:, at], self._coords[:, seed, index, None], self.params)
         failed = {}
         if len(ends) == 1:
             self._slot(seed, index, value, k_rows, failed)
@@ -320,18 +306,16 @@ class IncrementalConditioner:
                     [r for r, s in enumerate(seeds[a:b], start=a) if s not in failed], int)
                 if seed[take].size:
                     self._slot(seed[take], index[take], value[take], k_rows[take], failed)
-        if one and failed:
-            raise ValueError(failed.popitem()[1])
-        return None if one else failed
+        return failed
 
     def _slot(self, seed, index, value, k_rows, failed: dict) -> None:
         """One upload each of ascending distinct seeds; those no jitter saves go to ``failed``."""
-        n = self._mean.shape[1]
+        n = self.mean.shape[1]
         seeds, idx = seed.tolist(), index.tolist()
-        ts = [self._t[s] for s in seeds]
+        ts = [self.n_observations[s] for s in seeds]
         m = len(seeds)
         if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
-            cap, n_seeds = self._c.shape[1], len(self._t)
+            cap, n_seeds = self._c.shape[1], len(self.n_observations)
             grown = _zeros((n_seeds, max(2 * cap, 8), n))
             grown[:, :cap] = self._a
             self._a = grown
@@ -360,11 +344,11 @@ class IncrementalConditioner:
                 np.matmul(lvec[:, None], f, out=prod[a:b, None])
                 lc[a:b] = np.matmul(lvec[:, None], self._c[s : s + b - a, :t, None])[:, 0, 0]
         resid = np.subtract(k_rows, prod, out=prod)
-        pivot = self._variance[seed, index] + self.noise_variance
+        pivot = self.variance[seed, index] + self.noise_variance
         d = np.sqrt(pivot)
         # one run's new factor rows are written in place
         row = np.divide(resid, d[:, None], out=self._a[rows, ts[0]] if lockstep else None)
-        old = self._variance[rows]
+        old = self.variance[rows]
         variance = np.multiply(row, row)
         np.subtract(old, variance, out=variance)
         low = variance.min(axis=1).tolist()
@@ -391,63 +375,57 @@ class IncrementalConditioner:
             self._a[seed, t] = row
         self._c[seed, t] = c
         for s in seed.tolist():
-            self._t[s] += 1
-        self._observed[seed, index] = True
+            self.n_observations[s] += 1
         span = self._span
         if span is not None and any(span.start <= i < span.stop for i in idx):
             # an uploaded entry is exact: W K loses w[:, p] K[p, :]
             self._wk[rows] -= self._w[seed, :, index][..., None] * k_rows[:, None]
             self._w[seed, :, index] = 0.0
-        self._mean[rows] += np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
+        self.mean[rows] += np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
         if isinstance(rows, slice):
             np.maximum(variance, 0.0, out=old)
         else:
-            self._variance[rows] = np.maximum(variance, 0.0, out=variance)
+            self.variance[rows] = np.maximum(variance, 0.0, out=variance)
 
-    def residual_variance(self, weights, candidates) -> np.ndarray:
-        """Error variance of weighted sums of the targets after each candidate uploads.
+    def residual_variance(self, candidates) -> np.ndarray:
+        """Error variance of the weighted sums of the targets after each candidate uploads.
 
-        Entry (r, j) is w'S w for weight row r once target ``candidates[j]``
-        (c) is observed, where S = Sigma - Sigma[:, c] Sigma[c, :] /
-        (Sigma[c, c] + noise) is the rank-one Schur update of the current
-        posterior covariance Sigma, and w has every observed target's entry,
-        c's included, zeroed because an uploaded entry is exact.  Every
-        selection policy scores candidates this way: one-hot rows give the
-        variance left at single targets, an application's weights the error
-        variance of its output.  Value-free: the covariance of a Gaussian
-        does not depend on the measurement.
+        Entry (s, r, j) is w'S w for seed s's weight row r once its target
+        ``candidates[s, j]`` (c) is observed, where S = Sigma - Sigma[:, c]
+        Sigma[c, :] / (Sigma[c, c] + noise) is the rank-one Schur update of
+        the seed's posterior covariance Sigma, and w has every observed
+        target's entry, c's included, zeroed because an uploaded entry is
+        exact.  Every selection policy scores candidates this way: one-hot
+        rows give the variance left at single targets, an application's
+        weights the error variance of its output.  Value-free: the
+        covariance of a Gaussian does not depend on the measurement.
 
-        ``weights`` is (k, n), shared by every seed, or (S, k, n) on a batch,
-        with k >= 1 and every entry finite; ``candidates`` is (S, m) on a
-        batch, one row of targets per seed, and entry (s, r, j) is seed s's
-        score.  The scores come from W Sigma = W K - (W A') A over the span
-        of the rows' nonzero columns, A the factor rows, once over the batch;
-        W K is kept and downdated per upload, and rebuilt only when
-        ``weights`` changes other than at observed targets.  A seed holding
-        as many observations as the fullest one (every seed of a lockstep
-        round loop) scores bit-identically to a conditioner of its own given
-        rows of the same span, and one-hot rows as through a dense prior.
+        ``candidates`` is (S, m), one row of targets per seed, and the rows
+        scored are the ``weights`` given at construction; without them this
+        raises ``ValueError``.  The scores come from W Sigma = W K - (W A') A
+        over the span of the rows' nonzero columns, A the factor rows, once
+        over the batch.  A seed holding as many observations as the fullest
+        one (every seed of a lockstep round loop) scores bit-identically to a
+        batch of its own, and one-hot rows as through a dense prior.
         """
-        n_seeds, n = self._mean.shape
+        if self._w is None:
+            raise ValueError("residual_variance scores the weights given at construction; "
+                             "none were given")
+        n_seeds, n = self.mean.shape
         cand = np.asarray(candidates, dtype=int)
-        if not self._batch:
-            cand = cand[None] if cand.ndim == 1 else cand
         if cand.ndim != 2 or cand.shape[0] != n_seeds:
             raise ValueError(f"need one row of candidates per seed, got shape {cand.shape}")
         lo, hi = (int(cand.min()), int(cand.max())) if cand.size else (0, -1)
         if not (0 <= lo and hi < n):
             raise IndexError(f"candidate targets must lie in [0, {n})")
-        if self._given is None or not np.array_equal(weights, self._given):
-            self._weigh(weights)
         w, span = self._w, self._span
-        a = self._a[:, : max(self._t)]
+        a = self._a[:, : max(self.n_observations)]
         s = (w[..., span] @ a[..., span].mT) @ a
         np.subtract(self._wk, s, out=s)  # rows of W Sigma, (S, k, n)
         own = np.vecdot(w[..., span], s[..., span])[..., None]
-        # flat positions of each seed's candidates in each of its rows
-        at = cand[:, None, :] + self._offsets(w.shape[1])
+        at = cand[:, None, :] + self._row_at  # flat positions of each seed's candidates
         sc = s.take(at)
-        dc = self._variance.take(cand + self._offsets(1)[:, 0])[:, None, :]
+        dc = self.variance.take(cand + self._seed_at)[:, None, :]
         if lo < span.stop and span.start <= hi:  # a candidate may carry weight
             wc = w.take(at)  # each candidate's own weight, zeroed once it uploads
             wd = wc * dc
@@ -455,17 +433,15 @@ class IncrementalConditioner:
             sc = sc - wd
         sc *= sc  # in place: a fresh array costs its page faults
         sc /= dc + self.noise_variance
-        out = np.subtract(own, sc, out=sc)
-        return out if self._batch else out[0]
+        return np.subtract(own, sc, out=sc)
 
     def _weigh(self, weights) -> None:
         """Check ``weights`` and keep what :meth:`residual_variance` scores them
-        from: the rows as given, their (S, k, n) copy W with every observed
-        target zeroed, the span of the rows' nonzero columns (first to last)
-        and W K, each seed's summed over 128-column blocks of its kernel rows
-        in the span, as a one-field conditioner sums it.  Rows that equal W
-        once zeroed keep W K."""
-        n_seeds, n = self._mean.shape
+        from: their (S, k, n) copy W, whose uploaded columns ``_slot`` zeroes,
+        the span of the rows' nonzero columns (first to last), W K, each
+        seed's summed over 128-column blocks of its kernel rows in the span,
+        and the flat offset of each seed's and row's first entry."""
+        n_seeds, n = self.mean.shape
         w = np.asarray(weights, dtype=float)
         if (w.ndim not in (2, 3) or w.ndim == 3 and w.shape[0] != n_seeds
                 or not w.shape[-2] or w.shape[-1] != n):
@@ -473,24 +449,17 @@ class IncrementalConditioner:
                              f"k >= 1, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
-        self._given = w.copy()
-        zeroed = np.where(self._observed[:, None], 0.0, w)
-        if self._w is not None and np.array_equal(zeroed, self._w):
-            return
         cols = np.flatnonzero(w.reshape(-1, n).any(axis=0))
         lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-        self._w, self._span = zeroed, slice(lo, hi)
-        self._wk = np.zeros(zeroed.shape)
+        self._w = np.broadcast_to(w, (n_seeds, *w.shape[-2:])).copy()
+        self._span = slice(lo, hi)
+        self._wk = np.zeros(self._w.shape)
+        # flat offsets of each seed's first target and of its rows' first entries
+        self._seed_at = np.arange(0, n_seeds * n, n)[:, None]
+        self._row_at = np.arange(0, self._w.size, n).reshape(self._w.shape[:2] + (1,))
         c = self._coords
         for s in range(n_seeds):
             for r in range(lo, hi, 128):
                 blk = slice(r, min(r + 128, hi))
-                self._wk[s] += zeroed[s][:, blk] @ _sq_exp(
-                    c[:, s, blk, None] - c[:, s, None, :], self.params)
-
-    def _offsets(self, k: int) -> np.ndarray:
-        """(S, k, 1) flat offsets of each seed's k rows of n entries, cached."""
-        if k not in self._at:
-            n_seeds, n = self._mean.shape
-            self._at[k] = np.arange(0, n_seeds * k * n, n).reshape(n_seeds, k, 1)
-        return self._at[k]
+                self._wk[s] += self._w[s][:, blk] @ _sq_exp(
+                    c[:, s, blk, None], c[:, s, None, :], self.params)

@@ -226,22 +226,20 @@ def dense_residual_variance(cond, weights, candidates, uploaded, prior=None):
     multiplies the zeroed rows through the whole prior every call; with
     one-hot rows both products are the rows they select, so the two agree
     bit for bit.  Returns (S, k, m) scores for (S, m) ``candidates``."""
-    locs = cond.target_locations
-    locs = locs if locs.ndim == 3 else locs[None]
     if prior is None:
-        prior = np.stack([gram(seed_locs, seed_locs, cond.params) for seed_locs in locs])
+        prior = np.stack([gram(locs, locs, cond.params) for locs in cond.target_locations])
     n_seeds, n = prior.shape[:2]
     w = np.asarray(weights, dtype=float)
     w = np.array(np.broadcast_to(w, (n_seeds, *w.shape[-2:])))
     for s, done in enumerate(uploaded):
         w[s][:, list(done)] = 0.0
     cand = np.asarray(candidates, dtype=int)
-    a = cond._a[:, : max(cond._t)]
+    a = cond._a[:, : max(cond.n_observations)]
     s = w @ prior - (w @ a.mT) @ a  # rows of W Sigma
     seeds, rows = np.ogrid[:n_seeds, : w.shape[1]]
     sc = s[seeds[..., None], rows[..., None], cand[:, None, :]]
     wc = w[seeds[..., None], rows[..., None], cand[:, None, :]]
-    dc = cond._variance[seeds, cand][:, None, :]  # the posterior variances, clamped
+    dc = cond.variance[seeds, cand][:, None, :]  # the posterior variances, clamped
     wd = wc * dc
     own = np.einsum("...ij,...ij->...i", w, s)[..., None] - wc * (2.0 * sc - wd)
     cross = sc - wd

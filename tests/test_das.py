@@ -114,25 +114,19 @@ def poisoning_observe(locations, at):
     zeroes that field's variance at the uploaded target, so the real update
     fails for that field alone.  A call holding uploads before that one
     applies them first, in a call of their own, so the zeroed variance meets
-    that upload and no earlier one.  Like observe, it takes one upload, a
-    sequence of them or, with ``seed`` omitted, one upload of every seed."""
+    that upload and no earlier one."""
     real = fieldsense.gp.IncrementalConditioner.observe
     calls = {}  # id -> [conditioner, uploads]; holding it keeps its id unused
 
-    def observe(self, index, value, seed=None):
-        locs = self.target_locations
-        seeds = np.arange(len(self._t)) if seed is None else np.atleast_1d(seed)
-        idx, vals = np.atleast_1d(index), np.atleast_1d(value)
+    def observe(self, index, value, seed):
+        seeds, idx, vals = np.atleast_1d(seed), np.atleast_1d(index), np.atleast_1d(value)
         for u, (i, s) in enumerate(zip(idx.tolist(), seeds.tolist())):
-            field = locs[s] if locs.ndim == 3 else locs
-            if np.array_equal(field, locations):
+            if np.array_equal(self.target_locations[s], locations):
                 count = calls.setdefault(id(self), [self, 0])
                 count[1] += 1
                 if count[1] == at:  # the uploads before this one first, then the poison
-                    head = real(self, idx[:u], vals[:u], seeds[:u]) if u else {}
-                    self.variance.reshape(-1, self.variance.shape[-1])[s, i] = 0.0
-                    if not u:  # the call as made, so scalars still raise
-                        return real(self, index, value, seed)
+                    head = real(self, idx[:u], vals[:u], seeds[:u])
+                    self.variance[s, i] = 0.0
                     rest = [r for r in range(u, seeds.size) if seeds[r] not in head]
                     return {**head, **real(self, idx[rest], vals[rest], seeds[rest])}
         return real(self, index, value, seed)
@@ -361,10 +355,10 @@ class TestRunDas:
         score = IncrementalConditioner.residual_variance
         gaps = []
 
-        def checked(cond, w, rem):
-            got = score(cond, w, rem)
+        def checked(cond, rem):
+            got = score(cond, rem)
             uploaded = [np.setdiff1d(np.arange(L), rem[0])]
-            want = oracle.dense_residual_variance(cond, w, rem, uploaded, prior)
+            want = oracle.dense_residual_variance(cond, weights, rem, uploaded, prior)
             # an application whose one sensor has uploaded scores 0 on both sides
             scale = np.maximum(np.abs(want).max(axis=-1, keepdims=True), np.finfo(float).tiny)
             gaps.append(float(np.max(np.abs(got - want) / scale)))
@@ -540,7 +534,7 @@ class TestRunDasSeeds:
         monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "__init__", init)
         # the batches are what counts here, not the posterior
         monkeypatch.setattr(fieldsense.gp.IncrementalConditioner, "observe",
-                            lambda self, index, value, seed=0: {})
+                            lambda self, index, value, seed: {})
         apps = ([np.full(L, 1.0 / L)], [1.0])
         for _ in run_das_batches(range(1, 21), field_1d(L), policy, rounds, UNIT,
                                  virtual_locs=[(2.0,), (6.0,)], apps=apps):

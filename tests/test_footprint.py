@@ -68,21 +68,33 @@ def test_peak_memory(body, limit_mb):
 SCORED_RUN = """
     import numpy as np
     from fieldsense.das import run_das
-    from fieldsense.fields import gen_1d
+    from fieldsense.fields import {make}
     from fieldsense.gp import KernelParams
-    field = gen_1d(4000, 0.1, np.random.default_rng(1))
-    run_das(field, {policy!r}, 50, KernelParams(), virtual_locs=[1.0, 3.0, 5.0, 7.0, 9.0],
+    field = {make}(4000, 0.1, np.random.default_rng(1))
+    run_das(field, {policy!r}, 50, KernelParams(), virtual_locs={virtual},
             apps=([np.full(4000, 1 / 4000)], [1.0]))
 """
 
+# each generator's field and five virtual points inside its domain
+SCORED_FIELDS = {
+    "1d": ("gen_1d", [1.0, 3.0, 5.0, 7.0, 9.0]),
+    "2d": ("gen_2d", [(0.1, 0.1), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3), (0.9, 0.9)]),
+}
 
-@pytest.mark.parametrize("policy", ["virtual", "app-weighted"])
-def test_scored_policy_peaks_where_max_variance_does(policy):
+
+@pytest.mark.parametrize("policy,dim", [
+    ("virtual", "1d"), ("app-weighted", "1d"), ("virtual", "2d"), ("app-weighted", "2d"),
+], ids=["virtual", "app-weighted", "virtual-2d", "app-weighted-2d"])
+def test_scored_policy_peaks_where_max_variance_does(policy, dim):
     # the virtual policy scores from its 5 targets' kernel rows (5 x 4005
     # floats) and the mean application from its row's products with the
     # prior, built from 128 kernel rows at a time and downdated per upload,
-    # where a prior over every target would hold 128 MB
-    peaks = {p: float(run_fresh(textwrap.dedent(SCORED_RUN.format(policy=p))
+    # where a prior over every target would hold 128 MB; each block of
+    # kernel rows is formed one coordinate at a time, so on 2-D points no
+    # (2, 128, 4000) array of differences is held beside it
+    make, virtual = SCORED_FIELDS[dim]
+    peaks = {p: float(run_fresh(textwrap.dedent(SCORED_RUN.format(policy=p, make=make,
+                                                                  virtual=virtual))
                                 + textwrap.dedent(PEAK_MB)))
              for p in ("max-variance", policy)}
     assert peaks[policy] - peaks["max-variance"] < 10, f"peak RSS {peaks}"
@@ -116,9 +128,9 @@ REUSED_BLOCK = """
     locs = np.random.default_rng(1).uniform(0, 10, size=(5000, 1))
     for _ in range({blocks}):
         # 600 rows over 5000 targets (a 24 MB block), 10 of them written
-        cond = IncrementalConditioner(locs, KernelParams(), 0.1, capacity=600)
+        cond = IncrementalConditioner(locs[None], KernelParams(), 0.1, capacity=600)
         for i in range(10):
-            cond.observe(i, 0.0)
+            cond.observe(i, 0.0, 0)
         del cond
 """
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky
 
 import fieldsense.gp
-from fieldsense.das import run_das, run_das_batches
+from fieldsense.das import run_das_batches
 from fieldsense.fields import SensorField, gen_2d
 from fieldsense.gp import (
     VARIANCE_CLAMP,
@@ -302,26 +302,26 @@ class TestIncrementalConditioner:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 10, size=(30, 1))
         values = rng.normal(size=30)
-        cond = IncrementalConditioner(pts, UNIT, 0.05)
+        cond = IncrementalConditioner(pts[None], UNIT, 0.05)
         seen = []
         for step, idx in enumerate(rng.permutation(30)[:20]):
-            cond.observe(int(idx), float(values[idx]))
+            cond.observe(int(idx), float(values[idx]), 0)
             seen.append(int(idx))
             mean, var = oracle.posterior_mean_and_variance(
                 pts[seen], values[seen], pts, UNIT, 0.05
             )
-            np.testing.assert_allclose(cond.mean, mean, atol=1e-8)
-            np.testing.assert_allclose(cond.variance, var, atol=1e-8)
+            np.testing.assert_allclose(cond.mean[0], mean, atol=1e-8)
+            np.testing.assert_allclose(cond.variance[0], var, atol=1e-8)
 
     def test_hypothetical_reduction_matches_commit(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 5, size=(12, 2))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        cond.observe(3, 1.2)
+        cond = IncrementalConditioner(pts[None], UNIT, 0.1)
+        cond.observe(3, 1.2, 0)
         predicted = oracle.hypothetical_reduction(pts, [3], 7, UNIT, 0.1)
-        before = cond.variance.copy()
-        cond.observe(7, -0.4)
-        np.testing.assert_allclose(before - cond.variance, predicted, atol=1e-12)
+        before = cond.variance[0].copy()
+        cond.observe(7, -0.4, 0)
+        np.testing.assert_allclose(before - cond.variance[0], predicted, atol=1e-12)
 
     def test_residual_variance_matches_commit(self):
         # w'Sigma'w after each candidate, with the weights of the observed
@@ -329,12 +329,13 @@ class TestIncrementalConditioner:
         # that includes it
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 5, size=(14, 2))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        for idx in (2, 9, 5):
-            cond.observe(idx, float(rng.normal()))
+        values = [float(rng.normal()) for _ in range(3)]
         weights = rng.normal(size=(3, 14))
+        cond = IncrementalConditioner(pts[None], UNIT, 0.1, weights=weights)
+        for idx, value in zip((2, 9, 5), values):
+            cond.observe(idx, value, 0)
         cands = [0, 4, 7, 13]
-        got = cond.residual_variance(weights, cands)
+        got = cond.residual_variance([cands])[0]
         assert got.shape == (3, 4)
         for j, c in enumerate(cands):
             cov = oracle.posterior(pts[[2, 9, 5, c]], np.zeros(4), pts, UNIT, 0.1).covariance
@@ -344,37 +345,43 @@ class TestIncrementalConditioner:
                                        atol=1e-10)
 
     def test_rejects_bad_input(self):
-        cond = IncrementalConditioner([[0.0], [1.0]], UNIT, 0.1)
+        cond = IncrementalConditioner([[[0.0], [1.0]]], UNIT, 0.1)
         with pytest.raises(IndexError):
-            cond.observe(5, 1.0)
+            cond.observe(5, 1.0, 0)
         with pytest.raises(ValueError):
-            cond.observe(0, np.nan)
+            cond.observe(0, np.nan, 0)
+        for flat in ([[0.0], [1.0]], [0.0, 1.0], np.zeros((1, 2, 3, 1))):
+            with pytest.raises(ValueError, match=r"must be an \(S, n, d\) array, got shape"):
+                IncrementalConditioner(flat, UNIT, 0.1)
+        with pytest.raises(ValueError, match="weights given at construction; none were given"):
+            cond.residual_variance([[0, 1]])
 
     def test_observe_raises_below_variance_clamp(self):
+        # the failed upload is returned, with its message, and changes nothing
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 5, size=(6, 1))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        cond.observe(1, 0.4)
-        mean, n_obs = cond.mean.copy(), cond.n_observations
+        cond = IncrementalConditioner(pts[None], UNIT, 0.1)
+        cond.observe(1, 0.4, 0)
+        mean, n_obs = cond.mean.copy(), list(cond.n_observations)
         # an understated variance at the observed target overshoots the update
-        cond.variance[4] = 0.0
-        with pytest.raises(ValueError, match="below round-off"):
-            cond.observe(4, 0.2)
+        cond.variance[0, 4] = 0.0
+        failed = cond.observe(4, 0.2, 0)
+        assert list(failed) == [0] and "below round-off" in failed[0]
         assert cond.n_observations == n_obs
         np.testing.assert_array_equal(cond.mean, mean)
 
     def test_observe_jitters_the_pivot_where_the_plain_update_raises(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 5, size=(6, 1))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        cond.observe(1, 0.4)
+        cond = IncrementalConditioner(pts[None], UNIT, 0.1)
+        cond.observe(1, 0.4, 0)
         probe = copy.deepcopy(cond)
-        probe.observe(4, 0.2)
-        drop = cond.variance - probe.variance  # row * row of the plain update
+        probe.observe(4, 0.2, 0)
+        drop = cond.variance[0] - probe.variance[0]  # row * row of the plain update
         # leave target 2 5e-10 short of the plain update, past the clamp
-        cond.variance[2] = drop[2] - 5e-10
-        before, pivot = cond.variance.copy(), cond.variance[4] + 0.1
-        cond.observe(4, 0.2)
+        cond.variance[0, 2] = drop[2] - 5e-10
+        before, pivot = cond.variance[0].copy(), cond.variance[0, 4] + 0.1
+        assert cond.observe(4, 0.2, 0) == {}
         # the pivot gets the smallest ladder jitter that keeps target 2 in
         # bounds, which is past the first rung here
         ladder = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -382,82 +389,91 @@ class TestIncrementalConditioner:
                       if before[2] - drop[2] * pivot / (pivot + j) >= VARIANCE_CLAMP)
         assert jitter > ladder[0]
         np.testing.assert_allclose(
-            cond.variance, np.maximum(before - drop * pivot / (pivot + jitter), 0.0),
+            cond.variance[0], np.maximum(before - drop * pivot / (pivot + jitter), 0.0),
             rtol=0, atol=1e-14,
         )
 
     def test_observe_clamps_round_off_negatives_to_zero(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 5, size=(6, 1))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        cond.observe(1, 0.4)
+        cond = IncrementalConditioner(pts[None], UNIT, 0.1)
+        cond.observe(1, 0.4, 0)
         probe = copy.deepcopy(cond)
-        probe.observe(4, 0.2)
-        drop = cond.variance - probe.variance  # row * row of the next update
+        probe.observe(4, 0.2, 0)
+        drop = cond.variance[0] - probe.variance[0]  # row * row of the next update
         # leave target 2 just inside the round-off band after the update
-        cond.variance[2] = drop[2] + 0.5 * VARIANCE_CLAMP
-        cond.observe(4, 0.2)
-        assert cond.variance[2] == 0.0
+        cond.variance[0, 2] = drop[2] + 0.5 * VARIANCE_CLAMP
+        cond.observe(4, 0.2, 0)
+        assert cond.variance[0, 2] == 0.0
         assert np.all(cond.variance >= 0.0)
+
+
+def batch_of_one(locs, *args, **kwargs):
+    """A conditioner over the one field at ``locs``, (n, d): a batch of one."""
+    return IncrementalConditioner(locs[None], *args, **kwargs)
 
 
 class TestSeedAxis:
     """A conditioner over S fields holds, for every seed, exactly the numbers a
-    conditioner of that field alone holds, bit for bit."""
+    batch of that field alone holds, bit for bit."""
 
     @staticmethod
     def assert_seeds_match(batch, singles):
         for s, single in enumerate(singles):
-            np.testing.assert_array_equal(batch.mean[s], single.mean)
-            np.testing.assert_array_equal(batch.variance[s], single.variance)
-        assert batch.n_observations == tuple(single.n_observations for single in singles)
+            np.testing.assert_array_equal(batch.mean[s], single.mean[0])
+            np.testing.assert_array_equal(batch.variance[s], single.variance[0])
+        assert batch.n_observations == [single.n_observations[0] for single in singles]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_batch_matches_one_conditioner_per_field(self, d):
         rng = np.random.default_rng(30 + d)
         locs = rng.uniform(0, 5, size=(5, 40, d))
         batch = IncrementalConditioner(locs, UNIT, 0.05)
-        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        singles = [batch_of_one(f, UNIT, 0.05) for f in locs]
         assert batch.mean.shape == batch.variance.shape == (5, 40)
         picked = [list(rng.permutation(40)) for _ in range(5)]
         for _ in range(60):  # seeds in any order, some far ahead of others
             s = int(rng.integers(5) if rng.random() < 0.5 else rng.integers(2))
             i, v = picked[s].pop(), float(rng.normal())
             batch.observe(i, v, s)
-            singles[s].observe(i, v)
+            singles[s].observe(i, v, 0)
             self.assert_seeds_match(batch, singles)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [1, 5])
     def test_batched_scores_match_one_conditioner_per_field(self, k, d):
         # seeds in lockstep, one observation each a step as the DAS loop plays
-        # them; scoring starts at step 5, so the rows' products with the prior
-        # are built mid-run, and rebuilt on every call as the weights switch
-        # between a set shared by every seed and one set per seed; factors
+        # them; one batch scores a set of weights shared by every seed and
+        # one a set per seed, both fed the same uploads, their products with
+        # the prior downdated through 5 uploads before scoring starts; factors
         # sized to the run, short of it (they grow) and unsized
         rng = np.random.default_rng(60 + 10 * d + k)
         n, steps = 25, 12
         for n_seeds in range(1, 9):
             locs = rng.uniform(0, 5, size=(n_seeds, n, d))
-            batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=(steps, 7, 0)[n_seeds % 3])
-            singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
             order = [rng.permutation(n) for _ in range(n_seeds)]
             shared, own = rng.normal(size=(k, n)), rng.normal(size=(n_seeds, k, n))
+            capacity = (steps, 7, 0)[n_seeds % 3]
+            batches = [IncrementalConditioner(locs, UNIT, 0.05, capacity=capacity, weights=w)
+                       for w in (shared, own)]
+            singles = [[batch_of_one(f, UNIT, 0.05, weights=w if w.ndim == 2 else w[s])
+                        for s, f in enumerate(locs)] for w in (shared, own)]
             for step in range(steps):
                 if step >= 5:
                     rem = np.sort([o[step:] for o in order], axis=1)
-                    for weights in (shared, own):
-                        got = batch.residual_variance(weights, rem)
+                    for batch, ones in zip(batches, singles):
+                        got = batch.residual_variance(rem)
                         assert got.shape == (n_seeds, k, n - step)
-                        for s, single in enumerate(singles):
-                            w = weights if weights.ndim == 2 else weights[s]
+                        for s, single in enumerate(ones):
                             np.testing.assert_array_equal(
-                                got[s], single.residual_variance(w, rem[s]))
+                                got[s], single.residual_variance(rem[s][None])[0])
                 for s in range(n_seeds):
                     i, v = int(order[s][step]), float(rng.normal())
-                    batch.observe(i, v, s)
-                    singles[s].observe(i, v)
-            self.assert_seeds_match(batch, singles)
+                    for batch, ones in zip(batches, singles):
+                        batch.observe(i, v, s)
+                        ones[s].observe(i, v, 0)
+            for batch, ones in zip(batches, singles):
+                self.assert_seeds_match(batch, ones)
 
     def test_batched_scores_match_the_oracle(self):
         # each seed's scores against tests/oracle.py's per-candidate scorers:
@@ -468,19 +484,21 @@ class TestSeedAxis:
         locs = rng.uniform(0, 5, size=(n_seeds, n, 1))
         fields = [SensorField(l, v, v, 0.1) for l, v in zip(locs, rng.normal(size=(n_seeds, n)))]
         uploaded = [[] for _ in fields]
-        targets = np.concatenate([locs, np.broadcast_to(virtual, (n_seeds, 3, 1))], axis=1)
-        cond = IncrementalConditioner(targets, UNIT, 0.1, capacity=4)
         for _ in range(4):
             for s, field in enumerate(fields):
-                i = int(rng.choice(oracle.remaining(field, uploaded[s])))
-                cond.observe(i, float(field.measurements[i]), s)
-                uploaded[s].append(i)
-        rem = np.array([oracle.remaining(f, u) for f, u in zip(fields, uploaded)])
-        traces = cond.residual_variance(np.hstack([np.zeros((3, n)), np.eye(3)]), rem).sum(axis=1)
+                uploaded[s].append(int(rng.choice(oracle.remaining(field, uploaded[s]))))
+        targets = np.concatenate([locs, np.broadcast_to(virtual, (n_seeds, 3, 1))], axis=1)
         apps = np.concatenate([rng.normal(size=(n_seeds, 2, n)), np.zeros((n_seeds, 2, 3))], axis=2)
-        for s, done in enumerate(uploaded):
-            apps[s][:, done] = 0.0  # uploaded entries carry no error
-        mses = cond.residual_variance(apps, rem)
+        conds = [IncrementalConditioner(targets, UNIT, 0.1, capacity=4, weights=w)
+                 for w in (np.hstack([np.zeros((3, n)), np.eye(3)]), apps)]
+        for cond in conds:
+            for step in range(4):
+                for s, field in enumerate(fields):
+                    i = uploaded[s][step]
+                    cond.observe(i, float(field.measurements[i]), s)
+        rem = np.array([oracle.remaining(f, u) for f, u in zip(fields, uploaded)])
+        traces = conds[0].residual_variance(rem).sum(axis=1)
+        mses = conds[1].residual_variance(rem)
         for s, (field, done) in enumerate(zip(fields, uploaded)):
             np.testing.assert_allclose(traces[s], oracle.virtual_traces(field, done, virtual, UNIT),
                                        rtol=0, atol=1e-10)
@@ -496,54 +514,50 @@ class TestSeedAxis:
         rng = np.random.default_rng(80)
         n = 30
         locs = rng.uniform(0, 5, size=(3, n, 2))
-        batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=2)
-        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        weights = rng.normal(size=(2, n))
+        batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=2, weights=weights)
+        singles = [batch_of_one(f, UNIT, 0.05, weights=weights) for f in locs]
         for s, count in enumerate((3, 9, 17)):
             for i in rng.permutation(n)[:count].tolist():
                 v = float(rng.normal())
                 batch.observe(i, v, s)
-                singles[s].observe(i, v)
+                singles[s].observe(i, v, 0)
         self.assert_seeds_match(batch, singles)
-        weights = rng.normal(size=(2, n))
-        got = batch.residual_variance(weights, np.tile(np.arange(n), (3, 1)))
+        got = batch.residual_variance(np.tile(np.arange(n), (3, 1)))
         for s, single in enumerate(singles):
-            np.testing.assert_allclose(got[s], single.residual_variance(weights, np.arange(n)),
+            np.testing.assert_allclose(got[s], single.residual_variance([np.arange(n)])[0],
                                        rtol=0, atol=1e-12)
 
     def test_failing_seed_is_left_unchanged(self):
         rng = np.random.default_rng(40)
         locs = rng.uniform(0, 5, size=(3, 12, 1))
         batch = IncrementalConditioner(locs, UNIT, 0.1)
-        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        singles = [batch_of_one(f, UNIT, 0.1) for f in locs]
         for s in range(3):
             batch.observe(s + 1, 0.4, s)
-            singles[s].observe(s + 1, 0.4)
+            singles[s].observe(s + 1, 0.4, 0)
         # an understated variance at seed 1's next target overshoots its update
-        batch.variance[1, 7] = singles[1].variance[7] = 0.0
-        with pytest.raises(ValueError, match="below round-off") as want:
-            singles[1].observe(7, 0.2)
-        with pytest.raises(ValueError, match="below round-off") as got:
-            batch.observe(7, 0.2, 1)
-        assert str(got.value) == str(want.value)
+        batch.variance[1, 7] = singles[1].variance[0, 7] = 0.0
+        want = singles[1].observe(7, 0.2, 0)
+        assert list(want) == [0] and "below round-off" in want[0]
+        assert batch.observe(7, 0.2, 1) == {1: want[0]}
         for s in (0, 2):
             batch.observe(7, 0.2, s)
-            singles[s].observe(7, 0.2)
+            singles[s].observe(7, 0.2, 0)
         self.assert_seeds_match(batch, singles)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_slot_matches_one_conditioner_per_field(self, d):
         # slots of distinct seeds, in any order or a run of consecutive seeds,
-        # over seeds holding ragged observation counts; from step 6 on the
-        # batch also downdates its weight rows' products with the prior
+        # over seeds holding ragged observation counts; the batch also
+        # downdates its weight rows' products with the prior
         rng = np.random.default_rng(85 + d)
         n_seeds, n = 6, 30
         locs = rng.uniform(0, 5, size=(n_seeds, n, d))
-        batch = IncrementalConditioner(locs, UNIT, 0.05)
-        singles = [IncrementalConditioner(f, UNIT, 0.05) for f in locs]
+        batch = IncrementalConditioner(locs, UNIT, 0.05, weights=np.ones((1, n)))
+        singles = [batch_of_one(f, UNIT, 0.05) for f in locs]
         left = [list(rng.permutation(n)) for _ in range(n_seeds)]
         for step in range(14):
-            if step == 6:
-                batch.residual_variance(np.ones((1, n)), np.tile(np.arange(n), (n_seeds, 1)))
             size = int(rng.integers(1, n_seeds + 1))
             if step % 3:
                 slot = rng.choice(n_seeds, size=size, replace=False).tolist()
@@ -554,7 +568,7 @@ class TestSeedAxis:
             vals = rng.normal(size=size).tolist()
             assert batch.observe(np.array(idx), np.array(vals), np.array(slot)) == {}
             for s, i, v in zip(slot, idx, vals):
-                singles[s].observe(i, v)
+                singles[s].observe(i, v, 0)
             self.assert_seeds_match(batch, singles)
         assert len(set(batch.n_observations)) > 1
 
@@ -564,27 +578,27 @@ class TestSeedAxis:
         rng = np.random.default_rng(90)
         locs = rng.uniform(0, 5, size=(4, 6, 1))
         batch = IncrementalConditioner(locs, UNIT, 0.1)
-        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        singles = [batch_of_one(f, UNIT, 0.1) for f in locs]
         for s in range(4):
             batch.observe(1, 0.4, s)
-            singles[s].observe(1, 0.4)
+            singles[s].observe(1, 0.4, 0)
         probe = copy.deepcopy(singles[1])
-        probe.observe(4, 0.2)
-        drop = singles[1].variance - probe.variance  # row * row of the plain update
+        probe.observe(4, 0.2, 0)
+        drop = singles[1].variance[0] - probe.variance[0]  # row * row of the plain update
         # target 2 left 5e-10 short of the plain update, past the clamp
-        batch.variance[1, 2] = singles[1].variance[2] = drop[2] - 5e-10
+        batch.variance[1, 2] = singles[1].variance[0, 2] = drop[2] - 5e-10
         # an understated variance at seed 2's target overshoots any update
-        batch.variance[2, 4] = singles[2].variance[4] = 0.0
+        batch.variance[2, 4] = singles[2].variance[0, 4] = 0.0
         assert batch.variance[1, 2] - drop[2] < VARIANCE_CLAMP  # seed 1's plain update fails
-        with pytest.raises(ValueError, match="below round-off") as want:
-            singles[2].observe(4, 0.2)
+        want = singles[2].observe(4, 0.2, 0)
+        assert list(want) == [0] and "below round-off" in want[0]
         before = copy.deepcopy(batch)
         failed = batch.observe([4, 4, 4, 4], [0.2, -0.3, 0.2, 0.7], [3, 1, 2, 0])
-        assert failed == {2: str(want.value)}
+        assert failed == {2: want[0]}
         for s, v in ((0, 0.7), (1, -0.3), (3, 0.2)):
-            singles[s].observe(4, v)
+            singles[s].observe(4, v, 0)
         self.assert_seeds_match(batch, singles)
-        for arr in ("_a", "_c", "_mean", "_variance"):  # seed 2 is left as it was
+        for arr in ("_a", "_c", "mean", "variance"):  # seed 2 is left as it was
             np.testing.assert_array_equal(getattr(batch, arr)[2], getattr(before, arr)[2])
 
     def test_slot_rejects_bad_input_and_changes_nothing(self):
@@ -597,30 +611,30 @@ class TestSeedAxis:
         ]:
             with pytest.raises(err, match=match):
                 batch.observe(*args)
-        assert batch.n_observations == (0, 0, 0)
+        assert batch.n_observations == [0, 0, 0]
         np.testing.assert_array_equal(batch.mean, 0.0)
         np.testing.assert_array_equal(batch.variance, 1.0)
 
     def test_rejects_bad_input(self):
-        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1,
+                                       weights=np.ones((1, 4)))
         with pytest.raises(IndexError, match="seed"):
             batch.observe(1, 0.5, 3)
         with pytest.raises(IndexError, match="target"):
             batch.observe(4, 0.5, 1)
         with pytest.raises(ValueError, match="not finite"):
             batch.observe(1, np.nan, 1)
-        assert batch.n_observations == (0, 0, 0)
+        assert batch.n_observations == [0, 0, 0]
         with pytest.raises(ValueError, match="one row of candidates per seed"):
-            batch.residual_variance(np.ones((1, 4)), [0, 1])
+            batch.residual_variance([0, 1])
         with pytest.raises(ValueError, match="one row of candidates per seed"):
-            batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1]])
+            batch.residual_variance([[0, 1], [0, 1]])
         for bad in (4, -1):
             with pytest.raises(IndexError, match="candidate"):
-                batch.residual_variance(np.ones((1, 4)), [[0, 1], [0, 1], [bad, 1]])
+                batch.residual_variance([[0, 1], [0, 1], [bad, 1]])
 
     def test_rejects_bad_weights(self):
-        batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
-        cand = [[0, 1]] * 3
+        locs = np.zeros((3, 4, 1)) + np.arange(4.0)[:, None]
         shape = r"weights must be \(k, 4\) or \(3, k, 4\) rows with k >= 1, got shape "
         for bad, match in [
             (np.ones(4), shape + r"\(4,\)"),
@@ -633,19 +647,15 @@ class TestSeedAxis:
             (np.array([[[1.0, 1.0, 1.0, -np.inf]]] * 3), "weights must be finite, got -inf"),
         ]:
             with pytest.raises(ValueError, match=match):
-                batch.residual_variance(bad, cand)
-        # the rows are checked whenever they change, also after good ones
-        assert batch.residual_variance(np.ones((1, 4)), cand).shape == (3, 1, 2)
-        with pytest.raises(ValueError, match="weights must be finite, got inf"):
-            batch.residual_variance([[1.0, 1.0, np.inf, 1.0]], cand)
-        one = IncrementalConditioner(np.arange(4.0), UNIT, 0.1)
+                IncrementalConditioner(locs, UNIT, 0.1, weights=bad)
         with pytest.raises(ValueError, match=r"\(k, 4\) or \(1, k, 4\) .* got shape \(4,\)"):
-            one.residual_variance(np.ones(4), [0, 1])
+            batch_of_one(np.arange(4.0)[:, None], UNIT, 0.1, weights=np.ones(4))
 
     def test_observed_weights_need_not_be_zeroed(self):
-        # the conditioner zeroes every observed target's weight itself: rows
-        # with nonzero weights there score exactly as the rows zeroed, in
-        # either order, and both agree with the dense oracle
+        # rows with weight on targets that upload later score, after those
+        # uploads, as the rows zeroed there from the start: W K loses each
+        # uploaded column as it uploads, where the zeroed rows never had it,
+        # so the two agree to round-off, and both with the dense oracle
         rng = np.random.default_rng(90)
         n_seeds, n = 4, 30
         locs = rng.uniform(0, 5, size=(n_seeds, n, 2))
@@ -655,30 +665,28 @@ class TestSeedAxis:
         for s, done in enumerate(uploaded):
             zeroed[s][:, done] = 0.0
         rem = np.array([np.setdiff1d(np.arange(n), done) for done in uploaded])
-        for first, second in ((raw, zeroed), (zeroed, raw)):
-            cond = IncrementalConditioner(locs, UNIT, 0.05)
-            for step in range(6):
-                cond.observe(np.array([done[step] for done in uploaded]),
-                             rng.normal(size=n_seeds))
-                if step == 1:  # build the products midway, and downdate them after
-                    cond.residual_variance(first, rem)
-            got = cond.residual_variance(first, rem)
-            np.testing.assert_array_equal(cond.residual_variance(second, rem), got)
-            np.testing.assert_array_equal(cond.residual_variance(first, rem), got)
-            want = oracle.dense_residual_variance(cond, raw, rem, uploaded)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        conds = [IncrementalConditioner(locs, UNIT, 0.05, weights=w) for w in (raw, zeroed)]
+        for step in range(6):
+            picks, vals = np.array([done[step] for done in uploaded]), rng.normal(size=n_seeds)
+            for cond in conds:
+                cond.observe(picks, vals, np.arange(n_seeds))
+        got, want_zeroed = (cond.residual_variance(rem) for cond in conds)
+        scale = 1e-12 * np.abs(want_zeroed).max()
+        np.testing.assert_allclose(got, want_zeroed, rtol=0, atol=scale)
+        want = oracle.dense_residual_variance(conds[0], raw, rem, uploaded)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestFullSlot:
     """One observe call takes every upload its caller has: a full slot, one
-    upload of every seed in seed order (``seed`` omitted), or seeds in any
-    order, repeated or not.  Each run of consecutive seeds holding equally
-    many rows takes one stacked product; the call holds exactly what the
-    same uploads, one at a time, hold."""
+    upload of every seed in seed order, or seeds in any order, repeated or
+    not.  Each run of consecutive seeds holding equally many rows takes one
+    stacked product; the call holds exactly what the same uploads, one at a
+    time, hold."""
 
     @staticmethod
     def assert_same(got, want):
-        for arr in ("_a", "_c", "_mean", "_variance"):
+        for arr in ("_a", "_c", "mean", "variance"):
             np.testing.assert_array_equal(getattr(got, arr), getattr(want, arr))
         assert got.n_observations == want.n_observations
 
@@ -688,7 +696,7 @@ class TestFullSlot:
         posterior, and its rows past them are zero."""
         TestSeedAxis.assert_seeds_match(batch, singles)
         for s, single in enumerate(singles):
-            t = single.n_observations
+            t = single.n_observations[0]
             np.testing.assert_array_equal(batch._a[s, :t], single._a[0, :t])
             np.testing.assert_array_equal(batch._c[s, :t], single._c[0, :t])
             np.testing.assert_array_equal(batch._a[s, t:], 0.0)
@@ -706,7 +714,7 @@ class TestFullSlot:
             for _ in range(min(n, 12)):
                 idx = rng.integers(n, size=n_seeds)
                 vals = rng.normal(size=n_seeds)
-                assert stacked.observe(idx, vals) == {}
+                assert stacked.observe(idx, vals, np.arange(n_seeds)) == {}
                 for s in range(n_seeds):  # one call a seed: the per-seed loop
                     assert looped.observe(idx[s:s + 1], vals[s:s + 1], [s]) == {}
                 self.assert_same(stacked, looped)
@@ -716,15 +724,16 @@ class TestFullSlot:
         # zero and it is left unchanged
         rng = np.random.default_rng(110)
         locs = rng.uniform(0, 5, size=(4, 20, 1))
+        every = np.arange(4)
         stacked = IncrementalConditioner(locs, UNIT, 0.1, capacity=5)
         for step in range(3):
-            stacked.observe(np.full(4, step), rng.normal(size=4))
+            stacked.observe(np.full(4, step), rng.normal(size=4), every)
         looped = copy.deepcopy(stacked)
         before = copy.deepcopy(stacked)
         for cond in (stacked, looped):
             cond.variance[2, 9] = 0.0  # an understated variance overshoots any update
         vals = rng.normal(size=4)
-        failed = stacked.observe(np.full(4, 9), vals)
+        failed = stacked.observe(np.full(4, 9), vals, every)
         want = {}
         for s in range(4):  # one call a seed: the per-seed loop
             want.update(looped.observe([9], vals[s:s + 1], [s]))
@@ -732,12 +741,12 @@ class TestFullSlot:
         assert list(failed) == [2] and "below round-off" in failed[2]
         self.assert_same(stacked, looped)
         np.testing.assert_array_equal(stacked._a[2, 3], 0.0)
-        assert stacked._c[2, 3] == 0.0 and stacked.n_observations == (4, 4, 3, 4)
-        for arr in ("_a", "_c", "_mean"):
+        assert stacked._c[2, 3] == 0.0 and stacked.n_observations == [4, 4, 3, 4]
+        for arr in ("_a", "_c", "mean"):
             np.testing.assert_array_equal(getattr(stacked, arr)[2], getattr(before, arr)[2])
         # the next full slot holds ragged counts: seeds 0 and 1 stack, 2 and 3 loop
         vals = rng.normal(size=4)
-        stacked.observe(np.full(4, 11), vals)
+        stacked.observe(np.full(4, 11), vals, every)
         for s in range(4):
             looped.observe([11], vals[s:s + 1], [s])
         self.assert_same(stacked, looped)
@@ -746,19 +755,17 @@ class TestFullSlot:
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_repeated_seeds_match_one_scalar_call_at_a_time(self, n, d):
         # calls of 1 to 3S uploads, seeds drawn with repeats in any order, up to
-        # 40 rows a seed, factors sized short so they grow; from the fourth
-        # call on, the batch downdates its weight rows' products with the
-        # prior, which then score as the dense oracle does
+        # 40 rows a seed, factors sized short so they grow; the batch
+        # downdates its weight rows' products with the prior on every call,
+        # and then scores as the dense oracle does
         rng = np.random.default_rng(150 + n + d)
         for n_seeds in (1, 3, 10):
             locs = rng.uniform(0, 5, size=(n_seeds, n, d))
-            batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=3)
-            singles = [IncrementalConditioner(f, UNIT, 0.05, capacity=3) for f in locs]
             weights, every = rng.normal(size=(2, n)), np.tile(np.arange(n), (n_seeds, 1))
+            batch = IncrementalConditioner(locs, UNIT, 0.05, capacity=3, weights=weights)
+            singles = [batch_of_one(f, UNIT, 0.05, capacity=3) for f in locs]
             uploaded = [[] for _ in range(n_seeds)]
             for call in range(8):
-                if call == 3:
-                    batch.residual_variance(weights, every)
                 room = [40 - t for t in batch.n_observations]
                 seeds = rng.choice(np.repeat(np.arange(n_seeds), room),
                                    size=min(int(rng.integers(1, 3 * n_seeds + 1)), sum(room)),
@@ -766,42 +773,46 @@ class TestFullSlot:
                 idx, vals = rng.integers(n, size=seeds.size), rng.normal(size=seeds.size)
                 assert batch.observe(idx, vals, seeds) == {}
                 for s, i, v in zip(seeds.tolist(), idx.tolist(), vals.tolist()):
-                    singles[s].observe(i, v)
+                    singles[s].observe(i, v, 0)
                     uploaded[s].append(i)
                 self.assert_singles(batch, singles)
             want = oracle.dense_residual_variance(batch, weights, every, uploaded)
-            np.testing.assert_allclose(batch.residual_variance(weights, every), want,
-                                       rtol=0, atol=1e-12 * np.abs(want).max())
+            # within 1e-12 of the largest score; where every weighted target
+            # has uploaded (n = 1 and 2) each score is 0 but for the
+            # downdate's round-off squared, and the scale is the signal variance
+            scale = np.abs(want).max() or UNIT.signal_variance
+            np.testing.assert_allclose(batch.residual_variance(every), want,
+                                       rtol=0, atol=1e-12 * scale)
 
     def test_failing_seed_takes_none_of_its_later_uploads(self):
         # seed 2's first upload of the call applies and its second fails at
-        # every rung; like its own run, which raises there, it takes none of
+        # every rung; like its own run, which fails there, it takes none of
         # its later uploads, while seeds 0, 1 and 3 apply all of theirs
         rng = np.random.default_rng(160)
         locs = rng.uniform(0, 5, size=(4, 20, 1))
         batch = IncrementalConditioner(locs, UNIT, 0.1)
-        singles = [IncrementalConditioner(f, UNIT, 0.1) for f in locs]
+        singles = [batch_of_one(f, UNIT, 0.1) for f in locs]
         for s in range(4):
             batch.observe(0, 0.3, s)
-            singles[s].observe(0, 0.3)
+            singles[s].observe(0, 0.3, 0)
         seeds = [2, 1, 0, 3, 2, 1, 3, 2, 0]
         idx = [5, 6, 7, 8, 9, 10, 11, 12, 13]
         vals = rng.normal(size=9).tolist()
         probe = copy.deepcopy(singles[2])
-        probe.observe(5, vals[0])
-        drop = singles[2].variance - probe.variance  # row * row of seed 2's first upload
+        probe.observe(5, vals[0], 0)
+        drop = singles[2].variance[0] - probe.variance[0]  # row * row of seed 2's first upload
         # target 9 left just inside the bounds after it: the next update overshoots
-        batch.variance[2, 9] = singles[2].variance[9] = drop[9] + 1e-3
+        batch.variance[2, 9] = singles[2].variance[0, 9] = drop[9] + 1e-3
         failed = batch.observe(idx, vals, seeds)
-        singles[2].observe(5, vals[0])
-        with pytest.raises(ValueError, match="below round-off") as want:
-            singles[2].observe(9, vals[4])
-        assert failed == {2: str(want.value)}
+        assert singles[2].observe(5, vals[0], 0) == {}
+        want = singles[2].observe(9, vals[4], 0)
+        assert list(want) == [0] and "below round-off" in want[0]
+        assert failed == {2: want[0]}
         for s, i, v in zip(seeds, idx, vals):
             if s != 2:
-                singles[s].observe(i, v)
+                singles[s].observe(i, v, 0)
         self.assert_singles(batch, singles)
-        assert batch.n_observations == (3, 3, 2, 3)
+        assert batch.n_observations == [3, 3, 2, 3]
 
     def test_das_batch_stacks_each_run_of_live_seeds(self, monkeypatch):
         # a DAS batch of 6 seeds loses its third (seed 3) on its third upload;
@@ -837,30 +848,22 @@ class TestFullSlot:
             assert [(l.selected, l.mse) for l in runs[seed][1]] == [
                 (l.selected, l.mse) for l in logs]
 
-    def test_one_field_scalar_is_its_full_slot(self):
-        rng = np.random.default_rng(120)
-        pts = rng.uniform(0, 5, size=(15, 2))
-        one, slot = (IncrementalConditioner(pts, UNIT, 0.1) for _ in range(2))
-        for i in (3, 8, 0):
-            v = float(rng.normal())
-            assert one.observe(i, v) is None
-            assert slot.observe([i], [v], [0]) == {}
-        self.assert_same(one, slot)
-
     def test_rejects_bad_input_and_changes_nothing(self):
         batch = IncrementalConditioner(np.zeros((3, 4, 1)) + np.arange(4.0)[:, None], UNIT, 0.1)
+        every = [0, 1, 2]
         for args, err, match in [
-            (([1, 2], [0.5, 0.5]), ValueError, "one target and value per seed, got 2, 2 and 3"),
-            (([1, 2, 3], [0.5, 0.5]), ValueError, "one target and value per seed"),
-            ((1, 0.5), ValueError, "one target and value per seed, got 1, 1 and 3"),
-            (([1, 4, 2], [0.5, 0.5, 0.5]), IndexError, "target index 4 out of range"),
-            (([1, -1, 2], [0.5, 0.5, 0.5]), IndexError, "target index -1 out of range"),
-            (([1, 2, 3], [0.5, np.nan, 0.5]), ValueError, "observed value is not finite"),
-            (([1, 2, 3], [0.5, 0.5, -np.inf]), ValueError, "observed value is not finite"),
+            (([1, 2], [0.5, 0.5], every), ValueError,
+             "one target and value per seed, got 2, 2 and 3"),
+            (([1, 2, 3], [0.5, 0.5], every), ValueError, "one target and value per seed"),
+            ((1, 0.5, every), ValueError, "one target and value per seed, got 1, 1 and 3"),
+            (([1, 4, 2], [0.5, 0.5, 0.5], every), IndexError, "target index 4 out of range"),
+            (([1, -1, 2], [0.5, 0.5, 0.5], every), IndexError, "target index -1 out of range"),
+            (([1, 2, 3], [0.5, np.nan, 0.5], every), ValueError, "observed value is not finite"),
+            (([1, 2, 3], [0.5, 0.5, -np.inf], every), ValueError, "observed value is not finite"),
         ]:
             with pytest.raises(err, match=match):
                 batch.observe(*args)
-        assert batch.n_observations == (0, 0, 0)
+        assert batch.n_observations == [0, 0, 0]
         np.testing.assert_array_equal(batch._a, 0.0)
         np.testing.assert_array_equal(batch._c, 0.0)
         np.testing.assert_array_equal(batch.mean, 0.0)
@@ -884,9 +887,9 @@ class TestUnitScores:
             run = np.arange(n - k, n)  # targets after the sensors, as virtual points are
             scattered = np.sort(rng.choice(n, size=k, replace=False))[::-1]
             # one conditioner per set of rows, so each keeps and downdates its products
-            conds = {key: IncrementalConditioner(locs, UNIT, 0.05, capacity=36)
-                     for key in ("run", "scattered")}
             rows = {"run": np.eye(n)[run], "scattered": np.eye(n)[scattered]}
+            conds = {key: IncrementalConditioner(locs, UNIT, 0.05, capacity=36, weights=w)
+                     for key, w in rows.items()}
             for step in range(min(36, n - k)):
                 rem = np.sort([o[step:] for o in order], axis=1)
                 everywhere = np.tile(np.arange(n), (n_seeds, 1))  # targets among them
@@ -894,23 +897,23 @@ class TestUnitScores:
                 # up to 35 rows: a strided operand's bits differ mostly past 20
                 checks = (("run", rem), ("scattered", rem), ("scattered", everywhere))
                 for key, cand in checks if step in (0, 1, 7, 22, 29, 35) else ():
-                    got = conds[key].residual_variance(rows[key], cand)
+                    got = conds[key].residual_variance(cand)
                     want = oracle.dense_residual_variance(conds[key], rows[key], cand, uploaded)
                     np.testing.assert_array_equal(got, want)
                 picks, vals = np.array([o[step] for o in order]), rng.normal(size=n_seeds)
                 for cond in conds.values():
-                    cond.observe(picks, vals)
+                    cond.observe(picks, vals, np.arange(n_seeds))
 
     def test_one_field_and_the_dense_path_agree(self):
         # target 4 is observed, so its row is zeroed
         rng = np.random.default_rng(140)
         pts = rng.uniform(0, 5, size=(30, 2))
-        cond = IncrementalConditioner(pts, UNIT, 0.1)
-        for i in (4, 17, 9):
-            cond.observe(i, float(rng.normal()))
-        cand = np.array([0, 1, 2, 5, 6, 25, 29])
         rows = np.eye(30)[[4, 26, 27]]
-        got = cond.residual_variance(rows, cand)
+        cond = batch_of_one(pts, UNIT, 0.1, weights=rows)
+        for i in (4, 17, 9):
+            cond.observe(i, float(rng.normal()), 0)
+        cand = np.array([0, 1, 2, 5, 6, 25, 29])
+        got = cond.residual_variance(cand[None])[0]
         assert got.shape == (3, cand.size)
         np.testing.assert_array_equal(
             got, oracle.dense_residual_variance(cond, rows, cand[None], [[4, 17, 9]])[0])
@@ -938,7 +941,7 @@ class TestKernelRow:
         rng = np.random.default_rng(10 + d)
         rows, cols = self.points(rng, 40, d, near), self.points(rng, 33, d, near)
         want = oracle.sq_exp_reduced(rows[:, None, :] - cols[None, :, :], self.PARAMS)
-        got = _sq_exp(np.moveaxis(rows[:, None, :] - cols[None, :, :], -1, 0), self.PARAMS)
+        got = _sq_exp(rows.T[:, :, None], cols.T[:, None, :], self.PARAMS)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(gram(rows, cols, self.PARAMS), want)
         for i, j in ((0, 0), (3, 7), (39, 32)):
@@ -950,41 +953,17 @@ class TestKernelRow:
         pts = self.points(rng, 50, d, near=True)
         rows = []
 
-        def recording(diff, params):
-            out = _sq_exp(diff, params)
+        def recording(a, b, params):
+            out = _sq_exp(a, b, params)
             rows.append(out)
             return out
 
         monkeypatch.setattr(fieldsense.gp, "_sq_exp", recording)
-        cond = IncrementalConditioner(pts, self.PARAMS, 0.05)
+        cond = batch_of_one(pts, self.PARAMS, 0.05)
         order = [int(i) for i in rng.permutation(50)[:12]]
         for idx in order:
-            cond.observe(idx, float(rng.normal()))
+            cond.observe(idx, float(rng.normal()), 0)
         full = oracle.sq_exp_reduced(pts[:, None, :] - pts[None, :, :], self.PARAMS)
         assert len(rows) == len(order)
         for idx, row in zip(order, rows):  # a one-seed slot's (1, n) rows
             np.testing.assert_array_equal(row, full[[idx]])
-
-    def test_products_built_midway_leave_run_das_unchanged(self, monkeypatch):
-        # the run's conditioner first builds its weight rows' products with
-        # the prior after 15 uploads (rounds 1-15 score on a copy of it, built
-        # afresh each round) and downdates them from there; the picks and
-        # MSEs are those of the run that builds them in round 1
-        field = gen_2d(300, 0.1, np.random.default_rng(4))
-        params = KernelParams()
-        weights = np.vstack([np.full(300, 1.0 / 300), np.eye(300)[7], np.eye(300)[150]])
-        apps = (weights, [1.0, 2.0, 1.0])
-        plain = run_das(field, "app-weighted", 40, params, apps=apps)
-
-        score = IncrementalConditioner.residual_variance
-        calls = []
-
-        def late_score(cond, weights, candidates):
-            calls.append(cond._wk is None)
-            return score(copy.deepcopy(cond) if len(calls) <= 15 else cond, weights, candidates)
-
-        monkeypatch.setattr(IncrementalConditioner, "residual_variance", late_score)
-        switched = run_das(field, "app-weighted", 40, params, apps=apps)
-        assert calls == [True] * 16 + [False] * 24
-        assert [log.selected for log in switched] == [log.selected for log in plain]
-        assert [log.mse for log in switched] == [log.mse for log in plain]
