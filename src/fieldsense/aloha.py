@@ -10,6 +10,7 @@ them.  The dual variable is driven by dual ascent to hold the expected
 number of active sensors near the channel count.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def upload_probabilities(err_sq, psi: float) -> np.ndarray:
         raise ValueError(f"squared errors must be nonnegative, got {err_sq.min()}")
     with np.errstate(divide="ignore"):
         raw = math.e * (np.log(err_sq) - psi)  # -inf at zero error, clipped below
-    return np.clip(raw, 0.0, 1.0)
+    return np.minimum(np.maximum(raw, 0.0), 1.0)  # np.clip's values, without its wrapper
 
 
 def dual_ascent_step(psi, K, channels: int, mu: float):
@@ -141,7 +142,7 @@ def _alone(active, draws, channels: int) -> np.ndarray:
     rows = 1
     if draws.ndim == 2:
         rows = draws.shape[0]
-        draws = draws + channels * np.arange(rows)[:, None]
+        draws = draws + np.arange(0, channels * rows, channels)[:, None]
     counts = np.bincount(draws[active], minlength=channels * rows)
     return active & (counts[draws] == 1)
 
@@ -192,34 +193,37 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     measurements and ``mask`` (S, n) its record of which sensors have
     uploaded; ``psi`` (S,) is each seed's dual variable and ``rngs`` its
     generator.  Each generator draws sleep, activity and channels for its
-    own candidates; predictions, upload probabilities, contention, SSE and
-    the dual step are computed for the batch at once.  Every success is
-    then observed on ``cond`` in one call, each seed's in candidate order; a
-    seed whose observation fails takes no further one.  ``mask``, ``psi``
-    and ``cond`` are updated in place.  Each
-    seed's candidates must be distinct sensors that have not uploaded; it is
-    not checked here.
+    own candidates; the rest runs once for the batch, on (S, width) arrays:
+    predictions and measurements gathered at the candidates' flat
+    positions, upload probabilities, contention and the dual step.  Every
+    success is then observed on ``cond`` in one call, each seed's in
+    candidate order; a seed whose observation fails takes no further one.
+    Each seed's SSE sums its squared errors outside its successes, in
+    candidate order.  ``mask``, ``psi`` and ``cond`` are updated in place.
+    Each seed's candidates must be distinct sensors that have not uploaded;
+    it is not checked here.
 
     Returns the batch's round and, for the seeds whose upload the
     conditioner could not take, their messages by row.
     """
     n_seeds, width = cand.shape
     valid = np.arange(width) < np.array(lens)[:, None] if min(lens) < width else True
-    seeds = np.arange(n_seeds)[:, None]
+    at = cand + np.arange(0, meas.size, meas.shape[1])[:, None]  # flat positions over (S, n)
 
     # Each seed's own draws, in its generator's order, into its rows; padding
     # never transmits.  One draw of 2k uniforms is the sleep draw of k then the
     # activity draw of k: a generator hands out doubles one after another,
     # keeping nothing back, so each row draws them as two.
-    u_sleep, u_active = np.ones((n_seeds, width)), np.ones((n_seeds, width))
+    u_sleep, u_active = np.ones((2, n_seeds, width))
     draws = np.zeros((n_seeds, width), dtype=int)
-    for s, (rng, k) in enumerate(zip(rngs, lens)):
-        rng.random(out=u_sleep[s, :k])
-        rng.random(out=u_active[s, :k])
-        draws[s, :k] = rng.integers(0, cfg.channels, size=k)
+    for rng, k, sleep, act, drawn in zip(rngs, lens, u_sleep, u_active, draws):
+        rng.random(out=sleep[:k])
+        rng.random(out=act[:k])
+        drawn[:k] = rng.integers(0, cfg.channels, size=k)
 
-    predictions = cond.mean[seeds, cand]
-    errors = predictions - meas[seeds, cand]
+    predictions = cond.mean.take(at)
+    measured = meas.take(at)
+    errors = predictions - measured
     err_sq = errors**2
     if cfg.mode == "conventional":
         probabilities = np.full((n_seeds, width), equal_upload_probability(cfg))
@@ -230,21 +234,23 @@ def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: Incremental
     active = u_active < awake
     success = _alone(active, draws, cfg.channels)
 
-    who, where = success.nonzero()  # row-major: each seed's successes in candidate order
-    sensors = cand[who, where]
+    who = success.nonzero()[0]  # row-major: each seed's successes in candidate order
+    sensors = cand[success]
     mask[who, sensors] = True
-    failed = cond.observe(sensors, meas[who, sensors], who)
+    failed = cond.observe(sensors, measured[success], who)
 
     psi_used = psi.tolist()
     k = active.sum(axis=1)
     if cfg.mode == "modified":
         psi[:] = dual_ascent_step(psi, k, cfg.channels, cfg.mu)
-    missed = valid & ~success
+    successes = _grouped(n_seeds, who, sensors)
+    missed = ~success if valid is True else valid & ~success
     lost = err_sq[missed]  # row-major: each seed's squared errors are one run
-    ends = np.cumsum(missed.sum(axis=1)).tolist()
-    sse = [float(lost[a:b].sum()) for a, b in zip([0, *ends], ends)]
+    ends = list(itertools.accumulate(q - len(won) for q, won in zip(lens, successes)))
+    total = np.add.reduce  # a slice's sum, as ndarray.sum gives it
+    sse = [float(total(lost[a:b])) for a, b in zip([0, *ends], ends)]
     return AlohaBatchRound(cand, lens, predictions, errors, probabilities, active, draws, success,
-                           _grouped(n_seeds, who, sensors), sse, psi_used, k.tolist()), failed
+                           successes, sse, psi_used, k.tolist()), failed
 
 
 def _drawn(mask, q: int, rngs, ended) -> tuple[np.ndarray, list[int]]:
@@ -255,18 +261,24 @@ def _drawn(mask, q: int, rngs, ended) -> tuple[np.ndarray, list[int]]:
 
     A seed draws positions among its waiting sensors, ``choice`` over their
     count: the draw and its stream are those of ``choice`` over the sensors
-    themselves, which returns the sensors at those positions.
+    themselves, which returns the sensors at those positions.  Every seed's
+    waiting sensors are one ascending run of flat positions over the (S, n)
+    mask, and one search finds where each seed's run starts.
     """
-    _, rest = (~mask).nonzero()  # each seed's sensors still waiting, ascending, one run a seed
-    left = (mask.shape[1] - mask.sum(axis=1)).tolist()
+    n_seeds, n = mask.shape
+    rest = (~mask).ravel().nonzero()[0]
+    starts = rest.searchsorted(np.arange(0, mask.size + 1, n))
+    bounds = starts.tolist()
+    left = [b - a for a, b in zip(bounds, bounds[1:])]
     lens = [0 if s in ended else min(q, k) for s, k in enumerate(left)]
-    pick = np.full((len(rngs), max(lens)), mask.shape[1])  # padding sorts last
-    for s, (rng, k) in enumerate(zip(rngs, lens)):
+    pick = np.empty((n_seeds, max(lens)), dtype=int)
+    pick.fill(n)  # padding sorts last
+    for rng, k, n_left, row in zip(rngs, lens, left, pick):
         if k:
-            pick[s, :k] = rng.choice(left[s], size=k, replace=False)
+            row[:k] = rng.choice(n_left, size=k, replace=False)
     pick.sort(axis=1)
-    starts = np.cumsum([0, *left[:-1]])
-    return rest.take(pick + starts[:, None], mode="clip"), lens
+    pick += starts[:-1, None]
+    return rest.take(pick, mode="clip") % n, lens
 
 
 def _grouped(n_seeds: int, who: np.ndarray, items: np.ndarray) -> list[list[int]]:

@@ -26,8 +26,10 @@ import numpy as np
 from .fields import SensorField
 from .gp import IncrementalConditioner, KernelParams, as_points
 
-# Variance scores are snapped to this grid before argmax/argmin so that
-# selection traces do not flip on platform-dependent last-bit noise.
+# Variance scores are snapped to this grid, in units of the signal variance,
+# before argmax/argmin so that selection traces do not flip on
+# platform-dependent last-bit noise.  A change of units scales every score
+# and the grid alike, so no pick moves.
 _QUANTUM = 1e-12
 
 POLICIES = ("max-variance", "random", "app-weighted", "virtual")
@@ -40,9 +42,11 @@ POLICIES = ("max-variance", "random", "app-weighted", "virtual")
 _BATCH_BYTES = 4 * 2**20
 
 
-def quantize(values):
-    """Snap scores to the comparison grid used by all selection rules."""
-    return np.round(np.asarray(values, dtype=float) / _QUANTUM) * _QUANTUM
+def quantize(values, signal_variance: float):
+    """Snap scores to the comparison grid used by all selection rules: steps
+    of 1e-12 times ``signal_variance``, the unit every score is in."""
+    quantum = _QUANTUM * signal_variance
+    return np.round(np.asarray(values, dtype=float) / quantum) * quantum
 
 
 @dataclass
@@ -68,18 +72,19 @@ def _pack_estimate(field: SensorField, rem: np.ndarray, mean, var) -> FieldEstim
     return FieldEstimate(values, variance, float(np.sum(variance)))
 
 
-def _max_variance_pick(var: np.ndarray, rem: np.ndarray) -> np.ndarray:
+def _max_variance_pick(var: np.ndarray, rem: np.ndarray, signal_variance: float) -> np.ndarray:
     """For each row of ``rem`` (S, m), one seed's candidates in ascending
     order, the one with the largest quantized variance, ``var`` (S, m)
     holding theirs; ties go to the lowest index."""
-    return rem[np.arange(rem.shape[0]), np.argmax(quantize(var), axis=1)]
+    return rem[np.arange(rem.shape[0]), np.argmax(quantize(var, signal_variance), axis=1)]
 
 
 def _min_residual_pick(cond: IncrementalConditioner, rem: np.ndarray, betas):
     """For each row of ``rem`` (S, m), the candidate minimizing the beta-weighted
     residual variance of the conditioner's weight rows; ties go to the lowest index."""
     scores = betas @ cond.residual_variance(rem)
-    return rem[np.arange(rem.shape[0]), np.argmin(quantize(scores), axis=-1)]
+    return rem[np.arange(rem.shape[0]),
+               np.argmin(quantize(scores, cond.params.signal_variance), axis=-1)]
 
 
 def _positive_betas(betas) -> np.ndarray:
@@ -304,7 +309,7 @@ def _play(fields, rngs, policy, rounds: int, params: KernelParams, virtual_locs=
     live = seeds
     for t in range(rounds):
         if policy == "max-variance":
-            picks = _max_variance_pick(var, flat) - offsets
+            picks = _max_variance_pick(var, flat, params.signal_variance) - offsets
         else:
             rem = flat - offsets[:, None]
             if policy == "random":

@@ -241,11 +241,17 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
     return seeds
 
 
+# Seeds are held as int64 in record blocks, so each must be below 2**63.
+_SEED_LIMIT = 2**63
+
+
 def _check_seeds(seeds):
     seen = set()
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"seed {seed} is negative; seeds are non-negative integers")
+        if seed >= _SEED_LIMIT:
+            raise ConfigError(f"seed {seed} is too large; seeds are below 2**63")
         if seed in seen:
             raise ConfigError(f"seed {seed} is repeated; each seed names one run")
         seen.add(seed)

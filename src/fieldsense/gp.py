@@ -14,14 +14,17 @@ takes a seed batch of S such sets, an (S, n, d) array; one field is the
 batch of one.
 """
 
+import bisect
+import itertools
 import math
 import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-# Negative posterior variances above this floor are treated as round-off and
-# clamped to zero; anything more negative indicates a real defect.
+# Negative posterior variances above this floor, in units of the signal
+# variance, are treated as round-off and clamped to zero; anything more
+# negative indicates a real defect.
 VARIANCE_CLAMP = -1e-10
 
 # Diagonal jitter tried on a pivot, in units of the signal variance: none,
@@ -213,7 +216,8 @@ class IncrementalConditioner:
     not the capacity.  A seed that observes past the capacity doubles the
     block, copying it.
 
-    Round-off negative variances above ``VARIANCE_CLAMP`` clamp to zero.
+    Round-off negative variances above ``VARIANCE_CLAMP`` times the signal
+    variance clamp to zero.
     Where an update would leave one below, the pivot gets the smallest
     jitter of 1e-10 up to 1e-6 times the signal variance that avoids it;
     if none does, the update fails and leaves its seed unchanged.
@@ -257,14 +261,13 @@ class IncrementalConditioner:
         seed per upload, the seeds in any order, a repeated seed taking its
         uploads in the order given; scalars are one upload.
 
-        The kernel rows are built at once; then slot j, each seed's j-th
-        upload, runs as (m, n) array operations.  Each seed's product with
-        its own factor rows keeps a one-upload call's operands, and so its
-        numbers: alone, or stacked over a run of consecutive seeds holding
-        equally many rows, the left operand at the one-seed call's stride.
-        A seed whose pivot needs jitter is retried alone; a seed no jitter
-        saves is left as that upload found it and takes none of its later
-        ones.  Returns ``{seed: message}`` for those seeds.  Bad seeds,
+        Slot j is each seed's j-th upload, its seeds ascending.  Uploads of
+        distinct ascending seeds (a DAS round) are one slot as given; any
+        others are put in slot order by one sort of their (slot, seed) keys.
+        The kernel rows of every upload are built at once, and then each
+        slot runs as (m, n) array operations (:meth:`_slot`).  A seed no
+        jitter saves is left as that upload found it and takes none of its
+        later ones.  Returns ``{seed: message}`` for those seeds.  Bad seeds,
         targets or values raise before anything changes.
         """
         index = np.atleast_1d(index)
@@ -277,49 +280,69 @@ class IncrementalConditioner:
                              f"{index.size}, {value.size} and {m}")
         if not m:
             return {}
-        seeds = seed.tolist()
-        for name, got, size in (("seed", seeds, n_seeds), ("target index", index.tolist(), n)):
+        seeds, idx = seed.tolist(), index.tolist()
+        for name, got, size in (("seed", seeds, n_seeds), ("target index", idx, n)):
             if not (0 <= min(got) and max(got) < size):
                 bad = next(x for x in got if not 0 <= x < size)
                 raise IndexError(f"{name} {bad} out of range")
         if not all(map(math.isfinite, value.tolist())):
             raise ValueError("observed value is not finite")
+        ends = [m]
+        if seeds != sorted(set(seeds)):  # slot j, seed s sorts at j * n_seeds + s
+            nth = dict.fromkeys(seeds, 0)
+            keys = []
+            for s in seeds:
+                keys.append(nth[s] * n_seeds + s)
+                nth[s] += 1
+            order = np.array(sorted(range(m), key=keys.__getitem__))
+            seed, index, value = seed[order], index[order], value[order]
+            seeds, idx = seed.tolist(), index.tolist()
+            counts = sorted(nth.values())  # slot j holds the seeds with more than j uploads
+            ends = list(itertools.accumulate(len(counts) - bisect.bisect(counts, j)
+                                             for j in range(counts[-1])))
         # a run of consecutive seeds (every seed of a DAS round) is a slice,
         # whose rows are views: a batch of one makes no copy of its rows
-        at = slice(seeds[0], seeds[0] + m) if seeds[-1] - seeds[0] == m - 1 else seed
-        ends = [m]
-        if seeds != sorted(set(seeds)):  # slot j: each seed's j-th upload, in seed order
-            by_seed = np.argsort(seed, kind="stable")
-            rank = np.empty(m, dtype=int)
-            rank[by_seed] = np.arange(m) - np.searchsorted(seed[by_seed], seed[by_seed])
-            order = np.lexsort((seed, rank))
-            seed, index, value = seed[order], index[order], value[order]
-            seeds, ends, at = seed.tolist(), np.cumsum(np.bincount(rank)).tolist(), seed
+        run = len(ends) == 1 and seeds[-1] - seeds[0] == m - 1
+        own = slice(seeds[0], seeds[0] + m) if run else seed
+        at = seed * n + index  # each upload's target, flat over the (S, n) arrays
         # targets are validated: skip gram's checks
-        k_rows = _sq_exp(self._coords[:, at], self._coords[:, seed, index, None], self.params)
+        coords = self._coords
+        k_rows = _sq_exp(coords[:, own], coords.reshape(len(coords), -1)[:, at, None], self.params)
         failed = {}
-        if len(ends) == 1:
-            self._slot(seed, index, value, k_rows, failed)
-        else:
-            for a, b in zip([0, *ends], ends):  # a failed seed takes none of its later uploads
-                take = slice(a, b) if not failed else np.array(
-                    [r for r, s in enumerate(seeds[a:b], start=a) if s not in failed], int)
-                if seed[take].size:
-                    self._slot(seed[take], index[take], value[take], k_rows[take], failed)
+        for a, b in zip([0, *ends], ends):
+            take = slice(a, b)
+            if failed:  # a failed seed takes none of its later uploads
+                take = [r for r in range(a, b) if seeds[r] not in failed]
+                if not take:
+                    continue
+                take = np.array(take)
+            self._slot(seed[take], index[take], at[take], value[take], k_rows[take], failed)
         return failed
 
-    def _slot(self, seed, index, value, k_rows, failed: dict) -> None:
-        """One upload each of ascending distinct seeds; those no jitter saves go to ``failed``."""
-        n = self.mean.shape[1]
+    def _slot(self, seed, index, at, value, k_rows, failed: dict) -> None:
+        """One upload each of ascending distinct seeds, of ``value`` at target
+        ``index`` (flat position ``at``); those no jitter saves go to ``failed``.
+
+        Each seed's product with its own factor rows keeps a one-upload
+        call's operands, and so its numbers: alone, or stacked over a run of
+        consecutive seeds holding equally many rows, the left operand at the
+        one-seed call's stride.  The rest runs once over the slot: the new
+        factor rows, one clamp check over all of them (row by row only where
+        some variance is below ``VARIANCE_CLAMP`` times the signal variance;
+        such a seed alone climbs the jitter ladder), and the writes of the
+        rows, means and variances, in place where the seeds are consecutive.
+        """
         seeds, idx = seed.tolist(), index.tolist()
-        ts = [self.n_observations[s] for s in seeds]
-        m = len(seeds)
+        n_obs = self.n_observations
+        ts = [n_obs[s] for s in seeds]
+        m, n = k_rows.shape
         if max(ts) == self._c.shape[1]:  # a seed fills its rows: double every seed's
-            cap, n_seeds = self._c.shape[1], len(self.n_observations)
+            cap, n_seeds = self._c.shape[1], len(n_obs)
             grown = _zeros((n_seeds, max(2 * cap, 8), n))
             grown[:, :cap] = self._a
             self._a = grown
             self._c = np.concatenate([self._c, np.zeros((n_seeds, grown.shape[1] - cap))], 1)
+        a, cs = self._a, self._c
         rows = slice(seeds[0], seeds[0] + m) if seeds[-1] - seeds[0] == m - 1 else seed
         lockstep = isinstance(rows, slice) and ts.count(ts[0]) == m  # the slot is one run
         # each maximal run of consecutive seeds at one row count
@@ -327,65 +350,78 @@ class IncrementalConditioner:
                                              or ts[r] != ts[r - 1]], m]
         prod = np.empty((m, n))
         lc = np.empty(m)
-        for a, b in zip(runs, runs[1:]):
-            s, t = seeds[a], ts[a]
-            f = self._a[s : s + b - a, :t]
-            if b - a == 1:  # one seed's t-row products on their own
-                lvec = f[0, :, idx[a]]
-                np.matmul(lvec, f[0], out=prod[a])
-                lc[a] = lvec @ self._c[s, :t]
+        for r, e in zip(runs, runs[1:]):
+            s, t = seeds[r], ts[r]
+            if e - r == 1:  # one seed's t-row products on their own
+                f = a[s, :t]
+                lvec = f[:, idx[r]]
+                np.matmul(lvec, f, out=prod[r])
+                lc[r] = lvec.dot(cs[s, :t])
             else:
                 # one stacked product: each seed's column gathered at the
                 # stride n > 1 gives the one-seed call's own column view
                 # (contiguous, as that view is, at n = 1); a contiguous copy
                 # differs in the last bits
-                lvec = np.empty((b - a, t)) if n == 1 else np.empty((b - a, t, 2))[..., 0]
-                lvec[...] = self._a[seed[a:b], :t, index[a:b]]
-                np.matmul(lvec[:, None], f, out=prod[a:b, None])
-                lc[a:b] = np.matmul(lvec[:, None], self._c[s : s + b - a, :t, None])[:, 0, 0]
+                f = a[s : s + e - r, :t]
+                lvec = np.empty((e - r, t)) if n == 1 else np.empty((e - r, t, 2))[..., 0]
+                lvec[...] = a[seed[r:e], :t, index[r:e]]
+                np.matmul(lvec[:, None], f, out=prod[r:e, None])
+                lc[r:e] = np.matmul(lvec[:, None], cs[s : s + e - r, :t, None])[:, 0, 0]
         resid = np.subtract(k_rows, prod, out=prod)
-        pivot = self.variance[seed, index] + self.noise_variance
+        pivot = self.variance.take(at)
+        pivot += self.noise_variance
         d = np.sqrt(pivot)
         # one run's new factor rows are written in place
-        row = np.divide(resid, d[:, None], out=self._a[rows, ts[0]] if lockstep else None)
-        old = self.variance[rows]
+        row = np.divide(resid, d[:, None], out=a[rows, ts[0]] if lockstep else None)
+        # a slice's rows are views; gathered rows are copies
+        old = self.variance[rows] if isinstance(rows, slice) else self.variance.take(seed, axis=0)
         variance = np.multiply(row, row)
         np.subtract(old, variance, out=variance)
-        low = variance.min(axis=1).tolist()
-        for r in [r for r, x in enumerate(low) if x < VARIANCE_CLAMP]:
-            for jitter in _PIVOT_JITTER[1:]:  # this seed alone, up the ladder
-                d[r] = math.sqrt(pivot[r] + jitter * self.params.signal_variance)
-                row[r] = resid[r] / d[r]
-                variance[r] = old[r] - row[r] * row[r]
-                low[r] = variance[r].min()
-                if low[r] >= VARIANCE_CLAMP:
-                    break
-            else:
-                failed[seeds[r]] = (f"posterior variance {low[r]:g} below round-off "
-                                    f"tolerance {VARIANCE_CLAMP:g}")
-                row[r] = 0.0  # a factor row written in place is unwritten
-        c = (value - lc) / d
+        bad = []
+        s2 = self.params.signal_variance
+        clamp = VARIANCE_CLAMP * s2
+        if variance.min() < clamp:
+            low = variance.min(axis=1).tolist()
+            for r in [r for r, x in enumerate(low) if x < clamp]:
+                for jitter in _PIVOT_JITTER[1:]:  # this seed alone, up the ladder
+                    d[r] = math.sqrt(pivot[r] + jitter * s2)
+                    row[r] = resid[r] / d[r]
+                    variance[r] = old[r] - row[r] * row[r]
+                    low[r] = variance[r].min()
+                    if low[r] >= clamp:
+                        break
+                else:
+                    failed[seeds[r]] = (f"posterior variance {low[r]:g} below round-off "
+                                        f"tolerance {clamp:g}")
+                    row[r] = 0.0  # a factor row written in place is unwritten
+                    bad.append(r)
+        c = np.subtract(value, lc, out=lc)
+        c /= d
         t = np.array(ts)
-        if failed:  # apply the others only
-            keep = np.array([s not in failed for s in seeds])
+        if bad:  # apply the others only
+            keep = np.array([r for r in range(m) if r not in bad], dtype=int)
             seed = rows = seed[keep]
             t, row, variance, c = t[keep], row[keep], variance[keep], c[keep]
             index, k_rows = index[keep], k_rows[keep]
+            seeds, idx = seed.tolist(), index.tolist()
         if not lockstep:
-            self._a[seed, t] = row
-        self._c[seed, t] = c
-        for s in seed.tolist():
-            self.n_observations[s] += 1
+            a[seed, t] = row
+        cs[seed, t] = c
+        for s in seeds:
+            n_obs[s] += 1
         span = self._span
         if span is not None and any(span.start <= i < span.stop for i in idx):
             # an uploaded entry is exact: W K loses w[:, p] K[p, :]
             self._wk[rows] -= self._w[seed, :, index][..., None] * k_rows[:, None]
             self._w[seed, :, index] = 0.0
-        self.mean[rows] += np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
-        if isinstance(rows, slice):
+        step = np.multiply(row, c[:, None], out=resid[: c.size])  # resid is spent
+        if isinstance(rows, slice):  # in place in the views
+            self.mean[rows] += step
             np.maximum(variance, 0.0, out=old)
         else:
-            self.variance[rows] = np.maximum(variance, 0.0, out=variance)
+            step += self.mean.take(seed, axis=0)
+            self.mean[seed] = step
+            self.variance[seed] = np.maximum(variance, 0.0, out=variance)
 
     def residual_variance(self, candidates) -> np.ndarray:
         """Error variance of the weighted sums of the targets after each candidate uploads.

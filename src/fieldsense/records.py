@@ -154,7 +154,8 @@ def _merged_lines(blocks):
         run = seeds[i : i + step]
         lines, keys = [], []
         for b, rank in zip(blocks, ranks):
-            lo, hi = np.searchsorted(b.seeds, (run[0], run[-1] + 1)).tolist()
+            # the run's last seed may be 2**63 - 1, so no seed past it is formed
+            lo, hi = b.seeds.searchsorted(run[0]), b.seeds.searchsorted(run[-1], side="right")
             if lo < hi:
                 lines += b.text[b.offsets[lo] : b.offsets[hi] - 1].split("\n")
                 keys.append((np.repeat(b.seeds[lo:hi], b.rounds * rank.size),

@@ -58,12 +58,11 @@ def sq_exp_reduced(diff, params):
     return params.signal_variance * np.exp(-d2 / (2.0 * params.length_scale**2))
 
 
-def _clamp_variances(var):
+def _clamp_variances(var, params):
     low = float(var.min()) if var.size else 0.0
-    if low < VARIANCE_CLAMP:
-        raise ValueError(
-            f"posterior variance {low:g} below round-off tolerance {VARIANCE_CLAMP:g}"
-        )
+    clamp = VARIANCE_CLAMP * params.signal_variance
+    if low < clamp:
+        raise ValueError(f"posterior variance {low:g} below round-off tolerance {clamp:g}")
     return np.maximum(var, 0.0)
 
 
@@ -109,7 +108,7 @@ def posterior(observed_locs, observed_values, target_locs, params, noise_varianc
     )
     cov = gram(targets, targets, params) - v.T @ v
     cov = 0.5 * (cov + cov.T)
-    diag = _clamp_variances(np.diag(cov).copy())
+    diag = _clamp_variances(np.diag(cov).copy(), params)
     np.fill_diagonal(cov, diag)
     return GprPosterior(v.T @ alpha, cov, targets)
 
@@ -121,7 +120,7 @@ def posterior_mean_and_variance(observed_locs, observed_values, target_locs, par
         observed_locs, observed_values, target_locs, params, noise_variance
     )
     prior_var = np.full(targets.shape[0], params.signal_variance)
-    return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0))
+    return v.T @ alpha, _clamp_variances(prior_var - np.sum(v * v, axis=0), params)
 
 
 def remaining(field, uploaded):
@@ -257,14 +256,15 @@ def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
         if policy == "random":
             idx = rem[rng.integers(len(rem))]
         elif policy == "max-variance":
-            idx = rem[int(np.argmax(quantize(remaining_variances(field, uploaded, params))))]
+            idx = rem[int(np.argmax(quantize(remaining_variances(field, uploaded, params),
+                                             params.signal_variance)))]
         elif policy == "virtual":
             traces = virtual_traces(field, uploaded, virtual, params)
-            idx = rem[int(np.argmin(quantize(traces)))]
+            idx = rem[int(np.argmin(quantize(traces, params.signal_variance)))]
         elif policy == "app-weighted":
             weights, betas = apps
             totals = hypothetical_mses(weights, field, uploaded, params) @ np.asarray(betas)
-            idx = rem[int(np.argmin(quantize(totals)))]
+            idx = rem[int(np.argmin(quantize(totals, params.signal_variance)))]
         else:
             raise ValueError(f"unknown policy {policy!r}")
         uploaded.append(int(idx))

@@ -614,3 +614,19 @@ class TestAlohaConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             AlohaConfig(**kwargs)
+
+
+class TestUnitFree:
+    def test_conventional_rounds_alike_at_every_scale(self):
+        # s2 = 4**k, values times 2**k, noise times 4**k: the same successes
+        # and SSE / s2, bit for bit (modified mode's psi is in log units)
+        from test_das import scaled_field
+        base = gen_random_sinusoid(60, 10, 0.1, np.random.default_rng(5))
+        cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
+        want = None
+        for k in range(-20, 21):
+            params = KernelParams(1.0, 4.0**k)
+            logs = run_aloha(scaled_field(base, k), cfg, 12, params, np.random.default_rng(9))
+            got = [(log.successes, log.sse / params.signal_variance) for log in logs]
+            want = want or got
+            assert got == want, k

@@ -362,7 +362,8 @@ class TestRunDas:
             # an application whose one sensor has uploaded scores 0 on both sides
             scale = np.maximum(np.abs(want).max(axis=-1, keepdims=True), np.finfo(float).tiny)
             gaps.append(float(np.max(np.abs(got - want) / scale)))
-            assert np.argmin(quantize(betas @ got)) == np.argmin(quantize(betas @ want))
+            s2 = UNIT.signal_variance
+            assert np.argmin(quantize(betas @ got, s2)) == np.argmin(quantize(betas @ want, s2))
             return got
 
         monkeypatch.setattr(IncrementalConditioner, "residual_variance", checked)
@@ -546,3 +547,41 @@ class TestRunDasSeeds:
         make = lambda rng: make_field(np.arange(float(next(sizes))))  # noqa: E731
         with pytest.raises(ValueError, match="one size"):
             list(run_das_batches([1, 2], make, "max-variance", 2, UNIT))
+
+
+def scaled_field(field: SensorField, k: int) -> SensorField:
+    """``field`` in other units: values times 2**k and noise times 4**k, exactly."""
+    c = 2.0**k
+    return SensorField(field.locations, field.true_means * c, field.measurements * c,
+                       field.noise_variance * c * c)
+
+
+class TestUnitFree:
+    """Selection is value-free and unit-free.  At s2 = 4**k, with field values
+    times 2**k and noise times 4**k, every covariance and score is k = 0's
+    times 4**k exactly, and so are the score grid and the variance clamp:
+    no pick moves and MSE / s2 keeps its bits."""
+
+    def test_every_policy_picks_alike_at_every_scale(self):
+        base = gen_1d(30, 0.1, np.random.default_rng(3))
+        apps = ([np.full(30, 1 / 30), np.linspace(0.0, 1.0, 30)], [1.0, 0.5])
+        want = {}
+        for k in range(-20, 21):
+            params = KernelParams(1.0, 4.0**k)
+            field = scaled_field(base, k)
+            for policy in POLICIES:
+                logs = run_das(field, policy, 12, params, rng=np.random.default_rng(7),
+                               virtual_locs=[[2.5], [7.5]], apps=apps)
+                got = [(log.selected, log.mse / params.signal_variance) for log in logs]
+                assert got == want.setdefault(policy, got), (policy, k)
+
+    def test_tiny_signal_variance_does_not_pick_in_index_order(self):
+        # at s2 = 1e-13 an absolute grid of 1e-12 would round every variance
+        # to 0 and pick sensors 0, 1, 2, ... in index order
+        base = gen_1d(30, 0.1, np.random.default_rng(3))
+        picks = {}
+        for s2 in (1.0, 1e-13):
+            field = SensorField(base.locations, base.true_means, base.measurements, 0.1 * s2)
+            logs = run_das(field, "max-variance", 8, KernelParams(1.0, s2))
+            picks[s2] = [log.selected for log in logs]
+        assert picks[1e-13] == picks[1.0] != list(range(8))

@@ -552,6 +552,26 @@ class TestCli:
         assert err.startswith("fieldsense: config: ") and named in err
         assert not out.exists()
 
+    def test_largest_int64_seed_runs(self, tmp_path, capsys):
+        # the merge finds each block's seed range without forming 2**63
+        out = tmp_path / "x.csv"
+        seed = 2**63 - 1
+        assert main(["aloha", "--preset", "fig6", f"--seed={seed}", "--rounds", "2",
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        records = read_records_csv(out)
+        assert records and {r.seed for r in records} == {seed}
+        assert {r.round for r in records} == {1, 2}
+
+    def test_seed_past_int64_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["aloha", "--preset", "fig6", f"--seed={2**63}", "--rounds", "2",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fieldsense: config: ") and f"seed {2**63} is too large" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_subcommand_mismatch_exits_2(self, tmp_path, capsys):
         assert main(["das", "--preset", "fig6", "--out", str(tmp_path / "x.csv")]) == 2
         assert "config" in capsys.readouterr().err

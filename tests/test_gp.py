@@ -356,7 +356,7 @@ class TestIncrementalConditioner:
         with pytest.raises(ValueError, match="weights given at construction; none were given"):
             cond.residual_variance([[0, 1]])
 
-    def test_observe_raises_below_variance_clamp(self):
+    def test_observe_reports_below_variance_clamp(self):
         # the failed upload is returned, with its message, and changes nothing
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 5, size=(6, 1))
@@ -868,6 +868,58 @@ class TestFullSlot:
         np.testing.assert_array_equal(batch._c, 0.0)
         np.testing.assert_array_equal(batch.mean, 0.0)
         np.testing.assert_array_equal(batch.variance, 1.0)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_aloha_shaped_calls_match_one_conditioner_per_field(self, data):
+        # An ALOHA round's call: a subset of seeds holding unequal row counts,
+        # 1-4 uploads each, the uploads in shuffled order; one seed's first
+        # upload may need pivot jitter and another's may fail.  Each field's
+        # own conditioner takes the same uploads one at a time, in order, and
+        # none of a seed's after the one that fails.
+        n_seeds = data.draw(st.integers(1, 8), label="seeds")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        n, noise = 12, 0.05
+        locs = rng.uniform(0, 5, size=(n_seeds, n, 2))
+        batch = IncrementalConditioner(locs, UNIT, noise, capacity=2)  # it grows
+        singles = [batch_of_one(f, UNIT, noise) for f in locs]
+        left = [rng.permutation(n).tolist() for _ in range(n_seeds)]
+        for s in range(n_seeds):  # earlier uploads, as many as the seed drew
+            for _ in range(data.draw(st.integers(0, 3), label=f"earlier {s}")):
+                i, v = left[s].pop(), float(rng.normal())
+                assert batch.observe([i], [v], [s]) == singles[s].observe([i], [v], [0]) == {}
+        for _ in range(data.draw(st.integers(1, 3), label="calls")):
+            subset = data.draw(st.sets(st.integers(0, n_seeds - 1), min_size=1), label="subset")
+            uploads = [(s, left[s].pop(), float(rng.normal())) for s in sorted(subset)
+                       for _ in range(data.draw(st.integers(1, 4))) if left[s]]
+            uploads = data.draw(st.permutations(uploads), label="order")
+            if not uploads:
+                continue
+            firsts = list({s: i for s, i, _ in reversed(uploads)}.items())  # seed order here
+            jittered, failing = (data.draw(st.sampled_from([None, *firsts])) for _ in "jf")
+            if jittered:
+                # a target left 5e-10 short of the plain update: it needs jitter
+                s, i = jittered
+                probe = copy.deepcopy(singles[s])
+                probe.observe([i], [0.0], [0])
+                drop = singles[s].variance[0] - probe.variance[0]
+                drop[i] = -1.0
+                j = int(np.argmax(drop))
+                batch.variance[s, j] = singles[s].variance[0, j] = drop[j] - 5e-10
+            if failing and failing != jittered:
+                # an understated variance at the target overshoots any update
+                s, i = failing
+                batch.variance[s, i] = singles[s].variance[0, i] = 0.0
+            seeds, idx, vals = (np.array(col) for col in zip(*uploads))
+            got = batch.observe(idx, vals, seeds)
+            want = {}
+            for s, i, v in uploads:
+                if s not in want:
+                    want.update({s: msg for msg in singles[s].observe([i], [v], [0]).values()})
+            assert got == want
+            if failing and failing != jittered:
+                assert failing[0] in got
+            TestFullSlot.assert_singles(batch, singles)
 
 
 class TestUnitScores:
