@@ -8,23 +8,16 @@ dual-ascent load control.
 
 from .aloha import (
     AlohaConfig,
-    AlohaRound,
     dual_ascent_step,
     equal_upload_probability,
     expected_throughput,
     per_sensor_success_probability,
-    run_aloha,
     run_aloha_batches,
     sleep_adjusted_q,
     sse_lower_bound,
     upload_probabilities,
 )
-from .das import (
-    DasRound,
-    FieldEstimate,
-    run_das,
-    run_das_batches,
-)
+from .das import FieldEstimate, run_das_batches
 from .experiments import (
     PRESETS,
     ConfigError,

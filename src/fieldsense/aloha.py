@@ -50,22 +50,6 @@ class AlohaConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass
-class AlohaRound:
-    """Everything that happened in one contention round."""
-
-    candidates: list[int]
-    predictions: np.ndarray
-    errors: np.ndarray
-    probabilities: np.ndarray
-    activity: np.ndarray
-    channel_choice: np.ndarray  # -1 for sensors that did not transmit
-    successes: list[int]
-    collided: list[int]
-    sse: float
-    psi: float  # dual value the sensors used this round
-
-
 def equal_upload_probability(cfg: AlohaConfig) -> float:
     """Throughput-optimal common upload probability, B/Q capped at 1."""
     return min(1.0, cfg.channels / cfg.candidates)
@@ -156,7 +140,7 @@ class AlohaBatchRound:
     (S, width) arrays over them, a shorter row's padding never active.
     ``successes``, ``sse``, ``psi`` and ``active`` hold each seed's
     successes in candidate order, its SSE, the dual value it used and its
-    active count.  :meth:`logs` builds the per-seed :class:`AlohaRound` views.
+    active count.
     """
 
     __slots__ = ("candidates", "lens", "predictions", "errors", "probabilities", "activity",
@@ -168,20 +152,6 @@ class AlohaBatchRound:
         self.errors, self.probabilities, self.activity = errors, probabilities, activity
         self.draws, self.success, self.successes = draws, success, successes
         self.sse, self.psi, self.active = sse, psi, active
-
-    def logs(self) -> list[AlohaRound]:
-        """Each seed's round log, its arrays views of its rows cut to its candidates."""
-        channel = np.where(self.activity, self.draws, -1)
-        rows = [[row[:k] for row, k in zip(x, self.lens)] for x in (
-            self.candidates, self.predictions, self.errors, self.probabilities, self.activity,
-            channel, self.success)]
-        logs = []
-        for s, (cand, pred, err, prob, act, chan, ok) in enumerate(zip(*rows)):
-            cands = cand.tolist()
-            collided = [c for c, a, won in zip(cands, act.tolist(), ok.tolist()) if a and not won]
-            logs.append(AlohaRound(cands, pred, err, prob, act, chan, self.successes[s],
-                                   collided, self.sse[s], self.psi[s]))
-        return logs
 
 
 def _play_round(cand, lens, meas, mask, psi, cfg: AlohaConfig, cond: IncrementalConditioner,
@@ -310,51 +280,29 @@ def sse_lower_bound(sigma_sq: float, Q: int, channels: int) -> float:
     return raw
 
 
-def run_aloha(
-    field: SensorField,
-    cfg: AlohaConfig,
-    rounds: int,
-    params: KernelParams,
-    rng: np.random.Generator,
-) -> list[AlohaRound]:
-    """Simulate ``rounds`` contention rounds on one field.
+def run_aloha_batches(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
+    """Simulate ``rounds`` contention rounds on every seed's field, the seeds
+    played in lockstep batches, and yield each round as the batch's columns.
 
     Each round's candidates are a uniform random subset of size Q of the
-    sensors that have not uploaded yet, drawn from ``rng`` (all of them once
-    fewer than Q remain).  Once the pool is exhausted, rounds proceed with
-    empty candidate sets and zero SSE.
-    One conditioner over the sensors carries the predictions across rounds.
-    This runs the round loop of :func:`run_aloha_batches` on a batch of one
-    seed.
-    """
-    logs = []
-    for rnd, failed in _play([field], [rng], cfg, rounds, params):
-        if failed:
-            raise ValueError(failed[0])
-        logs += rnd.logs()
-    return logs
-
-
-def run_aloha_batches(seeds, make_field, cfg: AlohaConfig, rounds: int, params: KernelParams):
-    """:func:`run_aloha` for every seed, the seeds played in lockstep batches,
-    each round yielded as the batch's columns.
-
-    Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
-    builds its field through ``make_field(rng)`` and then draws its rounds,
-    exactly as a run of its own would, so every seed's numbers are
-    bit-identical to its own :func:`run_aloha`.  The seeds play in batches
-    of near-equal size, each holding as many seeds as fit the 4 MB budget
-    of :func:`fieldsense.das._in_flight` at their worst case, ``min(L,
-    rounds * B)`` factor rows each (B successes a round at most), so memory
-    follows that bound, not the number of seeds.
+    sensors that have not uploaded yet, drawn from the seed's generator (all
+    of them once fewer than Q remain).  Once the pool is exhausted, rounds
+    proceed with empty candidate sets and zero SSE.  One conditioner over
+    the sensors carries the predictions across rounds.  Seed ``seed`` gets
+    the generator ``np.random.default_rng(seed)``, which builds its field
+    through ``make_field(rng)`` and then draws its rounds, so every seed's
+    numbers are bit-identical to those of its batch of one, ``[seed]``.  The
+    seeds play in batches of near-equal size, each holding as many seeds as
+    fit the 4 MB budget of :func:`fieldsense.das._in_flight` at their worst
+    case, ``min(L, rounds * B)`` factor rows each (B successes a round at
+    most), so memory follows that bound, not the number of seeds.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`fieldsense.das.play_seed_batches` does: ``round`` is
-    the batch's :class:`AlohaBatchRound`, whose ``logs()`` gives each seed's
-    :class:`AlohaRound`.  ``failed`` maps the row of each seed whose run
-    failed in round t to the ``ValueError`` message its own
-    :func:`run_aloha` would raise; that row's entries, from round t on,
-    belong to no run, and the other seeds play on.
+    the batch's :class:`AlohaBatchRound`.  ``failed`` maps the row of each
+    seed whose run failed in round t to its ``ValueError`` message; that
+    row's entries, from round t on, belong to no run, and the other seeds
+    play on.
     """
     return play_seed_batches(
         seeds, make_field, lambda field: _in_flight(field.n_sensors, _capacity(field, cfg, rounds)),

@@ -117,86 +117,43 @@ def _virtual_points(virtual_locs, dim: int) -> np.ndarray:
     return virtual
 
 
-@dataclass
-class DasRound:
-    """One round of the collection loop: what was picked and what it bought."""
-
-    round: int
-    selected: int
-    mse: float
-    estimate: FieldEstimate | None = None
-
-
 class DasBatchRound:
     """One round of the collection loop on a seed batch, as columns: entry s
     is seed s's pick, its MSE and, if the loop logs them, its field estimate
-    (``estimates`` is None otherwise).  :meth:`logs` builds the per-seed
-    :class:`DasRound` views."""
+    (``estimates`` is None otherwise)."""
 
     __slots__ = ("round", "picks", "mse", "estimates")
 
     def __init__(self, round: int, picks: list, mse: list, estimates: list | None):
         self.round, self.picks, self.mse, self.estimates = round, picks, mse, estimates
 
-    def logs(self) -> list[DasRound]:
-        estimates = self.estimates or [None] * len(self.picks)
-        return [DasRound(self.round, *entry) for entry in zip(self.picks, self.mse, estimates)]
 
-
-def run_das(
-    field: SensorField,
-    policy,
-    rounds: int,
-    params: KernelParams,
-    rng: np.random.Generator | None = None,
-    virtual_locs=None,
-    log_estimates: bool = False,
-    apps=None,
-) -> list[DasRound]:
-    """Run the collection loop for ``rounds`` rounds and log each round.
+def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams,
+                    virtual_locs=None, log_estimates: bool = False, apps=None):
+    """Run the collection loop for ``rounds`` rounds on every seed's field,
+    the seeds played in lockstep batches, and yield each round as the
+    batch's columns.
 
     ``policy`` is one of ``POLICIES``.  ``virtual_locs`` are the points the
     virtual policy scores at.  ``apps`` is the pair ``(weights, betas)`` the
     app-weighted policy needs: one finite weight row per application over
     the sensors, and the finite positive betas that sum their output MSEs.
-    One incremental conditioner carries the posterior and scores every
-    policy.  This runs the round loop of :func:`run_das_batches`
-    on a batch of one field.
-    """
-    if policy == "random" and rng is None:
-        rng = np.random.default_rng()
-    logs = []
-    for rnd, failed in _play([field], [rng], policy, rounds, params, virtual_locs,
-                             log_estimates, apps):
-        if failed:
-            raise ValueError(failed[0])
-        logs += rnd.logs()
-    return logs
-
-
-def run_das_batches(seeds, make_field, policy, rounds: int, params: KernelParams,
-                    virtual_locs=None, log_estimates: bool = False, apps=None):
-    """:func:`run_das` for every seed, the seeds played in lockstep batches,
-    each round yielded as the batch's columns.
-
     Seed ``seed`` gets the generator ``np.random.default_rng(seed)``, which
     builds its field through ``make_field(rng)`` and then draws the random
-    policy's picks, exactly as a run of its own would, so every seed's
-    numbers are bit-identical to its own :func:`run_das`.  The fields must
-    share their number of sensors and noise variance.  A batch holds as many
-    seeds as fit a 4 MB budget (:func:`_in_flight`) over their factors
-    (``rounds`` rows over the targets each) and, for the scored policies,
-    the weight rows they score and those rows' products with the prior (two
-    rows over the targets per application or virtual point), so a large
-    field plays one seed at a time; batches are of near-equal size.
+    policy's picks, so every seed's numbers are bit-identical to those of
+    its batch of one, ``[seed]``.  The fields must share their number of
+    sensors and noise variance.  A batch holds as many seeds as fit a 4 MB
+    budget (:func:`_in_flight`) over their factors (``rounds`` rows over the
+    targets each) and, for the scored policies, the weight rows they score
+    and those rows' products with the prior (two rows over the targets per
+    application or virtual point), so a large field plays one seed at a
+    time; batches are of near-equal size.
 
     Yields ``(batch, fields, t, round, failed)`` for each round t of each
     batch, as :func:`play_seed_batches` does: ``round`` is the batch's
-    :class:`DasBatchRound`, whose ``logs()`` gives each seed's
-    :class:`DasRound`.  ``failed`` maps the row of each seed whose run failed
-    in round t to the ``ValueError`` message its own :func:`run_das` would
-    raise; that row's entries, from round t on, belong to no run, and the
-    other seeds play on.
+    :class:`DasBatchRound`.  ``failed`` maps the row of each seed whose run
+    failed in round t to its ``ValueError`` message; that row's entries,
+    from round t on, belong to no run, and the other seeds play on.
     """
     def in_flight(field: SensorField) -> int:
         n = field.n_sensors

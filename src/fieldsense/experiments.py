@@ -31,7 +31,6 @@ from .records import (  # noqa: F401 - the records' own names are this module's 
     RunRecord,
     RunResult,
     build_block,
-    constant_block,
     emit_results,
     read_records_csv,
 )
@@ -627,10 +626,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     failures = [failure for _, _, cell_failures in done for failure in cell_failures]
     if settings is not None:
         seeds = sorted(config.seeds)
+        n = len(seeds) * config.rounds
         for b, q in itertools.product(settings.b_values, settings.q_values):
-            block, bound_aggs = constant_block(
-                seeds, config.rounds, _aloha_metric("lower-bound", settings, b, q),
-                aloha_mod.sse_lower_bound(config.sigma_sq, q, b))
+            bound = aloha_mod.sse_lower_bound(config.sigma_sq, q, b)
+            block, bound_aggs = build_block(seeds, config.rounds, {
+                _aloha_metric("lower-bound", settings, b, q): ([bound] * n, [""] * n)})
             blocks.append(block)
             aggs += bound_aggs
     aggs.sort(key=attrgetter("metric"))  # stable: each metric's rounds stay ascending

@@ -37,14 +37,22 @@ class KernelParams:
     """Squared-exponential kernel parameters.
 
     k(a, b) = signal_variance * exp(-||a - b||^2 / (2 * length_scale^2))
+
+    The divisor 2 * length_scale^2 must be a positive finite float: one that
+    overflows, or underflows to 0, leaves no usable kernel.
     """
 
     length_scale: float = 1.0
     signal_variance: float = 1.0
 
     def __post_init__(self):
-        if not (self.length_scale > 0 and math.isfinite(self.length_scale)):
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
+        try:
+            two_l2 = 2.0 * self.length_scale**2
+        except OverflowError:
+            two_l2 = math.inf
+        if not (self.length_scale > 0 and 0 < two_l2 < math.inf):
+            raise ValueError("length_scale must be positive with 2 * length_scale**2 a "
+                             f"positive finite float, got {self.length_scale}")
         if not (self.signal_variance > 0 and math.isfinite(self.signal_variance)):
             raise ValueError(
                 f"signal_variance must be positive, got {self.signal_variance}"

@@ -101,15 +101,6 @@ def build_block(seeds, rounds: int, columns: dict, failed=()) -> tuple:
     return _block(metrics, np.array(seeds, dtype=np.int64)[kept], rounds, lines), aggs
 
 
-def constant_block(seeds, rounds: int, metric: str, value: float) -> tuple:
-    """The block of ``metric`` at ``value`` in every round of every seed in
-    ``seeds`` (ascending), and its aggregates, reduced as a cell's are."""
-    tail = f",{metric},{value!r},"
-    lines = [f"{seed},{t}{tail}" for seed in seeds for t in range(1, rounds + 1)]
-    block = _block((metric,), np.array(seeds, dtype=np.int64), rounds, lines)
-    return block, _agg_rows(metric, range(1, rounds + 1), np.full((rounds, len(seeds)), value))
-
-
 def _block(metrics, seeds: np.ndarray, rounds: int, lines: list[str]) -> RecordBlock:
     """The block of ``lines`` (without newlines), ``rounds * len(metrics)``
     of them for each seed in ``seeds``."""

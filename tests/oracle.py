@@ -10,20 +10,24 @@ recomputing the estimate every round, and ``run_aloha`` re-solves each
 contention round's predictions.  The library runs both loops on one
 incremental conditioner and scores all candidates at once by a rank-one
 update, so these are the oracles its fast paths are tested against.
+
+Both loops log one seed's rounds as :class:`DasRound` or :class:`AlohaRound`
+records.  The library plays its loops on seed batches only, yielding each
+round as the batch's columns; :func:`rows` reads a batch round as each
+seed's record, :func:`by_seed` a whole batch stream, and :func:`das_logs`
+and :func:`aloha_logs` a batch of one seed, so a test compares the library
+with these loops record by record.
 """
 
 import collections
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
-from fieldsense.aloha import (
-    AlohaRound,
-    equal_upload_probability,
-    upload_probabilities,
-)
-from fieldsense.das import DasRound, FieldEstimate, quantize
+from fieldsense.aloha import equal_upload_probability, run_aloha_batches, upload_probabilities
+from fieldsense.das import DasBatchRound, FieldEstimate, quantize, run_das_batches
 from fieldsense.gp import VARIANCE_CLAMP, GprPosterior, as_points, gram
 
 _JITTER_START = 1e-10
@@ -136,7 +140,7 @@ def _uploads(field, uploaded):
 
 
 def estimate(field, uploaded, params):
-    """The full-field estimate ``fieldsense.das.run_das`` logs once the sensors
+    """The full-field estimate the collection loop logs once the sensors
     in ``uploaded`` (indices, in upload order) have reported, by one batch solve."""
     rem = remaining(field, uploaded)
     values = field.measurements.copy()
@@ -245,9 +249,103 @@ def dense_residual_variance(cond, weights, candidates, uploaded, prior=None):
     return own - cross * cross / (dc + cond.noise_variance)
 
 
+@dataclass
+class DasRound:
+    """One seed's round of the collection loop: what was picked and what it bought."""
+
+    round: int
+    selected: int
+    mse: float
+    estimate: FieldEstimate | None = None
+
+
+@dataclass
+class AlohaRound:
+    """Everything that happened to one seed in one contention round."""
+
+    candidates: list[int]
+    predictions: np.ndarray
+    errors: np.ndarray
+    probabilities: np.ndarray
+    activity: np.ndarray
+    channel_choice: np.ndarray  # -1 for sensors that did not transmit
+    successes: list[int]
+    collided: list[int]
+    sse: float
+    psi: float  # dual value the sensors used this round
+
+
+def rows(rnd) -> list:
+    """A round of ``run_das_batches`` or ``run_aloha_batches``, the batch's
+    columns, as each seed's :class:`DasRound` or :class:`AlohaRound`, row
+    by row; an ALOHA record's arrays are its row's, cut to its candidates."""
+    if isinstance(rnd, DasBatchRound):
+        estimates = rnd.estimates or [None] * len(rnd.picks)
+        return [DasRound(rnd.round, *entry) for entry in zip(rnd.picks, rnd.mse, estimates)]
+    channel = np.where(rnd.activity, rnd.draws, -1)
+    cut = [[row[:k] for row, k in zip(x, rnd.lens)] for x in (
+        rnd.candidates, rnd.predictions, rnd.errors, rnd.probabilities, rnd.activity,
+        channel, rnd.success)]
+    out = []
+    for s, (cand, pred, err, prob, act, chan, ok) in enumerate(zip(*cut)):
+        cands = cand.tolist()
+        collided = [c for c, a, won in zip(cands, act.tolist(), ok.tolist()) if a and not won]
+        out.append(AlohaRound(cands, pred, err, prob, act, chan, rnd.successes[s], collided,
+                              rnd.sse[s], rnd.psi[s]))
+    return out
+
+
+def by_seed(batch_rounds):
+    """The batch stream of ``run_das_batches`` or ``run_aloha_batches`` as
+    {seed: (field, [record, ...] or the error)}: each seed's records, read
+    from its batch rounds by :func:`rows`, until its row is reported failed,
+    and then a ``ValueError`` with the message reported."""
+    out = {}
+    for batch, fields, t, rnd, failed in batch_rounds:
+        for row, (seed, field, log) in enumerate(zip(batch, fields, rows(rnd))):
+            _, logs = out.setdefault(seed, (field, []))
+            if row in failed:
+                out[seed] = (field, ValueError(failed[row]))
+            elif isinstance(logs, list):
+                assert t == len(logs) + 1
+                logs.append(log)
+    return out
+
+
+def _one_seed(stream):
+    """The records of the one seed a batch stream plays; raises its failure."""
+    ((_, logs),) = by_seed(stream).values()
+    if isinstance(logs, ValueError):
+        raise logs
+    return logs
+
+
+def _field_maker(field):
+    """``field`` as a ``make_field`` argument: a function of the seed's
+    generator that builds a field is kept, and a field becomes the function
+    that returns it whatever the generator."""
+    return field if callable(field) else lambda rng: field
+
+
+def das_logs(field, policy, rounds, params, seed=0, **kwargs) -> list[DasRound]:
+    """The library's collection loop as the batch of one ``seed``:
+    ``run_das_batches([seed], ...)``'s rounds as records.  ``field`` is the
+    field, or a function of the seed's generator that builds it; the random
+    policy draws from that generator after it.  Raises the seed's failure."""
+    return _one_seed(run_das_batches([seed], _field_maker(field), policy, rounds, params,
+                                     **kwargs))
+
+
+def aloha_logs(field, cfg, rounds, params, seed=0) -> list[AlohaRound]:
+    """The library's contention loop as the batch of one ``seed``, as
+    :func:`das_logs` runs the collection loop."""
+    return _one_seed(run_aloha_batches([seed], _field_maker(field), cfg, rounds, params))
+
+
 def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
             log_estimates=False, apps=None):
-    """The collection loop of ``fieldsense.das.run_das``, from scratch every round."""
+    """The library's collection loop (``fieldsense.das.run_das_batches`` on one
+    seed, ``rng`` its generator), from scratch every round."""
     virtual = None if virtual_locs is None else as_points(virtual_locs, dim=field.dim)
     uploaded = []
     logs = []
@@ -274,8 +372,9 @@ def run_das(field, policy, rounds, params, rng=None, virtual_locs=None,
 
 
 def run_aloha(field, cfg, rounds, params, rng):
-    """The contention loop of ``fieldsense.aloha.run_aloha``, re-solving predictions
-    every round and counting each channel's transmitters to find the collisions."""
+    """The library's contention loop (``fieldsense.aloha.run_aloha_batches`` on
+    one seed, ``rng`` its generator), re-solving predictions every round and
+    counting each channel's transmitters to find the collisions."""
     uploaded = []
     psi = cfg.psi0
     logs = []

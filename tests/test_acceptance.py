@@ -18,17 +18,17 @@ from fieldsense.aloha import (
     AlohaConfig,
     expected_throughput,
     per_sensor_success_probability,
-    run_aloha,
     run_aloha_batches,
     sse_lower_bound,
 )
-from fieldsense.das import run_das, run_das_batches
+from fieldsense.das import run_das_batches
 from fieldsense.experiments import _map_in_shares
 from fieldsense.fields import SensorField, gen_1d, gen_2d, gen_random_sinusoid, load_csv
 from fieldsense.gp import KernelParams, posterior
 
 import oracle
-from test_aloha import contention_rounds
+from oracle import aloha_logs, das_logs
+from test_aloha import contention_rounds, sinusoid
 from test_das import brute_force_min_next_mse, random_small_field, uploads_before
 from test_gp import naive_posterior, random_instance
 
@@ -59,8 +59,8 @@ def aloha_mean_curves(mode, B, Q, seeds, rounds=40, L=200, sigma_sq=0.1, mu=0.5)
     """Round-by-round ALOHA outcomes over paired per-seed fields, row i
     holding ``seeds[i]``'s.
 
-    The seeds play in lockstep batches, each exactly as its own
-    ``run_aloha`` on ``gen_random_sinusoid`` would, and every round is read
+    The seeds play in lockstep batches, each exactly as its own batch of
+    one on ``gen_random_sinusoid`` would, and every round is read
     from the batch's columns.  The floor replaces each non-uploaded
     candidate's prediction by its true mean, so it sums that candidate's
     squared measurement noise; it reads the same rounds and draws nothing
@@ -127,16 +127,15 @@ def aloha_curves():
 
 
 def own_run_curves(mode, B, Q, seeds):
-    """:func:`aloha_mean_curves`' arrays at its defaults, built from each
-    seed's own ``run_aloha`` logs."""
+    """:func:`aloha_mean_curves`' arrays at its defaults, built from the
+    round logs of each seed's batch of one."""
     cfg = AlohaConfig(channels=B, candidates=Q, mu=0.5, psi0=0.0, mode=mode)
     rows = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        field = gen_random_sinusoid(200, 10, 0.1, rng)
+        field = gen_random_sinusoid(200, 10, 0.1, np.random.default_rng(seed))
         noise_sq = (field.measurements - field.true_means) ** 2
         row = []
-        for log in run_aloha(field, cfg, 40, UNIT, rng):
+        for log in aloha_logs(sinusoid(200), cfg, 40, UNIT, seed=seed):
             missed = [c for c in log.candidates if c not in log.successes]
             row.append((log.sse, int(log.activity.sum()), noise_sq[missed].sum(), len(missed)))
         rows.append(row)
@@ -186,7 +185,7 @@ def test_criterion_02_lemma1_equivalence():
     mismatches = rounds = 0
     for _ in range(200):
         field = random_small_field(rng)
-        logs = run_das(field, "max-variance", field.n_sensors - 1, UNIT)
+        logs = das_logs(field, "max-variance", field.n_sensors - 1, UNIT)
         for log, uploaded in uploads_before(logs):
             mismatches += log.selected != brute_force_min_next_mse(field, uploaded, UNIT)
             rounds += 1
@@ -211,8 +210,7 @@ def test_criterion_03_mse_identity():
     rounds_checked = 0
     for field in fields:
         for policy in ("max-variance", "random"):
-            logs = run_das(field, policy, field.n_sensors, UNIT,
-                           rng=np.random.default_rng(7))
+            logs = das_logs(field, policy, field.n_sensors, UNIT, seed=7)
             for log, before in uploads_before(logs):
                 uploaded = before + [log.selected]
                 rest = oracle.remaining(field, uploaded)
@@ -260,7 +258,7 @@ def test_criterion_05_consecutive_selections_spread():
     far = total = 0
     for seed in range(1, 101):
         field = gen_2d(100, 0.1, np.random.default_rng(seed))
-        logs = run_das(field, "max-variance", 16, UNIT)
+        logs = das_logs(field, "max-variance", 16, UNIT)
         threshold = np.median(pdist(field.locations)) / 4
         picks = [l.selected for l in logs]
         for a, b in zip(picks, picks[1:]):
@@ -412,14 +410,14 @@ def test_criterion_11_csv_pathway_das_advantage(station_csv):
     # selection must reach the random policy's round-300 MSE in at most 80% as
     # many rounds, averaged over 50 seeds.
     base = load_csv(station_csv, 0.01)
-    das_logs = run_das(base, "max-variance", 300, UNIT)  # value-free, seed-invariant
+    das_mse = [l.mse for l in das_logs(base, "max-variance", 300, UNIT)]  # seed-invariant
     ratios = []
-    for seed in range(1, 51):
-        rng = np.random.default_rng(seed)
-        rand_logs = run_das(base, "random", 300, UNIT, rng=rng)
-        target = rand_logs[-1].mse
-        hit = next((l.round for l in das_logs if l.mse <= target), 301)
-        ratios.append(hit / 300.0)
+    for _, _, t, rnd, failed in run_das_batches(range(1, 51), lambda rng: base, "random",
+                                                300, UNIT):
+        assert not failed
+        if t == 300:  # each seed's rounds to reach its round-300 MSE
+            ratios += [next((r for r, m in enumerate(das_mse, 1) if m <= target), 301) / 300.0
+                       for target in rnd.mse]
     mean_ratio = float(np.mean(ratios))
     check(11, mean_ratio <= 0.80,
           f"active selection needs {mean_ratio:.2%} of the random policy's rounds")

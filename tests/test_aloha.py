@@ -16,7 +16,6 @@ from fieldsense.aloha import (
     equal_upload_probability,
     expected_throughput,
     per_sensor_success_probability,
-    run_aloha,
     run_aloha_batches,
     sleep_adjusted_q,
     sse_lower_bound,
@@ -28,9 +27,14 @@ from fieldsense.fields import gen_random_sinusoid
 from fieldsense.gp import IncrementalConditioner, KernelParams
 
 import oracle
-from test_das import by_seed, make_field, poisoning_observe
+from oracle import aloha_logs, by_seed
+from test_das import make_field, poisoning_observe
 
 UNIT = KernelParams(1.0, 1.0)
+
+
+def sinusoid(L):
+    return lambda rng: gen_random_sinusoid(L, 10, 0.1, rng)
 
 
 def contention_rounds(p, channels, n, rng):
@@ -73,7 +77,7 @@ def one_round(field, cands, cfg, rng, uploaded=(), psi=0.0):
     psi = np.array([psi])
     rnd, failed = play_round([cands], field.measurements[None], mask, psi, cfg, cond, [rng])
     assert not failed
-    (log,) = rnd.logs()
+    (log,) = oracle.rows(rnd)
     return log, mask[0], float(psi[0])
 
 
@@ -228,7 +232,7 @@ class TestDualAscent:
             cands = [sorted(rng.choice(200, size=10, replace=False).tolist()) for rng in rngs]
             cond, mask = fresh_batch(fields)
             rnd, _ = play_round(cands, meas, mask, psi, cfg, cond, rngs)
-            ks.append([int(log.activity.sum()) for log in rnd.logs()])
+            ks.append(rnd.active)
         mean_k = np.mean(ks[-20:], axis=0)
         assert abs(np.mean(mean_k) - 3) < 1.0
 
@@ -270,7 +274,7 @@ def perfect_prediction_setup():
 
 
 class TestSimulateRound:
-    """The round that ``run_aloha`` and ``run_aloha_batches`` play on a seed batch."""
+    """The round that ``run_aloha_batches`` plays on a seed batch."""
 
     def test_zero_errors_keep_everyone_silent(self):
         field = perfect_prediction_setup()
@@ -303,7 +307,7 @@ class TestSimulateRound:
             rnd, _ = play_round([list(range(10))] * n_seeds,
                                 np.tile(field.measurements, (n_seeds, 1)), mask,
                                 np.zeros(n_seeds), cfg, cond, [rng] * n_seeds)
-            total += sum(len(log.successes) for log in rnd.logs())
+            total += sum(map(len, rnd.successes))
         want = expected_throughput(0.3, cfg)
         assert total / (n_seeds * n_rounds) == pytest.approx(want, rel=0.02)
 
@@ -319,7 +323,7 @@ class TestSimulateRound:
             rnd, failed = play_round([cand], field.measurements[None], mask, psi, cfg,
                                      cond, [rng])
             assert not failed
-            (log,) = rnd.logs()
+            (log,) = oracle.rows(rnd)
             active_set = {c for c, a in zip(log.candidates, log.activity) if a}
             assert set(log.successes) | set(log.collided) == active_set
             assert set(log.successes) & set(log.collided) == set()
@@ -340,10 +344,8 @@ class TestSimulateRound:
 class TestRunAloha:
     def test_deterministic(self):
         def one():
-            rng = np.random.default_rng(11)
-            field = gen_random_sinusoid(50, 10, 0.1, rng)
             cfg = AlohaConfig(channels=3, candidates=10, mode="modified")
-            return run_aloha(field, cfg, 12, UNIT, rng)
+            return aloha_logs(sinusoid(50), cfg, 12, UNIT, seed=11)
 
         a, b = one(), one()
         assert [l.candidates for l in a] == [l.candidates for l in b]
@@ -351,20 +353,16 @@ class TestRunAloha:
         assert [l.successes for l in a] == [l.successes for l in b]
 
     def test_pool_exhaustion_gives_empty_rounds(self):
-        rng = np.random.default_rng(12)
-        field = gen_random_sinusoid(6, 10, 0.1, rng)
         cfg = AlohaConfig(channels=6, candidates=6, mode="conventional")
-        logs = run_aloha(field, cfg, 40, UNIT, rng)
+        logs = aloha_logs(sinusoid(6), cfg, 40, UNIT, seed=12)
         assert sum(len(l.successes) for l in logs) == 6
         tail = [l for l in logs if not l.candidates]
         assert tail, "pool should empty within 40 rounds"
         assert all(l.sse == 0.0 for l in tail)
 
     def test_candidates_always_remaining_and_within_q(self):
-        rng = np.random.default_rng(13)
-        field = gen_random_sinusoid(30, 10, 0.1, rng)
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
-        logs = run_aloha(field, cfg, 20, UNIT, rng)
+        logs = aloha_logs(sinusoid(30), cfg, 20, UNIT, seed=13)
         uploaded = set()
         for log in logs:
             assert len(log.candidates) <= 10
@@ -382,23 +380,40 @@ class TestRunAloha:
         acc = np.zeros(150)
         n_seeds = 60
         cfg = AlohaConfig(channels=3, candidates=10, mode="conventional")
-        for seed in range(1, n_seeds + 1):
-            rng = np.random.default_rng(seed)
-            field = gen_random_sinusoid(200, 10, 0.1, rng)
-            acc += [l.sse for l in run_aloha(field, cfg, 150, UNIT, rng)]
+        for _, _, t, rnd, failed in run_aloha_batches(range(1, n_seeds + 1), sinusoid(200),
+                                                      cfg, 150, UNIT):
+            assert not failed
+            acc[t - 1] += sum(rnd.sse)
         late = acc[119:150].mean() / n_seeds
         bound = sse_lower_bound(0.1, 10, 3)
         assert abs(late - bound) / bound < 0.15
 
     def test_sleep_mode_reduces_activity(self):
         def total_active(p_sleep, seed=14):
-            rng = np.random.default_rng(seed)
-            field = gen_random_sinusoid(100, 10, 0.1, rng)
             cfg = AlohaConfig(channels=3, candidates=10, mode="conventional",
                               p_sleep=p_sleep)
-            return sum(int(l.activity.sum()) for l in run_aloha(field, cfg, 20, UNIT, rng))
+            return sum(int(l.activity.sum())
+                       for l in aloha_logs(sinusoid(100), cfg, 20, UNIT, seed=seed))
 
         assert total_active(0.8) < total_active(0.0)
+
+
+def assert_matches_oracle(got, want):
+    """The library's round logs against the from-scratch loop's: the draws and
+    outcomes exactly, the predictions, errors and SSE within round-off.  An
+    upload probability moves by 2e * d / |error| when its error moves by d,
+    so it gets a wider tolerance."""
+    for g, w in zip(got, want, strict=True):
+        assert g.candidates == w.candidates
+        assert g.successes == w.successes
+        assert g.collided == w.collided
+        np.testing.assert_array_equal(g.activity, w.activity)
+        np.testing.assert_array_equal(g.channel_choice, w.channel_choice)
+        assert g.psi == w.psi
+        np.testing.assert_allclose(g.predictions, w.predictions, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g.errors, w.errors, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g.probabilities, w.probabilities, rtol=0, atol=1e-8)
+        assert abs(g.sse - w.sse) <= 1e-12
 
 
 class TestRunAlohaMatchesOracle:
@@ -421,21 +436,10 @@ class TestRunAlohaMatchesOracle:
         cfg = AlohaConfig(channels=B, candidates=Q, mode=mode, p_sleep=p_sleep)
         empty_rounds = 0
         for seed in (1, 2, 3):
-            def run(loop):
-                rng = np.random.default_rng(seed)
-                field = gen_random_sinusoid(L, 10, 0.1, rng)
-                return loop(field, cfg, 40, UNIT, rng)
-
-            got, want = run(run_aloha), run(oracle.run_aloha)
-            for g, w in zip(got, want, strict=True):
-                assert g.candidates == w.candidates
-                assert g.successes == w.successes
-                assert g.collided == w.collided
-                np.testing.assert_array_equal(g.activity, w.activity)
-                np.testing.assert_array_equal(g.channel_choice, w.channel_choice)
-                assert g.psi == w.psi
-                np.testing.assert_allclose(g.predictions, w.predictions, rtol=0, atol=1e-10)
-                assert abs(g.sse - w.sse) <= 1e-12
+            rng = np.random.default_rng(seed)
+            want = oracle.run_aloha(gen_random_sinusoid(L, 10, 0.1, rng), cfg, 40, UNIT, rng)
+            got = aloha_logs(sinusoid(L), cfg, 40, UNIT, seed=seed)
+            assert_matches_oracle(got, want)
             empty_rounds += sum(not g.candidates for g in got)
         if L == 30:
             assert empty_rounds > 0
@@ -459,15 +463,12 @@ class TestRunAlohaProperties:
     def test_run_invariants(self, seed, L, B, Q, p_sleep, mode, rounds):
         cfg = AlohaConfig(channels=B, candidates=Q, p_sleep=p_sleep, mode=mode)
 
-        def play(loop):
-            rng = np.random.default_rng(seed)
-            field = gen_random_sinusoid(L, 10, 0.1, rng)
-            return loop(field, cfg, rounds, UNIT, rng)
-
-        logs = play(run_aloha)
-        want = play(oracle.run_aloha)
+        rng = np.random.default_rng(seed)
+        want = oracle.run_aloha(gen_random_sinusoid(L, 10, 0.1, rng), cfg, rounds, UNIT, rng)
+        logs = aloha_logs(sinusoid(L), cfg, rounds, UNIT, seed=seed)
+        assert_matches_oracle(logs, want)
         uploaded: list[int] = []  # the successes of the rounds so far, concatenated
-        for log, ref in zip(logs, want, strict=True):
+        for log in logs:
             waiting = L - len(uploaded)
             # only waiting sensors contend: Q of them, and once no more than Q
             # remain, every sensor the successes so far leave
@@ -480,18 +481,6 @@ class TestRunAlohaProperties:
                 assert log.candidates == [] and log.sse == 0.0
             uploaded += log.successes
             assert len(set(uploaded)) == len(uploaded)  # nobody succeeds twice
-            assert ref.candidates == log.candidates
-            assert ref.successes == log.successes
-            assert ref.collided == log.collided
-            np.testing.assert_array_equal(ref.activity, log.activity)
-            np.testing.assert_array_equal(ref.channel_choice, log.channel_choice)
-            assert ref.psi == log.psi
-            np.testing.assert_allclose(log.predictions, ref.predictions, rtol=0, atol=1e-10)
-            assert abs(log.sse - ref.sse) <= 1e-12
-
-
-def sinusoid(L):
-    return lambda rng: gen_random_sinusoid(L, 10, 0.1, rng)
 
 
 def assert_logs_equal(got, want):
@@ -507,7 +496,7 @@ def assert_logs_equal(got, want):
 
 
 class TestRunAlohaSeeds:
-    """A seed batch plays every seed as its own run_aloha would, bit for bit,
+    """A seed batch plays every seed as its batch of one would, bit for bit,
     whatever its batch-mates do, across the in-flight bound."""
 
     @pytest.mark.parametrize("L,B,Q,mode,p_sleep", [
@@ -523,10 +512,10 @@ class TestRunAlohaSeeds:
         assert list(runs) == list(seeds)
         dry = set()
         for seed, (field, logs) in runs.items():
-            rng = np.random.default_rng(seed)
-            own = gen_random_sinusoid(L, 10, 0.1, rng)
+            ((own, own_logs),) = by_seed(run_aloha_batches([seed], sinusoid(L), cfg, 40,
+                                                           UNIT)).values()
             np.testing.assert_array_equal(field.measurements, own.measurements)
-            assert_logs_equal(logs, run_aloha(own, cfg, 40, UNIT, rng))
+            assert_logs_equal(logs, own_logs)
             dry.add(next((t for t, log in enumerate(logs) if not log.candidates), None))
         if L == 30:  # ragged batches: pools ran dry at different rounds
             assert len(dry - {None}) > 1
@@ -538,15 +527,7 @@ class TestRunAlohaSeeds:
         for seed, (field, logs) in runs.items():
             rng = np.random.default_rng(seed)
             want = oracle.run_aloha(gen_random_sinusoid(30, 10, 0.1, rng), cfg, 40, UNIT, rng)
-            for g, w in zip(logs, want, strict=True):
-                assert g.candidates == w.candidates
-                assert g.successes == w.successes
-                assert g.collided == w.collided
-                np.testing.assert_array_equal(g.activity, w.activity)
-                np.testing.assert_array_equal(g.channel_choice, w.channel_choice)
-                assert g.psi == w.psi
-                np.testing.assert_allclose(g.predictions, w.predictions, rtol=0, atol=1e-10)
-                assert abs(g.sse - w.sse) <= 1e-12
+            assert_matches_oracle(logs, want)
 
     def test_failing_seed_leaves_its_batch_alone(self, monkeypatch):
         cfg = AlohaConfig(channels=3, candidates=10, mode="modified")
@@ -555,8 +536,7 @@ class TestRunAlohaSeeds:
         poisoned = fieldsense.gp.IncrementalConditioner
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
         with pytest.raises(ValueError, match="below round-off") as alone:
-            rng = np.random.default_rng(5)
-            run_aloha(make(rng), cfg, 40, UNIT, rng)
+            aloha_logs(make, cfg, 40, UNIT, seed=5)
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
         stream = list(run_aloha_batches(range(1, 9), make, cfg, 40, UNIT))
         # one row is reported failed, seed 5's, with its own run's message
@@ -585,8 +565,7 @@ class TestRunAlohaSeeds:
         # with mu = 0.5 and psi0 a multiple of 1/2 every step is exact
         cfg = AlohaConfig(channels=B, candidates=Q, p_sleep=float(np.nextafter(1.0, 0.0)),
                           mu=0.5, psi0=psi0 / 2, mode="modified")
-        rng = np.random.default_rng(seed)
-        alone = run_aloha(gen_random_sinusoid(L, 10, 0.1, rng), cfg, rounds, UNIT, rng)
+        alone = aloha_logs(sinusoid(L), cfg, rounds, UNIT, seed=seed)
         batch = by_seed(run_aloha_batches([seed, seed + 1], sinusoid(L), cfg, rounds, UNIT))
         for logs in (alone, batch[seed][1], batch[seed + 1][1]):
             for r, log in enumerate(logs, start=1):
@@ -626,7 +605,7 @@ class TestUnitFree:
         want = None
         for k in range(-20, 21):
             params = KernelParams(1.0, 4.0**k)
-            logs = run_aloha(scaled_field(base, k), cfg, 12, params, np.random.default_rng(9))
+            logs = aloha_logs(scaled_field(base, k), cfg, 12, params, seed=9)
             got = [(log.successes, log.sse / params.signal_variance) for log in logs]
             want = want or got
             assert got == want, k

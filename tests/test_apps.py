@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldsense.das import run_das
 from fieldsense.gp import KernelParams
 
 import oracle
+from oracle import das_logs
 from test_das import make_field, random_small_field, uploads_before
 from test_gp import naive_posterior
 
@@ -23,8 +23,8 @@ def mean_row(n):
 
 def picks(field, rounds, weights, betas):
     """The sensors a run of the app-weighted policy picks, in order."""
-    return [l.selected for l in run_das(field, "app-weighted", rounds, UNIT,
-                                        apps=(weights, betas))]
+    return [l.selected for l in das_logs(field, "app-weighted", rounds, UNIT,
+                                         apps=(weights, betas))]
 
 
 def brute_force_weighted_pick(weights, betas, field, uploaded):
@@ -52,7 +52,7 @@ def brute_force_weighted_pick(weights, betas, field, uploaded):
 
 
 def assert_every_round_matches_brute_force(field, weights, betas):
-    logs = run_das(field, "app-weighted", field.n_sensors, UNIT, apps=(weights, betas))
+    logs = das_logs(field, "app-weighted", field.n_sensors, UNIT, apps=(weights, betas))
     for log, uploaded in uploads_before(logs):
         assert log.selected == brute_force_weighted_pick(weights, betas, field, uploaded)
 
@@ -87,7 +87,7 @@ class TestSelectForApplication:
         locs = [0.0, 0.4, 50.0, 50.9, 100.0, 150.0]
         field = make_field(locs, noise=0.01)
         got = picks(field, 6, [mean_row(6)], [1.0])
-        assert got == [l.selected for l in run_das(field, "max-variance", 6, UNIT)]
+        assert got == [l.selected for l in das_logs(field, "max-variance", 6, UNIT)]
         assert got == [0, 2, 4, 5, 3, 1]
 
 
@@ -129,10 +129,10 @@ class TestSelectWeightedSum:
             ([mean_row(2), np.ones(1)], [1.0, 1.0], "application 1 has 1 weights for 2 sensors"),
         ):
             with pytest.raises(ValueError, match=match):
-                run_das(field, "app-weighted", 1, UNIT, apps=(weights, betas))
+                das_logs(field, "app-weighted", 1, UNIT, apps=(weights, betas))
 
     def test_rejects_non_finite_weights(self):
         field = make_field([0.0, 1.0, 2.0])
         weights = [mean_row(3), np.array([1.0, np.nan, 0.0])]
         with pytest.raises(ValueError, match="application 1 has non-finite weights"):
-            run_das(field, "app-weighted", 2, UNIT, apps=(weights, [1.0, 1.0]))
+            das_logs(field, "app-weighted", 2, UNIT, apps=(weights, [1.0, 1.0]))

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldsense.gp
-from fieldsense.das import POLICIES, quantize, run_das, run_das_batches
+from fieldsense.das import POLICIES, quantize, run_das_batches
 from fieldsense.fields import SensorField, gen_1d, gen_2d
 from fieldsense.gp import IncrementalConditioner, KernelParams, gram
 
 import oracle
+from oracle import by_seed, das_logs
 from test_gp import naive_posterior
 
 UNIT = KernelParams(1.0, 1.0)
@@ -91,23 +92,6 @@ def brute_force_virtual_pick(field, uploaded, virtual):
     return best
 
 
-def by_seed(batch_rounds):
-    """The batch stream of run_das_batches or run_aloha_batches as
-    {seed: (field, [log, ...] or the error)}: each seed's logs, built by its
-    batch rounds' ``logs()``, until its row is reported failed, and then the
-    ``ValueError`` its own run would raise."""
-    out = {}
-    for batch, fields, t, rnd, failed in batch_rounds:
-        for row, (seed, field, log) in enumerate(zip(batch, fields, rnd.logs())):
-            _, logs = out.setdefault(seed, (field, []))
-            if row in failed:
-                out[seed] = (field, ValueError(failed[row]))
-            elif isinstance(logs, list):
-                assert t == len(logs) + 1
-                logs.append(log)
-    return out
-
-
 def poisoning_observe(locations, at):
     """IncrementalConditioner.observe that, on the ``at``-th upload of the
     field at ``locations`` to each conditioner, counted in call order, first
@@ -135,26 +119,26 @@ def poisoning_observe(locations, at):
 
 
 class TestEstimate:
-    """The field estimates ``run_das`` logs, round by round."""
+    """The field estimates the collection loop logs, round by round."""
 
     def test_prior_mse_is_L(self):
         # sensors 100 length scales apart: one upload leaves every other
         # sensor at its prior variance, 1 each
         field = make_field(np.arange(7) * 100.0)
-        est = run_das(field, "max-variance", 1, UNIT, log_estimates=True)[0].estimate
+        est = das_logs(field, "max-variance", 1, UNIT, log_estimates=True)[0].estimate
         assert est.mse == pytest.approx(6.0, abs=1e-12)
         np.testing.assert_allclose(est.per_sensor_variance, [0.0] + [1.0] * 6)
 
     def test_all_uploaded(self):
         field = make_field([0.0, 1.0, 2.0])
-        est = run_das(field, "max-variance", 3, UNIT, log_estimates=True)[-1].estimate
+        est = das_logs(field, "max-variance", 3, UNIT, log_estimates=True)[-1].estimate
         np.testing.assert_array_equal(est.values, field.measurements)
         assert est.mse == 0.0
 
     def test_mse_equals_trace_of_joint_covariance(self):
-        rng = np.random.default_rng(7)
-        field = make_field(rng.uniform(0, 5, 5), rng=rng)
-        logs = run_das(field, "random", 5, UNIT, rng=rng, log_estimates=True)
+        make = lambda rng: make_field(rng.uniform(0, 5, 5), rng=rng)  # noqa: E731
+        logs = das_logs(make, "random", 5, UNIT, seed=7, log_estimates=True)
+        field = make(np.random.default_rng(7))
         for log, before in uploads_before(logs):
             uploaded = before + [log.selected]
             rest = oracle.remaining(field, uploaded)
@@ -168,36 +152,35 @@ class TestEstimate:
             assert log.estimate.mse == pytest.approx(np.trace(post.covariance), abs=1e-9)
 
     def test_uploaded_entries_bitwise(self):
-        rng = np.random.default_rng(8)
-        field = make_field(rng.uniform(0, 5, 9), rng=rng)
-        logs = run_das(field, "random", 9, UNIT, rng=rng, log_estimates=True)
+        make = lambda rng: make_field(rng.uniform(0, 5, 9), rng=rng)  # noqa: E731
+        logs = das_logs(make, "random", 9, UNIT, seed=8, log_estimates=True)
+        field = make(np.random.default_rng(8))
         for log, before in uploads_before(logs):
             for i in before + [log.selected]:
                 assert log.estimate.values[i] == field.measurements[i]
                 assert log.estimate.per_sensor_variance[i] == 0.0
 
     def test_mse_is_sum_of_variances(self):
-        rng = np.random.default_rng(9)
-        field = make_field(rng.uniform(0, 5, 8), rng=rng)
-        for log in run_das(field, "random", 8, UNIT, rng=rng, log_estimates=True):
+        make = lambda rng: make_field(rng.uniform(0, 5, 8), rng=rng)  # noqa: E731
+        for log in das_logs(make, "random", 8, UNIT, seed=9, log_estimates=True):
             assert log.estimate.mse == np.sum(log.estimate.per_sensor_variance)
 
 
 class TestSelectMaxVariance:
     def test_prior_tie_breaks_low(self):
         field = make_field([0.0, 1.0, 2.0])
-        assert run_das(field, "max-variance", 1, UNIT)[0].selected == 0
+        assert das_logs(field, "max-variance", 1, UNIT)[0].selected == 0
 
     def test_farthest_sensor_wins(self):
         # sensor 0 wins the prior tie; then 2, far from it, beats 1 beside it
         field = make_field([0.0, 0.1, 5.0])
-        assert [l.selected for l in run_das(field, "max-variance", 2, UNIT)] == [0, 2]
+        assert [l.selected for l in das_logs(field, "max-variance", 2, UNIT)] == [0, 2]
 
     def test_equals_brute_force_next_mse(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             field = random_small_field(rng)
-            logs = run_das(field, "max-variance", field.n_sensors - 1, UNIT)
+            logs = das_logs(field, "max-variance", field.n_sensors - 1, UNIT)
             for log, uploaded in uploads_before(logs):
                 assert log.selected == brute_force_min_next_mse(field, uploaded, UNIT)
 
@@ -210,20 +193,19 @@ class TestSelectMaxVariance:
             field.locations, field.true_means,
             rng.uniform(-100, 100, field.n_sensors), field.noise_variance,
         )
-        picks = [[l.selected for l in run_das(f, "max-variance", f.n_sensors, UNIT)]
+        picks = [[l.selected for l in das_logs(f, "max-variance", f.n_sensors, UNIT)]
                  for f in (field, other)]
         assert picks[0] == picks[1]
 
     def test_empty_remaining_rejected(self):
         with pytest.raises(ValueError, match="rounds must be in"):
-            run_das(make_field([0.0]), "max-variance", 2, UNIT)
+            das_logs(make_field([0.0]), "max-variance", 2, UNIT)
 
 
 class TestSelectRandom:
     def test_singleton(self):
         # the last round picks the one sensor left
-        logs = run_das(make_field(np.arange(8.0)), "random", 8, UNIT,
-                       rng=np.random.default_rng(0))
+        logs = das_logs(make_field(np.arange(8.0)), "random", 8, UNIT, seed=0)
         assert sorted(l.selected for l in logs) == list(range(8))
 
     def test_uniform_over_remaining(self):
@@ -242,24 +224,23 @@ class TestSelectRandom:
 
     def test_deterministic_given_seed(self):
         field = make_field(np.arange(10.0))
-        picks = {tuple(l.selected for l in run_das(field, "random", 10, UNIT,
-                                                   rng=np.random.default_rng(99)))
+        picks = {tuple(l.selected for l in das_logs(field, "random", 10, UNIT, seed=99))
                  for _ in range(5)}
         assert len(picks) == 1
 
     def test_empty_remaining_rejected(self):
         with pytest.raises(ValueError, match="rounds must be in"):
-            run_das(make_field([0.0]), "random", 2, UNIT, rng=np.random.default_rng(0))
+            das_logs(make_field([0.0]), "random", 2, UNIT, seed=0)
 
 
 class TestSelectVirtualTarget:
     def test_coincident_virtual_location(self):
         field = make_field([0.0, 2.0, 4.0])
-        assert run_das(field, "virtual", 1, UNIT, virtual_locs=[(2.0,)])[0].selected == 1
+        assert das_logs(field, "virtual", 1, UNIT, virtual_locs=[(2.0,)])[0].selected == 1
 
     def test_nearest_of_two(self):
         field = make_field([0.4, 5.0])
-        assert run_das(field, "virtual", 1, UNIT, virtual_locs=[(0.5,)])[0].selected == 0
+        assert das_logs(field, "virtual", 1, UNIT, virtual_locs=[(0.5,)])[0].selected == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -267,42 +248,42 @@ class TestSelectVirtualTarget:
             field = random_small_field(rng, max_L=10)
             n_virtual = int(rng.integers(1, 4))
             virtual = rng.uniform(0, 6, size=(n_virtual, field.dim))
-            logs = run_das(field, "virtual", field.n_sensors - 1, UNIT, virtual_locs=virtual)
+            logs = das_logs(field, "virtual", field.n_sensors - 1, UNIT, virtual_locs=virtual)
             for log, uploaded in uploads_before(logs):
                 assert log.selected == brute_force_virtual_pick(field, uploaded, virtual)
 
     def test_rejects_empty(self):
         field = make_field([0.0, 1.0])
         with pytest.raises(ValueError, match="virtual location set is empty"):
-            run_das(field, "virtual", 1, UNIT, virtual_locs=[])
+            das_logs(field, "virtual", 1, UNIT, virtual_locs=[])
         with pytest.raises(ValueError, match="rounds must be in"):
-            run_das(field, "virtual", 3, UNIT, virtual_locs=[(0.5,)])
+            das_logs(field, "virtual", 3, UNIT, virtual_locs=[(0.5,)])
 
 
 class TestRunDas:
     def test_full_sweep_reaches_zero_mse(self):
         field = make_field(np.linspace(0, 9, 8))
-        logs = run_das(field, "max-variance", 8, UNIT)
+        logs = das_logs(field, "max-variance", 8, UNIT)
         assert logs[-1].mse == pytest.approx(0.0, abs=1e-9)
         assert sorted(l.selected for l in logs) == list(range(8))
 
     def test_deterministic_logs(self):
         field = gen_1d(30, 0.05, np.random.default_rng(3))
-        a = run_das(field, "random", 15, UNIT, rng=np.random.default_rng(5))
-        b = run_das(field, "random", 15, UNIT, rng=np.random.default_rng(5))
+        a = das_logs(field, "random", 15, UNIT, seed=5)
+        b = das_logs(field, "random", 15, UNIT, seed=5)
         assert [(l.round, l.selected, l.mse) for l in a] == \
             [(l.round, l.selected, l.mse) for l in b]
 
     @pytest.mark.parametrize("policy", ["max-variance", "random"])
     def test_mse_non_increasing(self, policy):
         field = gen_1d(25, 0.05, np.random.default_rng(4))
-        logs = run_das(field, policy, 25, UNIT, rng=np.random.default_rng(4))
+        logs = das_logs(field, policy, 25, UNIT, seed=4)
         mses = [l.mse for l in logs]
         assert all(b <= a + 1e-9 for a, b in zip(mses, mses[1:]))
 
     def test_incremental_matches_baseline(self):
         field = gen_1d(22, 0.05, np.random.default_rng(6))
-        fast = run_das(field, "max-variance", 22, UNIT)
+        fast = das_logs(field, "max-variance", 22, UNIT)
         slow = oracle.run_das(field, "max-variance", 22, UNIT)
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
@@ -311,7 +292,7 @@ class TestRunDas:
 
     def test_incremental_matches_baseline_random(self):
         field = gen_1d(22, 0.05, np.random.default_rng(6))
-        fast = run_das(field, "random", 22, UNIT, rng=np.random.default_rng(6))
+        fast = das_logs(field, "random", 22, UNIT, seed=6)
         slow = oracle.run_das(field, "random", 22, UNIT, rng=np.random.default_rng(6))
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
@@ -321,7 +302,7 @@ class TestRunDas:
     def test_incremental_matches_baseline_virtual(self):
         field = gen_1d(15, 0.05, np.random.default_rng(7))
         virtual = [(2.5,), (7.5,)]
-        fast = run_das(field, "virtual", 10, UNIT, virtual_locs=virtual)
+        fast = das_logs(field, "virtual", 10, UNIT, virtual_locs=virtual)
         slow = oracle.run_das(field, "virtual", 10, UNIT, virtual_locs=virtual)
         assert [l.selected for l in fast] == [l.selected for l in slow]
 
@@ -332,7 +313,7 @@ class TestRunDas:
         field = gen_1d(60, 0.1, rng)
         weights = np.vstack([np.full(60, 1.0 / 60), np.eye(60)[17], rng.normal(size=60)])
         apps = (weights, rng.uniform(0.1, 3.0, size=3))
-        fast = run_das(field, "app-weighted", 30, UNIT, apps=apps)
+        fast = das_logs(field, "app-weighted", 30, UNIT, apps=apps)
         slow = oracle.run_das(field, "app-weighted", 30, UNIT, apps=apps)
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
@@ -367,7 +348,7 @@ class TestRunDas:
             return got
 
         monkeypatch.setattr(IncrementalConditioner, "residual_variance", checked)
-        run_das(field, "app-weighted", 150, UNIT, apps=(weights, betas))
+        das_logs(field, "app-weighted", 150, UNIT, apps=(weights, betas))
         assert len(gaps) == 150
         print(f"{make.__name__} L={L}: largest relative score gap {max(gaps):.2g}")
         assert max(gaps) < SCORE_RTOL
@@ -375,7 +356,7 @@ class TestRunDas:
     def test_long_run_virtual_matches_oracle(self):
         field = gen_1d(120, 0.1, np.random.default_rng(12))
         virtual = [(0.5,), (2.5,), (5.0,), (7.5,), (9.5,)]
-        fast = run_das(field, "virtual", 60, UNIT, virtual_locs=virtual)
+        fast = das_logs(field, "virtual", 60, UNIT, virtual_locs=virtual)
         slow = oracle.run_das(field, "virtual", 60, UNIT, virtual_locs=virtual)
         assert [l.selected for l in fast] == [l.selected for l in slow]
         np.testing.assert_allclose(
@@ -388,7 +369,7 @@ class TestRunDas:
         # drift of the incremental estimate against a batch solve of the same
         # uploads, every 50 rounds of a long max-variance run
         field = make(L, 0.1, np.random.default_rng(13))
-        logs = run_das(field, "max-variance", rounds, UNIT, log_estimates=True)
+        logs = das_logs(field, "max-variance", rounds, UNIT, log_estimates=True)
         for log, before in uploads_before(logs):
             if log.round % 50:
                 continue
@@ -404,24 +385,22 @@ class TestRunDas:
         das_mse = rand_mse = 0.0
         for seed in range(1, 101):
             field = gen_1d(100, 0.01, np.random.default_rng(seed))
-            das_mse += run_das(field, "max-variance", 20, UNIT)[-1].mse
-            rand_mse += run_das(
-                field, "random", 20, UNIT, rng=np.random.default_rng(seed)
-            )[-1].mse
+            das_mse += das_logs(field, "max-variance", 20, UNIT)[-1].mse
+            rand_mse += das_logs(field, "random", 20, UNIT, seed=seed)[-1].mse
         assert das_mse < rand_mse
 
     def test_estimates_logged_on_request(self):
         field = make_field([0.0, 1.0, 2.0, 3.0])
-        logs = run_das(field, "max-variance", 2, UNIT, log_estimates=True)
+        logs = das_logs(field, "max-variance", 2, UNIT, log_estimates=True)
         assert logs[0].estimate is not None
         assert logs[0].estimate.values.shape == (4,)
-        bare = run_das(field, "max-variance", 2, UNIT)
+        bare = das_logs(field, "max-variance", 2, UNIT)
         assert bare[0].estimate is None
 
     def test_uploaded_entries_bitwise_exact(self):
         rng = np.random.default_rng(8)
         field = gen_1d(12, 0.1, rng)
-        logs = run_das(field, "max-variance", 12, UNIT, log_estimates=True)
+        logs = das_logs(field, "max-variance", 12, UNIT, log_estimates=True)
         uploaded = []
         for log in logs:
             uploaded.append(log.selected)
@@ -431,15 +410,15 @@ class TestRunDas:
     def test_rejects_bad_rounds_and_policy(self):
         field = make_field([0.0, 1.0])
         with pytest.raises(ValueError):
-            run_das(field, "max-variance", 3, UNIT)
+            das_logs(field, "max-variance", 3, UNIT)
         with pytest.raises(ValueError):
-            run_das(field, "maximal", 1, UNIT)
+            das_logs(field, "maximal", 1, UNIT)
         with pytest.raises(ValueError, match="needs virtual_locs"):
-            run_das(field, "virtual", 1, UNIT)
+            das_logs(field, "virtual", 1, UNIT)
         with pytest.raises(ValueError, match="app-weighted policy needs apps"):
-            run_das(field, "app-weighted", 1, UNIT)
+            das_logs(field, "app-weighted", 1, UNIT)
         with pytest.raises(ValueError, match="unknown policy"):
-            run_das(field, lambda f, s, p, r: max(s.remaining), 1, UNIT)
+            das_logs(field, lambda f, s, p, r: max(s.remaining), 1, UNIT)
 
 
 def assert_das_logs_equal(got, want):
@@ -459,7 +438,7 @@ def field_1d(L):
 
 
 class TestRunDasSeeds:
-    """A seed batch plays every seed as its own run_das would, bit for bit,
+    """A seed batch plays every seed as its batch of one would, bit for bit,
     whatever its batch-mates do.  The scored policies and the holdout
     estimates are checked through the CLI records in
     tests/test_experiments.py::TestRunExperiment::test_das_seed_batches_partition."""
@@ -484,8 +463,7 @@ class TestRunDasSeeds:
         runs = by_seed(run_das_batches(seeds, make, policy, rounds, UNIT, **kwargs))
         assert list(runs) == seeds
         for s, (field, logs) in runs.items():
-            rng = np.random.default_rng(s)
-            assert_das_logs_equal(logs, run_das(make(rng), policy, rounds, UNIT, rng=rng, **kwargs))
+            assert_das_logs_equal(logs, das_logs(make, policy, rounds, UNIT, seed=s, **kwargs))
 
     def test_failing_seed_leaves_its_batch_alone(self, monkeypatch):
         make = field_1d(30)
@@ -493,7 +471,7 @@ class TestRunDasSeeds:
         poisoned = fieldsense.gp.IncrementalConditioner
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
         with pytest.raises(ValueError, match="below round-off") as alone:
-            run_das(make(np.random.default_rng(5)), "max-variance", 20, UNIT)
+            das_logs(make, "max-variance", 20, UNIT, seed=5)
         monkeypatch.setattr(poisoned, "observe", poisoning_observe(doomed, at=3))
         stream = list(run_das_batches(range(1, 9), make, "max-variance", 20, UNIT))
         # one row is reported failed, seed 5's, on its third upload, with its
@@ -570,8 +548,8 @@ class TestUnitFree:
             params = KernelParams(1.0, 4.0**k)
             field = scaled_field(base, k)
             for policy in POLICIES:
-                logs = run_das(field, policy, 12, params, rng=np.random.default_rng(7),
-                               virtual_locs=[[2.5], [7.5]], apps=apps)
+                logs = das_logs(field, policy, 12, params, seed=7,
+                                virtual_locs=[[2.5], [7.5]], apps=apps)
                 got = [(log.selected, log.mse / params.signal_variance) for log in logs]
                 assert got == want.setdefault(policy, got), (policy, k)
 
@@ -582,6 +560,6 @@ class TestUnitFree:
         picks = {}
         for s2 in (1.0, 1e-13):
             field = SensorField(base.locations, base.true_means, base.measurements, 0.1 * s2)
-            logs = run_das(field, "max-variance", 8, KernelParams(1.0, s2))
+            logs = das_logs(field, "max-variance", 8, KernelParams(1.0, s2))
             picks[s2] = [log.selected for log in logs]
         assert picks[1e-13] == picks[1.0] != list(range(8))

@@ -18,7 +18,6 @@ import fieldsense.experiments
 import fieldsense.fields
 import fieldsense.gp
 from fieldsense.cli import main
-from fieldsense.das import run_das
 from fieldsense.experiments import (
     PRESETS,
     AggRecord,
@@ -37,6 +36,7 @@ from fieldsense.experiments import (
     run_experiment,
 )
 
+from oracle import das_logs
 from test_das import poisoning_observe
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -317,19 +317,19 @@ class TestRunExperiment:
         key = lambda r: (r.seed, r.round, r.metric)  # noqa: E731
         whole = sorted(records("1..20"), key=key)
         assert whole == sorted(records("1..7") + records("8..13") + records("14..20"), key=key)
-        # and every seed is the run of its own run_das, bit for bit
+        # and every seed is the run of its own batch of one, bit for bit
         config = config_from_mapping({**mapping, "seeds": "1..20"})
         holdout, own = config.experiment == "das-csv", []
         for policy in config.policies:
             for seed in config.seeds:
-                rng = np.random.default_rng(seed)
-                field = config.field_spec.build(rng)
+                field = config.field_spec.build(np.random.default_rng(seed))
                 apps = None
                 if policy == "app-weighted":
                     apps = (_build_apps(config, field.n_sensors), config.betas)
-                for log in run_das(field, policy, min(config.rounds, field.n_sensors),
-                                   config.kernel_params, rng=rng, virtual_locs=config.virtual,
-                                   log_estimates=holdout, apps=apps):
+                for log in das_logs(config.field_spec.build, policy,
+                                    min(config.rounds, field.n_sensors), config.kernel_params,
+                                    seed=seed, virtual_locs=config.virtual,
+                                    log_estimates=holdout, apps=apps):
                     extra = f"selected={log.selected}"
                     own.append(RunRecord(seed, log.round, f"mse.{policy}", log.mse, extra))
                     if holdout:
@@ -379,27 +379,6 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         metrics = {r.metric for r in result.records}
         assert metrics == {"mse.max-variance", "holdout-mse.max-variance"}
-
-    def test_cells_build_no_round_objects(self, monkeypatch):
-        # a cell writes its records from each batch round's columns; the
-        # per-seed round logs are only for the per-seed API
-        configs = [config_from_mapping({**PRESETS["fig7"], "seeds": "1..5"}),
-                   config_from_mapping({**load_config_file(WORKLOADS / "das-select.cfg"),
-                                        "seeds": "1..5"})]
-        want = [run_experiment(config) for config in configs]
-
-        def built(self, *args, **kwargs):
-            raise AssertionError(f"a {type(self).__name__} was built")
-
-        for cls in (fieldsense.aloha.AlohaRound, fieldsense.das.DasRound):
-            monkeypatch.setattr(cls, "__init__", built)
-        with pytest.raises(AssertionError, match="a DasRound was built"):
-            run_das(fieldsense.fields.gen_1d(5, 0.1, np.random.default_rng(1)),
-                    "max-variance", 2, fieldsense.gp.KernelParams())
-        for config, result in zip(configs, want):
-            got = run_experiment(config)
-            assert not got.failures
-            assert got.records == result.records and got.aggregates == result.aggregates
 
 
 class TestEmit:
@@ -504,6 +483,10 @@ class TestCli:
             ("aloha", "L = 20\nmode = modified\npsi0 = nan\n"),
             ("aloha", "L = 20\nmode = modified\npsi0 = inf\n"),
             ("das", "experiment = das-1d\nL = 12\nlength_scale = 0\n"),
+            ("das", "experiment = das-1d\nL = 12\nlength_scale = 1e200\n"),
+            ("aloha", "L = 20\nlength_scale = 1e200\n"),
+            ("das", "experiment = das-1d\nL = 12\nlength_scale = 1e-200\n"),
+            ("aloha", "L = 20\nlength_scale = 1e-200\n"),
             ("das", "experiment = das-1d\nL = 12\nsignal_variance = -1\n"),
             ("das", "experiment = das-1d\nL = 0\nrounds = 5\n"),
             ("das", "experiment = das-1d\nL = 12\nsigma2 = 0\n"),
@@ -524,7 +507,8 @@ class TestCli:
             ("das", "experiment = das-1d\nL = 20\npolicy = virtual\nvirtual = 1,2;3,4\n"),
         ],
         ids=["betas", "virtual", "B", "Q", "p_sleep", "mu", "mu_inf", "psi0_nan", "psi0_inf",
-             "length_scale", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T",
+             "length_scale", "length_scale_huge", "length_scale_huge_aloha",
+             "length_scale_tiny", "length_scale_tiny_aloha", "signal_variance", "L", "sigma2", "app_spec", "app_index", "T",
              "policy_repeated", "B_repeated", "Q_repeated", "mode_repeated",
              "betas_negative", "betas_nan", "betas_inf", "virtual_empty", "virtual_dim"],
     )
@@ -535,6 +519,16 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("fieldsense: config: ")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["das", "aloha"])
+    @pytest.mark.parametrize("length_scale", ["1e150", "1e-160"])
+    def test_extreme_usable_length_scale_runs(self, tmp_path, command, length_scale):
+        # 2 l^2 is 2e300 and 2e-320 (subnormal): both positive finite floats
+        cfg = tmp_path / "run.cfg"
+        body = "experiment = das-1d\nL = 12\n" if command == "das" else "L = 20\n"
+        cfg.write_text(f"{body}rounds = 3\nlength_scale = {length_scale}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        assert read_records_csv(tmp_path / "x.csv")
 
     @pytest.mark.parametrize("command,seeds,named", [
         ("das", "-1,2", "seed -1 is negative"),

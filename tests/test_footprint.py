@@ -44,20 +44,20 @@ PEAK_MB = """
 
 @pytest.mark.parametrize("body,limit_mb", [
     ("""
-    import numpy as np
-    from fieldsense.das import run_das
+    from fieldsense.das import run_das_batches
     from fieldsense.fields import gen_2d
     from fieldsense.gp import KernelParams
-    field = gen_2d(5000, 0.1, np.random.default_rng(1))
-    run_das(field, "max-variance", 200, KernelParams())
+    for _ in run_das_batches([1], lambda rng: gen_2d(5000, 0.1, rng), "max-variance", 200,
+                             KernelParams()):
+        pass
     """, 200),
     ("""
-    import numpy as np
-    from fieldsense.das import run_das
+    from fieldsense.das import run_das_batches
     from fieldsense.fields import gen_2d
     from fieldsense.gp import KernelParams
-    field = gen_2d(20000, 0.1, np.random.default_rng(1))
-    run_das(field, "max-variance", 200, KernelParams())
+    for _ in run_das_batches([1], lambda rng: gen_2d(20000, 0.1, rng), "max-variance", 200,
+                             KernelParams()):
+        pass
     """, 160),
 ], ids=["run_das-L5000-200", "run_das-L20000-200"])
 def test_peak_memory(body, limit_mb):
@@ -67,12 +67,13 @@ def test_peak_memory(body, limit_mb):
 
 SCORED_RUN = """
     import numpy as np
-    from fieldsense.das import run_das
+    from fieldsense.das import run_das_batches
     from fieldsense.fields import {make}
     from fieldsense.gp import KernelParams
-    field = {make}(4000, 0.1, np.random.default_rng(1))
-    run_das(field, {policy!r}, 50, KernelParams(), virtual_locs={virtual},
-            apps=([np.full(4000, 1 / 4000)], [1.0]))
+    for _ in run_das_batches([1], lambda rng: {make}(4000, 0.1, rng), {policy!r}, 50,
+                             KernelParams(), virtual_locs={virtual},
+                             apps=([np.full(4000, 1 / 4000)], [1.0])):
+        pass
 """
 
 # each generator's field and five virtual points inside its domain

@@ -819,7 +819,8 @@ class TestFullSlot:
         # every later round observes seeds 0-1 and 3-5, two runs at one row
         # count, so no product takes the per-seed loop, whose 1-D operand the
         # spy on gp's matmul would see
-        from test_das import by_seed, poisoning_observe
+        from oracle import by_seed
+        from test_das import poisoning_observe
 
         class Spy:
             def __init__(self):

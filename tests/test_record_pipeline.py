@@ -1,8 +1,8 @@
 """The record pipeline against a plain-Python oracle.
 
 For small random DAS and ALOHA configs, each seed's records are recomputed
-from its own single-seed run (``run_das`` / ``run_aloha`` with the seed's
-fresh generator), sorted by (seed, round, metric), and written with
+from its own single-seed run (``run_das_batches`` / ``run_aloha_batches`` on
+a batch of that one seed), sorted by (seed, round, metric), and written with
 ``csv.writer`` and ``json.dump``; the aggregates are numpy's ``mean`` and
 ``std`` of each (metric, round) group in ascending seed order.  The batched,
 celled and merged pipeline (``run_experiment`` then ``emit_results``) must
@@ -21,9 +21,8 @@ import pytest
 
 import fieldsense.experiments
 import fieldsense.gp
-from fieldsense.aloha import AlohaConfig, run_aloha
+from fieldsense.aloha import AlohaConfig
 from fieldsense.cli import main
-from fieldsense.das import run_das
 from fieldsense.experiments import (
     AggRecord,
     RunRecord,
@@ -33,6 +32,7 @@ from fieldsense.experiments import (
 )
 from fieldsense.fields import load_csv
 
+from oracle import aloha_logs, das_logs
 from test_das import poisoning_observe
 
 SHARES = (1, 3)  # this process alone, and with two forked children
@@ -82,8 +82,8 @@ def own_das_records(config):
     records = []
     for policy in config.policies:
         for seed in config.seeds:
-            rng = np.random.default_rng(seed)
-            field = csv_field if csv_field is not None else spec.build(rng)
+            make = spec.build if csv_field is None else lambda rng: csv_field
+            field = make(np.random.default_rng(seed))
             n = field.n_sensors
             apps = None
             if policy == "app-weighted":
@@ -97,9 +97,9 @@ def own_das_records(config):
                         weights.append(w)
                 apps = (weights, config.betas)
             try:
-                logs = run_das(field, policy, min(config.rounds, n), config.kernel_params,
-                               rng=rng, virtual_locs=config.virtual,
-                               log_estimates=csv_field is not None, apps=apps)
+                logs = das_logs(make, policy, min(config.rounds, n), config.kernel_params,
+                                seed=seed, virtual_locs=config.virtual,
+                                log_estimates=csv_field is not None, apps=apps)
             except ValueError:
                 continue
             for log in logs:
@@ -127,10 +127,9 @@ def own_aloha_records(config):
         for mode in s.modes:
             cfg = AlohaConfig(b, q, s.p_sleep, s.mu, s.psi0, mode)
             for seed in config.seeds:
-                rng = np.random.default_rng(seed)
-                field = config.field_spec.build(rng)
                 try:
-                    logs = run_aloha(field, cfg, config.rounds, config.kernel_params, rng)
+                    logs = aloha_logs(config.field_spec.build, cfg, config.rounds,
+                                      config.kernel_params, seed=seed)
                 except ValueError:
                     continue
                 for t, log in enumerate(logs, start=1):
